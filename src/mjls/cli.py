@@ -8,13 +8,11 @@ recomputed certificate margin check, never on solver-internal state.
 from __future__ import annotations
 
 import argparse
-import logging
-import os
 import sys
 
 import numpy as np
 
-from .errors import InvalidModel, MissingGain, MjlsError, NotFeasible
+from .errors import MjlsError
 from .fileio import (
     ParseError,
     load_bank,
@@ -30,6 +28,7 @@ from .synthesis import (
     PSI_MARGIN,
     Scheme,
     certify_gains,
+    check_bank,
     check_corollary,
     synthesize,
 )
@@ -40,10 +39,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_ITERATION_LIMIT = 3
-
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--delta", type=float, default=1e-6, help="margin for definiteness constraints (default 1e-6)")
-    parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,13 +59,18 @@ def _build_parser() -> argparse.ArgumentParser:
         help="demand a closed-loop contraction rate by shifting the dynamics (default 0)",
     )
     p_syn.add_argument("--out", required=True, help="gain bank output path")
-    _common_flags(p_syn)
+    p_syn.add_argument("--delta", type=float, default=1e-6, help="margin for definiteness constraints (default 1e-6)")
 
     p_cert = sub.add_parser("certify", help="check a gain bank against a model")
     p_cert.add_argument("model")
     p_cert.add_argument("gains")
     p_cert.add_argument("--max-iter", type=int, default=20000)
-    _common_flags(p_cert)
+    p_cert.add_argument(
+        "--delta",
+        type=float,
+        default=None,
+        help=f"margin the closed-loop forms must clear (default {PSI_MARGIN:g})",
+    )
 
     p_sim = sub.add_parser("simulate", help="run one closed-loop trajectory and write a CSV trace")
     p_sim.add_argument("model")
@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--dt", type=float, default=1e-3)
     p_sim.add_argument("--obs-policy", default="onchange", help="'onchange' or 'periodic:<seconds>'")
     p_sim.add_argument("--out", required=True, help="trace CSV output path")
-    _common_flags(p_sim)
+    p_sim.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 
     p_mc = sub.add_parser("montecarlo", help="estimate the stability functional over repeated runs")
     p_mc.add_argument("model")
@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--dt", type=float, default=1e-3)
     p_mc.add_argument("--obs-policy", default="onchange")
     p_mc.add_argument("--out", required=True, help="report JSON output path")
-    _common_flags(p_mc)
+    p_mc.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 
     return parser
 
@@ -165,9 +165,10 @@ def cmd_synthesize(args) -> int:
 def cmd_certify(args) -> int:
     model = _load_valid_model(args.model)
     bank = load_bank(args.gains)
-    # --delta's CLI default (1e-6) targets constraint margins; closed-loop
-    # form margins live on the Lyapunov scale, where the default is tighter.
-    delta = PSI_MARGIN if args.delta == 1e-6 else args.delta
+    check_bank(model, bank)
+    # Closed-loop form margins live on the Lyapunov scale, where the default
+    # is tighter than synthesize's constraint margin.
+    delta = PSI_MARGIN if args.delta is None else args.delta
 
     if bank.scheme is Scheme.DISTRIBUTED:
         cert = check_corollary(model, bank, bank, delta=delta, max_iter=args.max_iter)
@@ -186,6 +187,7 @@ def cmd_certify(args) -> int:
 def _sim_inputs(args):
     model = _load_valid_model(args.model)
     bank = load_bank(args.gains)
+    check_bank(model, bank)
     x1 = _parse_vector(args.x1, "--x1")
     x2 = _parse_vector(args.x2, "--x2")
     if x1.shape != (model.sys1.state_dim,):
@@ -225,7 +227,6 @@ def cmd_montecarlo(args) -> int:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("MJLS_LOG", "WARNING").upper())
     parser = _build_parser()
     args = parser.parse_args(argv)
     handler = {
@@ -236,10 +237,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ParseError, InvalidModel, MissingGain, NotFeasible, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except MjlsError as exc:
+    except (MjlsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,10 +1,9 @@
 """Small dense real linear algebra kernels.
 
-Everything the solver, synthesis and simulator layers need on matrices up
-to a few dozen rows: symmetric eigendecomposition (cyclic Jacobi),
-SVD-based pseudo-inverse (one-sided Jacobi), Kronecker sum, and least
-squares.  All operations are pure functions over float64 ndarrays and
-never mutate their inputs.
+Checked entry points to numpy's LAPACK for the synthesis and model
+layers: symmetric eigendecomposition, pseudo-inverse, condition number,
+and the Kronecker sum.  All operations are pure functions over float64
+ndarrays and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -18,11 +17,9 @@ from .errors import NonFinite, NonSquare, NonSymmetric
 __all__ = [
     "SymEig",
     "sym_eig",
-    "svd",
     "pinv",
     "cond",
     "kron_sum",
-    "solve_least_squares",
     "as_matrix",
     "require_finite",
 ]
@@ -71,13 +68,11 @@ class SymEig:
 
 
 def sym_eig(m, sym_tol: float = _SYM_TOL) -> SymEig:
-    """Full eigendecomposition of a symmetric matrix via cyclic Jacobi.
+    """Full eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
 
     Raises NonSymmetric if ``m`` deviates from symmetry by more than
-    ``sym_tol`` (absolute) and NonFinite on NaN/Inf input.  At the sizes
-    this toolkit handles (n <= ~40) Jacobi is unconditionally stable and
-    delivers orthonormality and reconstruction residuals near machine
-    precision.
+    ``sym_tol`` (absolute) and NonFinite on NaN/Inf input.  The input is
+    symmetrised before the decomposition, so both triangles count.
     """
     a = as_matrix(m)
     require_finite(a, "sym_eig input")
@@ -87,120 +82,8 @@ def sym_eig(m, sym_tol: float = _SYM_TOL) -> SymEig:
             f"matrix is not symmetric within {sym_tol:g} "
             f"(deviation {np.max(np.abs(a - a.T)):.3e})"
         )
-    n = a.shape[0]
-    a = 0.5 * (a + a.T)
-    v = np.eye(n)
-    if n <= 1:
-        return SymEig(np.diag(a).copy(), v)
-
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return SymEig(np.zeros(n), v)
-
-    rotate_floor = 1e-18 * norm
-    for _ in range(60):
-        off = a.copy()
-        off[np.diag_indices(n)] = 0.0
-        if float(np.linalg.norm(off)) <= 1e-14 * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= rotate_floor:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(tau) > 1e150:  # asymptotic root; avoids overflow in hypot sum
-                    t = 0.5 / tau
-                else:
-                    t = np.sign(tau) if tau != 0.0 else 1.0
-                    t = t / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                # Two-sided rotation in the (p, q) plane; columns then rows.
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    # Deterministic sign: largest-magnitude component of each vector positive.
-    for j in range(n):
-        k = int(np.argmax(np.abs(v[:, j])))
-        if v[k, j] < 0.0:
-            v[:, j] = -v[:, j]
+    w, v = np.linalg.eigh(0.5 * (a + a.T))
     return SymEig(w, v)
-
-
-def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD by one-sided Jacobi: returns (u, s, vt), s descending.
-
-    Columns of ``u`` for zero singular values are left as zero vectors;
-    callers that need them (none here) must orthonormalise separately.
-    """
-    a = as_matrix(m)
-    require_finite(a, "svd input")
-    rows, cols = a.shape
-    if rows == 0 or cols == 0:
-        raise NonSquare("svd input must be nonempty")
-    if rows < cols:
-        u, s, vt = svd(a.T)
-        return vt.T, s, u.T
-
-    a = a.copy()
-    v = np.eye(cols)
-    for _ in range(60):
-        rotated = False
-        for p in range(cols - 1):
-            for q in range(p + 1, cols):
-                alpha = float(a[:, p] @ a[:, p])
-                beta = float(a[:, q] @ a[:, q])
-                gamma = float(a[:, p] @ a[:, q])
-                if abs(gamma) <= 1e-15 * np.sqrt(alpha * beta) or gamma == 0.0:
-                    continue
-                rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                if abs(zeta) > 1e150:
-                    t = 0.5 / zeta
-                else:
-                    t = np.sign(zeta) if zeta != 0.0 else 1.0
-                    t = t / (abs(zeta) + np.hypot(1.0, zeta))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-        if not rotated:
-            break
-
-    sigma = np.sqrt(np.sum(a * a, axis=0))
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    u = np.zeros((rows, cols))
-    smax = float(sigma[0]) if sigma.size else 0.0
-    for j_new, j_old in enumerate(order):
-        s_j = sigma[j_new]
-        if s_j > 1e-300 and (smax == 0.0 or s_j > 1e-16 * smax):
-            u[:, j_new] = a[:, j_old] / s_j
-    vt = v[:, order].T
-    return u, sigma, vt
 
 
 def pinv(m, tol: float = _PINV_TOL) -> np.ndarray:
@@ -211,20 +94,14 @@ def pinv(m, tol: float = _PINV_TOL) -> np.ndarray:
         raise NonSquare("pinv input must be nonempty")
     if tol < 0.0:
         raise ValueError("pinv tolerance must be nonnegative")
-    u, s, vt = svd(a)
-    smax = float(s[0]) if s.size else 0.0
-    cutoff = tol * smax
-    inv = np.array([1.0 / x if x > cutoff and x > 0.0 else 0.0 for x in s])
-    return (vt.T * inv) @ u.T
+    return np.linalg.pinv(a, rcond=tol)
 
 
 def cond(m) -> float:
-    """2-norm condition number; inf when numerically rank-deficient."""
-    _, s, _ = svd(m)
-    smin = float(s[-1])
-    if smin <= 0.0:
-        return float("inf")
-    return float(s[0]) / smin
+    """2-norm condition number; inf for an exactly singular matrix."""
+    a = as_matrix(m)
+    require_finite(a, "cond input")
+    return float(np.linalg.cond(a))
 
 
 def kron_sum(g1, g2) -> np.ndarray:
@@ -234,15 +111,3 @@ def kron_sum(g1, g2) -> np.ndarray:
     _require_square(a, "kron_sum first operand")
     _require_square(b, "kron_sum second operand")
     return np.kron(a, np.eye(b.shape[0])) + np.kron(np.eye(a.shape[0]), b)
-
-
-def solve_least_squares(a, b) -> np.ndarray:
-    """Minimum-norm x minimising the Frobenius norm of a @ x - b."""
-    am = as_matrix(a)
-    bm = np.asarray(b, dtype=float)
-    require_finite(am, "least-squares matrix")
-    require_finite(bm, "least-squares right-hand side")
-    if bm.ndim == 1:
-        bm = bm[:, None]
-        return (pinv(am) @ bm)[:, 0]
-    return pinv(am) @ bm

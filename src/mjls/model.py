@@ -34,6 +34,7 @@ __all__ = [
     "validate",
     "region_index",
     "build_beta",
+    "block_diag",
     "compose_integrated",
     "generator_at",
 ]
@@ -376,9 +377,9 @@ def compose_integrated(model: InterdependentModel) -> IntegratedModel:
             d1, d2 = s1.dynamics(i1), s2.dynamics(i2)
             modes.append(
                 ModeDynamics(
-                    a=_block_diag(d1.a, d2.a),
-                    b=_block_diag(d1.b, d2.b),
-                    d=_block_diag(d1.d, d2.d),
+                    a=block_diag(d1.a, d2.a),
+                    b=block_diag(d1.b, d2.b),
+                    d=block_diag(d1.d, d2.d),
                 )
             )
     system = JumpLinearSystem(
@@ -419,7 +420,8 @@ def generator_at(model: InterdependentModel, x1, x2) -> tuple[np.ndarray, np.nda
     )
 
 
-def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Block-diagonal matrix with ``a`` above-left and ``b`` below-right."""
     out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
     out[: a.shape[0], : a.shape[1]] = a
     out[a.shape[0] :, a.shape[1] :] = b

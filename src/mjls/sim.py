@@ -1,6 +1,6 @@
 """Closed-loop simulation of the coupled jump systems and stability estimation.
 
-The simulator advances both continuous states with fixed-step RK4 while the
+The simulator advances the joint continuous state with fixed-step RK4 while the
 two mode chains jump with per-step probability rate*dt, the rate matrix in
 force being selected each step by the partner state's region.  Observations
 are re-sampled per the configured policy, and the feedback in force is
@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidGenerator, NonFinite, NotStochastic
-from .model import InterdependentModel, region_index
+from .model import InterdependentModel, block_diag, region_index
 from .synthesis import ControllerBank, Scheme
 
 __all__ = [
@@ -220,45 +220,42 @@ def check_dt(model: InterdependentModel, dt: float) -> None:
 
 
 class _Feedback:
-    """Caches closed-loop matrices keyed by (mode, observation, region pair)."""
+    """Joint gain and closed loop in force, cached by what selects them.
+
+    Every scheme runs on the joint state x = [x1; x2] with the joint
+    dynamics blkdiag(A1, A2) + blkdiag(B1, B2) G.  A distributed bank's G
+    is blkdiag(G1, G2); centralized and full-information banks store the
+    joint G, cross blocks included.
+    """
 
     def __init__(self, model: InterdependentModel, bank: ControllerBank):
         self.model = model
         self.bank = bank
-        self.scheme = bank.scheme
+        self._dynamics: dict = {}
         self._cache: dict = {}
-        self.n2 = model.sys2.mode_count
 
-    def joint_obs(self, i1: int, i2: int) -> int:
-        return (i1 - 1) * self.n2 + i2
+    def dynamics(self, th1: int, th2: int):
+        """Joint (A, B, D) for a mode pair."""
+        key = (th1, th2)
+        if key not in self._dynamics:
+            d1, d2 = self.model.sys1.dynamics(th1), self.model.sys2.dynamics(th2)
+            self._dynamics[key] = (block_diag(d1.a, d2.a), block_diag(d1.b, d2.b), block_diag(d1.d, d2.d))
+        return self._dynamics[key]
 
-    def gains(self, th1, th2, ob1, ob2, m1, m2):
-        """(G1, G2) in force for the step; observation use depends on scheme."""
-        if self.scheme is Scheme.DISTRIBUTED:
-            key = (ob1, ob2, m1, m2)
-            if key not in self._cache:
-                g1 = self.bank.gain(1, ob1, (m1, m2))
-                g2 = self.bank.gain(2, ob2, (m1, m2))
-                self._cache[key] = (g1, g2)
-            return self._cache[key]
-        if self.scheme is Scheme.FULL_INFORMATION:
-            idx = self.joint_obs(th1, th2)
-        else:
-            idx = self.joint_obs(ob1, ob2)
-        key = ("joint", idx, m1, m2)
+    def gain(self, ob1: int, ob2: int, cell: tuple[int, int]) -> np.ndarray:
+        if self.bank.scheme is Scheme.DISTRIBUTED:
+            return block_diag(self.bank.gain(1, ob1, cell), self.bank.gain(2, ob2, cell))
+        return self.bank.gain(0, (ob1 - 1) * self.model.sys2.mode_count + ob2, cell)
+
+    def step(self, th1, th2, ob1, ob2, m1, m2) -> tuple[np.ndarray, np.ndarray]:
+        """(G, A + B G) for the step; a full-information bank reads the true modes."""
+        if self.bank.scheme is Scheme.FULL_INFORMATION:
+            ob1, ob2 = th1, th2
+        key = (th1, th2, ob1, ob2, m1, m2)
         if key not in self._cache:
-            nu1 = self.model.sys1.input_dim
-            nx1 = self.model.sys1.state_dim
-            g = self.bank.gain(0, idx, (m1, m2))
-            self._cache[key] = (g[:nu1, :nx1], g[nu1:, nx1:])
-        return self._cache[key]
-
-    def closed_loop(self, k: int, mode: int, gain) -> np.ndarray:
-        key = ("cl", k, mode, id(gain))
-        if key not in self._cache:
-            sys = self.model.sys1 if k == 1 else self.model.sys2
-            dyn = sys.dynamics(mode)
-            self._cache[key] = dyn.a + dyn.b @ gain
+            g = self.gain(ob1, ob2, (m1, m2))
+            a, b, _ = self.dynamics(th1, th2)
+            self._cache[key] = (g, a + b @ g)
         return self._cache[key]
 
 
@@ -286,34 +283,36 @@ def simulate(
     """Run one seeded closed-loop trajectory and record every step.
 
     Each iteration freezes the rates, gains and disturbance at the current
-    step's values, advances both states one RK4 step, then samples the mode
-    jumps (using the regions the step started from) and refreshes the
+    step's values, advances the joint state one RK4 step, then samples the
+    mode jumps (using the regions the step started from) and refreshes the
     observations per policy.  Bit-identical for identical inputs.
     """
     check_dt(model, config.dt)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     n_steps = int(round(config.horizon / config.dt)) if config.horizon > 0 else 0
 
-    x1 = np.asarray(x1_0, dtype=float).copy()
-    x2 = np.asarray(x2_0, dtype=float).copy()
-    if x1.shape != (model.sys1.state_dim,) or x2.shape != (model.sys2.state_dim,):
+    nx1, nu1 = model.sys1.state_dim, model.sys1.input_dim
+    x1 = np.asarray(x1_0, dtype=float)
+    x2 = np.asarray(x2_0, dtype=float)
+    if x1.shape != (nx1,) or x2.shape != (model.sys2.state_dim,):
         raise DimensionMismatch(
-            f"initial states must have dimensions {model.sys1.state_dim} and {model.sys2.state_dim}"
+            f"initial states must have dimensions {nx1} and {model.sys2.state_dim}"
         )
+    x = np.concatenate([x1, x2])
 
     th1, th2 = config.init_modes
     fb = _Feedback(model, bank)
     dt = config.dt
     dist = config.disturbance
     zero_w = isinstance(dist, Zero)
+    if not zero_w:
+        amplitude = np.concatenate([dist.amplitude1, dist.amplitude2])
     periodic = isinstance(config.obs_policy, Periodic)
     period_steps = max(1, int(round(config.obs_policy.period / dt))) if periodic else 0
 
     t_arr = np.arange(n_steps + 1) * dt
-    x1_arr = np.empty((n_steps + 1, len(x1)))
-    x2_arr = np.empty((n_steps + 1, len(x2)))
-    u1_arr = np.empty((n_steps + 1, model.sys1.input_dim))
-    u2_arr = np.empty((n_steps + 1, model.sys2.input_dim))
+    x_arr = np.empty((n_steps + 1, len(x)))
+    u_arr = np.empty((n_steps + 1, nu1 + model.sys2.input_dim))
     i1_arr = np.empty(n_steps + 1, dtype=np.int64)
     i2_arr = np.empty(n_steps + 1, dtype=np.int64)
     o1_arr = np.empty(n_steps + 1, dtype=np.int64)
@@ -325,13 +324,11 @@ def simulate(
     m2 = region_index(model.part2, x2)
     ob1 = sample_observation(rng, model.obs1.alpha(m1)[th1 - 1])
     ob2 = sample_observation(rng, model.obs2.alpha(m2)[th2 - 1])
-    g1, g2 = fb.gains(th1, th2, ob1, ob2, m1, m2)
+    g, a_cl = fb.step(th1, th2, ob1, ob2, m1, m2)
 
-    def record(n, u1, u2):
-        x1_arr[n] = x1
-        x2_arr[n] = x2
-        u1_arr[n] = u1
-        u2_arr[n] = u2
+    def record(n):
+        x_arr[n] = x
+        u_arr[n] = g @ x
         i1_arr[n] = th1
         i2_arr[n] = th2
         o1_arr[n] = ob1
@@ -339,29 +336,22 @@ def simulate(
         m1_arr[n] = m1
         m2_arr[n] = m2
 
-    record(0, g1 @ x1, g2 @ x2)
+    record(0)
 
     for n in range(1, n_steps + 1):
-        t_prev = t_arr[n - 1]
         if zero_w:
-            c1 = c2 = None
+            c = None
         else:
+            t_prev = t_arr[n - 1]
             envelope = math.exp(-dist.decay * t_prev) * math.sin(dist.frequency * t_prev)
-            w1 = envelope * np.asarray(dist.amplitude1)
-            w2 = envelope * np.asarray(dist.amplitude2)
-            c1 = model.sys1.dynamics(th1).d @ w1
-            c2 = model.sys2.dynamics(th2).d @ w2
-
-        a1 = fb.closed_loop(1, th1, g1)
-        a2 = fb.closed_loop(2, th2, g2)
-        x1 = _rk4(a1, c1, x1, dt)
-        x2 = _rk4(a2, c2, x2, dt)
+            c = fb.dynamics(th1, th2)[2] @ (envelope * amplitude)
+        x = _rk4(a_cl, c, x, dt)
 
         # Jumps sample against the regions the step started from.
         new_th1 = step_mode(rng, th1, model.rates1.matrix(m2)[th1 - 1], dt)
         new_th2 = step_mode(rng, th2, model.rates2.matrix(m1)[th2 - 1], dt)
-        new_m1 = region_index(model.part1, x1)
-        new_m2 = region_index(model.part2, x2)
+        new_m1 = region_index(model.part1, x[:nx1])
+        new_m2 = region_index(model.part2, x[nx1:])
 
         region_changed = (new_m1, new_m2) != (m1, m2)
         if periodic:
@@ -375,22 +365,22 @@ def simulate(
         if refresh2:
             ob2 = sample_observation(rng, model.obs2.alpha(m2)[th2 - 1])
 
-        g1, g2 = fb.gains(th1, th2, ob1, ob2, m1, m2)
-        record(n, g1 @ x1, g2 @ x2)
+        g, a_cl = fb.step(th1, th2, ob1, ob2, m1, m2)
+        record(n)
 
-    if not (np.all(np.isfinite(x1_arr)) and np.all(np.isfinite(x2_arr))):
+    if not np.all(np.isfinite(x_arr)):
         raise NonFinite("state diverged to non-finite values during simulation")
 
     return Trace(
         t=t_arr,
-        x1=x1_arr,
-        x2=x2_arr,
+        x1=x_arr[:, :nx1],
+        x2=x_arr[:, nx1:],
         mode1=i1_arr,
         mode2=i2_arr,
         obs1=o1_arr,
         obs2=o2_arr,
-        u1=u1_arr,
-        u2=u2_arr,
+        u1=u_arr[:, :nu1],
+        u2=u_arr[:, nu1:],
         region1=m1_arr,
         region2=m2_arr,
     )

@@ -1,21 +1,26 @@
 """Gain synthesis, recovery, and Lyapunov certification for jump systems.
 
-Three synthesis routes produce stabilizing state-feedback gain banks:
+Every scheme reduces to one synthesis target: a jump system plus a grid of
+cells, each cell fixing the rate matrix and the emission matrix in force
+there.  One problem builder, one observation-averaged closed loop, one
+certificate assembler and one gain recovery work on any target:
 
-* ``build_centralized``: one feasibility problem over the integrated
-  product-mode system; gains are recovered per joint observation by
+* ``build_centralized``: one target, the integrated product-mode system
+  over its product cells; gains are recovered per joint observation by
   unmixing with the emission matrix's (pseudo-)inverse.
-* ``build_fullinfo``: the same problem; recovery assumes the mode is
-  directly observable, so no unmixing happens.
-* ``build_distributed``: two independent problems, one per subsystem,
-  with gains indexed by the subsystem's own observation and both region
-  indices.
+* ``build_fullinfo``: the same problem; the target's emissions are the
+  identity, since the controller reads the true mode.
+* ``build_distributed``: one target per subsystem, over the (region1,
+  region2) grid: system 1 under ``rates1[region2]`` and ``obs1[region1]``,
+  system 2 under ``rates2[region1]`` and ``obs2[region2]``.
 
 Certification is separate from synthesis: ``build_psi`` evaluates the
 closed-loop generator quadratic form for fixed gains and Lyapunov
 matrices, ``certify_gains`` searches for Lyapunov matrices proving a
 fixed bank stable, and ``check_corollary`` verifies that two subsystem
 banks stabilize the integrated system via a block-diagonal candidate.
+The forms are the coupled-Lyapunov forms of Costa, Fragoso and Todorov,
+*Continuous-Time Markov Jump Linear Systems* (2013).
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from .model import (
     InterdependentModel,
     JumpLinearSystem,
     ObservationModel,
+    block_diag,
     check_generator,
     compose_integrated,
     validate,
@@ -66,6 +72,7 @@ __all__ = [
     "recover_gains",
     "certify_gains",
     "check_corollary",
+    "check_bank",
     "synthesize",
     "SynthesisOutcome",
     "PSI_MARGIN",
@@ -127,13 +134,6 @@ class ControllerBank:
             raise MissingGain(f"no gain for system {system}, observation {observation}, regions {cell}")
         return self.gains[key]
 
-    def gains_for_cell(self, system: int, cell: tuple[int, int]) -> dict[int, np.ndarray]:
-        out = {}
-        for (k, obs, c), g in self.gains.items():
-            if k == system and c == tuple(cell):
-                out[obs] = g
-        return out
-
     @property
     def size(self) -> int:
         return len(self.gains)
@@ -169,6 +169,142 @@ def _validate_integrated(model: IntegratedModel) -> None:
         raise InvalidModel(violations)
 
 
+@dataclass(frozen=True)
+class _Cell:
+    """One cell of a synthesis target's grid.
+
+    ``key`` names the cell in certificates and layout keys: the product-cell
+    index for the integrated system, the region pair for a subsystem.
+    ``regions`` is the region pair the bank indexes gains by.  The rate
+    matrix and the emission matrix ``obs.alpha(own_region)`` are in force
+    throughout the cell.
+    """
+
+    key: int | tuple[int, int]
+    label: str
+    regions: tuple[int, int]
+    rates: np.ndarray
+    obs: ObservationModel
+    own_region: int
+
+    @property
+    def alpha(self) -> np.ndarray:
+        return self.obs.alpha(self.own_region)
+
+    @property
+    def beta(self) -> np.ndarray:
+        return self.obs.beta(self.own_region)
+
+    def y_key(self, i: int) -> tuple:
+        return ("Y", i, *self.key) if isinstance(self.key, tuple) else ("Y", i, self.key)
+
+
+@dataclass(frozen=True)
+class _Target:
+    """A jump system plus the cell grid it is synthesized and certified over.
+
+    ``system_id`` is the bank's system key: 0 for the integrated system,
+    1 or 2 for a subsystem.
+    """
+
+    system_id: int
+    system: JumpLinearSystem
+    cells: tuple[_Cell, ...]
+
+    @property
+    def modes(self) -> range:
+        return range(1, self.system.mode_count + 1)
+
+    @property
+    def disturbed_modes(self) -> list[int]:
+        return [i for i in self.modes if np.any(self.system.dynamics(i).d)]
+
+
+def _integrated_cell(model: IntegratedModel, m: int) -> _Cell:
+    return _Cell(m, f"cell {m}", model.partition.cell_pair(m), model.rates.matrix(m), model.obs, m)
+
+
+def _integrated_target(model: IntegratedModel) -> _Target:
+    cells = tuple(_integrated_cell(model, m) for m in range(1, model.cell_count + 1))
+    return _Target(0, model.system, cells)
+
+
+def _subsystem_target(model: InterdependentModel, k: int) -> _Target:
+    """Subsystem k over the (region1, region2) grid: its rates follow the
+    partner's region and its emissions its own region."""
+    if k == 1:
+        sys, rates, obs = model.sys1, model.rates1, model.obs1
+    else:
+        sys, rates, obs = model.sys2, model.rates2, model.obs2
+    cells = []
+    for m1 in range(1, model.part1.region_count + 1):
+        for m2 in range(1, model.part2.region_count + 1):
+            own, partner = (m1, m2) if k == 1 else (m2, m1)
+            cells.append(_Cell((m1, m2), f"regions ({m1},{m2})", (m1, m2), rates.matrix(partner), obs, own))
+    return _Target(k, sys, tuple(cells))
+
+
+def _targets(model, scheme: Scheme) -> tuple[_Target, ...]:
+    """The synthesis targets of a scheme.  A full-information controller
+    reads the true mode, so its target averages over identity emissions."""
+    if scheme is Scheme.DISTRIBUTED:
+        return (_subsystem_target(model, 1), _subsystem_target(model, 2))
+    if scheme is Scheme.FULL_INFORMATION:
+        model = _with_identity_obs(model)
+    return (_integrated_target(model),)
+
+
+def _cell_gains(bank: ControllerBank, target: _Target, cell: _Cell) -> dict[int, np.ndarray]:
+    return {i_hat: bank.gain(target.system_id, i_hat, cell.regions) for i_hat in target.modes}
+
+
+def _closed_loop(
+    sys: JumpLinearSystem, i: int, alpha: np.ndarray, gains: Mapping[int, np.ndarray]
+) -> np.ndarray:
+    """Observation-averaged closed loop sum_ihat alpha[i, ihat] (A_i + B_i G_ihat)."""
+    nx, nu = sys.state_dim, sys.input_dim
+    dyn = sys.dynamics(i)
+    a_bar = np.zeros((nx, nx))
+    for i_hat in range(1, sys.mode_count + 1):
+        if i_hat not in gains:
+            raise MissingGain(f"no gain for observation {i_hat}")
+        g = np.asarray(gains[i_hat], dtype=float)
+        if g.shape != (nu, nx):
+            raise DimensionMismatch(f"gain for observation {i_hat} must be {(nu, nx)}, got {g.shape}")
+        a_bar += alpha[i - 1, i_hat - 1] * (dyn.a + dyn.b @ g)
+    return a_bar
+
+
+def _form(
+    sys: JumpLinearSystem,
+    cell: _Cell,
+    gains: Mapping[int, np.ndarray],
+    p_matrices: Sequence[np.ndarray],
+    i: int,
+    s: float,
+) -> np.ndarray:
+    """P_i Abar + Abar' P_i + sum_j rate_ij P_j + s P_i D D' P_i for mode i
+    in one cell, exactly symmetric."""
+    nx = sys.state_dim
+    n_modes = sys.mode_count
+    if len(p_matrices) != n_modes:
+        raise DimensionMismatch(f"expected {n_modes} Lyapunov matrices, got {len(p_matrices)}")
+    p_i = np.asarray(p_matrices[i - 1], dtype=float)
+    if p_i.shape != (nx, nx):
+        raise DimensionMismatch(f"P_{i} must be {nx}x{nx}, got {p_i.shape}")
+    a_bar = _closed_loop(sys, i, cell.alpha, gains)
+    psi = p_i @ a_bar + a_bar.T @ p_i
+    for j in range(1, n_modes + 1):
+        psi += cell.rates[i - 1, j - 1] * np.asarray(p_matrices[j - 1], dtype=float)
+    dyn = sys.dynamics(i)
+    if np.any(dyn.d):
+        if s <= 0.0:
+            raise ValueError("disturbance scaling s must be positive when D is nonzero")
+        pd = p_i @ dyn.d
+        psi += s * (pd @ pd.T)
+    return 0.5 * (psi + psi.T)
+
+
 def build_psi(
     p_matrices: Sequence[np.ndarray],
     gains: Mapping[int, np.ndarray],
@@ -182,38 +318,36 @@ def build_psi(
     Returns P_i Abar + Abar' P_i + sum_j rate_ij P_j + s P_i D D' P_i with
     Abar the observation-averaged closed loop; exactly symmetric output.
     """
-    nx = model.system.state_dim
-    n_modes = model.mode_count
-    if len(p_matrices) != n_modes:
-        raise DimensionMismatch(f"expected {n_modes} Lyapunov matrices, got {len(p_matrices)}")
-    dyn = model.system.dynamics(i)
-    alpha = model.obs.alpha(m)
-    p_i = np.asarray(p_matrices[i - 1], dtype=float)
-    if p_i.shape != (nx, nx):
-        raise DimensionMismatch(f"P_{i} must be {nx}x{nx}, got {p_i.shape}")
+    return _form(model.system, _integrated_cell(model, m), gains, p_matrices, i, s)
 
-    a_bar = np.zeros((nx, nx))
-    for i_hat in range(1, n_modes + 1):
-        weight = alpha[i - 1, i_hat - 1]
-        if i_hat not in gains:
-            raise MissingGain(f"no gain for observation {i_hat} in region cell {m}")
-        g = np.asarray(gains[i_hat], dtype=float)
-        if g.shape != (model.system.input_dim, nx):
-            raise DimensionMismatch(
-                f"gain for observation {i_hat} must be {(model.system.input_dim, nx)}, got {g.shape}"
-            )
-        a_bar += weight * (dyn.a + dyn.b @ g)
 
-    rates = model.rates.matrix(m)
-    psi = p_i @ a_bar + a_bar.T @ p_i
-    for j in range(1, n_modes + 1):
-        psi += rates[i - 1, j - 1] * np.asarray(p_matrices[j - 1], dtype=float)
-    if np.any(dyn.d):
-        if s <= 0.0:
-            raise ValueError("disturbance scaling s must be positive when D is nonzero")
-        pd = p_i @ dyn.d
-        psi += s * (pd @ pd.T)
-    return 0.5 * (psi + psi.T)
+def _certificate(
+    target: _Target,
+    bank: ControllerBank,
+    p_matrices: tuple[np.ndarray, ...],
+    s_values: tuple[float, ...],
+    delta: float,
+) -> Certificate:
+    """Evaluate every closed-loop form of a target's bank gains under P."""
+    cell_gains = [_cell_gains(bank, target, cell) for cell in target.cells]
+    psi = {}
+    psi_max = {}
+    for i in target.modes:
+        for cell, gains in zip(target.cells, cell_gains):
+            mat = _form(target.system, cell, gains, p_matrices, i, s_values[i - 1])
+            psi[(i, cell.key)] = mat
+            psi_max[(i, cell.key)] = sym_eig(mat).max
+    certified = all(v <= -delta + _CERT_SLACK for v in psi_max.values()) and all(
+        sym_eig(p).min > 0.0 for p in p_matrices
+    )
+    return Certificate(
+        p_matrices=p_matrices,
+        psi=psi,
+        psi_max=psi_max,
+        delta=delta,
+        certified=certified,
+        s_values=s_values,
+    )
 
 
 def _jump_system_blocks(
@@ -260,62 +394,67 @@ def _jump_system_blocks(
     return schur_expand(e_map, lam_maps, x_maps)
 
 
-def build_centralized(
-    model: IntegratedModel, delta: float = 1e-6, decay: float = 0.0
+def _close_problem(
+    target: _Target, layout: VariableLayout, neg, neg_labels, delta: float, name: str, s_name: str
 ) -> LmiProblem:
-    """Synthesis feasibility problem for the integrated system.
+    """Finish a problem over per-mode matrices ``name`` and per-disturbed-mode
+    scalars ``s_name``: all must be positive, starting from I and 1."""
+    nx = target.system.state_dim
+    s_modes = target.disturbed_modes
+    pos = []
+    pos_labels = []
+    for i in target.modes:
+        pos.append(MapBuilder(nx, layout).linear((name, i)).build())
+        pos_labels.append(f"{name}{i} > 0")
+    for i in s_modes:
+        pos.append(MapBuilder(1, layout).scalar((s_name, i), [[1.0]]).build())
+        pos_labels.append(f"{s_name}{i} > 0")
 
-    One Schur-expanded block per (mode, region cell), plus positivity of
-    every X_i and of the disturbance scalings when disturbances exist.
+    z0 = np.zeros(layout.size)
+    for i in target.modes:
+        layout.pack_into(z0, (name, i), np.eye(nx))
+    for i in s_modes:
+        layout.pack_into(z0, (s_name, i), 1.0)
+    return LmiProblem(layout, neg, pos, delta, z0, neg_labels, pos_labels)
+
+
+def _build_problem(target: _Target, delta: float, decay: float) -> LmiProblem:
+    """Synthesis feasibility problem for one target.
+
+    One Schur-expanded block per (mode, cell), plus positivity of every X_i
+    and of the disturbance scalings when disturbances exist.
     """
-    _validate_integrated(model)
-    sys = model.system
-    n_modes = model.mode_count
-    n_cells = model.cell_count
+    sys = target.system
     nx, nu = sys.state_dim, sys.input_dim
+    s_modes = target.disturbed_modes
 
     layout = VariableLayout()
-    for i in range(1, n_modes + 1):
+    for i in target.modes:
         layout.add_sym(("X", i), nx)
-    for i in range(1, n_modes + 1):
-        for m in range(1, n_cells + 1):
-            layout.add_rect(("Y", i, m), nu, nx)
-    s_modes = [i for i in range(1, n_modes + 1) if np.any(sys.dynamics(i).d)]
+    for i in target.modes:
+        for cell in target.cells:
+            layout.add_rect(cell.y_key(i), nu, nx)
     for i in s_modes:
         layout.add_scalar(("s", i))
 
     neg = []
     neg_labels = []
-    for i in range(1, n_modes + 1):
-        for m in range(1, n_cells + 1):
-            block = _jump_system_blocks(
-                layout,
-                sys,
-                model.rates.matrix(m),
-                i,
-                ("Y", i, m),
-                ("s", i) if i in s_modes else None,
-                decay,
-            )
-            neg.append(block)
-            neg_labels.append(f"mode {i}, cell {m}")
+    for i in target.modes:
+        for cell in target.cells:
+            s_key = ("s", i) if i in s_modes else None
+            neg.append(_jump_system_blocks(layout, sys, cell.rates, i, cell.y_key(i), s_key, decay))
+            neg_labels.append(f"mode {i}, {cell.label}")
 
-    pos = []
-    pos_labels = []
-    for i in range(1, n_modes + 1):
-        pos.append(MapBuilder(nx, layout).linear(("X", i)).build())
-        pos_labels.append(f"X{i} > 0")
-    for i in s_modes:
-        pos.append(MapBuilder(1, layout).scalar(("s", i), [[1.0]]).build())
-        pos_labels.append(f"s{i} > 0")
+    return _close_problem(target, layout, neg, neg_labels, delta, "X", "s")
 
-    z0 = np.zeros(layout.size)
-    for i in range(1, n_modes + 1):
-        layout.pack_into(z0, ("X", i), np.eye(nx))
-    for i in s_modes:
-        layout.pack_into(z0, ("s", i), 1.0)
 
-    return LmiProblem(layout, neg, pos, delta, z0, neg_labels, pos_labels)
+def build_centralized(
+    model: IntegratedModel, delta: float = 1e-6, decay: float = 0.0
+) -> LmiProblem:
+    """Synthesis feasibility problem for the integrated system, one block
+    per (joint mode, product cell)."""
+    _validate_integrated(model)
+    return _build_problem(_integrated_target(model), delta, decay)
 
 
 def build_fullinfo(
@@ -338,56 +477,7 @@ def build_distributed(
     violations = validate(model)
     if violations:
         raise InvalidModel(violations)
-
-    m1_count = model.part1.region_count
-    m2_count = model.part2.region_count
-
-    def one_system(sys: JumpLinearSystem, rate_of_cell) -> LmiProblem:
-        nx, nu = sys.state_dim, sys.input_dim
-        layout = VariableLayout()
-        for i in range(1, sys.mode_count + 1):
-            layout.add_sym(("X", i), nx)
-        for i in range(1, sys.mode_count + 1):
-            for m1 in range(1, m1_count + 1):
-                for m2 in range(1, m2_count + 1):
-                    layout.add_rect(("Y", i, m1, m2), nu, nx)
-        s_modes = [i for i in range(1, sys.mode_count + 1) if np.any(sys.dynamics(i).d)]
-        for i in s_modes:
-            layout.add_scalar(("s", i))
-
-        neg, neg_labels = [], []
-        for i in range(1, sys.mode_count + 1):
-            for m1 in range(1, m1_count + 1):
-                for m2 in range(1, m2_count + 1):
-                    block = _jump_system_blocks(
-                        layout,
-                        sys,
-                        rate_of_cell(m1, m2),
-                        i,
-                        ("Y", i, m1, m2),
-                        ("s", i) if i in s_modes else None,
-                        decay,
-                    )
-                    neg.append(block)
-                    neg_labels.append(f"mode {i}, regions ({m1},{m2})")
-
-        pos, pos_labels = [], []
-        for i in range(1, sys.mode_count + 1):
-            pos.append(MapBuilder(nx, layout).linear(("X", i)).build())
-            pos_labels.append(f"X{i} > 0")
-        for i in s_modes:
-            pos.append(MapBuilder(1, layout).scalar(("s", i), [[1.0]]).build())
-            pos_labels.append(f"s{i} > 0")
-
-        z0 = np.zeros(layout.size)
-        for i in range(1, sys.mode_count + 1):
-            layout.pack_into(z0, ("X", i), np.eye(nx))
-        for i in s_modes:
-            layout.pack_into(z0, ("s", i), 1.0)
-        return LmiProblem(layout, neg, pos, delta, z0, neg_labels, pos_labels)
-
-    prob1 = one_system(model.sys1, lambda m1, m2: model.rates1.matrix(m2))
-    prob2 = one_system(model.sys2, lambda m1, m2: model.rates2.matrix(m1))
+    prob1, prob2 = (_build_problem(_subsystem_target(model, k), delta, decay) for k in (1, 2))
     return prob1, prob2
 
 
@@ -397,6 +487,36 @@ def _invert_x(x: np.ndarray, label: str) -> np.ndarray:
         raise SingularX(f"{label} has minimum eigenvalue {eig.min:.3e} < {_SINGULAR_EIG:g}")
     v = eig.eigenvectors
     return (v / eig.eigenvalues) @ v.T
+
+
+def _require_feasible(solution: LmiSolution) -> None:
+    if solution.status is not SolveStatus.FEASIBLE:
+        raise NotFeasible(f"solver status is {solution.status.value}, cannot recover gains")
+
+
+def _recover(
+    target: _Target, solution: LmiSolution
+) -> tuple[dict, tuple[np.ndarray, ...], tuple[float, ...]]:
+    """Gains G_ihat = sum_i beta[ihat, i] Y_i X_i^{-1} per cell, plus the
+    Lyapunov matrices P_i = X_i^{-1} and the disturbance scalings."""
+    sys = target.system
+    prefix = f"system {target.system_id} " if target.system_id else ""
+    x_inv = [_invert_x(solution.variable(("X", i)), f"{prefix}X{i}") for i in target.modes]
+    s_values = tuple(
+        solution.variable(("s", i)) if ("s", i) in solution.layout.keys else 1.0
+        for i in target.modes
+    )
+    gains = {}
+    for cell in target.cells:
+        beta = cell.beta
+        for i_hat in target.modes:
+            g = np.zeros((sys.input_dim, sys.state_dim))
+            for i in target.modes:
+                weight = beta[i_hat - 1, i - 1]
+                if weight != 0.0:
+                    g = g + weight * (solution.variable(cell.y_key(i)) @ x_inv[i - 1])
+            gains[(target.system_id, i_hat, cell.regions)] = g
+    return gains, tuple(x_inv), s_values
 
 
 def recover_gains(
@@ -413,187 +533,51 @@ def recover_gains(
     subsystem's own-region emission inverse.  The returned bank carries the
     Lyapunov matrices P = X^{-1} and freshly evaluated closed-loop forms.
     """
-    if scheme is Scheme.DISTRIBUTED:
-        return _recover_distributed(solution, model, psi_margin)
-    return _recover_integrated(solution, model, scheme, psi_margin)
-
-
-def _require_feasible(solution: LmiSolution) -> None:
-    if solution.status is not SolveStatus.FEASIBLE:
-        raise NotFeasible(f"solver status is {solution.status.value}, cannot recover gains")
-
-
-def _recover_integrated(
-    solution: LmiSolution, model: IntegratedModel, scheme: Scheme, psi_margin: float
-) -> ControllerBank:
-    _require_feasible(solution)
-    n_modes = model.mode_count
-    n_cells = model.cell_count
-
-    x_inv = [_invert_x(solution.variable(("X", i)), f"X{i}") for i in range(1, n_modes + 1)]
-    y = {
-        (i, m): solution.variable(("Y", i, m))
-        for i in range(1, n_modes + 1)
-        for m in range(1, n_cells + 1)
-    }
-    s_values = tuple(
-        solution.variable(("s", i)) if ("s", i) in solution.layout.keys else 1.0
-        for i in range(1, n_modes + 1)
-    )
-
+    solutions = tuple(solution) if scheme is Scheme.DISTRIBUTED else (solution,)
+    for sol in solutions:
+        _require_feasible(sol)
+    targets = _targets(model, scheme)
     gains = {}
-    for m in range(1, n_cells + 1):
-        beta = np.eye(n_modes) if scheme is Scheme.FULL_INFORMATION else model.obs.beta(m)
-        cell = model.partition.cell_pair(m)
-        for i_hat in range(1, n_modes + 1):
-            g = np.zeros((model.system.input_dim, model.system.state_dim))
-            for i in range(1, n_modes + 1):
-                weight = beta[i_hat - 1, i - 1]
-                if weight != 0.0:
-                    g = g + weight * (y[(i, m)] @ x_inv[i - 1])
-            gains[(0, i_hat, cell)] = g
-
-    expected = n_cells * n_modes
-    assert len(gains) == expected, f"gain count {len(gains)} != {expected}"
-
-    p_matrices = tuple(x_inv)
+    lyapunov = []
+    for target, sol in zip(targets, solutions):
+        target_gains, p_matrices, s_values = _recover(target, sol)
+        gains.update(target_gains)
+        lyapunov.append((p_matrices, s_values))
     bank = ControllerBank(scheme=scheme, gains=gains, certificates={})
-    # A full-information controller reads the true mode, so its closed loop
-    # averages over identity emissions, not the model's.
-    cert_model = _with_identity_obs(model) if scheme is Scheme.FULL_INFORMATION else model
-    cert = _integrated_certificate(cert_model, bank, p_matrices, s_values, psi_margin)
-    return ControllerBank(scheme=scheme, gains=gains, certificates={0: cert})
+    certificates = {
+        target.system_id: _certificate(target, bank, p_matrices, s_values, psi_margin)
+        for target, (p_matrices, s_values) in zip(targets, lyapunov)
+    }
+    return ControllerBank(scheme=scheme, gains=gains, certificates=certificates)
 
 
-def _recover_distributed(
-    solutions, model: InterdependentModel, psi_margin: float
-) -> ControllerBank:
-    sol1, sol2 = solutions
-    _require_feasible(sol1)
-    _require_feasible(sol2)
-    m1_count = model.part1.region_count
-    m2_count = model.part2.region_count
+def check_bank(model: InterdependentModel, bank: ControllerBank) -> None:
+    """Reject a bank unless it holds exactly the gains its scheme reads on
+    this model: one of the right shape per (system, observation, regions).
 
-    gains = {}
-    certificates = {}
-    for k, sys, obs, sol in ((1, model.sys1, model.obs1, sol1), (2, model.sys2, model.obs2, sol2)):
-        n_modes = sys.mode_count
-        x_inv = [_invert_x(sol.variable(("X", i)), f"system {k} X{i}") for i in range(1, n_modes + 1)]
-        s_values = tuple(
-            sol.variable(("s", i)) if ("s", i) in sol.layout.keys else 1.0
-            for i in range(1, n_modes + 1)
+    Raises MissingGain for an absent entry and DimensionMismatch for a gain
+    of the wrong shape or an entry the model has no use for.
+    """
+    integrated = bank.scheme is not Scheme.DISTRIBUTED
+    expected = {}
+    for target in _targets(compose_integrated(model) if integrated else model, bank.scheme):
+        shape = (target.system.input_dim, target.system.state_dim)
+        for cell in target.cells:
+            for i_hat in target.modes:
+                expected[(target.system_id, i_hat, cell.regions)] = shape
+    for (k, i_hat, cell), shape in expected.items():
+        g = bank.gain(k, i_hat, cell)
+        if g.shape != shape:
+            raise DimensionMismatch(
+                f"gain for system {k}, observation {i_hat}, regions {cell} has shape {g.shape}, expected {shape}"
+            )
+    extra = sorted(set(bank.gains) - set(expected))
+    if extra:
+        k, i_hat, cell = extra[0]
+        raise DimensionMismatch(
+            f"gain for system {k}, observation {i_hat}, regions {cell} does not fit a "
+            f"{bank.scheme.value} bank for this model"
         )
-        for m1 in range(1, m1_count + 1):
-            for m2 in range(1, m2_count + 1):
-                own_region = m1 if k == 1 else m2
-                beta = obs.beta(own_region)
-                for i_hat in range(1, n_modes + 1):
-                    g = np.zeros((sys.input_dim, sys.state_dim))
-                    for i in range(1, n_modes + 1):
-                        weight = beta[i_hat - 1, i - 1]
-                        if weight != 0.0:
-                            g = g + weight * (sol.variable(("Y", i, m1, m2)) @ x_inv[i - 1])
-                    gains[(k, i_hat, (m1, m2))] = g
-        p_matrices = tuple(x_inv)
-        certificates[k] = _subsystem_certificate(model, k, gains, p_matrices, s_values, psi_margin)
-
-    expected = m1_count * m2_count * (model.sys1.mode_count + model.sys2.mode_count)
-    assert len(gains) == expected, f"gain count {len(gains)} != {expected}"
-    return ControllerBank(scheme=Scheme.DISTRIBUTED, gains=gains, certificates=certificates)
-
-
-def _subsystem_psi(
-    model: InterdependentModel,
-    k: int,
-    gains: Mapping,
-    p_matrices: Sequence[np.ndarray],
-    i: int,
-    m1: int,
-    m2: int,
-    s: float,
-) -> np.ndarray:
-    """Closed-loop form for one subsystem at one region pair."""
-    sys = model.sys1 if k == 1 else model.sys2
-    obs = model.obs1 if k == 1 else model.obs2
-    rates = model.rates1.matrix(m2) if k == 1 else model.rates2.matrix(m1)
-    alpha = obs.alpha(m1 if k == 1 else m2)
-    dyn = sys.dynamics(i)
-    nx = sys.state_dim
-
-    a_bar = np.zeros((nx, nx))
-    for i_hat in range(1, sys.mode_count + 1):
-        key = (k, i_hat, (m1, m2))
-        if key not in gains:
-            raise MissingGain(f"no gain for system {k}, observation {i_hat}, regions ({m1},{m2})")
-        a_bar += alpha[i - 1, i_hat - 1] * (dyn.a + dyn.b @ np.asarray(gains[key], dtype=float))
-
-    p_i = np.asarray(p_matrices[i - 1], dtype=float)
-    psi = p_i @ a_bar + a_bar.T @ p_i
-    for j in range(1, sys.mode_count + 1):
-        psi += rates[i - 1, j - 1] * np.asarray(p_matrices[j - 1], dtype=float)
-    if np.any(dyn.d):
-        pd = p_i @ dyn.d
-        psi += s * (pd @ pd.T)
-    return 0.5 * (psi + psi.T)
-
-
-def _subsystem_certificate(
-    model: InterdependentModel,
-    k: int,
-    gains: Mapping,
-    p_matrices: tuple[np.ndarray, ...],
-    s_values: tuple[float, ...],
-    delta: float,
-) -> Certificate:
-    sys = model.sys1 if k == 1 else model.sys2
-    psi = {}
-    psi_max = {}
-    for i in range(1, sys.mode_count + 1):
-        for m1 in range(1, model.part1.region_count + 1):
-            for m2 in range(1, model.part2.region_count + 1):
-                mat = _subsystem_psi(model, k, gains, p_matrices, i, m1, m2, s_values[i - 1])
-                psi[(i, (m1, m2))] = mat
-                psi_max[(i, (m1, m2))] = sym_eig(mat).max
-    certified = all(v <= -delta + _CERT_SLACK for v in psi_max.values()) and all(
-        sym_eig(p).min > 0.0 for p in p_matrices
-    )
-    return Certificate(
-        p_matrices=p_matrices,
-        psi=psi,
-        psi_max=psi_max,
-        delta=delta,
-        certified=certified,
-        s_values=s_values,
-    )
-
-
-def _integrated_certificate(
-    model: IntegratedModel,
-    bank: ControllerBank,
-    p_matrices: tuple[np.ndarray, ...],
-    s_values: tuple[float, ...],
-    delta: float,
-) -> Certificate:
-    psi = {}
-    psi_max = {}
-    for i in range(1, model.mode_count + 1):
-        for m in range(1, model.cell_count + 1):
-            cell = model.partition.cell_pair(m)
-            gains = bank.gains_for_cell(0, cell)
-            mat = build_psi(p_matrices, gains, model, i, m, s_values[i - 1])
-            psi[(i, m)] = mat
-            psi_max[(i, m)] = sym_eig(mat).max
-    certified = all(v <= -delta + _CERT_SLACK for v in psi_max.values()) and all(
-        sym_eig(p).min > 0.0 for p in p_matrices
-    )
-    return Certificate(
-        p_matrices=p_matrices,
-        psi=psi,
-        psi_max=psi_max,
-        delta=delta,
-        certified=certified,
-        s_values=s_values,
-    )
 
 
 def certify_gains(
@@ -613,76 +597,48 @@ def certify_gains(
     if bank.scheme is Scheme.FULL_INFORMATION:
         model = _with_identity_obs(model)
     _validate_integrated(model)
-    sys = model.system
-    n_modes = model.mode_count
-    n_cells = model.cell_count
+    target = _integrated_target(model)
+    sys = target.system
     nx = sys.state_dim
-
-    # Observation-averaged closed-loop matrices per (mode, cell).
-    a_bars: dict[tuple[int, int], np.ndarray] = {}
-    for i in range(1, n_modes + 1):
-        dyn = sys.dynamics(i)
-        for m in range(1, n_cells + 1):
-            alpha = model.obs.alpha(m)
-            cell = model.partition.cell_pair(m)
-            a_bar = np.zeros((nx, nx))
-            for i_hat in range(1, n_modes + 1):
-                g = bank.gain(0, i_hat, cell)
-                a_bar += alpha[i - 1, i_hat - 1] * (dyn.a + dyn.b @ g)
-            a_bars[(i, m)] = a_bar
+    cell_gains = [_cell_gains(bank, target, cell) for cell in target.cells]
+    s_modes = target.disturbed_modes
 
     layout = VariableLayout()
-    for i in range(1, n_modes + 1):
+    for i in target.modes:
         layout.add_sym(("P", i), nx)
-    s_modes = [i for i in range(1, n_modes + 1) if np.any(sys.dynamics(i).d)]
     for i in s_modes:
         layout.add_scalar(("r", i))  # r = 1/s, the disturbance Schur companion
 
     neg, neg_labels = [], []
-    for i in range(1, n_modes + 1):
+    for i in target.modes:
         dyn = sys.dynamics(i)
         has_d = i in s_modes
         nw = dyn.d.shape[1] if has_d else 0
         dim = nx + nw
-        for m in range(1, n_cells + 1):
+        for cell, gains in zip(target.cells, cell_gains):
             b = MapBuilder(dim, layout)
-            b.linear(("P", i), right=a_bars[(i, m)], mirror=True, at=(0, 0))
-            rates = model.rates.matrix(m)
-            for j in range(1, n_modes + 1):
-                rate = float(rates[i - 1, j - 1])
+            b.linear(("P", i), right=_closed_loop(sys, i, cell.alpha, gains), mirror=True, at=(0, 0))
+            for j in target.modes:
+                rate = float(cell.rates[i - 1, j - 1])
                 if rate != 0.0:
                     b.linear(("P", j), coeff=rate, at=(0, 0))
             if has_d:
                 b.linear(("P", i), right=dyn.d, at=(0, nx), mirror=True)
                 b.scalar(("r", i), -np.eye(nw), at=(nx, nx))
             neg.append(b.build())
-            neg_labels.append(f"mode {i}, cell {m}")
+            neg_labels.append(f"mode {i}, {cell.label}")
 
-    pos, pos_labels = [], []
-    for i in range(1, n_modes + 1):
-        pos.append(MapBuilder(nx, layout).linear(("P", i)).build())
-        pos_labels.append(f"P{i} > 0")
-    for i in s_modes:
-        pos.append(MapBuilder(1, layout).scalar(("r", i), [[1.0]]).build())
-        pos_labels.append(f"r{i} > 0")
-
-    z0 = np.zeros(layout.size)
-    for i in range(1, n_modes + 1):
-        layout.pack_into(z0, ("P", i), np.eye(nx))
-    for i in s_modes:
-        layout.pack_into(z0, ("r", i), 1.0)
-
-    problem = LmiProblem(layout, neg, pos, delta, z0, neg_labels, pos_labels)
+    problem = _close_problem(target, layout, neg, neg_labels, delta, "P", "r")
     solution = solve_feasibility(problem, max_iter)
 
-    p_matrices = tuple(solution.layout.unpack(solution.z, ("P", i)) for i in range(1, n_modes + 1))
+    p_matrices = tuple(solution.layout.unpack(solution.z, ("P", i)) for i in target.modes)
     s_values = tuple(
         1.0 / solution.layout.unpack(solution.z, ("r", i)) if i in s_modes else 1.0
-        for i in range(1, n_modes + 1)
+        for i in target.modes
     )
     # The direct evaluation of the closed-loop forms is authoritative for
     # the certified flag, whatever the solver claimed.
-    return _integrated_certificate(model, bank, p_matrices, s_values, delta)
+    return _certificate(target, bank, p_matrices, s_values, delta)
 
 
 def check_corollary(
@@ -709,16 +665,10 @@ def check_corollary(
         s_joint = []
         for i in range(1, integ.mode_count + 1):
             i1, i2 = integ.mode_pair(i)
-            p1 = cert1.p_matrices[i1 - 1]
-            p2 = cert2.p_matrices[i2 - 1]
-            block = np.zeros((integ.system.state_dim, integ.system.state_dim))
-            n1 = p1.shape[0]
-            block[:n1, :n1] = p1
-            block[n1:, n1:] = p2
-            p_joint.append(block)
+            p_joint.append(block_diag(cert1.p_matrices[i1 - 1], cert2.p_matrices[i2 - 1]))
             s_joint.append(min(cert1.s_values[i1 - 1], cert2.s_values[i2 - 1]))
-        candidate = _integrated_certificate(
-            integ, joint_bank, tuple(p_joint), tuple(s_joint), delta
+        candidate = _certificate(
+            _integrated_target(integ), joint_bank, tuple(p_joint), tuple(s_joint), delta
         )
         if candidate.certified:
             return candidate
@@ -732,8 +682,6 @@ def _joint_bank(
     bank1: ControllerBank,
     bank2: ControllerBank,
 ) -> ControllerBank:
-    nu1, nx1 = model.sys1.input_dim, model.sys1.state_dim
-    nu2, nx2 = model.sys2.input_dim, model.sys2.state_dim
     gains = {}
     for m1 in range(1, model.part1.region_count + 1):
         for m2 in range(1, model.part2.region_count + 1):
@@ -741,10 +689,7 @@ def _joint_bank(
                 i1, i2 = integ.mode_pair(i_hat)
                 g1 = bank1.gain(1, i1, (m1, m2))
                 g2 = bank2.gain(2, i2, (m1, m2))
-                g = np.zeros((nu1 + nu2, nx1 + nx2))
-                g[:nu1, :nx1] = g1
-                g[nu1:, nx1:] = g2
-                gains[(0, i_hat, (m1, m2))] = g
+                gains[(0, i_hat, (m1, m2))] = block_diag(g1, g2)
     return ControllerBank(scheme=Scheme.CENTRALIZED, gains=gains, certificates={})
 
 
@@ -782,19 +727,13 @@ def synthesize(
     bank's certificate is always evaluated against the unshifted model.
     """
     if scheme is Scheme.DISTRIBUTED:
-        prob1, prob2 = build_distributed(model, delta, decay)
-        sol1 = solve_feasibility(prob1, max_iter)
-        sol2 = solve_feasibility(prob2, max_iter)
-        bank = None
-        if sol1.status is SolveStatus.FEASIBLE and sol2.status is SolveStatus.FEASIBLE:
-            bank = recover_gains((sol1, sol2), model, Scheme.DISTRIBUTED)
-        return SynthesisOutcome(bank, (sol1, sol2), (prob1, prob2))
-
-    integ = compose_integrated(model)
-    builder = build_fullinfo if scheme is Scheme.FULL_INFORMATION else build_centralized
-    prob = builder(integ, delta, decay)
-    sol = solve_feasibility(prob, max_iter)
+        problems = build_distributed(model, delta, decay)
+    else:
+        model = compose_integrated(model)
+        builder = build_fullinfo if scheme is Scheme.FULL_INFORMATION else build_centralized
+        problems = (builder(model, delta, decay),)
+    solutions = tuple(solve_feasibility(problem, max_iter) for problem in problems)
     bank = None
-    if sol.status is SolveStatus.FEASIBLE:
-        bank = recover_gains(sol, integ, scheme)
-    return SynthesisOutcome(bank, (sol,), (prob,))
+    if all(sol.status is SolveStatus.FEASIBLE for sol in solutions):
+        bank = recover_gains(solutions if scheme is Scheme.DISTRIBUTED else solutions[0], model, scheme)
+    return SynthesisOutcome(bank, solutions, problems)

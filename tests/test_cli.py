@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mjls import cli
 from mjls.cli import main
 from mjls.fileio import canonical_json, load_bank, load_model, save_bank, save_model
 from mjls.fixtures import demo_path, fixture_path
@@ -14,7 +15,7 @@ from mjls.model import (
     RateFamily,
     RegionPartition,
 )
-from mjls.synthesis import ControllerBank, Scheme
+from mjls.synthesis import PSI_MARGIN, Certificate, ControllerBank, Scheme
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +162,41 @@ class TestCertify:
         assert code == 1
         assert "no gain for" in captured.err
 
+    @pytest.mark.parametrize("flag, expected", [([], PSI_MARGIN), (["--delta", "1e-6"], 1e-6)])
+    def test_delta_honoured(self, monkeypatch, tmp_path, flag, expected):
+        seen = []
+
+        def fake_check_corollary(model, bank1, bank2, delta, max_iter):
+            seen.append(delta)
+            return Certificate((), {}, {(1, (1, 1)): -1.0}, delta, True, ())
+
+        monkeypatch.setattr(cli, "check_corollary", fake_check_corollary)
+        gains = zero_gain_file(tmp_path, demo_path())
+        assert main(["certify", str(demo_path()), str(gains), *flag]) == 0
+        assert seen == [expected]
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synthesize", "m.json", "--scheme", "distributed", "--out", "g.json", "--seed", "1"],
+            ["certify", "m.json", "g.json", "--seed", "1"],
+            ["simulate", "m.json", "g.json", "--x1=1", "--x2=1", "--out", "t.csv", "--delta", "1e-6"],
+            ["montecarlo", "m.json", "g.json", "--runs", "1", "--x1=1", "--x2=1", "--out", "r.json", "--delta", "1e-6"],
+        ],
+    )
+    def test_unread_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _add_unused_entry(doc):
+    doc.pop("certificate")  # its margin count would no longer match the gains
+    doc["gains"].append({**doc["gains"][3], "region1": 9})
+
 
 class TestSimulate:
     def test_row_count(self, tmp_path, demo_gains_file):
@@ -233,6 +269,25 @@ class TestSimulate:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["gains"].pop(3), "no gain for system 1, observation"),
+            (lambda doc: doc["gains"][3].update(G=[[1.0, 2.0, 3.0]]), "has shape (1, 3), expected (1, 2)"),
+            (_add_unused_entry, "regions (9, 1) does not fit"),
+        ],
+    )
+    def test_bank_not_fitting_model_rejected_up_front(self, tmp_path, demo_gains_file, capsys, edit, message):
+        doc = json.loads(demo_gains_file.read_text())
+        edit(doc)
+        broken = tmp_path / "broken.json"
+        broken.write_text(canonical_json(doc))
+        out = tmp_path / "t.csv"
+        code = main(["simulate", str(demo_path()), str(broken), "--x1=1,0", "--x2=0,0,1", "--out", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMonteCarlo:

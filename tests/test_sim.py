@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mjls.errors import MissingGain
-from mjls.fixtures import example_initial_state
+from mjls.fixtures import demo_model, example_initial_state
 from mjls.model import (
     InterdependentModel,
     JumpLinearSystem,
@@ -262,6 +262,33 @@ class TestSimulate:
             k4 = -(x + h * k3) + w
             x += (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         assert abs(trace.x1[-1, 0] - x) <= 1e-4
+
+    @pytest.mark.parametrize("scheme", [Scheme.CENTRALIZED, Scheme.FULL_INFORMATION])
+    def test_joint_gain_cross_blocks_applied(self, scheme):
+        # A joint gain couples x1 into u2 and x2 into u1; every recorded u
+        # must be the full G(obs, regions) [x1; x2], cross blocks included.
+        model = demo_model()
+        n2 = model.sys2.mode_count
+        rng = np.random.default_rng(17)
+        gains = {
+            (0, obs, (m1, m2)): rng.normal(scale=0.5, size=(2, 5))
+            for obs in range(1, 7)
+            for m1 in range(1, 3)
+            for m2 in range(1, 4)
+        }
+        bank = ControllerBank(scheme, gains, {})
+        cfg = SimConfig(dt=1e-3, horizon=0.5, seed=4, obs_policy=Periodic(1e-3))
+        trace = simulate(model, bank, cfg, [-2.0, 1.5], [0.7, -2.2, 3.0])
+        if scheme is Scheme.FULL_INFORMATION:
+            joint_obs = (trace.mode1 - 1) * n2 + trace.mode2
+        else:
+            joint_obs = (trace.obs1 - 1) * n2 + trace.obs2
+        x = np.hstack([trace.x1, trace.x2])
+        u = np.hstack([trace.u1, trace.u2])
+        for row in range(len(trace)):
+            g = gains[(0, int(joint_obs[row]), (int(trace.region1[row]), int(trace.region2[row])))]
+            expected = g @ x[row]
+            assert np.linalg.norm(u[row] - expected) <= 1e-12 * np.linalg.norm(g) * np.linalg.norm(x[row])
 
 
 class TestEstimateStability:

@@ -284,6 +284,31 @@ class TestCertifyGains:
             assert abs(sym_eig(psi).max - stored) <= 1e-9
             assert stored <= -1e-8 + 1e-9
 
+    def test_distributed_certificate_soundness(self, demo, demo_bank):
+        # Re-evaluate every subsystem form with plain numpy from the model:
+        # system 1 runs under rates1[region2] and obs1[region1], system 2
+        # under rates2[region1] and obs2[region2].
+        for k, sys, rates, obs in ((1, demo.sys1, demo.rates1, demo.obs1), (2, demo.sys2, demo.rates2, demo.obs2)):
+            cert = demo_bank.certificates[k]
+            n = sys.mode_count
+            assert len(cert.psi_max) == n * 6
+            for (i, (m1, m2)), stored in cert.psi_max.items():
+                own, partner = (m1, m2) if k == 1 else (m2, m1)
+                alpha = obs.alpha(own)
+                rate = rates.matrix(partner)[i - 1]
+                dyn = sys.dynamics(i)
+                a_bar = sum(
+                    alpha[i - 1, ih - 1] * (dyn.a + dyn.b @ demo_bank.gain(k, ih, (m1, m2)))
+                    for ih in range(1, n + 1)
+                )
+                p = cert.p_matrices
+                form = p[i - 1] @ a_bar + a_bar.T @ p[i - 1] + sum(rate[j] * p[j] for j in range(n))
+                pd = p[i - 1] @ dyn.d
+                form = form + cert.s_values[i - 1] * (pd @ pd.T)
+                worst = float(np.linalg.eigvalsh(0.5 * (form + form.T))[-1])
+                assert abs(worst - stored) <= 1e-9 * max(1.0, abs(stored))
+                assert stored <= -1e-8 + 1e-9
+
 
 class TestCheckCorollary:
     def test_decoupled_stable_scalars(self):
