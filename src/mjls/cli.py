@@ -147,17 +147,14 @@ def cmd_synthesize(args) -> int:
     worst_lmi = max(max(s.neg_margins) for s in outcome.solutions)
     if scheme is Scheme.DISTRIBUTED:
         cert = check_corollary(model, bank, bank, delta=PSI_MARGIN)
-        certified = cert.certified and all(c.certified for c in bank.certificates.values())
-        worst_form = cert.worst
     else:
         cert = bank.certificates[0]
-        certified = cert.certified
-        worst_form = cert.worst
+    certified = cert.certified and all(c.certified for c in bank.certificates.values())
 
     save_bank(args.out, bank)
     print(f"gains written: {bank.size} -> {args.out}")
     print(f"worst constraint margin: {worst_lmi:.6e}")
-    print(f"worst closed-loop form eigenvalue: {worst_form:.6e}")
+    print(f"worst closed-loop form eigenvalue: {cert.worst:.6e}")
     print(f"certified: {'yes' if certified else 'no'}")
     return EXIT_OK if certified else EXIT_INFEASIBLE
 

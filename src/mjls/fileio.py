@@ -158,22 +158,6 @@ def save_model(path, model: InterdependentModel, notes: str | None = None) -> No
     atomic_write_text(path, canonical_json(model_to_dict(model, notes)))
 
 
-def _certificate_key_order(scheme: Scheme, gains: dict):
-    """Canonical (system, mode, cell) iteration for certificate margins."""
-    if scheme is Scheme.DISTRIBUTED:
-        systems = (1, 2)
-    else:
-        systems = (0,)
-    order = []
-    for k in systems:
-        modes = sorted({obs for (sys_id, obs, _c) in gains if sys_id == k})
-        cells = sorted({c for (sys_id, _o, c) in gains if sys_id == k})
-        for i in modes:
-            for cell in cells:
-                order.append((k, i, cell))
-    return order
-
-
 def bank_to_dict(bank: ControllerBank) -> dict:
     entries = []
     for (system, obs, cell), g in sorted(
@@ -243,33 +227,29 @@ def bank_from_dict(doc) -> ControllerBank:
             _matrix(p, f"certificate.P[{i}]")
             for i, p in enumerate(_require(cert_node, "P", "certificate"), start=1)
         ]
-        margins = list(_require(cert_node, "margins", "certificate"))
+        margins = [float(v) for v in _require(cert_node, "margins", "certificate")]
         delta = float(cert_node.get("delta", 1e-8))
-        key_order = _certificate_key_order(scheme, gains)
-        if len(margins) != len(key_order):
-            raise ParseError(
-                f"certificate.margins: expected {len(key_order)} values, got {len(margins)}"
-            )
-        systems = (1, 2) if scheme is Scheme.DISTRIBUTED else (0,)
-        p_cursor = 0
-        margin_map = dict(zip(key_order, (float(v) for v in margins)))
-        for k in systems:
+        p_cursor = m_cursor = 0
+        for k in (1, 2) if scheme is Scheme.DISTRIBUTED else (0,):
             modes = sorted({obs for (sys_id, obs, _c) in gains if sys_id == k})
-            p_slice = p_all[p_cursor : p_cursor + len(modes)]
-            p_cursor += len(modes)
-            if len(p_slice) != len(modes):
-                raise ParseError("certificate.P: wrong number of matrices")
-            psi_max = {
-                (i, cell): margin_map[(k, i, cell)] for (kk, i, cell) in key_order if kk == k
-            }
+            cells = sorted({c for (sys_id, _o, c) in gains if sys_id == k})
+            if k == 0:
+                # The integrated system names a cell by its product-cell
+                # index, which runs over the region pairs in sorted order.
+                cells = range(1, len(cells) + 1)
+            keys = [(i, cell) for i in modes for cell in cells]
             certificates[k] = Certificate(
-                p_matrices=tuple(p_slice),
+                p_matrices=tuple(p_all[p_cursor : p_cursor + len(modes)]),
                 psi={},
-                psi_max=psi_max,
+                psi_max=dict(zip(keys, margins[m_cursor : m_cursor + len(keys)])),
                 delta=delta,
                 certified=bool(cert_node.get("certified", False)),
                 s_values=tuple(1.0 for _ in modes),
             )
+            p_cursor += len(modes)
+            m_cursor += len(keys)
+        if m_cursor != len(margins):
+            raise ParseError(f"certificate.margins: expected {m_cursor} values, got {len(margins)}")
         if p_cursor != len(p_all):
             raise ParseError("certificate.P: wrong number of matrices")
     return ControllerBank(scheme=scheme, gains=gains, certificates=certificates)

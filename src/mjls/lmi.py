@@ -179,13 +179,6 @@ class AffineMatrixMap:
         if dev > _BLOCK_SYM_TOL:
             raise NonSymmetric("a coefficient block is not symmetric")
 
-    def coefficient(self, k: int) -> np.ndarray:
-        """Coefficient block of global variable k (zeros if absent)."""
-        pos = np.searchsorted(self.var_idx, k)
-        if pos < len(self.var_idx) and self.var_idx[pos] == k:
-            return self.coeffs[pos].copy()
-        return np.zeros((self.dim, self.dim))
-
 
 def evaluate(amap: AffineMatrixMap, z) -> np.ndarray:
     """F0 + sum z_k F_k, symmetrized after accumulation."""
@@ -355,71 +348,82 @@ class LmiSolution:
 
     @property
     def worst_violation(self) -> float:
-        worst = 0.0
-        if len(self.neg_margins):
-            worst = max(worst, float(np.max(self.neg_margins)) + self.delta)
-        if len(self.pos_margins):
-            worst = max(worst, self.delta - float(np.min(self.pos_margins)))
-        return worst
+        return _violation(self.neg_margins, self.pos_margins, self.delta)
 
     def variable(self, key):
         return self.layout.unpack(self.z, key)
 
 
-class _ConstraintSet:
-    """Precomputed flat views of all constraints for the projection loop."""
+def _violation(neg_margins, pos_margins, delta: float) -> float:
+    """Largest amount by which a constraint misses its margin, or 0."""
+    return max(
+        0.0,
+        float(np.max(neg_margins, initial=-np.inf)) + delta,
+        delta - float(np.min(pos_margins, initial=np.inf)),
+    )
 
-    def __init__(self, problem: LmiProblem):
-        self.maps = list(problem.neg) + list(problem.pos)
-        self.n_neg = len(problem.neg)
-        self.signs = [-1.0] * len(problem.neg) + [1.0] * len(problem.pos)
-        self.gmats = []
-        self.f0vecs = []
-        for amap in self.maps:
-            g = amap.coeffs.reshape(len(amap.var_idx), -1).T if len(amap.var_idx) else np.zeros((amap.dim**2, 0))
-            self.gmats.append(np.ascontiguousarray(g))
-            self.f0vecs.append(amap.f0.reshape(-1))
-        # Group equal-dimension constraints so eigendecompositions batch.
-        self.groups: dict[int, list[int]] = {}
-        for c, amap in enumerate(self.maps):
-            self.groups.setdefault(amap.dim, []).append(c)
 
-        nv = problem.layout.size
-        normal = np.zeros((nv, nv))
-        for amap, g in zip(self.maps, self.gmats):
-            if len(amap.var_idx):
-                normal[np.ix_(amap.var_idx, amap.var_idx)] += g.T @ g
-        w, q = np.linalg.eigh(normal)
-        cutoff = max(w[-1], 0.0) * 1e-13 if len(w) else 0.0
-        inv_w = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
-        self._q = q
-        self._inv_w = inv_w
-        self.nv = nv
+@dataclass(frozen=True)
+class _Group:
+    """All constraints of one block dimension, stacked.
 
-    def evaluate_all(self, z: np.ndarray) -> list[np.ndarray]:
-        out = []
-        for amap, g, f0 in zip(self.maps, self.gmats, self.f0vecs):
-            vec = f0 + (g @ z[amap.var_idx] if len(amap.var_idx) else 0.0)
-            out.append(vec.reshape(amap.dim, amap.dim))
-        return out
+    Block b is ``f0[b] + g[b] @ z[var[b]]``, flattened row-major.  ``var``
+    and ``g`` are zero-padded to the widest block: padding points at
+    variable 0 with zero coefficients.  The cone step clips block b's
+    eigenvalues into ``[lo[b], hi[b]]``.
+    """
 
-    def eig_all(self, blocks: list[np.ndarray]):
-        w_out: list[np.ndarray] = [None] * len(blocks)  # type: ignore[list-item]
-        v_out: list[np.ndarray] = [None] * len(blocks)  # type: ignore[list-item]
-        for dim, idxs in self.groups.items():
-            stack = np.stack([blocks[c] for c in idxs])
-            w, v = np.linalg.eigh(stack)
-            for t, c in enumerate(idxs):
-                w_out[c] = w[t]
-                v_out[c] = v[t]
-        return w_out, v_out
+    dim: int
+    members: np.ndarray  # constraint index of each block: neg maps, then pos maps
+    neg: np.ndarray  # (n_blocks,) true for a neg block
+    var: np.ndarray  # (n_blocks, width)
+    g: np.ndarray  # (n_blocks, dim*dim, width)
+    f0: np.ndarray  # (n_blocks, dim*dim)
+    lo: np.ndarray  # (n_blocks, 1)
+    hi: np.ndarray  # (n_blocks, 1)
 
-    def project_affine(self, targets: list[np.ndarray]) -> np.ndarray:
-        rhs = np.zeros(self.nv)
-        for amap, g, f0, t in zip(self.maps, self.gmats, self.f0vecs, targets):
-            if len(amap.var_idx):
-                rhs[amap.var_idx] += g.T @ (t.reshape(-1) - f0)
-        return self._q @ (self._inv_w * (self._q.T @ rhs))
+    def evaluate(self, z: np.ndarray) -> np.ndarray:
+        return self.f0 + (self.g @ z[self.var][:, :, None])[:, :, 0]
+
+
+def _affine_factor(problem: LmiProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors and pseudo-inverted eigenvalues of the normal matrix of
+    the map from z to the coefficient parts of all blocks.
+
+    Built from the unpadded maps: ``np.ix_`` on the repeated padding index
+    of a stacked group would drop terms.
+    """
+    normal = np.zeros((problem.layout.size, problem.layout.size))
+    for amap in [*problem.neg, *problem.pos]:
+        gm = amap.coeffs.reshape(len(amap.var_idx), amap.dim**2)
+        normal[np.ix_(amap.var_idx, amap.var_idx)] += gm @ gm.T
+    w, q = np.linalg.eigh(normal)
+    cutoff = max(w[-1], 0.0) * 1e-13 if len(w) else 0.0
+    return q, np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
+
+
+def _stack(problem: LmiProblem) -> list[_Group]:
+    """The constraints grouped by block dimension, in order of first use."""
+    maps = [*problem.neg, *problem.pos]
+    by_dim: dict[int, list[int]] = {}
+    for c, amap in enumerate(maps):
+        by_dim.setdefault(amap.dim, []).append(c)
+    groups = []
+    for dim, members in by_dim.items():
+        width = max(len(maps[c].var_idx) for c in members)
+        var = np.zeros((len(members), width), dtype=np.intp)
+        g = np.zeros((len(members), dim * dim, width))
+        for b, c in enumerate(members):
+            k = len(maps[c].var_idx)
+            var[b, :k] = maps[c].var_idx
+            g[b, :, :k] = maps[c].coeffs.reshape(k, dim * dim).T
+        members = np.array(members)
+        neg = members < len(problem.neg)
+        f0 = np.stack([maps[c].f0.reshape(-1) for c in members])
+        lo = np.where(neg, -np.inf, problem.delta)[:, None]
+        hi = np.where(neg, -problem.delta, np.inf)[:, None]
+        groups.append(_Group(dim, members, neg, var, g, f0, lo, hi))
+    return groups
 
 
 def solve_feasibility(problem: LmiProblem, max_iter: int = 20000) -> LmiSolution:
@@ -432,7 +436,8 @@ def solve_feasibility(problem: LmiProblem, max_iter: int = 20000) -> LmiSolution
     difference.  The affine-side shadow carries the reported z; the plain
     alternating sequence stalls on the near-tangential geometry these
     synthesis problems produce, while the reflected form converges on the
-    same two projection operators.
+    same two projection operators.  Each step works on one stacked array
+    per block dimension.
 
     Deterministic for fixed inputs.  Returns FEASIBLE as soon as every
     constraint satisfies its margin (within 1e-9), INFEASIBLE when the best
@@ -441,82 +446,70 @@ def solve_feasibility(problem: LmiProblem, max_iter: int = 20000) -> LmiSolution
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    cons = _ConstraintSet(problem)
     delta = problem.delta
+    n_neg = len(problem.neg)
+    nv = problem.layout.size
     z = np.asarray(problem.z0, dtype=float).copy()
-    if z.shape != (problem.layout.size,):
+    if z.shape != (nv,):
         raise DimensionMismatch("initial point has wrong length")
+    # Factor first, so the normal matrix is freed before the stacks exist.
+    q, inv_w = _affine_factor(problem)
+    groups = _stack(problem)
+    # The empty leading parts keep a problem without constraints valid.
+    var = np.concatenate([np.zeros(0, dtype=np.intp), *(grp.var.ravel() for grp in groups)])
+
+    def result(status, z, margins):
+        return LmiSolution(
+            z=z,
+            status=status,
+            iterations=iterations,
+            neg_margins=margins[:n_neg],
+            pos_margins=margins[n_neg:],
+            delta=delta,
+            layout=problem.layout,
+        )
 
     best_violation = np.inf
     best_z = z.copy()
-    best_neg = np.zeros(cons.n_neg)
-    best_pos = np.zeros(len(cons.maps) - cons.n_neg)
+    best_margins = np.zeros(n_neg + len(problem.pos))
     history: list[float] = []
 
-    state = cons.evaluate_all(z)  # running tuple, started on the affine set
+    state = [grp.evaluate(z) for grp in groups]  # running tuple, started on the affine set
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        z = cons.project_affine(state)
-        shadow = cons.evaluate_all(z)
-        if any(not np.all(np.isfinite(b)) for b in shadow):
+        pulled = [
+            (grp.g.transpose(0, 2, 1) @ (s - grp.f0)[:, :, None]).ravel()
+            for grp, s in zip(groups, state)
+        ]
+        rhs = np.bincount(var, np.concatenate([np.zeros(0), *pulled]), minlength=nv)
+        z = q @ (inv_w * (q.T @ rhs))
+        shadow = [grp.evaluate(z) for grp in groups]
+        if not all(np.isfinite(a).all() for a in shadow):
             raise NonFinite("constraint evaluation produced non-finite entries")
-        w_all, v_all = cons.eig_all(shadow)
 
-        neg_margins = np.array([w_all[c][-1] for c in range(cons.n_neg)])
-        pos_margins = np.array([w_all[c][0] for c in range(cons.n_neg, len(cons.maps))])
-        violation = 0.0
-        if len(neg_margins):
-            violation = max(violation, float(np.max(neg_margins)) + delta)
-        if len(pos_margins):
-            violation = max(violation, delta - float(np.min(pos_margins)))
+        margins = np.empty(len(best_margins))
+        for grp, a in zip(groups, shadow):
+            w = np.linalg.eigvalsh(a.reshape(-1, grp.dim, grp.dim))
+            margins[grp.members] = np.where(grp.neg, w[:, -1], w[:, 0])
+        violation = _violation(margins[:n_neg], margins[n_neg:], delta)
 
         if violation < best_violation:
             best_violation = violation
-            best_z = z.copy()
-            best_neg = neg_margins
-            best_pos = pos_margins
+            best_z = z
+            best_margins = margins
         history.append(best_violation)
 
         if violation <= _FEAS_SLACK:
-            return LmiSolution(
-                z=z,
-                status=SolveStatus.FEASIBLE,
-                iterations=iterations,
-                neg_margins=neg_margins,
-                pos_margins=pos_margins,
-                delta=delta,
-                layout=problem.layout,
-            )
+            return result(SolveStatus.FEASIBLE, z, margins)
 
         if len(history) > _STAGNATION_WINDOW and best_violation > 0.0:
             past = history[-_STAGNATION_WINDOW - 1]
             if past - best_violation < _STAGNATION_RTOL * max(best_violation, 1e-300):
-                return LmiSolution(
-                    z=best_z,
-                    status=SolveStatus.INFEASIBLE,
-                    iterations=iterations,
-                    neg_margins=best_neg,
-                    pos_margins=best_pos,
-                    delta=delta,
-                    layout=problem.layout,
-                )
+                return result(SolveStatus.INFEASIBLE, best_z, best_margins)
 
-        reflected = [2.0 * a - s for a, s in zip(shadow, state)]
-        w_refl, v_refl = cons.eig_all(reflected)
-        for c in range(len(cons.maps)):
-            if cons.signs[c] < 0.0:
-                w_clip = np.minimum(w_refl[c], -delta)
-            else:
-                w_clip = np.maximum(w_refl[c], delta)
-            cone_point = (v_refl[c] * w_clip) @ v_refl[c].T
-            state[c] = state[c] + cone_point - shadow[c]
+        for k, (grp, s, a) in enumerate(zip(groups, state, shadow)):
+            w, v = np.linalg.eigh((2.0 * a - s).reshape(-1, grp.dim, grp.dim))
+            cone = (v * np.clip(w, grp.lo, grp.hi)[:, None, :]) @ v.transpose(0, 2, 1)
+            state[k] = s + cone.reshape(s.shape) - a
 
-    return LmiSolution(
-        z=best_z,
-        status=SolveStatus.ITERATION_LIMIT,
-        iterations=iterations,
-        neg_margins=best_neg,
-        pos_margins=best_pos,
-        delta=delta,
-        layout=problem.layout,
-    )
+    return result(SolveStatus.ITERATION_LIMIT, best_z, best_margins)

@@ -15,8 +15,9 @@ from mjls.fileio import (
     write_trace_csv,
 )
 from mjls.fixtures import demo_path, fixture_path
-from mjls.model import validate
+from mjls.model import block_diag, compose_integrated, validate
 from mjls.sim import SimConfig, simulate
+from mjls.synthesis import ControllerBank, Scheme, check_corollary
 
 
 class TestModelFiles:
@@ -77,19 +78,31 @@ class TestGainFiles:
         save_bank(path2, loaded)
         assert path2.read_bytes() == path.read_bytes()
 
-    def test_certificate_round_trip(self, tmp_path, demo_bank):
-        path = tmp_path / "gains.json"
-        save_bank(path, demo_bank)
-        loaded = load_bank(path)
-        for k in (1, 2):
-            fresh = demo_bank.certificates[k]
-            again = loaded.certificates[k]
-            assert len(fresh.p_matrices) == len(again.p_matrices)
-            for a, b in zip(fresh.p_matrices, again.p_matrices):
-                assert np.allclose(a, b, atol=0.0)
-            assert set(fresh.psi_max) == set(again.psi_max)
-            for key, v in fresh.psi_max.items():
-                assert again.psi_max[key] == v
+    def test_certificate_round_trip(self, tmp_path, demo, demo_bank):
+        # The centralized bank's certificate keys its cells by product-cell
+        # index, the distributed one by region pair.
+        integ = compose_integrated(demo)
+        joint = {}
+        for cell in {cell for (_k, _obs, cell) in demo_bank.gains}:
+            for i in range(1, integ.mode_count + 1):
+                i1, i2 = integ.mode_pair(i)
+                joint[(0, i, cell)] = block_diag(demo_bank.gain(1, i1, cell), demo_bank.gain(2, i2, cell))
+        centralized = ControllerBank(
+            Scheme.CENTRALIZED, joint, {0: check_corollary(demo, demo_bank, demo_bank)}
+        )
+        for bank in (demo_bank, centralized):
+            path = tmp_path / "gains.json"
+            save_bank(path, bank)
+            loaded = load_bank(path)
+            assert set(loaded.certificates) == set(bank.certificates)
+            for k, fresh in bank.certificates.items():
+                again = loaded.certificates[k]
+                assert len(fresh.p_matrices) == len(again.p_matrices)
+                for a, b in zip(fresh.p_matrices, again.p_matrices):
+                    assert np.allclose(a, b, atol=0.0)
+                assert set(fresh.psi_max) == set(again.psi_max)
+                for key, v in fresh.psi_max.items():
+                    assert again.psi_max[key] == v
 
     def test_duplicate_entry_rejected(self):
         doc = {

@@ -231,3 +231,35 @@ class TestSolveFeasibility:
         sol = solve_feasibility(prob, 5000)
         assert len(sol.margins) == 2
         assert sol.iterations <= 5000
+
+    def test_mixed_blocks_margins_in_constraint_order(self):
+        # Block dimensions interleave across the neg and pos lists, one
+        # dimension holds blocks with different variable counts, a neg and a
+        # pos block share a dimension, and one block has no variables.  The
+        # padding repeats variable 0, which is s: a padded block uses it.
+        lay = VariableLayout()
+        lay.add_scalar("s")
+        lay.add_sym("X", 2)
+        lay.add_sym("Y", 3)
+        a = np.array([[-1.0, 1.0], [0.0, -2.0]])
+        b = np.array([[-1.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.2, 0.0, -3.0]])
+        neg = [
+            MapBuilder(2, lay).linear("X", left=a, mirror=True).build(),
+            MapBuilder(3, lay).linear("Y", left=b, mirror=True).build(),
+            MapBuilder(2, lay).scalar("s", np.eye(2)).const(-2.0 * np.eye(2)).build(),
+            MapBuilder(1, lay).const([[-1.0]]).build(),
+        ]
+        pos = [
+            MapBuilder(3, lay).linear("Y").build(),
+            MapBuilder(2, lay).linear("X").build(),
+            MapBuilder(1, lay).scalar("s", [[1.0]]).build(),
+        ]
+        assert len(neg[3].var_idx) == 0
+        prob = LmiProblem(lay, neg, pos, delta=1e-3)
+        sol = solve_feasibility(prob, 5000)
+        assert sol.status is SolveStatus.FEASIBLE
+        assert len(sol.neg_margins) == len(neg) and len(sol.pos_margins) == len(pos)
+        for amap, reported in zip(neg, sol.neg_margins):
+            assert abs(sym_eig(evaluate(amap, sol.z)).max - reported) <= 1e-9
+        for amap, reported in zip(pos, sol.pos_margins):
+            assert abs(sym_eig(evaluate(amap, sol.z)).min - reported) <= 1e-9
