@@ -100,9 +100,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_vector(text: str, what: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",")], dtype=float)
+        vec = np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError:
         raise ParseError(f"{what}: expected comma-separated numbers, got {text!r}") from None
+    if not np.all(np.isfinite(vec)):
+        raise ParseError(f"{what}: entries must be finite, got {text!r}")
+    return vec
 
 
 def _parse_policy(text: str):
@@ -162,7 +165,6 @@ def cmd_synthesize(args) -> int:
 def cmd_certify(args) -> int:
     model = _load_valid_model(args.model)
     bank = load_bank(args.gains)
-    check_bank(model, bank)
     # Closed-loop form margins live on the Lyapunov scale, where the default
     # is tighter than synthesize's constraint margin.
     delta = PSI_MARGIN if args.delta is None else args.delta
@@ -170,8 +172,8 @@ def cmd_certify(args) -> int:
     if bank.scheme is Scheme.DISTRIBUTED:
         cert = check_corollary(model, bank, bank, delta=delta, max_iter=args.max_iter)
     else:
-        integ = compose_integrated(model)
-        cert = certify_gains(integ, bank, delta=delta, max_iter=args.max_iter)
+        joint = check_bank(model, bank)
+        cert = certify_gains(compose_integrated(model), joint, delta=delta, max_iter=args.max_iter)
 
     print("closed-loop form max eigenvalues (mode, regions):")
     for key in sorted(cert.psi_max):
@@ -184,7 +186,6 @@ def cmd_certify(args) -> int:
 def _sim_inputs(args):
     model = _load_valid_model(args.model)
     bank = load_bank(args.gains)
-    check_bank(model, bank)
     x1 = _parse_vector(args.x1, "--x1")
     x2 = _parse_vector(args.x2, "--x2")
     if x1.shape != (model.sys1.state_dim,):

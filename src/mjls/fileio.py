@@ -64,6 +64,14 @@ def _require(node, key: str, where: str):
     return node[key]
 
 
+def _integer(node, key: str, where: str) -> int:
+    value = _require(node, key, where)
+    # JSON true/false load as bool, a subclass of int.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{where}.{key}: expected an integer, got {value!r}")
+    return value
+
+
 def _system_from_dict(node, where: str) -> JumpLinearSystem:
     modes_node = _require(node, "modes", where)
     if not isinstance(modes_node, list) or not modes_node:
@@ -138,7 +146,9 @@ def model_to_dict(model: InterdependentModel, notes: str | None = None) -> dict:
     return doc
 
 
-def load_model(path) -> InterdependentModel:
+def _load_json(path, from_dict):
+    """Read a JSON file and build it with ``from_dict``; every diagnostic
+    is prefixed with the file path."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -149,9 +159,13 @@ def load_model(path) -> InterdependentModel:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from None
     try:
-        return model_from_dict(doc)
+        return from_dict(doc)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
+
+
+def load_model(path) -> InterdependentModel:
+    return _load_json(path, model_from_dict)
 
 
 def save_model(path, model: InterdependentModel, notes: str | None = None) -> None:
@@ -210,10 +224,7 @@ def bank_from_dict(doc) -> ControllerBank:
     gains = {}
     for idx, entry in enumerate(entries, start=1):
         where = f"gains[{idx}]"
-        system = int(_require(entry, "system", where))
-        obs = int(_require(entry, "observation", where))
-        m1 = int(_require(entry, "region1", where))
-        m2 = int(_require(entry, "region2", where))
+        system, obs, m1, m2 = (_integer(entry, k, where) for k in ("system", "observation", "region1", "region2"))
         g = _matrix(_require(entry, "G", where), f"{where}.G")
         key = (system, obs, (m1, m2))
         if key in gains:
@@ -256,19 +267,7 @@ def bank_from_dict(doc) -> ControllerBank:
 
 
 def load_bank(path) -> ControllerBank:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from None
-    try:
-        return bank_from_dict(doc)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    return _load_json(path, bank_from_dict)
 
 
 def save_bank(path, bank: ControllerBank) -> None:

@@ -10,6 +10,8 @@ selected by its *own* state's shell.
 :func:`compose_integrated` assembles the equivalent single jump system
 over the product mode set, with block-diagonal dynamics, Kronecker-sum
 joint rate matrices and Kronecker-product joint observation matrices.
+The dynamics alone come from :func:`joint_system`, which the simulator
+runs as well.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ __all__ = [
     "build_beta",
     "block_diag",
     "compose_integrated",
+    "joint_system",
+    "mode_pairs",
     "generator_at",
 ]
 
@@ -369,26 +373,6 @@ def compose_integrated(model: InterdependentModel) -> IntegratedModel:
     if violations:
         raise InvalidModel(violations)
 
-    s1, s2 = model.sys1, model.sys2
-    n1, n2 = s1.mode_count, s2.mode_count
-    modes = []
-    for i1 in range(1, n1 + 1):
-        for i2 in range(1, n2 + 1):
-            d1, d2 = s1.dynamics(i1), s2.dynamics(i2)
-            modes.append(
-                ModeDynamics(
-                    a=block_diag(d1.a, d2.a),
-                    b=block_diag(d1.b, d2.b),
-                    d=block_diag(d1.d, d2.d),
-                )
-            )
-    system = JumpLinearSystem(
-        state_dim=s1.state_dim + s2.state_dim,
-        input_dim=s1.input_dim + s2.input_dim,
-        disturbance_dim=s1.disturbance_dim + s2.disturbance_dim,
-        modes=tuple(modes),
-    )
-
     partition = ProductPartition(model.part1, model.part2)
     joint_rates = []
     joint_alphas = []
@@ -398,11 +382,37 @@ def compose_integrated(model: InterdependentModel) -> IntegratedModel:
             joint_alphas.append(np.kron(model.obs1.alpha(m1), model.obs2.alpha(m2)))
 
     return IntegratedModel(
-        system=system,
+        system=joint_system(model),
         partition=partition,
         rates=RateFamily(tuple(joint_rates)),
         obs=ObservationModel(tuple(joint_alphas)),
-        mode_counts=(n1, n2),
+        mode_counts=(model.sys1.mode_count, model.sys2.mode_count),
+    )
+
+
+def mode_pairs(model: InterdependentModel) -> list[tuple[int, int]]:
+    """The (mode1, mode2) pair of each joint mode; joint mode i is entry i - 1,
+    as in ``IntegratedModel.mode_index``."""
+    return [
+        (i1, i2)
+        for i1 in range(1, model.sys1.mode_count + 1)
+        for i2 in range(1, model.sys2.mode_count + 1)
+    ]
+
+
+def joint_system(model: InterdependentModel) -> JumpLinearSystem:
+    """The pair as one jump system over the joint modes of ``mode_pairs``,
+    with block-diagonal (A, B, D) and the joint state x = [x1; x2]."""
+    s1, s2 = model.sys1, model.sys2
+    modes = []
+    for i1, i2 in mode_pairs(model):
+        d1, d2 = s1.dynamics(i1), s2.dynamics(i2)
+        modes.append(ModeDynamics(a=block_diag(d1.a, d2.a), b=block_diag(d1.b, d2.b), d=block_diag(d1.d, d2.d)))
+    return JumpLinearSystem(
+        state_dim=s1.state_dim + s2.state_dim,
+        input_dim=s1.input_dim + s2.input_dim,
+        disturbance_dim=s1.disturbance_dim + s2.disturbance_dim,
+        modes=tuple(modes),
     )
 
 

@@ -6,6 +6,8 @@ force being selected each step by the partner state's region.  Observations
 are re-sampled per the configured policy, and the feedback in force is
 frozen across each step.  Everything is driven by one seeded generator, so
 a (model, bank, config, seed) tuple reproduces its trace bit for bit.
+The joint dynamics and gains are the ones the certifier checks, from
+``model.joint_system`` and ``synthesis.check_bank``.
 
 ``estimate_stability`` runs independent seeded simulations and reports the
 sample mean and standard error of the truncated energy functional
@@ -21,8 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidGenerator, NonFinite, NotStochastic
-from .model import InterdependentModel, block_diag, region_index
-from .synthesis import ControllerBank, Scheme
+from .model import InterdependentModel, joint_system, mode_pairs, region_index
+from .synthesis import ControllerBank, Scheme, check_bank
 
 __all__ = [
     "OnChange",
@@ -56,8 +58,8 @@ class Periodic:
     period: float
 
     def __post_init__(self):
-        if self.period <= 0.0:
-            raise ValueError("observation period must be positive")
+        if not (math.isfinite(self.period) and self.period > 0.0):
+            raise ValueError(f"observation period must be positive and finite, got {self.period}")
 
 
 @dataclass(frozen=True)
@@ -96,10 +98,10 @@ class SimConfig:
     init_modes: tuple[int, int] = (1, 1)
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.horizon < 0.0:
-            raise ValueError("horizon must be nonnegative")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (math.isfinite(self.horizon) and self.horizon >= 0.0):
+            raise ValueError(f"horizon must be nonnegative and finite, got {self.horizon}")
 
 
 @dataclass(frozen=True)
@@ -202,61 +204,16 @@ def control_input(bank: ControllerBank, k: int, i_hat: int, m1: int, m2: int, x_
     return gain @ np.asarray(x_k, dtype=float)
 
 
-def max_diagonal_rate(model: InterdependentModel) -> float:
-    """Worst-case joint diagonal rate over all regions and mode pairs."""
-    worst1 = max(float(np.max(np.abs(np.diag(g)))) for g in model.rates1.matrices)
-    worst2 = max(float(np.max(np.abs(np.diag(g)))) for g in model.rates2.matrices)
-    return worst1 + worst2
-
-
 def check_dt(model: InterdependentModel, dt: float) -> None:
-    worst = max_diagonal_rate(model)
+    """Reject a dt whose per-step jump probability, at the worst joint
+    diagonal rate over all regions and mode pairs, exceeds the cap."""
+    worst = sum(max(float(np.max(np.abs(np.diag(g)))) for g in r.matrices) for r in (model.rates1, model.rates2))
     if dt * worst > JUMP_PROBABILITY_CAP:
         bound = JUMP_PROBABILITY_CAP / worst if worst > 0.0 else math.inf
         raise ValueError(
             f"dt={dt:g} violates the jump-probability cap: dt * {worst:g} > "
             f"{JUMP_PROBABILITY_CAP}; need dt <= {bound:g}"
         )
-
-
-class _Feedback:
-    """Joint gain and closed loop in force, cached by what selects them.
-
-    Every scheme runs on the joint state x = [x1; x2] with the joint
-    dynamics blkdiag(A1, A2) + blkdiag(B1, B2) G.  A distributed bank's G
-    is blkdiag(G1, G2); centralized and full-information banks store the
-    joint G, cross blocks included.
-    """
-
-    def __init__(self, model: InterdependentModel, bank: ControllerBank):
-        self.model = model
-        self.bank = bank
-        self._dynamics: dict = {}
-        self._cache: dict = {}
-
-    def dynamics(self, th1: int, th2: int):
-        """Joint (A, B, D) for a mode pair."""
-        key = (th1, th2)
-        if key not in self._dynamics:
-            d1, d2 = self.model.sys1.dynamics(th1), self.model.sys2.dynamics(th2)
-            self._dynamics[key] = (block_diag(d1.a, d2.a), block_diag(d1.b, d2.b), block_diag(d1.d, d2.d))
-        return self._dynamics[key]
-
-    def gain(self, ob1: int, ob2: int, cell: tuple[int, int]) -> np.ndarray:
-        if self.bank.scheme is Scheme.DISTRIBUTED:
-            return block_diag(self.bank.gain(1, ob1, cell), self.bank.gain(2, ob2, cell))
-        return self.bank.gain(0, (ob1 - 1) * self.model.sys2.mode_count + ob2, cell)
-
-    def step(self, th1, th2, ob1, ob2, m1, m2) -> tuple[np.ndarray, np.ndarray]:
-        """(G, A + B G) for the step; a full-information bank reads the true modes."""
-        if self.bank.scheme is Scheme.FULL_INFORMATION:
-            ob1, ob2 = th1, th2
-        key = (th1, th2, ob1, ob2, m1, m2)
-        if key not in self._cache:
-            g = self.gain(ob1, ob2, (m1, m2))
-            a, b, _ = self.dynamics(th1, th2)
-            self._cache[key] = (g, a + b @ g)
-        return self._cache[key]
 
 
 def _rk4(a_cl: np.ndarray, c: np.ndarray | None, x: np.ndarray, h: float) -> np.ndarray:
@@ -273,35 +230,57 @@ def _rk4(a_cl: np.ndarray, c: np.ndarray | None, x: np.ndarray, h: float) -> np.
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def simulate(
-    model: InterdependentModel,
-    bank: ControllerBank,
-    config: SimConfig,
-    x1_0,
-    x2_0,
-) -> Trace:
+def _prepare(model: InterdependentModel, bank: ControllerBank, config: SimConfig, x1_0, x2_0):
+    """Check every input before the first step.  Returns the closed loop
+    (G, A + B G, D) per (mode1, mode2, obs1, obs2, region1, region2) and the
+    joint initial state x = [x1; x2].
+
+    G is the joint gain ``check_bank`` returns, the one the certifier
+    checks, and (A, B, D) the joint mode's dynamics from ``joint_system``.
+    A full-information controller reads the true modes, so its entries hold
+    the gain of the joint mode in force whatever was observed.
+    """
+    check_dt(model, config.dt)
+    x1 = np.asarray(x1_0, dtype=float)
+    x2 = np.asarray(x2_0, dtype=float)
+    if x1.shape != (model.sys1.state_dim,) or x2.shape != (model.sys2.state_dim,):
+        raise DimensionMismatch(
+            f"initial states must have dimensions {model.sys1.state_dim} and {model.sys2.state_dim}"
+        )
+    system = joint_system(model)
+    pairs = mode_pairs(model)
+    full_info = bank.scheme is Scheme.FULL_INFORMATION
+    loops = {}
+    for (_, j, cell), g in check_bank(model, bank).gains.items():
+        modes = [j] if full_info else range(1, len(pairs) + 1)
+        observed = pairs if full_info else [pairs[j - 1]]
+        for i in modes:
+            dyn = system.dynamics(i)
+            entry = (g, dyn.a + dyn.b @ g, dyn.d)
+            for obs in observed:
+                loops[(*pairs[i - 1], *obs, *cell)] = entry
+    return loops, np.concatenate([x1, x2])
+
+
+def simulate(model: InterdependentModel, bank: ControllerBank, config: SimConfig, x1_0, x2_0) -> Trace:
     """Run one seeded closed-loop trajectory and record every step.
 
     Each iteration freezes the rates, gains and disturbance at the current
     step's values, advances the joint state one RK4 step, then samples the
     mode jumps (using the regions the step started from) and refreshes the
-    observations per policy.  Bit-identical for identical inputs.
+    observations per policy.  Bit-identical for identical inputs.  The bank
+    is checked against the model before the first step.
     """
-    check_dt(model, config.dt)
+    loops, x0 = _prepare(model, bank, config, x1_0, x2_0)
+    return _run(model, loops, x0, config)
+
+
+def _run(model: InterdependentModel, loops: dict, x: np.ndarray, config: SimConfig) -> Trace:
+    """One trajectory of the closed loops ``_prepare`` tabulated."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     n_steps = int(round(config.horizon / config.dt)) if config.horizon > 0 else 0
-
     nx1, nu1 = model.sys1.state_dim, model.sys1.input_dim
-    x1 = np.asarray(x1_0, dtype=float)
-    x2 = np.asarray(x2_0, dtype=float)
-    if x1.shape != (nx1,) or x2.shape != (model.sys2.state_dim,):
-        raise DimensionMismatch(
-            f"initial states must have dimensions {nx1} and {model.sys2.state_dim}"
-        )
-    x = np.concatenate([x1, x2])
-
     th1, th2 = config.init_modes
-    fb = _Feedback(model, bank)
     dt = config.dt
     dist = config.disturbance
     zero_w = isinstance(dist, Zero)
@@ -320,11 +299,11 @@ def simulate(
     m1_arr = np.empty(n_steps + 1, dtype=np.int64)
     m2_arr = np.empty(n_steps + 1, dtype=np.int64)
 
-    m1 = region_index(model.part1, x1)
-    m2 = region_index(model.part2, x2)
+    m1 = region_index(model.part1, x[:nx1])
+    m2 = region_index(model.part2, x[nx1:])
     ob1 = sample_observation(rng, model.obs1.alpha(m1)[th1 - 1])
     ob2 = sample_observation(rng, model.obs2.alpha(m2)[th2 - 1])
-    g, a_cl = fb.step(th1, th2, ob1, ob2, m1, m2)
+    g, a_cl, d = loops[th1, th2, ob1, ob2, m1, m2]
 
     def record(n):
         x_arr[n] = x
@@ -344,7 +323,7 @@ def simulate(
         else:
             t_prev = t_arr[n - 1]
             envelope = math.exp(-dist.decay * t_prev) * math.sin(dist.frequency * t_prev)
-            c = fb.dynamics(th1, th2)[2] @ (envelope * amplitude)
+            c = d @ (envelope * amplitude)
         x = _rk4(a_cl, c, x, dt)
 
         # Jumps sample against the regions the step started from.
@@ -365,7 +344,7 @@ def simulate(
         if refresh2:
             ob2 = sample_observation(rng, model.obs2.alpha(m2)[th2 - 1])
 
-        g, a_cl = fb.step(th1, th2, ob1, ob2, m1, m2)
+        g, a_cl, d = loops[th1, th2, ob1, ob2, m1, m2]
         record(n)
 
     if not np.all(np.isfinite(x_arr)):
@@ -400,20 +379,17 @@ def energy_functional(trace: Trace, horizon: float | None = None) -> float:
 
 
 def estimate_stability(
-    model: InterdependentModel,
-    bank: ControllerBank,
-    config: SimConfig,
-    n_runs: int,
-    x1_0,
-    x2_0,
+    model: InterdependentModel, bank: ControllerBank, config: SimConfig, n_runs: int, x1_0, x2_0
 ) -> MonteCarloReport:
     """Monte Carlo estimate of the truncated energy functional.
 
     Each run gets its own generator seeded from (config.seed, run index),
-    so the report is reproducible and order-independent.
+    so the report is reproducible and order-independent.  The bank is
+    checked and the closed loops tabulated once, before the first run.
     """
     if n_runs < 1:
         raise ValueError("need at least one run")
+    loops, x0 = _prepare(model, bank, config, x1_0, x2_0)
     functionals = []
     halves = []
     terminals = []
@@ -422,7 +398,7 @@ def estimate_stability(
         # Composite entropy (master seed, run index) gives independent,
         # reproducible streams; SeedSequence accepts the tuple directly.
         run_config = replace(config, seed=(config.seed, run))
-        trace = simulate(model, bank, run_config, x1_0, x2_0)
+        trace = _run(model, loops, x0, run_config)
         functionals.append(energy_functional(trace))
         halves.append(energy_functional(trace, half))
         terminals.append(float(np.sqrt(trace.x1[-1] @ trace.x1[-1] + trace.x2[-1] @ trace.x2[-1])))

@@ -19,6 +19,8 @@ closed-loop generator quadratic form for fixed gains and Lyapunov
 matrices, ``certify_gains`` searches for Lyapunov matrices proving a
 fixed bank stable, and ``check_corollary`` verifies that two subsystem
 banks stabilize the integrated system via a block-diagonal candidate.
+``check_bank`` rejects a bank that does not fit a model and returns its
+joint gains, the ones both the certifier and the simulator run.
 The forms are the coupled-Lyapunov forms of Costa, Fragoso and Todorov,
 *Continuous-Time Markov Jump Linear Systems* (2013).
 """
@@ -26,6 +28,7 @@ The forms are the coupled-Lyapunov forms of Costa, Fragoso and Todorov,
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -36,6 +39,7 @@ from .errors import (
     DimensionMismatch,
     InvalidModel,
     MissingGain,
+    NonFinite,
     NotFeasible,
     SingularX,
 )
@@ -58,6 +62,7 @@ from .model import (
     block_diag,
     check_generator,
     compose_integrated,
+    mode_pairs,
     validate,
 )
 
@@ -242,16 +247,6 @@ def _subsystem_target(model: InterdependentModel, k: int) -> _Target:
             own, partner = (m1, m2) if k == 1 else (m2, m1)
             cells.append(_Cell((m1, m2), f"regions ({m1},{m2})", (m1, m2), rates.matrix(partner), obs, own))
     return _Target(k, sys, tuple(cells))
-
-
-def _targets(model, scheme: Scheme) -> tuple[_Target, ...]:
-    """The synthesis targets of a scheme.  A full-information controller
-    reads the true mode, so its target averages over identity emissions."""
-    if scheme is Scheme.DISTRIBUTED:
-        return (_subsystem_target(model, 1), _subsystem_target(model, 2))
-    if scheme is Scheme.FULL_INFORMATION:
-        model = _with_identity_obs(model)
-    return (_integrated_target(model),)
 
 
 def _cell_gains(bank: ControllerBank, target: _Target, cell: _Cell) -> dict[int, np.ndarray]:
@@ -536,7 +531,13 @@ def recover_gains(
     solutions = tuple(solution) if scheme is Scheme.DISTRIBUTED else (solution,)
     for sol in solutions:
         _require_feasible(sol)
-    targets = _targets(model, scheme)
+    if scheme is Scheme.DISTRIBUTED:
+        targets = (_subsystem_target(model, 1), _subsystem_target(model, 2))
+    else:
+        # A full-information controller reads the true mode, so its target
+        # averages over identity emissions.
+        full_info = scheme is Scheme.FULL_INFORMATION
+        targets = (_integrated_target(_with_identity_obs(model) if full_info else model),)
     gains = {}
     lyapunov = []
     for target, sol in zip(targets, solutions):
@@ -551,33 +552,53 @@ def recover_gains(
     return ControllerBank(scheme=scheme, gains=gains, certificates=certificates)
 
 
-def check_bank(model: InterdependentModel, bank: ControllerBank) -> None:
+def check_bank(model: InterdependentModel, bank: ControllerBank) -> ControllerBank:
     """Reject a bank unless it holds exactly the gains its scheme reads on
-    this model: one of the right shape per (system, observation, regions).
+    this model, one finite gain of the right shape per (system, observation,
+    regions), and return them as joint gains keyed (0, joint observation,
+    regions).
 
-    Raises MissingGain for an absent entry and DimensionMismatch for a gain
-    of the wrong shape or an entry the model has no use for.
+    A distributed bank's joint gain for the observation pair
+    ``mode_pairs(model)[i - 1]`` is blkdiag(G1, G2); a centralized or
+    full-information bank holds joint gains already and is returned as is.
+
+    Raises MissingGain for an absent entry, DimensionMismatch for a gain of
+    the wrong shape or an entry the model has no use for, and NonFinite for
+    a gain with NaN or infinite entries.
     """
-    integrated = bank.scheme is not Scheme.DISTRIBUTED
-    expected = {}
-    for target in _targets(compose_integrated(model) if integrated else model, bank.scheme):
-        shape = (target.system.input_dim, target.system.state_dim)
-        for cell in target.cells:
-            for i_hat in target.modes:
-                expected[(target.system_id, i_hat, cell.regions)] = shape
-    for (k, i_hat, cell), shape in expected.items():
+    s1, s2 = model.sys1, model.sys2
+    distributed = bank.scheme is Scheme.DISTRIBUTED
+    read = set()
+
+    def fetch(k: int, i_hat: int, cell: tuple[int, int], shape: tuple[int, int]) -> np.ndarray:
         g = bank.gain(k, i_hat, cell)
         if g.shape != shape:
             raise DimensionMismatch(
                 f"gain for system {k}, observation {i_hat}, regions {cell} has shape {g.shape}, expected {shape}"
             )
-    extra = sorted(set(bank.gains) - set(expected))
+        if not np.all(np.isfinite(g)):
+            raise NonFinite(f"gain for system {k}, observation {i_hat}, regions {cell} has non-finite entries")
+        read.add((k, i_hat, cell))
+        return g
+
+    joint = {}
+    pairs = mode_pairs(model)
+    for cell in itertools.product(range(1, model.part1.region_count + 1), range(1, model.part2.region_count + 1)):
+        for i_hat, (o1, o2) in enumerate(pairs, start=1):
+            if distributed:
+                g1 = fetch(1, o1, cell, (s1.input_dim, s1.state_dim))
+                g2 = fetch(2, o2, cell, (s2.input_dim, s2.state_dim))
+                joint[(0, i_hat, cell)] = block_diag(g1, g2)
+            else:
+                fetch(0, i_hat, cell, (s1.input_dim + s2.input_dim, s1.state_dim + s2.state_dim))
+    extra = sorted(set(bank.gains) - read)
     if extra:
         k, i_hat, cell = extra[0]
         raise DimensionMismatch(
             f"gain for system {k}, observation {i_hat}, regions {cell} does not fit a "
             f"{bank.scheme.value} bank for this model"
         )
+    return ControllerBank(scheme=Scheme.CENTRALIZED, gains=joint, certificates={}) if distributed else bank
 
 
 def certify_gains(
@@ -650,21 +671,24 @@ def check_corollary(
 ) -> Certificate:
     """Verify that per-subsystem banks stabilize the integrated system.
 
+    System 2's gains come from ``bank2`` and every other entry from
+    ``bank1``; ``check_bank`` rejects the pair unless it fits the model.
     Builds the block-diagonal Lyapunov candidate from the two subsystem
     certificates and evaluates every joint closed-loop form; falls back to
     a fresh ``certify_gains`` search when the candidate misses the margin
     or either certificate is absent.
     """
     integ = compose_integrated(model)
-    joint_bank = _joint_bank(integ, model, bank1, bank2)
+    gains = {key: g for key, g in bank1.gains.items() if key[0] != 2}
+    gains.update((key, g) for key, g in bank2.gains.items() if key[0] == 2)
+    joint_bank = check_bank(model, ControllerBank(scheme=Scheme.DISTRIBUTED, gains=gains, certificates={}))
 
     cert1 = bank1.certificates.get(1)
     cert2 = bank2.certificates.get(2)
     if cert1 is not None and cert2 is not None:
         p_joint = []
         s_joint = []
-        for i in range(1, integ.mode_count + 1):
-            i1, i2 = integ.mode_pair(i)
+        for i1, i2 in mode_pairs(model):
             p_joint.append(block_diag(cert1.p_matrices[i1 - 1], cert2.p_matrices[i2 - 1]))
             s_joint.append(min(cert1.s_values[i1 - 1], cert2.s_values[i2 - 1]))
         candidate = _certificate(
@@ -674,23 +698,6 @@ def check_corollary(
             return candidate
 
     return certify_gains(integ, joint_bank, delta, max_iter)
-
-
-def _joint_bank(
-    integ: IntegratedModel,
-    model: InterdependentModel,
-    bank1: ControllerBank,
-    bank2: ControllerBank,
-) -> ControllerBank:
-    gains = {}
-    for m1 in range(1, model.part1.region_count + 1):
-        for m2 in range(1, model.part2.region_count + 1):
-            for i_hat in range(1, integ.mode_count + 1):
-                i1, i2 = integ.mode_pair(i_hat)
-                g1 = bank1.gain(1, i1, (m1, m2))
-                g2 = bank2.gain(2, i2, (m1, m2))
-                gains[(0, i_hat, (m1, m2))] = block_diag(g1, g2)
-    return ControllerBank(scheme=Scheme.CENTRALIZED, gains=gains, certificates={})
 
 
 @dataclass(frozen=True)

@@ -276,15 +276,35 @@ class TestSimulate:
             (lambda doc: doc["gains"].pop(3), "no gain for system 1, observation"),
             (lambda doc: doc["gains"][3].update(G=[[1.0, 2.0, 3.0]]), "has shape (1, 3), expected (1, 2)"),
             (_add_unused_entry, "regions (9, 1) does not fit"),
+            (lambda doc: doc["gains"][3].update(G=[[float("nan"), 0.0]]), "has non-finite entries"),
         ],
     )
     def test_bank_not_fitting_model_rejected_up_front(self, tmp_path, demo_gains_file, capsys, edit, message):
         doc = json.loads(demo_gains_file.read_text())
         edit(doc)
         broken = tmp_path / "broken.json"
-        broken.write_text(canonical_json(doc))
+        broken.write_text(json.dumps(doc))  # canonical_json refuses the NaN case
         out = tmp_path / "t.csv"
         code = main(["simulate", str(demo_path()), str(broken), "--x1=1,0", "--x2=0,0,1", "--out", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--horizon", "inf"], "horizon must be nonnegative and finite, got inf"),
+            (["--horizon", "nan"], "horizon must be nonnegative and finite, got nan"),
+            (["--dt", "nan"], "dt must be positive and finite, got nan"),
+            (["--obs-policy", "periodic:nan"], "--obs-policy: bad period"),
+            (["--x1=nan,5"], "--x1: entries must be finite"),
+            (["--x2=0,inf,1"], "--x2: entries must be finite"),
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, tmp_path, demo_gains_file, capsys, flags, message):
+        out = tmp_path / "t.csv"
+        argv = ["simulate", str(demo_path()), str(demo_gains_file), "--x1=1,0", "--x2=0,0,1", *flags]
+        code = main([*argv, "--out", str(out)])
         assert code == 1
         assert message in capsys.readouterr().err
         assert not out.exists()

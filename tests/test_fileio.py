@@ -115,6 +115,12 @@ class TestGainFiles:
         with pytest.raises(ParseError, match="duplicate"):
             bank_from_dict(doc)
 
+    @pytest.mark.parametrize("field, value", [("observation", 1.7), ("system", True), ("region1", 1.0), ("region2", "2")])
+    def test_non_integer_index_rejected(self, field, value):
+        entry = {"system": 1, "observation": 1, "region1": 1, "region2": 1, "G": [[0.0]], field: value}
+        with pytest.raises(ParseError, match=rf"gains\[1\]\.{field}: expected an integer"):
+            bank_from_dict({"scheme": "distributed", "gains": [entry]})
+
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ParseError, match="scheme"):
             bank_from_dict({"scheme": "psychic", "gains": [

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mjls import sim
 from mjls.errors import MissingGain
 from mjls.fixtures import demo_model, example_initial_state
 from mjls.model import (
@@ -289,6 +290,27 @@ class TestSimulate:
             g = gains[(0, int(joint_obs[row]), (int(trace.region1[row]), int(trace.region2[row])))]
             expected = g @ x[row]
             assert np.linalg.norm(u[row] - expected) <= 1e-12 * np.linalg.norm(g) * np.linalg.norm(x[row])
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda model, bank, cfg: simulate(model, bank, cfg, [1.0], [0.0]),
+        lambda model, bank, cfg: estimate_stability(model, bank, cfg, 3, [1.0], [0.0]),
+    ],
+    ids=["simulate", "estimate_stability"],
+)
+def test_bank_checked_before_first_step(monkeypatch, run):
+    # Frozen modes and exact emissions: observation 2 is never drawn, so its
+    # gain is never read; the bank is rejected all the same, before any step.
+    model = static_model(n_modes1=2)
+    gains = dict(zero_bank(model).gains)
+    del gains[(1, 2, (1, 1))]
+    steps = []
+    monkeypatch.setattr(sim, "step_mode", lambda rng, i, row, dt: steps.append(i) or i)
+    with pytest.raises(MissingGain, match="observation 2"):
+        run(model, ControllerBank(Scheme.DISTRIBUTED, gains, {}), SimConfig(dt=0.01, horizon=1.0))
+    assert steps == []
 
 
 class TestEstimateStability:
