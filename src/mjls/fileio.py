@@ -72,6 +72,12 @@ def _integer(node, key: str, where: str) -> int:
     return value
 
 
+def _number(value, where: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ParseError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
 def _system_from_dict(node, where: str) -> JumpLinearSystem:
     modes_node = _require(node, "modes", where)
     if not isinstance(modes_node, list) or not modes_node:
@@ -238,8 +244,14 @@ def bank_from_dict(doc) -> ControllerBank:
             _matrix(p, f"certificate.P[{i}]")
             for i, p in enumerate(_require(cert_node, "P", "certificate"), start=1)
         ]
-        margins = [float(v) for v in _require(cert_node, "margins", "certificate")]
-        delta = float(cert_node.get("delta", 1e-8))
+        margins_node = _require(cert_node, "margins", "certificate")
+        if not isinstance(margins_node, list):
+            raise ParseError("certificate.margins: expected a list of numbers")
+        margins = [_number(v, f"certificate.margins[{i}]") for i, v in enumerate(margins_node, start=1)]
+        delta = _number(cert_node.get("delta", 1e-8), "certificate.delta")
+        certified = cert_node.get("certified", False)
+        if not isinstance(certified, bool):
+            raise ParseError(f"certificate.certified: expected a boolean, got {certified!r}")
         p_cursor = m_cursor = 0
         for k in (1, 2) if scheme is Scheme.DISTRIBUTED else (0,):
             modes = sorted({obs for (sys_id, obs, _c) in gains if sys_id == k})
@@ -254,7 +266,7 @@ def bank_from_dict(doc) -> ControllerBank:
                 psi={},
                 psi_max=dict(zip(keys, margins[m_cursor : m_cursor + len(keys)])),
                 delta=delta,
-                certified=bool(cert_node.get("certified", False)),
+                certified=certified,
                 s_values=tuple(1.0 for _ in modes),
             )
             p_cursor += len(modes)

@@ -38,7 +38,6 @@ __all__ = [
     "example_printed_gains",
     "fixture_path",
     "demo_path",
-    "write_fixture",
     "FIXTURE_NOTES",
     "DEMO_NOTES",
 ]
@@ -198,10 +197,3 @@ def fixture_path() -> Path:
 def demo_path() -> Path:
     """Filesystem path of the bundled feasible demo model file."""
     return Path(importlib.resources.files("mjls").joinpath("data/demo_model.json"))
-
-
-def write_fixture(dest) -> Path:
-    """Copy the bundled model file to ``dest`` and return the written path."""
-    dest = Path(dest)
-    dest.write_bytes(fixture_path().read_bytes())
-    return dest

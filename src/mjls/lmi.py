@@ -10,8 +10,10 @@ Feasibility is decided by alternating between two projections: onto the
 product of shifted definite cones (eigenvalue clipping) and onto the
 affine set ``{F(z)}`` (least squares on ``z``), combined in the reflected
 Douglas-Rachford form, which handles the shallow intersection angles
-these problems exhibit.  The solver is deterministic: fixed initial
-point, no randomness, and a fixed projection order.
+these problems exhibit.  The solver reads all maps as one sparse operator
+from ``z`` onto a flat vector holding every block, kept as coordinate
+triples (entry, variable, coefficient).  It is deterministic: fixed
+initial point, no randomness, and a fixed projection order.
 """
 
 from __future__ import annotations
@@ -322,6 +324,8 @@ class LmiProblem:
     def __post_init__(self):
         if self.delta <= 0.0:
             raise ValueError("margin delta must be positive")
+        if not (self.neg or self.pos):
+            raise ValueError("a problem needs at least one constraint")
         if self.z0 is None:
             self.z0 = np.zeros(self.layout.size)
         if not self.neg_labels:
@@ -364,66 +368,66 @@ def _violation(neg_margins, pos_margins, delta: float) -> float:
 
 
 @dataclass(frozen=True)
-class _Group:
-    """All constraints of one block dimension, stacked.
+class _Operator:
+    """Every constraint block as one affine map z -> F0 + L z onto a flat vector.
 
-    Block b is ``f0[b] + g[b] @ z[var[b]]``, flattened row-major.  ``var``
-    and ``g`` are zero-padded to the widest block: padding points at
-    variable 0 with zero coefficients.  The cone step clips block b's
-    eigenvalues into ``[lo[b], hi[b]]``.
+    The blocks of each dimension lie next to each other, flattened
+    row-major.  ``dims`` holds one ``(dim, span, members, neg, lo, hi)``
+    record per block dimension: the entries of the flat vector, the
+    constraint index of each block (neg maps, then pos maps), whether it is
+    a neg block, and the bounds the cone step clips its eigenvalues into.
+    L is held as COO triples: entry ``rows[t]`` gains ``vals[t] * z[cols[t]]``.
+    ``q`` and ``inv_w`` are the eigenvectors and pseudo-inverted eigenvalues
+    of the normal matrix L'L.
     """
 
-    dim: int
-    members: np.ndarray  # constraint index of each block: neg maps, then pos maps
-    neg: np.ndarray  # (n_blocks,) true for a neg block
-    var: np.ndarray  # (n_blocks, width)
-    g: np.ndarray  # (n_blocks, dim*dim, width)
-    f0: np.ndarray  # (n_blocks, dim*dim)
-    lo: np.ndarray  # (n_blocks, 1)
-    hi: np.ndarray  # (n_blocks, 1)
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    f0: np.ndarray
+    dims: list[tuple]
+    q: np.ndarray
+    inv_w: np.ndarray
 
-    def evaluate(self, z: np.ndarray) -> np.ndarray:
-        return self.f0 + (self.g @ z[self.var][:, :, None])[:, :, 0]
+    def forward(self, z: np.ndarray) -> np.ndarray:
+        return self.f0 + np.bincount(self.rows, self.vals * z[self.cols], minlength=len(self.f0))
 
-
-def _affine_factor(problem: LmiProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors and pseudo-inverted eigenvalues of the normal matrix of
-    the map from z to the coefficient parts of all blocks.
-
-    Built from the unpadded maps: ``np.ix_`` on the repeated padding index
-    of a stacked group would drop terms.
-    """
-    normal = np.zeros((problem.layout.size, problem.layout.size))
-    for amap in [*problem.neg, *problem.pos]:
-        gm = amap.coeffs.reshape(len(amap.var_idx), amap.dim**2)
-        normal[np.ix_(amap.var_idx, amap.var_idx)] += gm @ gm.T
-    w, q = np.linalg.eigh(normal)
-    cutoff = max(w[-1], 0.0) * 1e-13 if len(w) else 0.0
-    return q, np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
+    def adjoint(self, s: np.ndarray) -> np.ndarray:
+        """L' s for a flat vector s."""
+        return np.bincount(self.cols, self.vals * s[self.rows], minlength=len(self.q))
 
 
-def _stack(problem: LmiProblem) -> list[_Group]:
-    """The constraints grouped by block dimension, in order of first use."""
+def _operator(problem: LmiProblem) -> _Operator:
+    """The constraints as one sparse operator, in one pass over the maps."""
     maps = [*problem.neg, *problem.pos]
     by_dim: dict[int, list[int]] = {}
     for c, amap in enumerate(maps):
         by_dim.setdefault(amap.dim, []).append(c)
-    groups = []
+    normal = np.zeros((problem.layout.size, problem.layout.size))
+    rows, cols, vals, f0, dims = [], [], [], [], []
+    size = 0
     for dim, members in by_dim.items():
-        width = max(len(maps[c].var_idx) for c in members)
-        var = np.zeros((len(members), width), dtype=np.intp)
-        g = np.zeros((len(members), dim * dim, width))
-        for b, c in enumerate(members):
-            k = len(maps[c].var_idx)
-            var[b, :k] = maps[c].var_idx
-            g[b, :, :k] = maps[c].coeffs.reshape(k, dim * dim).T
+        start = size
+        for c in members:
+            amap = maps[c]
+            gm = amap.coeffs.reshape(len(amap.var_idx), dim * dim)
+            normal[np.ix_(amap.var_idx, amap.var_idx)] += gm @ gm.T
+            t, e = np.nonzero(gm)
+            rows.append(size + e)
+            cols.append(amap.var_idx[t])
+            vals.append(gm[t, e])
+            f0.append(amap.f0.ravel())
+            size += dim * dim
         members = np.array(members)
         neg = members < len(problem.neg)
-        f0 = np.stack([maps[c].f0.reshape(-1) for c in members])
         lo = np.where(neg, -np.inf, problem.delta)[:, None]
         hi = np.where(neg, -problem.delta, np.inf)[:, None]
-        groups.append(_Group(dim, members, neg, var, g, f0, lo, hi))
-    return groups
+        dims.append((dim, slice(start, size), members, neg, lo, hi))
+    w, q = np.linalg.eigh(normal)
+    cutoff = max(w[-1], 0.0) * 1e-13 if len(w) else 0.0
+    inv_w = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
+    rows, cols, vals, f0 = map(np.concatenate, (rows, cols, vals, f0))
+    return _Operator(rows, cols, vals, f0, dims, q, inv_w)
 
 
 def solve_feasibility(problem: LmiProblem, max_iter: int = 20000) -> LmiSolution:
@@ -436,8 +440,10 @@ def solve_feasibility(problem: LmiProblem, max_iter: int = 20000) -> LmiSolution
     difference.  The affine-side shadow carries the reported z; the plain
     alternating sequence stalls on the near-tangential geometry these
     synthesis problems produce, while the reflected form converges on the
-    same two projection operators.  Each step works on one stacked array
-    per block dimension.
+    same two projection operators.  Each step works on one flat vector
+    holding every block: the affine side applies one sparse operator and
+    its adjoint, the cone side runs one batched eigendecomposition per
+    block dimension on views of that vector.
 
     Deterministic for fixed inputs.  Returns FEASIBLE as soon as every
     constraint satisfies its margin (within 1e-9), INFEASIBLE when the best
@@ -452,11 +458,7 @@ def solve_feasibility(problem: LmiProblem, max_iter: int = 20000) -> LmiSolution
     z = np.asarray(problem.z0, dtype=float).copy()
     if z.shape != (nv,):
         raise DimensionMismatch("initial point has wrong length")
-    # Factor first, so the normal matrix is freed before the stacks exist.
-    q, inv_w = _affine_factor(problem)
-    groups = _stack(problem)
-    # The empty leading parts keep a problem without constraints valid.
-    var = np.concatenate([np.zeros(0, dtype=np.intp), *(grp.var.ravel() for grp in groups)])
+    op = _operator(problem)
 
     def result(status, z, margins):
         return LmiSolution(
@@ -474,23 +476,18 @@ def solve_feasibility(problem: LmiProblem, max_iter: int = 20000) -> LmiSolution
     best_margins = np.zeros(n_neg + len(problem.pos))
     history: list[float] = []
 
-    state = [grp.evaluate(z) for grp in groups]  # running tuple, started on the affine set
+    state = op.forward(z)  # running tuple, started on the affine set
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        pulled = [
-            (grp.g.transpose(0, 2, 1) @ (s - grp.f0)[:, :, None]).ravel()
-            for grp, s in zip(groups, state)
-        ]
-        rhs = np.bincount(var, np.concatenate([np.zeros(0), *pulled]), minlength=nv)
-        z = q @ (inv_w * (q.T @ rhs))
-        shadow = [grp.evaluate(z) for grp in groups]
-        if not all(np.isfinite(a).all() for a in shadow):
+        z = op.q @ (op.inv_w * (op.q.T @ op.adjoint(state - op.f0)))
+        shadow = op.forward(z)
+        if not np.isfinite(shadow).all():
             raise NonFinite("constraint evaluation produced non-finite entries")
 
         margins = np.empty(len(best_margins))
-        for grp, a in zip(groups, shadow):
-            w = np.linalg.eigvalsh(a.reshape(-1, grp.dim, grp.dim))
-            margins[grp.members] = np.where(grp.neg, w[:, -1], w[:, 0])
+        for dim, span, members, neg, _, _ in op.dims:
+            w = np.linalg.eigvalsh(shadow[span].reshape(-1, dim, dim))
+            margins[members] = np.where(neg, w[:, -1], w[:, 0])
         violation = _violation(margins[:n_neg], margins[n_neg:], delta)
 
         if violation < best_violation:
@@ -507,9 +504,11 @@ def solve_feasibility(problem: LmiProblem, max_iter: int = 20000) -> LmiSolution
             if past - best_violation < _STAGNATION_RTOL * max(best_violation, 1e-300):
                 return result(SolveStatus.INFEASIBLE, best_z, best_margins)
 
-        for k, (grp, s, a) in enumerate(zip(groups, state, shadow)):
-            w, v = np.linalg.eigh((2.0 * a - s).reshape(-1, grp.dim, grp.dim))
-            cone = (v * np.clip(w, grp.lo, grp.hi)[:, None, :]) @ v.transpose(0, 2, 1)
-            state[k] = s + cone.reshape(s.shape) - a
+        reflected = 2.0 * shadow - state
+        cone = np.empty_like(state)
+        for dim, span, _, _, lo, hi in op.dims:
+            w, v = np.linalg.eigh(reflected[span].reshape(-1, dim, dim))
+            cone[span] = ((v * np.clip(w, lo, hi)[:, None, :]) @ v.transpose(0, 2, 1)).ravel()
+        state = state + cone - shadow
 
     return result(SolveStatus.ITERATION_LIMIT, best_z, best_margins)

@@ -82,10 +82,6 @@ class JumpLinearSystem:
         """Matrices for a 1-based mode index."""
         return self.modes[mode - 1]
 
-    @property
-    def disturbance_free(self) -> bool:
-        return all(not np.any(m.d) for m in self.modes)
-
 
 @dataclass(frozen=True)
 class RegionPartition:
@@ -170,9 +166,6 @@ class ProductPartition:
         m2 = (m - 1) % self.part2.region_count + 1
         m1 = (m - 1) // self.part2.region_count + 1
         return m1, m2
-
-    def region_index(self, x1, x2) -> int:
-        return self.cell_index(region_index(self.part1, x1), region_index(self.part2, x2))
 
 
 @dataclass(frozen=True)

@@ -102,6 +102,9 @@ class SimConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (math.isfinite(self.horizon) and self.horizon >= 0.0):
             raise ValueError(f"horizon must be nonnegative and finite, got {self.horizon}")
+        steps = self.horizon / self.dt
+        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+            raise ValueError(f"horizon must be a whole number of steps of dt {self.dt}, got {self.horizon}")
 
 
 @dataclass(frozen=True)
@@ -278,7 +281,7 @@ def simulate(model: InterdependentModel, bank: ControllerBank, config: SimConfig
 def _run(model: InterdependentModel, loops: dict, x: np.ndarray, config: SimConfig) -> Trace:
     """One trajectory of the closed loops ``_prepare`` tabulated."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
-    n_steps = int(round(config.horizon / config.dt)) if config.horizon > 0 else 0
+    n_steps = round(config.horizon / config.dt)
     nx1, nu1 = model.sys1.state_dim, model.sys1.input_dim
     th1, th2 = config.init_modes
     dt = config.dt

@@ -299,6 +299,7 @@ class TestSimulate:
             (["--obs-policy", "periodic:nan"], "--obs-policy: bad period"),
             (["--x1=nan,5"], "--x1: entries must be finite"),
             (["--x2=0,inf,1"], "--x2: entries must be finite"),
+            (["--horizon", "0.0016", "--dt", "0.001"], "horizon must be a whole number of steps of dt 0.001, got 0.0016"),
         ],
     )
     def test_non_finite_inputs_rejected(self, tmp_path, demo_gains_file, capsys, flags, message):

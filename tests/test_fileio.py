@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,21 @@ class TestGainFiles:
         entry = {"system": 1, "observation": 1, "region1": 1, "region2": 1, "G": [[0.0]], field: value}
         with pytest.raises(ParseError, match=rf"gains\[1\]\.{field}: expected an integer"):
             bank_from_dict({"scheme": "distributed", "gains": [entry]})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("certified", "no", "certificate.certified: expected a boolean, got 'no'"),
+        ("certified", 1, "certificate.certified: expected a boolean"),
+        ("delta", "1e-8", "certificate.delta: expected a number"),
+        ("delta", True, "certificate.delta: expected a number"),
+        ("margins", ["0.5"], "certificate.margins[1]: expected a number"),
+        ("margins", [False], "certificate.margins[1]: expected a number"),
+        ("margins", "0.5", "certificate.margins: expected a list"),
+    ])
+    def test_certificate_field_types_checked(self, field, value, message):
+        cert = {"P": [[[1.0]]], "margins": [0.5], "delta": 1e-8, "certified": True, field: value}
+        entry = {"system": 1, "observation": 1, "region1": 1, "region2": 1, "G": [[0.0]]}
+        with pytest.raises(ParseError, match=re.escape(message)):
+            bank_from_dict({"scheme": "distributed", "gains": [entry], "certificate": cert})
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ParseError, match="scheme"):

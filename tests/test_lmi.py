@@ -7,6 +7,7 @@ from mjls.lmi import (
     MapBuilder,
     SolveStatus,
     VariableLayout,
+    _operator,
     evaluate,
     schur_expand,
     solve_feasibility,
@@ -145,7 +146,36 @@ def scalar_problem(delta=0.5):
     return LmiProblem(lay, [neg], [], delta=delta)
 
 
+def mixed_problem():
+    """Block dimensions interleave across the neg and pos lists, one
+    dimension holds blocks with different variable counts, a neg and a pos
+    block share a dimension, and one block has no variables."""
+    lay = VariableLayout()
+    lay.add_scalar("s")
+    lay.add_sym("X", 2)
+    lay.add_sym("Y", 3)
+    a = np.array([[-1.0, 1.0], [0.0, -2.0]])
+    b = np.array([[-1.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.2, 0.0, -3.0]])
+    neg = [
+        MapBuilder(2, lay).linear("X", left=a, mirror=True).build(),
+        MapBuilder(3, lay).linear("Y", left=b, mirror=True).build(),
+        MapBuilder(2, lay).scalar("s", np.eye(2)).const(-2.0 * np.eye(2)).build(),
+        MapBuilder(1, lay).const([[-1.0]]).build(),
+    ]
+    pos = [
+        MapBuilder(3, lay).linear("Y").build(),
+        MapBuilder(2, lay).linear("X").build(),
+        MapBuilder(1, lay).scalar("s", [[1.0]]).build(),
+    ]
+    assert len(neg[3].var_idx) == 0
+    return LmiProblem(lay, neg, pos, delta=1e-3)
+
+
 class TestSolveFeasibility:
+    def test_problem_without_constraints_rejected(self):
+        with pytest.raises(ValueError, match="at least one constraint"):
+            LmiProblem(VariableLayout(), [], [], delta=0.1)
+
     def test_one_dimensional(self):
         sol = solve_feasibility(scalar_problem(0.5), 100)
         assert sol.status is SolveStatus.FEASIBLE
@@ -233,29 +263,8 @@ class TestSolveFeasibility:
         assert sol.iterations <= 5000
 
     def test_mixed_blocks_margins_in_constraint_order(self):
-        # Block dimensions interleave across the neg and pos lists, one
-        # dimension holds blocks with different variable counts, a neg and a
-        # pos block share a dimension, and one block has no variables.  The
-        # padding repeats variable 0, which is s: a padded block uses it.
-        lay = VariableLayout()
-        lay.add_scalar("s")
-        lay.add_sym("X", 2)
-        lay.add_sym("Y", 3)
-        a = np.array([[-1.0, 1.0], [0.0, -2.0]])
-        b = np.array([[-1.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.2, 0.0, -3.0]])
-        neg = [
-            MapBuilder(2, lay).linear("X", left=a, mirror=True).build(),
-            MapBuilder(3, lay).linear("Y", left=b, mirror=True).build(),
-            MapBuilder(2, lay).scalar("s", np.eye(2)).const(-2.0 * np.eye(2)).build(),
-            MapBuilder(1, lay).const([[-1.0]]).build(),
-        ]
-        pos = [
-            MapBuilder(3, lay).linear("Y").build(),
-            MapBuilder(2, lay).linear("X").build(),
-            MapBuilder(1, lay).scalar("s", [[1.0]]).build(),
-        ]
-        assert len(neg[3].var_idx) == 0
-        prob = LmiProblem(lay, neg, pos, delta=1e-3)
+        prob = mixed_problem()
+        neg, pos = prob.neg, prob.pos
         sol = solve_feasibility(prob, 5000)
         assert sol.status is SolveStatus.FEASIBLE
         assert len(sol.neg_margins) == len(neg) and len(sol.pos_margins) == len(pos)
@@ -263,3 +272,30 @@ class TestSolveFeasibility:
             assert abs(sym_eig(evaluate(amap, sol.z)).max - reported) <= 1e-9
         for amap, reported in zip(pos, sol.pos_margins):
             assert abs(sym_eig(evaluate(amap, sol.z)).min - reported) <= 1e-9
+
+
+def test_operator_forward_and_adjoint():
+    # The solver's flat operator: each block of F(z) is evaluate(map, z), and
+    # L' is the adjoint of the linear part, <F(z) - F0, S> = <z, L'S>.
+    no_vars = VariableLayout()
+    bare = LmiProblem(
+        no_vars,
+        [MapBuilder(2, no_vars).const([[-2.0, 1.0], [1.0, -3.0]]).build()],
+        [MapBuilder(1, no_vars).const([[4.0]]).build()],
+        delta=1e-3,
+    )
+    rng = np.random.default_rng(7)
+    for prob in (mixed_problem(), bare):
+        op = _operator(prob)
+        maps = [*prob.neg, *prob.pos]
+        members = np.concatenate([m for _, _, m, _, _, _ in op.dims])
+        assert sorted(members) == list(range(len(maps)))
+        for _ in range(5):
+            z = rng.normal(size=prob.layout.size)
+            f = op.forward(z)
+            for dim, span, idx, _, _, _ in op.dims:
+                for block, c in zip(f[span].reshape(-1, dim, dim), idx):
+                    assert np.max(np.abs(block - evaluate(maps[c], z))) <= 1e-12
+            s = rng.normal(size=len(f))
+            lhs, rhs = (f - op.f0) @ s, z @ op.adjoint(s)
+            assert abs(lhs - rhs) <= 1e-12 * (np.abs(f - op.f0) @ np.abs(s))
