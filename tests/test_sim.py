@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from mjls import sim
-from mjls.errors import MissingGain
+from mjls.errors import InvalidGenerator, MissingGain, NotStochastic
 from mjls.fixtures import demo_model, example_initial_state
 from mjls.model import (
     InterdependentModel,
@@ -13,12 +14,15 @@ from mjls.model import (
     ObservationModel,
     RateFamily,
     RegionPartition,
+    block_diag,
+    region_index,
 )
 from mjls.sim import (
     DecayingSine,
     OnChange,
     Periodic,
     SimConfig,
+    Zero,
     control_input,
     energy_functional,
     estimate_stability,
@@ -306,14 +310,179 @@ def test_bank_checked_before_first_step(monkeypatch, run):
     model = static_model(n_modes1=2)
     gains = dict(zero_bank(model).gains)
     del gains[(1, 2, (1, 1))]
-    steps = []
-    monkeypatch.setattr(sim, "step_mode", lambda rng, i, row, dt: steps.append(i) or i)
+    monkeypatch.setattr(sim, "_run", lambda *args: pytest.fail("a step ran before the bank was checked"))
     with pytest.raises(MissingGain, match="observation 2"):
         run(model, ControllerBank(Scheme.DISTRIBUTED, gains, {}), SimConfig(dt=0.01, horizon=1.0))
-    assert steps == []
+
+
+def two_region_static_model(rates2_far=None, obs1_far=None):
+    """x' = 0 with two modes per system; system 1's region 2 (|x1|^2 >= 100)
+    is never entered from |x1| = 1, so its emission row and the rates it
+    selects for system 2 are never drawn from."""
+    static = ModeDynamics([[0.0]], [[0.0]], [[0.0]])
+    sys = JumpLinearSystem(1, 1, 1, (static, static))
+    return InterdependentModel(
+        sys1=sys,
+        sys2=sys,
+        part1=RegionPartition((100.0,)),
+        part2=RegionPartition(()),
+        rates1=RateFamily((np.zeros((2, 2)),)),
+        rates2=RateFamily((np.zeros((2, 2)), rates2_far if rates2_far is not None else np.zeros((2, 2)))),
+        obs1=ObservationModel((np.eye(2), obs1_far if obs1_far is not None else np.eye(2))),
+        obs2=ObservationModel((np.eye(2),)),
+    )
+
+
+@pytest.mark.parametrize(
+    "model, error",
+    [
+        (two_region_static_model(obs1_far=np.array([[0.5, 0.4], [0.0, 1.0]])), NotStochastic),
+        (two_region_static_model(obs1_far=np.array([[1.0, 0.0], [-0.5, 1.5]])), NotStochastic),
+        (two_region_static_model(rates2_far=np.array([[0.5, -0.5], [0.0, 0.0]])), InvalidGenerator),
+    ],
+    ids=["emission-row-sum", "negative-emission", "negative-rate"],
+)
+def test_bad_draw_law_rejected_before_first_step(monkeypatch, model, error):
+    # The bad row sits in a region the trajectory never enters; it is
+    # rejected all the same, before any step is taken.
+    gains = {(k, i, (m1, 1)): np.zeros((1, 1)) for k in (1, 2) for i in (1, 2) for m1 in (1, 2)}
+    bank = ControllerBank(Scheme.DISTRIBUTED, gains, {})
+    monkeypatch.setattr(sim, "_run", lambda *args: pytest.fail("a step ran before the draw laws were checked"))
+    with pytest.raises(error):
+        simulate(model, bank, SimConfig(dt=0.01, horizon=1.0), [1.0], [1.0])
+
+
+@pytest.mark.parametrize(
+    "model, init_modes, message",
+    [
+        (static_model(n_modes1=2), (0, 1), "initial modes"),
+        (static_model(n_modes1=2), (3, 1), "initial modes"),
+        (dataclasses.replace(static_model(), part1=RegionPartition((4.0, 1.0))), (1, 1), "partition1"),
+    ],
+    ids=["mode-0", "mode-past-last", "unsorted-thresholds"],
+)
+def test_unusable_start_or_partition_rejected(model, init_modes, message):
+    # Modes and regions index the loop table, so one out of range would
+    # silently pick another loop.
+    cfg = SimConfig(dt=0.01, horizon=1.0, init_modes=init_modes)
+    with pytest.raises(ValueError, match=message):
+        simulate(model, zero_bank(model), cfg, [1.0], [1.0])
+
+
+def reference_simulate(model, bank, config, x1_0, x2_0):
+    """A plain per-step loop for a distributed bank: explicit RK4 stages on
+    the joint closed loop, scalar draws through ``step_mode`` and
+    ``sample_observation``.  Returns (states, inputs, integer columns)."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
+    dt, nx1 = config.dt, model.sys1.state_dim
+    dist = config.disturbance
+    x = np.concatenate([np.asarray(x1_0, dtype=float), np.asarray(x2_0, dtype=float)])
+    th1, th2 = config.init_modes
+    m1, m2 = region_index(model.part1, x[:nx1]), region_index(model.part2, x[nx1:])
+    ob1 = sample_observation(rng, model.obs1.alpha(m1)[th1 - 1])
+    ob2 = sample_observation(rng, model.obs2.alpha(m2)[th2 - 1])
+    states, inputs, columns = [], [], []
+    for n in range(round(config.horizon / dt) + 1):
+        d1, d2 = model.sys1.dynamics(th1), model.sys2.dynamics(th2)
+        g = block_diag(bank.gain(1, ob1, (m1, m2)), bank.gain(2, ob2, (m1, m2)))
+        states.append(x)
+        inputs.append(g @ x)
+        columns.append((th1, th2, ob1, ob2, m1, m2))
+        if n == round(config.horizon / dt):
+            break
+        a = block_diag(d1.a, d2.a) + block_diag(d1.b, d2.b) @ g
+        t = n * dt
+        if isinstance(dist, Zero):
+            c = np.zeros(len(x))
+        else:
+            w = math.exp(-dist.decay * t) * math.sin(dist.frequency * t) * np.array(dist.amplitude1 + dist.amplitude2)
+            c = block_diag(d1.d, d2.d) @ w
+        k1 = a @ x + c
+        k2 = a @ (x + 0.5 * dt * k1) + c
+        k3 = a @ (x + 0.5 * dt * k2) + c
+        k4 = a @ (x + dt * k3) + c
+        x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        new_th1 = step_mode(rng, th1, model.rates1.matrix(m2)[th1 - 1], dt)
+        new_th2 = step_mode(rng, th2, model.rates2.matrix(m1)[th2 - 1], dt)
+        new_m1, new_m2 = region_index(model.part1, x[:nx1]), region_index(model.part2, x[nx1:])
+        if isinstance(config.obs_policy, Periodic):
+            refresh1 = refresh2 = (n + 1) % round(config.obs_policy.period / dt) == 0
+        else:
+            moved = (new_m1, new_m2) != (m1, m2)
+            refresh1, refresh2 = new_th1 != th1 or moved, new_th2 != th2 or moved
+        th1, th2, m1, m2 = new_th1, new_th2, new_m1, new_m2
+        if refresh1:
+            ob1 = sample_observation(rng, model.obs1.alpha(m1)[th1 - 1])
+        if refresh2:
+            ob2 = sample_observation(rng, model.obs2.alpha(m2)[th2 - 1])
+    return np.array(states), np.array(inputs), np.array(columns)
+
+
+@pytest.mark.parametrize("policy", [Periodic(1e-3), OnChange()], ids=["periodic", "onchange"])
+@pytest.mark.parametrize(
+    "disturbance",
+    [Zero(), DecayingSine(amplitude1=(2.0,), amplitude2=(-1.5,), decay=0.5, frequency=3.0)],
+    ids=["undisturbed", "decaying-sine"],
+)
+def test_simulate_matches_reference_loop(demo, demo_bank, policy, disturbance):
+    # The demo model with D = 1, so that the disturbance acts, and its rates
+    # scaled back up by 10, so that both chains jump within the horizon.
+    def with_unit_d(sys):
+        return dataclasses.replace(sys, modes=tuple(ModeDynamics(m.a, m.b, np.ones_like(m.d)) for m in sys.modes))
+
+    model = dataclasses.replace(
+        demo,
+        sys1=with_unit_d(demo.sys1),
+        sys2=with_unit_d(demo.sys2),
+        rates1=RateFamily(tuple(10.0 * g for g in demo.rates1.matrices)),
+        rates2=RateFamily(tuple(10.0 * g for g in demo.rates2.matrices)),
+    )
+    x1_0, x2_0 = np.array([1.0, -2.5]), np.array([0.5, 1.5, -2.0])
+    cfg = SimConfig(dt=1e-3, horizon=4.0, seed=0, obs_policy=policy, disturbance=disturbance)
+    trace = simulate(model, demo_bank, cfg, x1_0, x2_0)
+    states, inputs, columns = reference_simulate(model, demo_bank, cfg, x1_0, x2_0)
+    for j, name in enumerate(("mode1", "mode2", "obs1", "obs2", "region1", "region2")):
+        assert np.array_equal(getattr(trace, name), columns[:, j]), name
+        assert np.any(np.diff(columns[:, j]) != 0), f"{name} never changes"
+    scale = np.linalg.norm(states, axis=1)
+    assert np.all(np.linalg.norm(np.hstack([trace.x1, trace.x2]) - states, axis=1) <= 1e-10 * scale)
+    gain_scale = max(np.linalg.norm(g) for g in demo_bank.gains.values())
+    assert np.all(np.linalg.norm(np.hstack([trace.u1, trace.u2]) - inputs, axis=1) <= 1e-10 * gain_scale * scale)
 
 
 class TestEstimateStability:
+    def test_runs_are_simulate_runs(self, demo, demo_bank):
+        # One kernel: run r of the report is simulate under seed (seed, r).
+        x1_0, x2_0 = example_initial_state()
+        cfg = SimConfig(dt=1e-3, horizon=0.5, seed=6, obs_policy=Periodic(1e-3))
+        report = estimate_stability(demo, demo_bank, cfg, 3, x1_0, x2_0)
+        for run in range(3):
+            trace = simulate(demo, demo_bank, dataclasses.replace(cfg, seed=(6, run)), x1_0, x2_0)
+            terminal = float(np.sqrt(trace.x1[-1] @ trace.x1[-1] + trace.x2[-1] @ trace.x2[-1]))
+            assert report.functional_per_run[run] == energy_functional(trace)
+            assert report.half_functional_per_run[run] == energy_functional(trace, 0.25)
+            assert report.terminal_norms[run] == terminal
+
+    def test_half_horizon_of_odd_step_count(self):
+        # x' = -x from 1 over three steps: the half functional runs to
+        # t = 0.0015, inside the second step, where the exact value is
+        # (1 - e^-0.003) / 2.
+        model = scalar_decay_model()
+        cfg = SimConfig(dt=1e-3, horizon=0.003, seed=0)
+        report = estimate_stability(model, zero_bank(model), cfg, 1, [1.0], [0.0])
+        half = (1.0 - math.exp(-0.003)) / 2.0
+        full = (1.0 - math.exp(-0.006)) / 2.0
+        assert abs(report.half_mean - half) <= 1e-6 * half
+        assert abs(report.saturation - (full - half) / full) <= 1e-5
+
+    def test_half_horizon_of_even_step_count_is_the_trapezoid(self):
+        model = scalar_decay_model()
+        cfg = SimConfig(dt=1e-3, horizon=0.004, seed=0)
+        report = estimate_stability(model, zero_bank(model), cfg, 1, [1.0], [0.0])
+        trace = simulate(model, zero_bank(model), cfg, [1.0], [0.0])
+        sq = trace.x1[:, 0] ** 2 + trace.x2[:, 0] ** 2
+        assert report.half_mean == float(np.trapezoid(sq[:3], trace.t[:3]))
+
     def test_analytic_scalar_integral(self):
         # x' = -x from 1: integral of x^2 is 0.5; truncation at T=10 and
         # trapezoid error stay inside 2%.
