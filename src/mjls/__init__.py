@@ -11,7 +11,6 @@ from .model import (
     RegionPartition,
     build_beta,
     compose_integrated,
-    generator_at,
     region_index,
     validate,
 )

@@ -297,23 +297,17 @@ def trace_header(n1x: int, n2x: int, n1u: int, n2u: int) -> str:
 
 
 def write_trace_csv(path, trace) -> None:
-    """Trace rows with shortest round-trip decimal formatting."""
+    """Trace rows with shortest round-trip decimal formatting.
+
+    Each group of columns becomes Python floats or ints in one ``tolist``;
+    ``repr`` of a Python float is its shortest round-trip form.
+    """
     lines = [trace_header(trace.x1.shape[1], trace.x2.shape[1], trace.u1.shape[1], trace.u2.shape[1])]
-    for n in range(len(trace.t)):
-        cells = [repr(float(trace.t[n]))]
-        cells += [repr(float(v)) for v in trace.x1[n]]
-        cells += [repr(float(v)) for v in trace.x2[n]]
-        cells += [
-            str(int(trace.mode1[n])),
-            str(int(trace.mode2[n])),
-            str(int(trace.obs1[n])),
-            str(int(trace.obs2[n])),
-            str(int(trace.region1[n])),
-            str(int(trace.region2[n])),
-        ]
-        cells += [repr(float(v)) for v in trace.u1[n]]
-        cells += [repr(float(v)) for v in trace.u2[n]]
-        lines.append(",".join(cells))
+    states = np.column_stack([trace.t, trace.x1, trace.x2]).tolist()
+    chains = np.column_stack([trace.mode1, trace.mode2, trace.obs1, trace.obs2, trace.region1, trace.region2])
+    inputs = np.column_stack([trace.u1, trace.u2]).tolist()
+    for x, m, u in zip(states, chains.astype(int).tolist(), inputs):
+        lines.append(",".join(map(repr, x + m + u)))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

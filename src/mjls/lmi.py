@@ -10,15 +10,17 @@ Feasibility is decided by alternating between two projections: onto the
 product of shifted definite cones (eigenvalue clipping) and onto the
 affine set ``{F(z)}`` (least squares on ``z``), combined in the reflected
 Douglas-Rachford form, which handles the shallow intersection angles
-these problems exhibit.  The solver reads all maps as one sparse operator
-from ``z`` onto a flat vector holding every block, kept as coordinate
-triples (entry, variable, coefficient).  It is deterministic: fixed
-initial point, no randomness, and a fixed projection order.
+these problems exhibit.  Each map's linear part is built and kept as
+coordinate triples (entry, variable, coefficient) of its nonzeros; the
+solver concatenates them into one sparse operator from ``z`` onto a flat
+vector holding every block.  It is deterministic: fixed initial point, no
+randomness, and a fixed projection order.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,15 +102,8 @@ class VariableLayout:
         m = np.asarray(value, dtype=float)
         if m.shape != spec.shape:
             raise DimensionMismatch(f"variable {key!r} expects shape {spec.shape}, got {m.shape}")
-        if spec.kind == "sym":
-            n = spec.shape[0]
-            k = spec.offset
-            for i in range(n):
-                for j in range(i, n):
-                    z[k] = m[i, j]
-                    k += 1
-        else:
-            z[spec.offset : spec.offset + spec.size] = m.reshape(-1)
+        packed = m[np.triu_indices(spec.shape[0])] if spec.kind == "sym" else m.reshape(-1)
+        z[spec.offset : spec.offset + spec.size] = packed
 
     def pack(self, values: dict) -> np.ndarray:
         z = np.zeros(self._total)
@@ -120,53 +115,47 @@ class VariableLayout:
         spec = self._specs[key]
         if spec.kind == "scalar":
             return float(z[spec.offset])
+        packed = z[spec.offset : spec.offset + spec.size]
         if spec.kind == "rect":
-            return z[spec.offset : spec.offset + spec.size].reshape(spec.shape).copy()
-        n = spec.shape[0]
-        m = np.zeros((n, n))
-        k = spec.offset
-        for i in range(n):
-            for j in range(i, n):
-                m[i, j] = z[k]
-                m[j, i] = z[k]
-                k += 1
+            return packed.reshape(spec.shape).copy()
+        i, j = np.triu_indices(spec.shape[0])
+        m = np.zeros(spec.shape)
+        m[i, j] = packed
+        m[j, i] = packed
         return m
 
-    def basis_matrices(self, key):
-        """Derivative of the unpacked variable w.r.t. each of its z slots."""
+    def basis_matrices(self, key) -> np.ndarray:
+        """Derivative of the unpacked variable w.r.t. each of its z slots,
+        stacked along the first axis (read-only, shared per kind and shape)."""
         spec = self._specs[key]
-        out = []
-        if spec.kind == "sym":
-            n = spec.shape[0]
-            for i in range(n):
-                for j in range(i, n):
-                    e = np.zeros((n, n))
-                    e[i, j] = 1.0
-                    e[j, i] = 1.0
-                    out.append(e)
-        elif spec.kind == "rect":
-            rows, cols = spec.shape
-            for i in range(rows):
-                for j in range(cols):
-                    e = np.zeros((rows, cols))
-                    e[i, j] = 1.0
-                    out.append(e)
-        else:
-            out.append(np.array([[1.0]]))
-        return out
+        return _basis(spec.kind, spec.shape)
+
+
+@functools.cache
+def _basis(kind: str, shape: tuple[int, int]) -> np.ndarray:
+    if kind == "sym":
+        i, j = np.triu_indices(shape[0])
+        e = np.zeros((len(i), *shape))
+        e[np.arange(len(i)), i, j] = e[np.arange(len(i)), j, i] = 1.0
+    else:
+        e = np.eye(shape[0] * shape[1]).reshape(-1, *shape)
+    e.flags.writeable = False
+    return e
 
 
 @dataclass(frozen=True)
 class AffineMatrixMap:
     """Symmetric-matrix-valued affine function F(z) = F0 + sum z_k F_k.
 
-    Only the variables in ``var_idx`` (global z indices, ascending) carry
-    nonzero coefficient blocks; ``coeffs[t]`` belongs to ``var_idx[t]``.
+    The linear part is held as triples: entry ``entries[t]`` of the block,
+    flattened row-major, gains ``coeffs[t] * z[var_idx[t]]``.  They are
+    sorted by variable, then entry, without repeats or zero coefficients.
     """
 
     dim: int
     nvars: int
     f0: np.ndarray
+    entries: np.ndarray
     var_idx: np.ndarray
     coeffs: np.ndarray
 
@@ -175,10 +164,17 @@ class AffineMatrixMap:
             raise DimensionMismatch("constant block has wrong shape")
         if np.max(np.abs(self.f0 - self.f0.T), initial=0.0) > _BLOCK_SYM_TOL:
             raise NonSymmetric("constant block is not symmetric")
-        if self.coeffs.ndim != 3 or self.coeffs.shape[1:] != (self.dim, self.dim):
-            raise DimensionMismatch("coefficient blocks have wrong shape")
-        dev = np.max(np.abs(self.coeffs - np.transpose(self.coeffs, (0, 2, 1))), initial=0.0)
-        if dev > _BLOCK_SYM_TOL:
+        if not self.entries.shape == self.var_idx.shape == self.coeffs.shape == (self.coeffs.size,):
+            raise DimensionMismatch("coefficient triples have wrong shape")
+        key = self.var_idx * self.dim**2 + self.entries
+        if (key[1:] <= key[:-1]).any():
+            raise ValueError("coefficient triples must be sorted by variable, then entry, without repeats")
+        # Each coefficient against the one at the transposed entry (0 if absent).
+        row, col = np.divmod(self.entries, self.dim)
+        mirror = key + (col - row) * (self.dim - 1)
+        at = np.searchsorted(key, mirror).clip(max=len(key) - 1)
+        partner = np.where(key[at] == mirror, self.coeffs[at], 0.0)
+        if np.abs(self.coeffs - partner).max(initial=0.0) > _BLOCK_SYM_TOL:
             raise NonSymmetric("a coefficient block is not symmetric")
 
 
@@ -187,10 +183,12 @@ def evaluate(amap: AffineMatrixMap, z) -> np.ndarray:
     zv = np.asarray(z, dtype=float)
     if zv.shape != (amap.nvars,):
         raise DimensionMismatch(f"expected z of length {amap.nvars}, got shape {zv.shape}")
-    out = amap.f0.copy()
-    if len(amap.var_idx):
-        out += np.tensordot(zv[amap.var_idx], amap.coeffs, axes=1)
+    linear = np.bincount(amap.entries, amap.coeffs * zv[amap.var_idx], minlength=amap.dim**2)
+    out = amap.f0 + linear.reshape(amap.dim, amap.dim)
     return 0.5 * (out + out.T)
+
+
+_NO_TRIPLES = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
 
 
 class MapBuilder:
@@ -200,61 +198,58 @@ class MapBuilder:
     term inside the full block.  ``mirror=True`` also places the transposed
     term at the swapped offsets, which keeps the overall map symmetric for
     off-diagonal placements and realises A V + (A V)' for diagonal ones.
+    Each term is kept as the triples of its nonzeros.
     """
 
     def __init__(self, dim: int, layout: VariableLayout):
         self.dim = dim
         self.layout = layout
         self._f0 = np.zeros((dim, dim))
-        self._blocks: dict[int, np.ndarray] = {}
+        self._triples = []
 
-    def _place(self, target: np.ndarray, m: np.ndarray, at: tuple[int, int], mirror: bool):
-        r, c = at
-        rows, cols = m.shape
-        if r + rows > self.dim or c + cols > self.dim:
-            raise DimensionMismatch(f"term of shape {m.shape} at {at} exceeds block dim {self.dim}")
-        target[r : r + rows, c : c + cols] += m
-        if mirror:
-            target[c : c + cols, r : r + rows] += m.T
+    def _fit(self, shape, at):
+        if at[0] + shape[0] > self.dim or at[1] + shape[1] > self.dim:
+            raise DimensionMismatch(f"term of shape {shape} at {at} exceeds block dim {self.dim}")
 
     def const(self, m, at=(0, 0), mirror=False):
-        self._place(self._f0, np.asarray(m, dtype=float), at, mirror)
+        m = np.asarray(m, dtype=float)
+        self._fit(m.shape, at)
+        (r, c), (rows, cols) = at, m.shape
+        self._f0[r : r + rows, c : c + cols] += m
+        if mirror:
+            self._f0[c : c + cols, r : r + rows] += m.T
         return self
 
     def linear(self, key, left=None, right=None, coeff=1.0, at=(0, 0), mirror=False):
         """Adds coeff * L @ V @ R (optionally plus its mirrored transpose)."""
-        spec = self.layout.spec(key)
-        for slot, e in enumerate(self.layout.basis_matrices(key)):
-            term = e if left is None else np.asarray(left, dtype=float) @ e
-            if right is not None:
-                term = term @ np.asarray(right, dtype=float)
-            block = self._blocks.setdefault(spec.offset + slot, np.zeros((self.dim, self.dim)))
-            self._place(block, coeff * term, at, mirror)
+        terms = self.layout.basis_matrices(key)
+        if left is not None:
+            terms = np.asarray(left, dtype=float) @ terms
+        if right is not None:
+            terms = terms @ np.asarray(right, dtype=float)
+        terms = coeff * terms  # terms[s] is the coefficient of z slot s of the variable
+        self._fit(terms.shape[1:], at)
+        (r, c), (slot, i, j) = at, np.nonzero(terms)
+        var, vals = self.layout.spec(key).offset + slot, terms[slot, i, j]
+        self._triples.append(((r + i) * self.dim + c + j, var, vals))
+        if mirror:
+            self._triples.append(((c + j) * self.dim + r + i, var, vals))
         return self
 
     def scalar(self, key, m, at=(0, 0), mirror=False):
         """Adds z_key * m for a scalar variable."""
-        spec = self.layout.spec(key)
-        if spec.kind != "scalar":
+        if self.layout.spec(key).kind != "scalar":
             raise DimensionMismatch(f"variable {key!r} is not scalar")
-        block = self._blocks.setdefault(spec.offset, np.zeros((self.dim, self.dim)))
-        self._place(block, np.asarray(m, dtype=float), at, mirror)
-        return self
+        return self.linear(key, coeff=np.asarray(m, dtype=float), at=at, mirror=mirror)
 
     def build(self) -> AffineMatrixMap:
-        idx = np.array(sorted(self._blocks), dtype=int)
-        coeffs = (
-            np.stack([self._blocks[k] for k in idx])
-            if len(idx)
-            else np.zeros((0, self.dim, self.dim))
-        )
-        return AffineMatrixMap(
-            dim=self.dim,
-            nvars=self.layout.size,
-            f0=self._f0,
-            var_idx=idx,
-            coeffs=coeffs,
-        )
+        entries, var_idx, coeffs = map(np.concatenate, zip(_NO_TRIPLES, *self._triples))
+        if len(self._triples) > 1:  # a single term's nonzeros come sorted, without repeats
+            key, repeat = np.unique(var_idx * self.dim**2 + entries, return_inverse=True)
+            sums = np.bincount(repeat, coeffs)  # sequential, in the order the terms came
+            var_idx, entries = np.divmod(key[sums != 0.0], self.dim**2)
+            coeffs = sums[sums != 0.0]
+        return AffineMatrixMap(self.dim, self.layout.size, self._f0, entries, var_idx, coeffs)
 
 
 def schur_expand(e_map: AffineMatrixMap, lam_maps, x_maps) -> AffineMatrixMap:
@@ -279,28 +274,25 @@ def schur_expand(e_map: AffineMatrixMap, lam_maps, x_maps) -> AffineMatrixMap:
 
     total = n * (1 + len(lam_maps))
     f0 = np.zeros((total, total))
-    blocks: dict[int, np.ndarray] = {}
+    triples = []
 
-    def place(src: AffineMatrixMap, at, mirror, sign=1.0):
-        r, c = at
+    def place(src: AffineMatrixMap, r, c, mirror=False, sign=1.0):
         f0[r : r + n, c : c + n] += sign * src.f0
-        if mirror and at != (c, r):
+        i, j = np.divmod(src.entries, n)
+        triples.append(((r + i) * total + c + j, src.var_idx, sign * src.coeffs))
+        if mirror:
             f0[c : c + n, r : r + n] += sign * src.f0.T
-        for t, k in enumerate(src.var_idx):
-            block = blocks.setdefault(int(k), np.zeros((total, total)))
-            block[r : r + n, c : c + n] += sign * src.coeffs[t]
-            if mirror and at != (c, r):
-                block[c : c + n, r : r + n] += sign * src.coeffs[t].T
+            triples.append(((c + j) * total + r + i, src.var_idx, sign * src.coeffs))
 
-    place(e_map, (0, 0), mirror=False)
+    place(e_map, 0, 0)
     for j, (lm, xm) in enumerate(zip(lam_maps, x_maps)):
         off = n * (1 + j)
-        place(lm, (0, off), mirror=True)
-        place(xm, (off, off), mirror=False, sign=-1.0)
+        place(lm, 0, off, mirror=True)
+        place(xm, off, off, sign=-1.0)
 
-    idx = np.array(sorted(blocks), dtype=int)
-    coeffs = np.stack([blocks[k] for k in idx]) if len(idx) else np.zeros((0, total, total))
-    return AffineMatrixMap(dim=total, nvars=e_map.nvars, f0=f0, var_idx=idx, coeffs=coeffs)
+    entries, var_idx, coeffs = map(np.concatenate, zip(*triples))
+    order = np.argsort(var_idx * total**2 + entries)  # the sub-blocks never overlap
+    return AffineMatrixMap(total, e_map.nvars, f0, entries[order], var_idx[order], coeffs[order])
 
 
 class SolveStatus(enum.Enum):
@@ -410,12 +402,15 @@ def _operator(problem: LmiProblem) -> _Operator:
         start = size
         for c in members:
             amap = maps[c]
-            gm = amap.coeffs.reshape(len(amap.var_idx), dim * dim)
-            normal[np.ix_(amap.var_idx, amap.var_idx)] += gm @ gm.T
-            t, e = np.nonzero(gm)
-            rows.append(size + e)
-            cols.append(amap.var_idx[t])
-            vals.append(gm[t, e])
+            # The map's share of L'L, one row per variable across the whole block
+            # (the column count sets the product's summation order, so q's rounding).
+            v, t = np.unique(amap.var_idx, return_inverse=True)
+            gm = np.zeros((len(v), dim * dim))
+            gm[t, amap.entries] = amap.coeffs
+            normal[np.ix_(v, v)] += gm @ gm.T
+            rows.append(size + amap.entries)
+            cols.append(amap.var_idx)
+            vals.append(amap.coeffs)
             f0.append(amap.f0.ravel())
             size += dim * dim
         members = np.array(members)

@@ -40,7 +40,6 @@ __all__ = [
     "compose_integrated",
     "joint_system",
     "mode_pairs",
-    "generator_at",
 ]
 
 _GEN_TOL = 1e-12
@@ -188,10 +187,6 @@ class IntegratedModel:
 
     def mode_index(self, i1: int, i2: int) -> int:
         return (i1 - 1) * self.mode_counts[1] + i2
-
-    def mode_pair(self, i: int) -> tuple[int, int]:
-        n2 = self.mode_counts[1]
-        return (i - 1) // n2 + 1, (i - 1) % n2 + 1
 
 
 @dataclass(frozen=True)
@@ -406,20 +401,6 @@ def joint_system(model: InterdependentModel) -> JumpLinearSystem:
         input_dim=s1.input_dim + s2.input_dim,
         disturbance_dim=s1.disturbance_dim + s2.disturbance_dim,
         modes=tuple(modes),
-    )
-
-
-def generator_at(model: InterdependentModel, x1, x2) -> tuple[np.ndarray, np.ndarray]:
-    """Rate matrices in force at a state pair: (system 1's, system 2's)."""
-    v1 = np.asarray(x1, dtype=float)
-    v2 = np.asarray(x2, dtype=float)
-    if v1.shape != (model.sys1.state_dim,):
-        raise DimensionMismatch(f"x1 must have dimension {model.sys1.state_dim}, got shape {v1.shape}")
-    if v2.shape != (model.sys2.state_dim,):
-        raise DimensionMismatch(f"x2 must have dimension {model.sys2.state_dim}, got shape {v2.shape}")
-    return (
-        model.rates1.matrix(region_index(model.part2, v2)),
-        model.rates2.matrix(region_index(model.part1, v1)),
     )
 
 

@@ -47,7 +47,6 @@ __all__ = [
     "MonteCarloReport",
     "step_mode",
     "sample_observation",
-    "control_input",
     "simulate",
     "estimate_stability",
 ]
@@ -230,15 +229,14 @@ def sample_observation(rng, row) -> int:
     return _pick(_emission_row(row), rng.random()) + 1
 
 
-def control_input(bank: ControllerBank, k: int, i_hat: int, m1: int, m2: int, x_k) -> np.ndarray:
-    """Feedback u_k = G x_k for subsystem k under observation i_hat."""
-    gain = bank.gain(k, i_hat, (m1, m2))
-    return gain @ np.asarray(x_k, dtype=float)
-
-
 def check_dt(model: InterdependentModel, dt: float) -> None:
-    """Reject a dt whose per-step jump probability, at the worst joint
-    diagonal rate over all regions and mode pairs, exceeds the cap."""
+    """Reject non-finite rates, and a dt whose per-step jump probability, at
+    the worst joint diagonal rate over all regions and mode pairs, exceeds
+    the cap."""
+    for k, rates in ((1, model.rates1), (2, model.rates2)):
+        for region, g in enumerate(rates.matrices, start=1):
+            if not np.isfinite(g).all():
+                raise InvalidGenerator(f"system {k}: rate matrix for partner region {region} has non-finite entries")
     worst = sum(max(float(np.max(np.abs(np.diag(g)))) for g in r.matrices) for r in (model.rates1, model.rates2))
     if dt * worst > JUMP_PROBABILITY_CAP:
         bound = JUMP_PROBABILITY_CAP / worst if worst > 0.0 else math.inf

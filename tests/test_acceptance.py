@@ -219,6 +219,7 @@ class TestCriterion7:
         b = build_fullinfo(integ, delta=1e-6)
         problems_equal = all(
             np.array_equal(ma.f0, mb.f0)
+            and np.array_equal(ma.entries, mb.entries)
             and np.array_equal(ma.var_idx, mb.var_idx)
             and np.array_equal(ma.coeffs, mb.coeffs)
             for ma, mb in zip(a.neg + a.pos, b.neg + b.pos)

@@ -17,8 +17,8 @@ from mjls.fileio import (
     write_trace_csv,
 )
 from mjls.fixtures import demo_path, fixture_path
-from mjls.model import block_diag, compose_integrated, validate
-from mjls.sim import SimConfig, simulate
+from mjls.model import block_diag, mode_pairs, validate
+from mjls.sim import Periodic, SimConfig, simulate
 from mjls.synthesis import ControllerBank, Scheme, check_corollary
 
 
@@ -83,11 +83,9 @@ class TestGainFiles:
     def test_certificate_round_trip(self, tmp_path, demo, demo_bank):
         # The centralized bank's certificate keys its cells by product-cell
         # index, the distributed one by region pair.
-        integ = compose_integrated(demo)
         joint = {}
         for cell in {cell for (_k, _obs, cell) in demo_bank.gains}:
-            for i in range(1, integ.mode_count + 1):
-                i1, i2 = integ.mode_pair(i)
+            for i, (i1, i2) in enumerate(mode_pairs(demo), start=1):
                 joint[(0, i, cell)] = block_diag(demo_bank.gain(1, i1, cell), demo_bank.gain(2, i2, cell))
         centralized = ControllerBank(
             Scheme.CENTRALIZED, joint, {0: check_corollary(demo, demo_bank, demo_bank)}
@@ -178,3 +176,23 @@ class TestTraceCsv:
         assert len(first) == len(header)
         # shortest round-trip decimals: parsing a cell reproduces the float
         assert float(first[1]) == trace.x1[0, 0]
+
+    def test_matches_per_cell_formatting(self, tmp_path, demo, demo_bank):
+        # The writer formats whole columns at once; its bytes equal those of
+        # formatting one numpy scalar per cell, reproduced here.
+        cfg = SimConfig(dt=1e-3, horizon=2.0, seed=3, obs_policy=Periodic(1e-3))
+        trace = simulate(demo, demo_bank, cfg, [1.0, -0.5], [0.3, 0.2, -1.0])
+        lines = [trace_header(2, 3, 1, 1)]
+        for n in range(len(trace.t)):
+            cells = [repr(float(trace.t[n]))]
+            cells += [repr(float(v)) for v in trace.x1[n]]
+            cells += [repr(float(v)) for v in trace.x2[n]]
+            chains = (trace.mode1, trace.mode2, trace.obs1, trace.obs2, trace.region1, trace.region2)
+            cells += [str(int(c[n])) for c in chains]
+            cells += [repr(float(v)) for v in trace.u1[n]]
+            cells += [repr(float(v)) for v in trace.u2[n]]
+            lines.append(",".join(cells))
+        out = tmp_path / "trace.csv"
+        write_trace_csv(out, trace)
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert len(set(trace.mode1)) > 1 or len(set(trace.obs1)) > 1

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mjls.errors import DimensionMismatch
+from mjls.errors import DimensionMismatch, NonSymmetric
 from mjls.lmi import (
+    AffineMatrixMap,
     LmiProblem,
     MapBuilder,
     SolveStatus,
@@ -81,6 +82,135 @@ class TestEvaluate:
         z = rng.normal(size=lay.size)
         out = evaluate(amap, z)
         assert np.array_equal(out, out.T)
+
+
+def basis(spec):
+    """Each z slot's derivative of the variable, by hand: the upper triangle of
+    a symmetric variable row by row, a rectangular one row-major, a scalar."""
+    rows, cols = spec.shape
+    for i in range(rows):
+        for j in range(i if spec.kind == "sym" else 0, cols):
+            e = np.zeros(spec.shape)
+            e[i, j] = 1.0
+            if spec.kind == "sym":
+                e[j, i] = 1.0
+            yield e
+
+
+class DenseReference:
+    """Independent oracle for MapBuilder: F(z) as the dense sum of
+    z_k * coeff * L @ E_k @ R over every term and z slot k, placed by slicing
+    and mirrored.  A scalar variable's term is its matrix as the coeff."""
+
+    def __init__(self, dim, layout):
+        self.dim, self.layout, self.terms = dim, layout, []
+
+    def linear(self, key, left=None, right=None, coeff=1.0, at=(0, 0), mirror=False):
+        self.terms.append((key, left, right, coeff, at, mirror))
+        return self
+
+    def scalar(self, key, m, at=(0, 0), mirror=False):
+        return self.linear(key, coeff=np.asarray(m, dtype=float), at=at, mirror=mirror)
+
+    def value(self, z):
+        out = np.zeros((self.dim, self.dim))
+        for key, left, right, coeff, (r, c), mirror in self.terms:
+            spec = self.layout.spec(key)
+            for k, e in enumerate(basis(spec)):
+                term = e if left is None else left @ e
+                term = term if right is None else term @ right
+                term = z[spec.offset + k] * coeff * term
+                rows, cols = term.shape
+                out[r : r + rows, c : c + cols] += term
+                if mirror:
+                    out[c : c + cols, r : r + rows] += term.T
+        return out
+
+
+def random_terms(rng):
+    """Terms of a symmetric 6x6 map over sym, rect and scalar variables: left,
+    right and both, diagonal and off-diagonal offsets, with and without
+    mirror, and one variable in three terms."""
+    w = rng.normal(size=(2, 2))
+    sym = rng.normal(size=(2, 2))
+    return [
+        ("linear", "X", dict(left=rng.normal(size=(3, 3)), mirror=True)),
+        ("linear", "X", dict(coeff=-0.7)),
+        ("linear", "X", dict(right=rng.normal(size=(3, 2)), at=(0, 3), mirror=True)),
+        ("linear", "Y", dict(left=rng.normal(size=(4, 2)), at=(1, 0), mirror=True)),
+        ("linear", "W", dict(left=w, right=w.T, coeff=2.5, at=(3, 3))),
+        ("scalar", "s", dict(m=sym + sym.T, at=(4, 4))),
+        ("scalar", "s", dict(m=rng.normal(size=(2, 1)), at=(4, 1), mirror=True)),
+    ]
+
+
+def build_both(terms, dim, lay):
+    built, ref = MapBuilder(dim, lay), DenseReference(dim, lay)
+    for kind, key, kw in terms:
+        getattr(built, kind)(key, **kw)
+        getattr(ref, kind)(key, **kw)
+    return built.build(), ref
+
+
+def mixed_layout():
+    lay = VariableLayout()
+    lay.add_sym("X", 3)
+    lay.add_rect("Y", 2, 3)
+    lay.add_scalar("s")
+    lay.add_sym("W", 2)
+    return lay
+
+
+class TestMapBuilder:
+    def test_matches_dense_reference(self):
+        rng = np.random.default_rng(11)
+        lay = mixed_layout()
+        for _ in range(20):
+            amap, ref = build_both(random_terms(rng), 6, lay)
+            key = amap.var_idx * 36 + amap.entries
+            assert np.all(np.diff(key) > 0) and np.all(amap.coeffs != 0.0)
+            for _ in range(3):
+                z = rng.normal(size=lay.size)
+                assert np.max(np.abs(evaluate(amap, z) - ref.value(z))) <= 1e-12
+
+    def test_schur_expand_matches_dense_reference(self):
+        rng = np.random.default_rng(12)
+        lay = mixed_layout()
+        for _ in range(10):
+            e_map, e_ref = build_both(random_terms(rng), 6, lay)
+            parts = [build_both(random_terms(rng), 6, lay) for _ in range(4)]
+            lams, xs = parts[:2], parts[2:]
+            block = schur_expand(e_map, [m for m, _ in lams], [m for m, _ in xs])
+            for _ in range(3):
+                z = rng.normal(size=lay.size)
+                lam = [r.value(z) for _, r in lams]
+                x = [r.value(z) for _, r in xs]
+                zero = np.zeros((6, 6))
+                dense = np.block([[e_ref.value(z), lam[0], lam[1]], [lam[0].T, -x[0], zero], [lam[1].T, zero, -x[1]]])
+                assert np.max(np.abs(evaluate(block, z) - dense)) <= 1e-12
+
+    def test_cancelling_terms_leave_no_triples(self):
+        lay = mixed_layout()
+        amap = MapBuilder(3, lay).linear("X", coeff=0.5).linear("X", coeff=-0.5).build()
+        assert len(amap.coeffs) == len(amap.var_idx) == len(amap.entries) == 0
+
+    def test_unsorted_or_repeated_triples_rejected(self):
+        # The symmetry check pairs each entry with its transpose by search.
+        f0 = np.zeros((2, 2))
+        for entries in ([2, 1], [1, 1]):
+            with pytest.raises(ValueError, match="sorted"):
+                AffineMatrixMap(2, 1, f0, np.array(entries), np.zeros(2, dtype=int), np.ones(2))
+
+    def test_misshapen_triples_rejected(self):
+        with pytest.raises(DimensionMismatch, match="triples"):
+            AffineMatrixMap(2, 1, np.zeros((2, 2)), np.array([1, 2]), np.zeros(2, dtype=int), np.ones(3))
+
+    def test_unmirrored_non_symmetric_term_rejected(self):
+        lay = VariableLayout()
+        lay.add_sym("X", 2)
+        a = np.array([[1.0, 2.0], [0.0, 1.0]])
+        with pytest.raises(NonSymmetric):
+            MapBuilder(2, lay).linear("X", left=a).build()
 
 
 class TestSchurExpand:

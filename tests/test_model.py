@@ -12,7 +12,7 @@ from mjls.model import (
     RegionPartition,
     build_beta,
     compose_integrated,
-    generator_at,
+    mode_pairs,
     region_index,
     validate,
 )
@@ -178,12 +178,14 @@ class TestComposeIntegrated:
             assert np.min(a) >= 0.0
 
     def test_mode_index_bijection(self):
-        integ = compose_integrated(example_model())
+        model = example_model()
+        integ = compose_integrated(model)
+        pairs = mode_pairs(model)
         seen = set()
         for i1 in (1, 2):
             for i2 in (1, 2, 3):
                 i = integ.mode_index(i1, i2)
-                assert integ.mode_pair(i) == (i1, i2)
+                assert pairs[i - 1] == (i1, i2)
                 seen.add(i)
         assert seen == set(range(1, 7))
 
@@ -196,27 +198,3 @@ class TestComposeIntegrated:
                 assert part.cell_pair(m) == (m1, m2)
                 seen.add(m)
         assert seen == set(range(1, 7))
-
-
-class TestGeneratorAt:
-    def test_example_initial_conditions(self):
-        m = example_model()
-        lam, mu = generator_at(m, np.array([-6.0, 5.0]), np.array([2.0, -5.5, 8.0]))
-        # |x1|^2 = 61 >= 10 -> mu^2; |x2|^2 = 98.25 > 10 -> lambda^3.
-        assert np.allclose(lam, m.rates1.matrix(3))
-        assert np.allclose(mu, m.rates2.matrix(2))
-
-    def test_inner_region(self):
-        m = example_model()
-        lam, _ = generator_at(m, np.array([0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
-        assert np.allclose(lam, m.rates1.matrix(1))
-
-    def test_single_region_model(self):
-        m = single_mode_model()
-        lam, mu = generator_at(m, np.array([9.0]), np.array([-3.0]))
-        assert np.allclose(lam, [[0.0]])
-        assert np.allclose(mu, [[0.0]])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            generator_at(example_model(), np.array([1.0]), np.array([1.0, 2.0, 3.0]))

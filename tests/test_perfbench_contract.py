@@ -39,6 +39,11 @@ def test_traced_call_attributes(demo, demo_bank):
     maps = list(problem.neg) + list(problem.pos)
     assert all(isinstance(m.coeffs, np.ndarray) for m in maps)
     assert sum(m.coeffs.nbytes for m in maps) > 0
+    # coeff_bytes counts the triples the solver reads: one value per nonzero.
+    for m in maps:
+        assert m.coeffs.ndim == m.var_idx.ndim == m.entries.ndim == 1
+        assert len(m.coeffs) == len(m.var_idx) == len(m.entries)
+        assert m.coeffs.dtype == np.float64
     assert solve_feasibility(problem, 3).iterations == 3
     config = SimConfig(dt=1e-3, horizon=0.01)
     x1, x2 = [1.0, 0.0], [0.0, 0.0, 1.0]

@@ -23,7 +23,6 @@ from mjls.sim import (
     Periodic,
     SimConfig,
     Zero,
-    control_input,
     energy_functional,
     estimate_stability,
     sample_observation,
@@ -122,31 +121,6 @@ class TestSampleObservation:
         n = 1_000_000
         hits = sum(1 for _ in range(n) if sample_observation(rng, [0.5, 0.5]) == 1)
         assert abs(hits / n - 0.5) <= 1e-3
-
-
-class TestControlInput:
-    def test_zero_gain(self):
-        model = static_model()
-        bank = zero_bank(model)
-        assert np.array_equal(control_input(bank, 1, 1, 1, 1, [3.0]), [0.0])
-
-    def test_dot_product(self):
-        bank = ControllerBank(
-            Scheme.DISTRIBUTED, {(1, 1, (1, 1)): np.array([[-2.0, 1.0]])}, {}
-        )
-        assert np.allclose(control_input(bank, 1, 1, 1, 1, [3.0, 4.0]), [-2.0])
-
-    def test_published_gain_arithmetic(self):
-        bank = ControllerBank(
-            Scheme.DISTRIBUTED, {(1, 1, (1, 1)): np.array([[-8.638, -0.498]])}, {}
-        )
-        u = control_input(bank, 1, 1, 1, 1, [-6.0, 5.0])
-        assert np.allclose(u, [49.338], atol=1e-9)
-
-    def test_missing_gain(self):
-        bank = ControllerBank(Scheme.DISTRIBUTED, {}, {})
-        with pytest.raises(MissingGain):
-            control_input(bank, 1, 1, 1, 1, [1.0])
 
 
 class TestSimulate:
@@ -350,6 +324,22 @@ def test_bad_draw_law_rejected_before_first_step(monkeypatch, model, error):
     monkeypatch.setattr(sim, "_run", lambda *args: pytest.fail("a step ran before the draw laws were checked"))
     with pytest.raises(error):
         simulate(model, bank, SimConfig(dt=0.01, horizon=1.0), [1.0], [1.0])
+
+
+@pytest.mark.parametrize(
+    "system, region, entry, value",
+    [(1, 2, (0, 0), np.nan), (2, 1, (0, 1), np.inf)],
+    ids=["nan-diagonal", "inf-off-diagonal"],
+)
+def test_non_finite_rate_rejected(demo, demo_bank, system, region, entry, value):
+    # dt * nan > cap is False and the jump tables skip the diagonal, so a NaN
+    # there passed every check; an infinite rate read as a dt problem.
+    field = f"rates{system}"
+    matrices = [g.copy() for g in getattr(demo, field).matrices]
+    matrices[region - 1][entry] = value
+    model = dataclasses.replace(demo, **{field: RateFamily(tuple(matrices))})
+    with pytest.raises(InvalidGenerator, match=f"system {system}: rate matrix for partner region {region}"):
+        simulate(model, demo_bank, SimConfig(dt=1e-3, horizon=1.0), [1.0, 0.0], [0.0, 0.0, 1.0])
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from mjls.model import (
     ProductPartition,
     RateFamily,
     RegionPartition,
+    mode_pairs,
 )
 from mjls.synthesis import (
     Certificate,
@@ -116,6 +117,7 @@ class TestBuildFullinfo:
         assert len(a.neg) == len(b.neg) and len(a.pos) == len(b.pos)
         for ma, mb in zip(a.neg + a.pos, b.neg + b.pos):
             assert np.array_equal(ma.f0, mb.f0)
+            assert np.array_equal(ma.entries, mb.entries)
             assert np.array_equal(ma.var_idx, mb.var_idx)
             assert np.array_equal(ma.coeffs, mb.coeffs)
         assert np.array_equal(a.z0, b.z0)
@@ -272,8 +274,7 @@ class TestCertifyGains:
         for (i, m), stored in cert.psi_max.items():
             gains = {}
             cell = demo_integrated.partition.cell_pair(m)
-            for i_hat in range(1, 7):
-                i1, i2 = demo_integrated.mode_pair(i_hat)
+            for i_hat, (i1, i2) in enumerate(mode_pairs(demo), start=1):
                 g1 = demo_bank.gain(1, i1, cell)
                 g2 = demo_bank.gain(2, i2, cell)
                 g = np.zeros((2, 5))
