@@ -158,9 +158,6 @@ class ProductPartition:
     def cell_count(self) -> int:
         return self.part1.region_count * self.part2.region_count
 
-    def cell_index(self, m1: int, m2: int) -> int:
-        return (m1 - 1) * self.part2.region_count + m2
-
     def cell_pair(self, m: int) -> tuple[int, int]:
         m2 = (m - 1) % self.part2.region_count + 1
         m1 = (m - 1) // self.part2.region_count + 1
@@ -184,9 +181,6 @@ class IntegratedModel:
     @property
     def cell_count(self) -> int:
         return self.partition.cell_count
-
-    def mode_index(self, i1: int, i2: int) -> int:
-        return (i1 - 1) * self.mode_counts[1] + i2
 
 
 @dataclass(frozen=True)
@@ -379,8 +373,9 @@ def compose_integrated(model: InterdependentModel) -> IntegratedModel:
 
 
 def mode_pairs(model: InterdependentModel) -> list[tuple[int, int]]:
-    """The (mode1, mode2) pair of each joint mode; joint mode i is entry i - 1,
-    as in ``IntegratedModel.mode_index``."""
+    """The (mode1, mode2) pair of each joint mode, in row-major order: joint
+    mode i is entry i - 1, so (i1, i2) is joint mode (i1 - 1) * n2 + i2 with
+    n2 the mode count of system 2."""
     return [
         (i1, i2)
         for i1 in range(1, model.sys1.mode_count + 1)

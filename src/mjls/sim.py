@@ -14,8 +14,10 @@ is linear there and its RK4 step is exact as one matrix: x <- T4(dt A_cl) x
 plus a disturbance term (see ``_run``).  ``_prepare`` tabulates that step
 matrix for every (modes, observations, regions) the loop can be in, and
 turns every rate and emission row into a cumulative draw table; ``_run`` is
-a scalar loop of one matrix-vector product, two squared norms and a few
-table lookups per step.
+a scalar loop of one matrix-vector product and a few table lookups per
+step, with the regions held across a chunk of steps and found for the whole
+chunk at once.  ``simulate`` builds a ``Trace`` from its states and loop
+indices; ``estimate_stability`` reads the functional off the states alone.
 
 ``estimate_stability`` runs independent seeded simulations and reports the
 sample mean and standard error of the truncated energy functional
@@ -29,7 +31,6 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from operator import mul
 
 import numpy as np
 
@@ -260,7 +261,7 @@ class _Tables:
     pushes: list[np.ndarray] | None  # dt S3(dt A_cl) D amplitude of each loop; None without disturbance
     jumps: tuple[list, list]  # system k's jump tables, [partner region][mode]
     emissions: tuple[list, list]  # system k's emission tables, [own region][mode]
-    thresholds: tuple[tuple[float, ...], tuple[float, ...]]
+    thresholds: tuple[np.ndarray, np.ndarray]
     x0: np.ndarray  # joint initial state [x1; x2]
     split: tuple[int, int]  # state and input dimensions of system 1
 
@@ -331,10 +332,24 @@ def _prepare(model: InterdependentModel, bank: ControllerBank, config: SimConfig
         pushes=pushes,
         jumps=jumps,
         emissions=emissions,
-        thresholds=(model.part1.thresholds, model.part2.thresholds),
+        thresholds=(np.array(model.part1.thresholds, dtype=float), np.array(model.part2.thresholds, dtype=float)),
         x0=np.concatenate([x1, x2]),
         split=(s1.state_dim, s1.input_dim),
     )
+
+
+# Chunk lengths of the region check, in steps (see ``_run``).  A chunk
+# starts at _CHUNK_FIRST steps, doubles after each chunk that kept its
+# regions, up to _CHUNK_MAX, and starts over at _CHUNK_FIRST after a cut.
+# One check costs about as much as eight steps, and a cut redoes the steps
+# past it.  Region changes come in bursts, so short chunks after a cut and
+# long ones between bursts keep both costs low.  On demo runs from the
+# outer shells, regions change every 40 steps or so in the first second:
+# there 44 % of steps are redone and a check falls every 19 steps (60 % and
+# 22 with a first chunk of 16).  Over 10 s, 6 % are redone and a check
+# falls every 160 steps.
+_CHUNK_FIRST = 8
+_CHUNK_MAX = 1024
 
 
 def simulate(model: InterdependentModel, bank: ControllerBank, config: SimConfig, x1_0, x2_0) -> Trace:
@@ -345,96 +360,17 @@ def simulate(model: InterdependentModel, bank: ControllerBank, config: SimConfig
     mode jumps (using the regions the step started from) and refreshes the
     observations per policy.  Bit-identical for identical inputs.  The bank
     and every draw law are checked against the model before the first step.
+    A state that overflows raises NonFinite naming the time of the first
+    non-finite row.
     """
-    return _run(_prepare(model, bank, config, x1_0, x2_0), config)
-
-
-def _uniforms(rng, count: int):
-    """The generator's uniforms in order, drawn up to 4096 at a time;
-    ``rng.random(k).tolist()`` gives the doubles of k ``rng.random()`` calls."""
-    size = min(count, 4096)
-    while True:
-        yield from rng.random(size).tolist()
-
-
-def _run(tables: _Tables, config: SimConfig) -> Trace:
-    """One trajectory of the closed loops ``_prepare`` tabulated.
-
-    Within a step the loop is x' = A x + c with A = A_cl and c = D w frozen,
-    and RK4's four stages on it collapse exactly to
-    x <- T4(hA) x + h S3(hA) c, with T4(M) = I + M + M^2/2 + M^3/6 + M^4/24
-    and S3(M) = I + M/2 + M^2/6 + M^3/24 (expand k1..k4 and collect powers
-    of hA).  So a step is one product with the loop's step matrix, plus the
-    disturbance envelope times the loop's push; only the rounding differs
-    from evaluating the stages.  Each step records its loop index, from
-    which modes, observations, regions and u = G x are read after the loop.
-    """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
-    n_steps = round(config.horizon / config.dt)
-    draws = _uniforms(rng, 2 + 4 * n_steps)  # at most four draws per step
-    n1, n2, _, _, r1, r2 = tables.shape
-    steps, pushes = tables.steps, tables.pushes
-    jumps1, jumps2 = tables.jumps
-    emit1, emit2 = tables.emissions
-    t1, t2 = tables.thresholds
-    nx1, nu1 = tables.split
-    if pushes is not None:
-        dist = config.disturbance
-        t = np.arange(n_steps) * config.dt
-        envelope = (np.exp(-dist.decay * t) * np.sin(dist.frequency * t)).tolist()
-    periodic = isinstance(config.obs_policy, Periodic)
-    period_steps = max(1, round(config.obs_policy.period / config.dt)) if periodic else 0
-
-    # Regions are 0-based shell indices: the thresholds at or below |x_k|^2.
-    x = tables.x0
-    xl = x.tolist()
-    h1, h2 = xl[:nx1], xl[nx1:]
-    m1 = bisect_right(t1, sum(map(mul, h1, h1)))
-    m2 = bisect_right(t2, sum(map(mul, h2, h2)))
-    th1, th2 = config.init_modes[0] - 1, config.init_modes[1] - 1
-    ob1 = _pick(emit1[m1][th1], next(draws))
-    ob2 = _pick(emit2[m2][th2], next(draws))
-    k = ((((th1 * n2 + th2) * n1 + ob1) * n2 + ob2) * r1 + m1) * r2 + m2
-    xs, ks = [x], [k]
-
-    for n in range(1, n_steps + 1):
-        x = steps[k].dot(x)
-        if pushes is not None:
-            x += envelope[n - 1] * pushes[k]
-
-        # Jumps sample against the regions the step started from.
-        new_th1 = _pick(jumps1[m2][th1], next(draws))
-        new_th2 = _pick(jumps2[m1][th2], next(draws))
-        xl = x.tolist()
-        h1, h2 = xl[:nx1], xl[nx1:]
-        new_m1 = bisect_right(t1, sum(map(mul, h1, h1)))
-        new_m2 = bisect_right(t2, sum(map(mul, h2, h2)))
-
-        if periodic:
-            refresh1 = refresh2 = n % period_steps == 0
-        else:
-            region_changed = new_m1 != m1 or new_m2 != m2
-            refresh1 = new_th1 != th1 or region_changed
-            refresh2 = new_th2 != th2 or region_changed
-        th1, th2, m1, m2 = new_th1, new_th2, new_m1, new_m2
-        if refresh1:
-            ob1 = _pick(emit1[m1][th1], next(draws))
-        if refresh2:
-            ob2 = _pick(emit2[m2][th2], next(draws))
-
-        k = ((((th1 * n2 + th2) * n1 + ob1) * n2 + ob2) * r1 + m1) * r2 + m2
-        xs.append(x)
-        ks.append(k)
-
-    x_arr = np.array(xs)
-    if not np.all(np.isfinite(x_arr)):
-        raise NonFinite("state diverged to non-finite values during simulation")
+    tables = _prepare(model, bank, config, x1_0, x2_0)
+    x_arr, ks = _run(tables, config)
     index = np.array(ks)
+    nx1, nu1 = tables.split
     mode1, mode2, obs1, obs2, region1, region2 = (c + 1 for c in np.unravel_index(index, tables.shape))
     u_arr = np.matmul(tables.gains[index], x_arr[:, :, None])[:, :, 0]
-
     return Trace(
-        t=np.arange(n_steps + 1) * config.dt,
+        t=np.arange(len(index)) * config.dt,
         x1=x_arr[:, :nx1],
         x2=x_arr[:, nx1:],
         mode1=mode1,
@@ -448,14 +384,161 @@ def _run(tables: _Tables, config: SimConfig) -> Trace:
     )
 
 
-def energy_functional(trace: Trace, horizon: float | None = None) -> float:
-    """Trapezoidal integral of |x(t)|^2, optionally truncated at ``horizon``.
+def _regions(tables: _Tables, block: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The 0-based regions of each row of a (rows, n) block of joint states,
+    or None for a partition without thresholds: the count of thresholds at
+    or below |x_k|^2.  The squares are summed in index order, as a Python
+    ``sum`` would, so a norm on a threshold lands where ``bisect_right``
+    puts it.  A square that overflows is inf, in the outermost region."""
+    squares = (block * block).T
+    nx1 = tables.split[0]
+    regions = []
+    for t, part in zip(tables.thresholds, (squares[:nx1], squares[nx1:])):
+        if len(t) == 0:
+            regions.append(None)
+            continue
+        sq = part[0]
+        for column in part[1:]:
+            sq = sq + column
+        regions.append(t.searchsorted(sq, side="right"))
+    return regions[0], regions[1]
 
-    A horizon inside a step ends the integral on the linear interpolant of
-    |x|^2 across that step, so half of an odd number of steps is met exactly.
+
+def _check_finite(block: np.ndarray, first_step: int, dt: float) -> None:
+    """Raise NonFinite naming the time of the block's first non-finite row."""
+    finite = np.isfinite(block)
+    if not finite.all():
+        step = first_step + int(np.argmin(finite.all(axis=1)))
+        raise NonFinite(f"state diverged to non-finite values at t = {step * dt:g} (step {step})")
+
+
+def _run(tables: _Tables, config: SimConfig) -> tuple[np.ndarray, list[int]]:
+    """One trajectory of the closed loops ``_prepare`` tabulated: the joint
+    state and the loop index of every step, from which modes, observations,
+    regions and u = G x are read.
+
+    Within a step the loop is x' = A x + c with A = A_cl and c = D w frozen,
+    and RK4's four stages on it collapse exactly to
+    x <- T4(hA) x + h S3(hA) c, with T4(M) = I + M + M^2/2 + M^3/6 + M^4/24
+    and S3(M) = I + M/2 + M^2/6 + M^3/24 (expand k1..k4 and collect powers
+    of hA).  So a step is one product with the loop's step matrix, plus the
+    disturbance envelope times the loop's push; only the rounding differs
+    from evaluating the stages.
+
+    Regions are found a chunk of steps at a time.  A chunk runs with both
+    regions held at their values at its start, then finds the regions of
+    all its rows at once; the first row whose regions differ from the held
+    ones cuts it.  Holding is exact up to and including that row: its state
+    came from the previous row's loop, whose regions were the held ones,
+    and its jumps were drawn against the regions the step started from,
+    which are the held ones too.  Only its observation refresh read the
+    held regions, so it is redrawn from the same uniforms under the new
+    regions; an ``OnChange`` policy now refreshes both observations, since
+    the regions changed.  The rows past the cut are dropped, and the next
+    chunk starts from the cut row, so the uniforms are consumed exactly as
+    a per-step region check would consume them.
+
+    A chunk that holds a non-finite state raises NonFinite; numpy's overflow
+    and invalid-value warnings are silenced, since that error reports them.
     """
-    sq = np.sum(trace.x1 * trace.x1, axis=1) + np.sum(trace.x2 * trace.x2, axis=1)
-    t = trace.t
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
+    dt = config.dt
+    n_steps = round(config.horizon / dt)
+    n1, n2, _, _, r1, r2 = tables.shape
+    steps, pushes = tables.steps, tables.pushes
+    jumps1, jumps2 = tables.jumps
+    emit1, emit2 = tables.emissions
+    if pushes is not None:
+        dist = config.disturbance
+        t = np.arange(n_steps) * dt
+        envelope = (np.exp(-dist.decay * t) * np.sin(dist.frequency * t)).tolist()
+    periodic = isinstance(config.obs_policy, Periodic)
+    period_steps = max(1, round(config.obs_policy.period / dt)) if periodic else 0
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = tables.x0
+        _check_finite(x[None], 0, dt)
+        reg1, reg2 = _regions(tables, x[None])
+        m1 = 0 if reg1 is None else int(reg1[0])
+        m2 = 0 if reg2 is None else int(reg2[0])
+        th1, th2 = config.init_modes[0] - 1, config.init_modes[1] - 1
+        draws, p = rng.random(2).tolist(), 2
+        ob1 = _pick(emit1[m1][th1], draws[0])
+        ob2 = _pick(emit2[m2][th2], draws[1])
+        k = ((((th1 * n2 + th2) * n1 + ob1) * n2 + ob2) * r1 + m1) * r2 + m2
+        blocks, ks = [x[None]], [k]
+
+        n, length = 0, _CHUNK_FIRST
+        while n < n_steps:
+            length = min(length, n_steps - n)
+            if len(draws) - p < 4 * length:  # at most four draws per step
+                count = max(4 * length, min(4096, 4 * (n_steps - n)))
+                draws, p = draws[p:] + rng.random(count).tolist(), 0
+            # Regions held: each chain jumps by its partner's region, and
+            # each observation is drawn in its own system's region.
+            jump1, jump2, held1, held2 = jumps1[m2], jumps2[m1], emit1[m1], emit2[m2]
+            cell = m1 * r2 + m2
+            rows, chunk_ks, marks = [], [], []
+            for step in range(n + 1, n + length + 1):
+                x = steps[k].dot(x)
+                if pushes is not None:
+                    x += envelope[step - 1] * pushes[k]
+                new_th1 = _pick(jump1[th1], draws[p])
+                new_th2 = _pick(jump2[th2], draws[p + 1])
+                p += 2
+                marks.append(p)
+                if periodic:
+                    refresh1 = refresh2 = step % period_steps == 0
+                else:
+                    refresh1, refresh2 = new_th1 != th1, new_th2 != th2
+                th1, th2 = new_th1, new_th2
+                if refresh1:
+                    ob1 = _pick(held1[th1], draws[p])
+                    p += 1
+                if refresh2:
+                    ob2 = _pick(held2[th2], draws[p])
+                    p += 1
+                k = (((th1 * n2 + th2) * n1 + ob1) * n2 + ob2) * r1 * r2 + cell
+                rows.append(x)
+                chunk_ks.append(k)
+
+            block = np.array(rows)
+            reg1, reg2 = _regions(tables, block)
+            moved = False if reg1 is None else reg1 != m1
+            if reg2 is not None:
+                moved = moved | (reg2 != m2)
+            if np.any(moved):
+                cut = int(np.argmax(moved))
+                length = cut + 1
+                block, x = block[:length], rows[cut]
+                m1 = m1 if reg1 is None else int(reg1[cut])
+                m2 = m2 if reg2 is None else int(reg2[cut])
+                th1, th2, ob1, ob2, _, _ = (int(i) for i in np.unravel_index(chunk_ks[cut], tables.shape))
+                # The cut row's draws rewind to the end of its jump draws; a
+                # refresh there is redrawn under the new regions.
+                p = marks[cut]
+                if not periodic or (n + length) % period_steps == 0:
+                    ob1 = _pick(emit1[m1][th1], draws[p])
+                    ob2 = _pick(emit2[m2][th2], draws[p + 1])
+                    p += 2
+                k = ((((th1 * n2 + th2) * n1 + ob1) * n2 + ob2) * r1 + m1) * r2 + m2
+                chunk_ks[cut] = k
+                del chunk_ks[length:]
+                next_length = _CHUNK_FIRST
+            else:
+                next_length = min(2 * length, _CHUNK_MAX)
+            _check_finite(block, n + 1, dt)
+            blocks.append(block)
+            ks.extend(chunk_ks)
+            n += length
+            length = next_length
+
+    return np.concatenate(blocks), ks
+
+
+def _functional(sq: np.ndarray, t: np.ndarray, horizon: float | None = None) -> float:
+    """Trapezoidal integral of the squared norms ``sq`` sampled at ``t``,
+    optionally truncated at ``horizon``; see ``energy_functional``."""
     tail = 0.0
     if horizon is not None:
         k = int(np.count_nonzero(t <= horizon + 1e-12))
@@ -468,6 +551,15 @@ def energy_functional(trace: Trace, horizon: float | None = None) -> float:
     return head + float(tail)
 
 
+def energy_functional(trace: Trace, horizon: float | None = None) -> float:
+    """Trapezoidal integral of |x(t)|^2, optionally truncated at ``horizon``.
+
+    A horizon inside a step ends the integral on the linear interpolant of
+    |x|^2 across that step, so half of an odd number of steps is met exactly.
+    """
+    return _functional(np.sum(trace.x1 * trace.x1, axis=1) + np.sum(trace.x2 * trace.x2, axis=1), trace.t, horizon)
+
+
 def estimate_stability(
     model: InterdependentModel, bank: ControllerBank, config: SimConfig, n_runs: int, x1_0, x2_0
 ) -> MonteCarloReport:
@@ -476,10 +568,14 @@ def estimate_stability(
     Each run gets its own generator seeded from (config.seed, run index),
     so the report is reproducible and order-independent.  The bank is
     checked and the closed loops tabulated once, before the first run.
+    Run r's values are those of ``simulate`` under seed (config.seed, r),
+    read from the kernel's states without building a ``Trace``.
     """
     if n_runs < 1:
         raise ValueError("need at least one run")
     tables = _prepare(model, bank, config, x1_0, x2_0)
+    nx1 = tables.split[0]
+    t = np.arange(round(config.horizon / config.dt) + 1) * config.dt
     functionals = []
     halves = []
     terminals = []
@@ -487,11 +583,12 @@ def estimate_stability(
     for run in range(n_runs):
         # Composite entropy (master seed, run index) gives independent,
         # reproducible streams; SeedSequence accepts the tuple directly.
-        run_config = replace(config, seed=(config.seed, run))
-        trace = _run(tables, run_config)
-        functionals.append(energy_functional(trace))
-        halves.append(energy_functional(trace, half))
-        terminals.append(float(np.sqrt(trace.x1[-1] @ trace.x1[-1] + trace.x2[-1] @ trace.x2[-1])))
+        x_arr, _ = _run(tables, replace(config, seed=(config.seed, run)))
+        x1, x2 = x_arr[:, :nx1], x_arr[:, nx1:]
+        sq = np.sum(x1 * x1, axis=1) + np.sum(x2 * x2, axis=1)
+        functionals.append(_functional(sq, t))
+        halves.append(_functional(sq, t, half))
+        terminals.append(float(np.sqrt(x1[-1] @ x1[-1] + x2[-1] @ x2[-1])))
     return MonteCarloReport(
         runs=n_runs,
         horizon=config.horizon,

@@ -178,23 +178,14 @@ class TestComposeIntegrated:
             assert np.min(a) >= 0.0
 
     def test_mode_index_bijection(self):
+        # Joint modes are row-major: (i1, i2) is joint mode (i1 - 1) * 3 + i2.
         model = example_model()
-        integ = compose_integrated(model)
-        pairs = mode_pairs(model)
-        seen = set()
-        for i1 in (1, 2):
-            for i2 in (1, 2, 3):
-                i = integ.mode_index(i1, i2)
-                assert pairs[i - 1] == (i1, i2)
-                seen.add(i)
-        assert seen == set(range(1, 7))
+        row_major = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
+        assert mode_pairs(model) == row_major
+        assert compose_integrated(model).mode_count == len(row_major)
 
     def test_cell_index_bijection(self):
+        # Cells are row-major: (m1, m2) is cell (m1 - 1) * 3 + m2.
         part = compose_integrated(example_model()).partition
-        seen = set()
-        for m1 in (1, 2):
-            for m2 in (1, 2, 3):
-                m = part.cell_index(m1, m2)
-                assert part.cell_pair(m) == (m1, m2)
-                seen.add(m)
-        assert seen == set(range(1, 7))
+        row_major = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
+        assert [part.cell_pair(m) for m in range(1, part.cell_count + 1)] == row_major

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from mjls import sim
-from mjls.errors import InvalidGenerator, MissingGain, NotStochastic
+from mjls.errors import InvalidGenerator, MissingGain, NonFinite, NotStochastic
 from mjls.fixtures import demo_model, example_initial_state
 from mjls.model import (
     InterdependentModel,
@@ -270,23 +271,40 @@ class TestSimulate:
             assert np.linalg.norm(u[row] - expected) <= 1e-12 * np.linalg.norm(g) * np.linalg.norm(x[row])
 
 
-@pytest.mark.parametrize(
-    "run",
-    [
-        lambda model, bank, cfg: simulate(model, bank, cfg, [1.0], [0.0]),
-        lambda model, bank, cfg: estimate_stability(model, bank, cfg, 3, [1.0], [0.0]),
-    ],
-    ids=["simulate", "estimate_stability"],
-)
-def test_bank_checked_before_first_step(monkeypatch, run):
+VERBS = {
+    "simulate": simulate,
+    "estimate_stability": lambda model, bank, cfg, x1, x2: estimate_stability(model, bank, cfg, 3, x1, x2),
+}
+
+
+class KernelReached(Exception):
+    """Raised by the patched kernel in place of the first step."""
+
+
+@pytest.fixture
+def no_steps(monkeypatch):
+    """Replace the kernel both verbs run with one that raises KernelReached."""
+
+    def kernel(*args):
+        raise KernelReached
+
+    monkeypatch.setattr(sim, "_run", kernel)
+
+
+@pytest.mark.parametrize("run", VERBS.values(), ids=VERBS.keys())
+def test_bank_checked_before_first_step(no_steps, run):
     # Frozen modes and exact emissions: observation 2 is never drawn, so its
     # gain is never read; the bank is rejected all the same, before any step.
     model = static_model(n_modes1=2)
+    cfg = SimConfig(dt=0.01, horizon=1.0)
     gains = dict(zero_bank(model).gains)
+    # The complete bank reaches the patched kernel, so the verb runs its
+    # steps there and the check below is not vacuous.
+    with pytest.raises(KernelReached):
+        run(model, ControllerBank(Scheme.DISTRIBUTED, gains, {}), cfg, [1.0], [0.0])
     del gains[(1, 2, (1, 1))]
-    monkeypatch.setattr(sim, "_run", lambda *args: pytest.fail("a step ran before the bank was checked"))
     with pytest.raises(MissingGain, match="observation 2"):
-        run(model, ControllerBank(Scheme.DISTRIBUTED, gains, {}), SimConfig(dt=0.01, horizon=1.0))
+        run(model, ControllerBank(Scheme.DISTRIBUTED, gains, {}), cfg, [1.0], [0.0])
 
 
 def two_region_static_model(rates2_far=None, obs1_far=None):
@@ -316,14 +334,17 @@ def two_region_static_model(rates2_far=None, obs1_far=None):
     ],
     ids=["emission-row-sum", "negative-emission", "negative-rate"],
 )
-def test_bad_draw_law_rejected_before_first_step(monkeypatch, model, error):
+def test_bad_draw_law_rejected_before_first_step(no_steps, model, error):
     # The bad row sits in a region the trajectory never enters; it is
     # rejected all the same, before any step is taken.
     gains = {(k, i, (m1, 1)): np.zeros((1, 1)) for k in (1, 2) for i in (1, 2) for m1 in (1, 2)}
     bank = ControllerBank(Scheme.DISTRIBUTED, gains, {})
-    monkeypatch.setattr(sim, "_run", lambda *args: pytest.fail("a step ran before the draw laws were checked"))
-    with pytest.raises(error):
-        simulate(model, bank, SimConfig(dt=0.01, horizon=1.0), [1.0], [1.0])
+    cfg = SimConfig(dt=0.01, horizon=1.0)
+    for run in VERBS.values():
+        with pytest.raises(KernelReached):
+            run(two_region_static_model(), bank, cfg, [1.0], [1.0])
+        with pytest.raises(error):
+            run(model, bank, cfg, [1.0], [1.0])
 
 
 @pytest.mark.parametrize(
@@ -408,25 +429,34 @@ def reference_simulate(model, bank, config, x1_0, x2_0):
     return np.array(states), np.array(inputs), np.array(columns)
 
 
-@pytest.mark.parametrize("policy", [Periodic(1e-3), OnChange()], ids=["periodic", "onchange"])
-@pytest.mark.parametrize(
-    "disturbance",
-    [Zero(), DecayingSine(amplitude1=(2.0,), amplitude2=(-1.5,), decay=0.5, frequency=3.0)],
-    ids=["undisturbed", "decaying-sine"],
-)
-def test_simulate_matches_reference_loop(demo, demo_bank, policy, disturbance):
-    # The demo model with D = 1, so that the disturbance acts, and its rates
-    # scaled back up by 10, so that both chains jump within the horizon.
+def lively_demo(demo):
+    """The demo model with D = 1, so that a disturbance acts, and its rates
+    scaled back up by 10, so that both chains jump within a few seconds."""
+
     def with_unit_d(sys):
         return dataclasses.replace(sys, modes=tuple(ModeDynamics(m.a, m.b, np.ones_like(m.d)) for m in sys.modes))
 
-    model = dataclasses.replace(
+    return dataclasses.replace(
         demo,
         sys1=with_unit_d(demo.sys1),
         sys2=with_unit_d(demo.sys2),
         rates1=RateFamily(tuple(10.0 * g for g in demo.rates1.matrices)),
         rates2=RateFamily(tuple(10.0 * g for g in demo.rates2.matrices)),
     )
+
+
+SINE = DecayingSine(amplitude1=(2.0,), amplitude2=(-1.5,), decay=0.5, frequency=3.0)
+TRACE_FIELDS = ("t", "x1", "x2", "mode1", "mode2", "obs1", "obs2", "u1", "u2", "region1", "region2")
+
+
+# Periodic(5e-3) refreshes on every fifth step only, so regions also change
+# on steps that do not refresh.
+@pytest.mark.parametrize(
+    "policy", [Periodic(1e-3), OnChange(), Periodic(5e-3)], ids=["periodic", "onchange", "periodic-5-steps"]
+)
+@pytest.mark.parametrize("disturbance", [Zero(), SINE], ids=["undisturbed", "decaying-sine"])
+def test_simulate_matches_reference_loop(demo, demo_bank, policy, disturbance):
+    model = lively_demo(demo)
     x1_0, x2_0 = np.array([1.0, -2.5]), np.array([0.5, 1.5, -2.0])
     cfg = SimConfig(dt=1e-3, horizon=4.0, seed=0, obs_policy=policy, disturbance=disturbance)
     trace = simulate(model, demo_bank, cfg, x1_0, x2_0)
@@ -440,18 +470,93 @@ def test_simulate_matches_reference_loop(demo, demo_bank, policy, disturbance):
     assert np.all(np.linalg.norm(np.hstack([trace.u1, trace.u2]) - inputs, axis=1) <= 1e-10 * gain_scale * scale)
 
 
+@pytest.mark.parametrize("policy", [OnChange(), Periodic(5e-3)], ids=["onchange", "periodic-5-steps"])
+@pytest.mark.parametrize("disturbance", [Zero(), SINE], ids=["undisturbed", "decaying-sine"])
+def test_chunk_length_does_not_change_the_trace(monkeypatch, demo, demo_bank, policy, disturbance):
+    # Regions are checked a chunk of steps at a time, and a region change
+    # cuts the chunk.  Checking every step (chunks of 1) and checking once
+    # over the whole horizon (a cut at every change) must give the same trace.
+    model = lively_demo(demo)
+    x1_0, x2_0 = np.array([1.0, -2.5]), np.array([0.5, 1.5, -2.0])
+    cfg = SimConfig(dt=1e-3, horizon=2.0, seed=3, obs_policy=policy, disturbance=disturbance)
+    traces = []
+    for first, most in ((sim._CHUNK_FIRST, sim._CHUNK_MAX), (1, 1), (2000, 2000)):
+        monkeypatch.setattr(sim, "_CHUNK_FIRST", first)
+        monkeypatch.setattr(sim, "_CHUNK_MAX", most)
+        traces.append(simulate(model, demo_bank, cfg, x1_0, x2_0))
+    assert np.count_nonzero(np.diff(traces[0].region1)) + np.count_nonzero(np.diff(traces[0].region2)) >= 5
+    for trace in traces[1:]:
+        for name in TRACE_FIELDS:
+            assert np.array_equal(getattr(trace, name), getattr(traces[0], name)), name
+
+
+def test_horizon_shorter_than_first_chunk(demo, demo_bank):
+    # Five steps end inside the first chunk; they are the first rows of a
+    # longer run from the same seed.
+    model = lively_demo(demo)
+    x1_0, x2_0 = np.array([1.0, -2.5]), np.array([0.5, 1.5, -2.0])
+    cfg = SimConfig(dt=1e-3, horizon=1.0, seed=2, obs_policy=Periodic(2e-3), disturbance=SINE)
+    short_cfg = dataclasses.replace(cfg, horizon=0.005)
+    assert round(short_cfg.horizon / short_cfg.dt) < sim._CHUNK_FIRST
+    long, short = simulate(model, demo_bank, cfg, x1_0, x2_0), simulate(model, demo_bank, short_cfg, x1_0, x2_0)
+    assert len(short) == 6
+    for name in TRACE_FIELDS:
+        assert np.array_equal(getattr(short, name), getattr(long, name)[:6]), name
+    report = estimate_stability(model, demo_bank, short_cfg, 1, x1_0, x2_0)
+    run0 = simulate(model, demo_bank, dataclasses.replace(short_cfg, seed=(2, 0)), x1_0, x2_0)
+    assert report.functional_per_run[0] == energy_functional(run0)
+
+
+class TestDivergence:
+    """x' = 300 x from 1 at dt = 1e-3: the state overflows at t = 2.367."""
+
+    @pytest.mark.parametrize("run", VERBS.values(), ids=VERBS.keys())
+    def test_non_finite_state_raises_at_its_time(self, run):
+        model = scalar_decay_model(300.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match=r"at t = 2\.367 \(step 2367\)"):
+                run(model, zero_bank(model), SimConfig(dt=1e-3, horizon=3.0), [1.0], [1.0])
+
+    def test_overflowing_norm_is_outermost_region(self):
+        # |x1|^2 overflows to inf past about 1e154 while x1 stays finite;
+        # that state lies beyond every threshold, in region 3.
+        model = dataclasses.replace(
+            scalar_decay_model(300.0),
+            part1=RegionPartition((1.0, 1e300)),
+            rates2=RateFamily((np.zeros((1, 1)),) * 3),
+            obs1=ObservationModel((np.eye(1),) * 3),
+        )
+        gains = {(k, 1, (m1, 1)): np.zeros((1, 1)) for k in (1, 2) for m1 in (1, 2, 3)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bank = ControllerBank(Scheme.DISTRIBUTED, gains, {})
+            trace = simulate(model, bank, SimConfig(dt=1e-3, horizon=2.0), [0.5], [1.0])
+        assert np.all(np.isfinite(trace.x1))
+        beyond = np.abs(trace.x1[:, 0]) >= 1e150
+        assert beyond[-1] and np.all(trace.region1[beyond] == 3)
+        assert np.all(trace.region1[np.abs(trace.x1[:, 0]) < 1.0] == 1)
+
+
 class TestEstimateStability:
     def test_runs_are_simulate_runs(self, demo, demo_bank):
         # One kernel: run r of the report is simulate under seed (seed, r).
-        x1_0, x2_0 = example_initial_state()
-        cfg = SimConfig(dt=1e-3, horizon=0.5, seed=6, obs_policy=Periodic(1e-3))
-        report = estimate_stability(demo, demo_bank, cfg, 3, x1_0, x2_0)
-        for run in range(3):
-            trace = simulate(demo, demo_bank, dataclasses.replace(cfg, seed=(6, run)), x1_0, x2_0)
-            terminal = float(np.sqrt(trace.x1[-1] @ trace.x1[-1] + trace.x2[-1] @ trace.x2[-1]))
-            assert report.functional_per_run[run] == energy_functional(trace)
-            assert report.half_functional_per_run[run] == energy_functional(trace, 0.25)
-            assert report.terminal_norms[run] == terminal
+        # The OnChange runs start near the thresholds and cross regions.
+        cases = [
+            (Periodic(1e-3), *example_initial_state()),
+            (OnChange(), np.array([2.5, 2.2]), np.array([1.5, 1.5, 1.0])),
+        ]
+        for policy, x1_0, x2_0 in cases:
+            cfg = SimConfig(dt=1e-3, horizon=0.5, seed=6, obs_policy=policy)
+            report = estimate_stability(demo, demo_bank, cfg, 3, x1_0, x2_0)
+            for run in range(3):
+                trace = simulate(demo, demo_bank, dataclasses.replace(cfg, seed=(6, run)), x1_0, x2_0)
+                terminal = float(np.sqrt(trace.x1[-1] @ trace.x1[-1] + trace.x2[-1] @ trace.x2[-1]))
+                assert report.functional_per_run[run] == energy_functional(trace)
+                assert report.half_functional_per_run[run] == energy_functional(trace, 0.25)
+                assert report.terminal_norms[run] == terminal
+                if isinstance(policy, OnChange):
+                    assert np.any(np.diff(trace.region1) != 0) and np.any(np.diff(trace.region2) != 0)
 
     def test_half_horizon_of_odd_step_count(self):
         # x' = -x from 1 over three steps: the half functional runs to
