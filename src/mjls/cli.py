@@ -21,7 +21,7 @@ from .fileio import (
     save_report,
     write_trace_csv,
 )
-from .lmi import SolveStatus
+from .lmi import LmiProblem, LmiSolution, SolveStatus
 from .model import compose_integrated, validate
 from .sim import OnChange, Periodic, SimConfig, estimate_stability, simulate
 from .synthesis import (
@@ -129,6 +129,16 @@ def _load_valid_model(path):
     return model
 
 
+def _binding(problem: LmiProblem, sol: LmiSolution) -> str:
+    """The label and extreme eigenvalue of the constraint that misses its
+    margin by the most."""
+    misses = np.concatenate([sol.neg_margins + sol.delta, sol.delta - sol.pos_margins])
+    c = int(np.argmax(misses))
+    label = [*problem.neg_labels, *problem.pos_labels][c]
+    kind = "max" if c < len(sol.neg_margins) else "min"
+    return f"{label}, {kind} eigenvalue {sol.margins[c]:.6e}"
+
+
 def cmd_synthesize(args) -> int:
     model = _load_valid_model(args.model)
     scheme = Scheme(args.scheme)
@@ -140,6 +150,9 @@ def cmd_synthesize(args) -> int:
             f"worst violation {sol.worst_violation:.3e}"
         )
     if outcome.bank is None:
+        for label, sol, problem in zip(("problem 1", "problem 2"), outcome.solutions, outcome.problems):
+            if sol.status is not SolveStatus.FEASIBLE:
+                print(f"{label}: binding constraint {_binding(problem, sol)}")
         return (
             EXIT_INFEASIBLE
             if outcome.worst_status is SolveStatus.INFEASIBLE

@@ -15,6 +15,17 @@ coordinate triples (entry, variable, coefficient) of its nonzeros; the
 solver concatenates them into one sparse operator from ``z`` onto a flat
 vector holding every block.  It is deterministic: fixed initial point, no
 randomness, and a fixed projection order.
+
+The solver works on each block's pieces, its irreducible diagonal blocks
+after a permutation of rows and columns: the connected components of the
+graph with an edge wherever F0 or a coefficient is nonzero.  This is
+exact.  Entries outside the pieces are zero in F(z) for every z, and the
+eigenvalues of a block-diagonal matrix are those of its blocks, so each
+constraint's extreme eigenvalue is the extreme over its pieces; clipping
+eigenvalues keeps a block-diagonal matrix block-diagonal, so the cone
+projection of a block is the projection of each piece.  A Schur block
+with an empty companion (a zero transition rate) splits off its ``-X_j``
+piece this way.
 """
 
 from __future__ import annotations
@@ -361,16 +372,23 @@ def _violation(neg_margins, pos_margins, delta: float) -> float:
 
 @dataclass(frozen=True)
 class _Operator:
-    """Every constraint block as one affine map z -> F0 + L z onto a flat vector.
+    """Every constraint block, split into its pieces, as one affine map
+    z -> F0 + L z onto a flat vector.
 
-    The blocks of each dimension lie next to each other, flattened
-    row-major.  ``dims`` holds one ``(dim, span, members, neg, lo, hi)``
-    record per block dimension: the entries of the flat vector, the
-    constraint index of each block (neg maps, then pos maps), whether it is
-    a neg block, and the bounds the cone step clips its eigenvalues into.
-    L is held as COO triples: entry ``rows[t]`` gains ``vals[t] * z[cols[t]]``.
-    ``q`` and ``inv_w`` are the eigenvectors and pseudo-inverted eigenvalues
-    of the normal matrix L'L.
+    A piece is an irreducible diagonal block of a constraint: the rows and
+    columns of one connected component of the graph on the block's rows that
+    has an edge wherever F0 or a coefficient is nonzero.  Entries outside the
+    pieces are zero for every z.  Pieces are numbered in constraint order (neg
+    maps, then pos maps), so the neg pieces come first; ``first[c]`` is the
+    number of constraint c's first piece and ``first[-1]`` the piece count.
+    The pieces of each dimension lie next to each other, flattened row-major;
+    flat entry k is entry ``source[k]`` of the constraint blocks stacked in
+    constraint order.  ``dims`` holds one ``(dim, span, pieces, neg, lo, hi)``
+    record per piece dimension: the entries of the flat vector, the number of
+    each piece, whether it belongs to a neg map, and the bounds the cone step
+    clips its eigenvalues into.  L is held as COO triples: entry ``rows[t]``
+    gains ``vals[t] * z[cols[t]]``.  ``q`` and ``inv_w`` are the eigenvectors
+    and pseudo-inverted eigenvalues of the normal matrix L'L.
     """
 
     rows: np.ndarray
@@ -378,6 +396,8 @@ class _Operator:
     vals: np.ndarray
     f0: np.ndarray
     dims: list[tuple]
+    first: np.ndarray
+    source: np.ndarray
     q: np.ndarray
     inv_w: np.ndarray
 
@@ -390,16 +410,16 @@ class _Operator:
 
 
 def _operator(problem: LmiProblem) -> _Operator:
-    """The constraints as one sparse operator, in one pass over the maps."""
+    """The constraints as one sparse operator on their pieces."""
     maps = [*problem.neg, *problem.pos]
     by_dim: dict[int, list[int]] = {}
     for c, amap in enumerate(maps):
         by_dim.setdefault(amap.dim, []).append(c)
+    dim_of = np.array([amap.dim for amap in maps])
+    base = np.cumsum(dim_of**2) - dim_of**2  # each block's start, stacked in constraint order
     normal = np.zeros((problem.layout.size, problem.layout.size))
-    rows, cols, vals, f0, dims = [], [], [], [], []
-    size = 0
+    rows, cols, vals = [], [], []
     for dim, members in by_dim.items():
-        start = size
         for c in members:
             amap = maps[c]
             # The map's share of L'L, one row per variable across the whole block
@@ -408,21 +428,56 @@ def _operator(problem: LmiProblem) -> _Operator:
             gm = np.zeros((len(v), dim * dim))
             gm[t, amap.entries] = amap.coeffs
             normal[np.ix_(v, v)] += gm @ gm.T
-            rows.append(size + amap.entries)
+            rows.append(base[c] + amap.entries)
             cols.append(amap.var_idx)
             vals.append(amap.coeffs)
-            f0.append(amap.f0.ravel())
-            size += dim * dim
-        members = np.array(members)
-        neg = members < len(problem.neg)
-        lo = np.where(neg, -np.inf, problem.delta)[:, None]
-        hi = np.where(neg, -problem.delta, np.inf)[:, None]
-        dims.append((dim, slice(start, size), members, neg, lo, hi))
     w, q = np.linalg.eigh(normal)
     cutoff = max(w[-1], 0.0) * 1e-13 if len(w) else 0.0
     inv_w = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
-    rows, cols, vals, f0 = map(np.concatenate, (rows, cols, vals, f0))
-    return _Operator(rows, cols, vals, f0, dims, q, inv_w)
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    f0 = np.concatenate([amap.f0.ravel() for amap in maps])
+
+    # Each block's pieces, for all blocks of one dimension at once: the
+    # reachability closure of the block's graph, by repeated squaring.
+    linked = f0 != 0.0
+    linked[rows] = True
+    parts = {}  # the rows of each piece of the blocks that split
+    for dim, members in by_dim.items():
+        reach = linked[base[members][:, None] + np.arange(dim * dim)].reshape(-1, dim, dim)
+        reach = (reach | reach.transpose(0, 2, 1) | np.eye(dim, dtype=bool)).astype(float)
+        for _ in range((dim - 1).bit_length()):
+            reach = np.minimum(reach @ reach, 1.0)
+        root = reach.argmax(axis=2)  # the lowest row in each row's piece
+        for k in np.flatnonzero(root.any(axis=1)):
+            parts[members[k]] = [np.flatnonzero(root[k] == r) for r in np.unique(root[k])]
+    # Pieces are numbered in constraint order; a block that does not split is
+    # one piece, and only the pieces of blocks that split keep their rows.
+    counts = np.ones(len(maps), dtype=int)
+    counts[list(parts)] = [len(pieces) for pieces in parts.values()]
+    owner = np.repeat(np.arange(len(maps)), counts)
+    first = np.concatenate(([0], np.cumsum(counts)))
+    rows_of = {first[c] + k: piece for c, pieces in parts.items() for k, piece in enumerate(pieces)}
+    size = dim_of[owner]
+    size[list(rows_of)] = [len(piece) for piece in rows_of.values()]
+
+    dims, source, start = [], [], 0
+    for dim in dict.fromkeys(size.tolist()):
+        pieces = np.flatnonzero(size == dim)
+        c = owner[pieces]
+        at = base[c][:, None] + np.arange(dim * dim)
+        for k in np.flatnonzero(dim_of[c] != dim):  # pieces of blocks that split
+            r = rows_of[pieces[k]]
+            at[k] = base[c[k]] + (r[:, None] * dim_of[c[k]] + r).ravel()
+        source.append(at.ravel())
+        neg = pieces < first[len(problem.neg)]
+        lo = np.where(neg, -np.inf, problem.delta)[:, None]
+        hi = np.where(neg, -problem.delta, np.inf)[:, None]
+        dims.append((dim, slice(start, start + len(pieces) * dim * dim), pieces, neg, lo, hi))
+        start += len(pieces) * dim * dim
+    source = np.concatenate(source)
+    flat = np.empty(len(f0), dtype=int)  # every linked entry lies in a piece
+    flat[source] = np.arange(len(source))
+    return _Operator(flat[rows], cols, vals, f0[source], dims, first, source, q, inv_w)
 
 
 def solve_feasibility(problem: LmiProblem, max_iter: int = 20000) -> LmiSolution:
@@ -438,7 +493,13 @@ def solve_feasibility(problem: LmiProblem, max_iter: int = 20000) -> LmiSolution
     same two projection operators.  Each step works on one flat vector
     holding every block: the affine side applies one sparse operator and
     its adjoint, the cone side runs one batched eigendecomposition per
-    block dimension on views of that vector.
+    piece dimension on views of that vector.  Clipping each piece on its
+    own is the same iteration as clipping its whole block: the running
+    tuple starts as F(z0) and each step adds a cone projection minus an
+    affine one, both zero outside the pieces, so it stays zero there, and
+    the eigenvalues of a block are those of its pieces.  Margins are
+    tracked per piece and reduced to each constraint's extreme only for
+    the returned solution.
 
     Deterministic for fixed inputs.  Returns FEASIBLE as soon as every
     constraint satisfies its margin (within 1e-9), INFEASIBLE when the best
@@ -455,20 +516,23 @@ def solve_feasibility(problem: LmiProblem, max_iter: int = 20000) -> LmiSolution
         raise DimensionMismatch("initial point has wrong length")
     op = _operator(problem)
 
+    split = op.first[n_neg]  # the number of neg pieces
+
     def result(status, z, margins):
+        # Each constraint's margin is the extreme over its pieces.
         return LmiSolution(
             z=z,
             status=status,
             iterations=iterations,
-            neg_margins=margins[:n_neg],
-            pos_margins=margins[n_neg:],
+            neg_margins=np.maximum.reduceat(margins[:split], op.first[:n_neg]),
+            pos_margins=np.minimum.reduceat(margins[split:], op.first[n_neg:-1] - split),
             delta=delta,
             layout=problem.layout,
         )
 
     best_violation = np.inf
     best_z = z.copy()
-    best_margins = np.zeros(n_neg + len(problem.pos))
+    best_margins = np.zeros(op.first[-1])
     history: list[float] = []
 
     state = op.forward(z)  # running tuple, started on the affine set
@@ -480,10 +544,10 @@ def solve_feasibility(problem: LmiProblem, max_iter: int = 20000) -> LmiSolution
             raise NonFinite("constraint evaluation produced non-finite entries")
 
         margins = np.empty(len(best_margins))
-        for dim, span, members, neg, _, _ in op.dims:
+        for dim, span, pieces, neg, _, _ in op.dims:
             w = np.linalg.eigvalsh(shadow[span].reshape(-1, dim, dim))
-            margins[members] = np.where(neg, w[:, -1], w[:, 0])
-        violation = _violation(margins[:n_neg], margins[n_neg:], delta)
+            margins[pieces] = np.where(neg, w[:, -1], w[:, 0])
+        violation = _violation(margins[:split], margins[split:], delta)
 
         if violation < best_violation:
             best_violation = violation

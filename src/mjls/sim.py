@@ -551,13 +551,35 @@ def _functional(sq: np.ndarray, t: np.ndarray, horizon: float | None = None) -> 
     return head + float(tail)
 
 
+def _functionals(x1: np.ndarray, x2: np.ndarray, t: np.ndarray, horizons, what: str) -> list[float]:
+    """``_functional`` of |x1|^2 + |x2|^2 at each of ``horizons``.
+
+    A finite state can still have a square or an integral beyond the float
+    range (|x| above about 1e154); that raises NonFinite naming ``what`` and
+    the largest state entry, without numpy's overflow warnings.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.sum(x1 * x1, axis=1) + np.sum(x2 * x2, axis=1)
+        values = [_functional(sq, t, horizon) for horizon in horizons]
+    if not all(map(math.isfinite, values)):
+        peak = np.maximum(np.abs(x1).max(axis=1, initial=0.0), np.abs(x2).max(axis=1, initial=0.0))
+        row = int(np.argmax(peak))
+        raise NonFinite(
+            f"the energy functional of {what} exceeds the float range "
+            f"(a state entry reaches {peak[row]:.3e} at t = {t[row]:g})"
+        )
+    return values
+
+
 def energy_functional(trace: Trace, horizon: float | None = None) -> float:
     """Trapezoidal integral of |x(t)|^2, optionally truncated at ``horizon``.
 
     A horizon inside a step ends the integral on the linear interpolant of
     |x|^2 across that step, so half of an odd number of steps is met exactly.
+    A value beyond the float range raises NonFinite; it is never returned
+    as inf.
     """
-    return _functional(np.sum(trace.x1 * trace.x1, axis=1) + np.sum(trace.x2 * trace.x2, axis=1), trace.t, horizon)
+    return _functionals(trace.x1, trace.x2, trace.t, (horizon,), "the trace")[0]
 
 
 def estimate_stability(
@@ -569,7 +591,9 @@ def estimate_stability(
     so the report is reproducible and order-independent.  The bank is
     checked and the closed loops tabulated once, before the first run.
     Run r's values are those of ``simulate`` under seed (config.seed, r),
-    read from the kernel's states without building a ``Trace``.
+    read from the kernel's states without building a ``Trace``.  A run
+    whose functional exceeds the float range raises NonFinite naming the
+    run; no report then holds inf.
     """
     if n_runs < 1:
         raise ValueError("need at least one run")
@@ -585,9 +609,9 @@ def estimate_stability(
         # reproducible streams; SeedSequence accepts the tuple directly.
         x_arr, _ = _run(tables, replace(config, seed=(config.seed, run)))
         x1, x2 = x_arr[:, :nx1], x_arr[:, nx1:]
-        sq = np.sum(x1 * x1, axis=1) + np.sum(x2 * x2, axis=1)
-        functionals.append(_functional(sq, t))
-        halves.append(_functional(sq, t, half))
+        full, at_half = _functionals(x1, x2, t, (None, half), f"run {run}")
+        functionals.append(full)
+        halves.append(at_half)
         terminals.append(float(np.sqrt(x1[-1] @ x1[-1] + x2[-1] @ x2[-1])))
     return MonteCarloReport(
         runs=n_runs,

@@ -7,6 +7,8 @@ from mjls import cli
 from mjls.cli import main
 from mjls.fileio import canonical_json, load_bank, load_model, save_bank, save_model
 from mjls.fixtures import demo_path, fixture_path
+from mjls.linalg import sym_eig
+from mjls.lmi import evaluate, solve_feasibility
 from mjls.model import (
     InterdependentModel,
     JumpLinearSystem,
@@ -15,7 +17,7 @@ from mjls.model import (
     RateFamily,
     RegionPartition,
 )
-from mjls.synthesis import PSI_MARGIN, Certificate, ControllerBank, Scheme
+from mjls.synthesis import PSI_MARGIN, Certificate, ControllerBank, Scheme, build_distributed
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +107,28 @@ class TestSynthesize:
             ]
         )
         assert code in (2, 3)
+
+    def test_failed_verdict_prints_binding_constraint(self, tmp_path, capsys):
+        # Only problem 1 (system 1) fails within 1000 iterations; its binding
+        # constraint is found again by evaluating every block at the
+        # solver's best point.
+        code = main(
+            ["synthesize", str(fixture_path()), "--scheme", "distributed", "--max-iter", "1000",
+             "--out", str(tmp_path / "g.json")]
+        )
+        assert code == 3
+        binding = [l for l in capsys.readouterr().out.splitlines() if "binding constraint" in l]
+        assert len(binding) == 1 and binding[0].startswith("problem 1: binding constraint mode ")
+
+        problem = build_distributed(load_model(fixture_path()))[0]
+        sol = solve_feasibility(problem, 1000)
+        misses = [sym_eig(evaluate(m, sol.z)).max + problem.delta for m in problem.neg]
+        misses += [problem.delta - sym_eig(evaluate(m, sol.z)).min for m in problem.pos]
+        worst = int(np.argmax(misses))
+        assert worst < len(problem.neg)
+        label, eigenvalue = binding[0].removeprefix("problem 1: binding constraint ").rsplit(", max eigenvalue ", 1)
+        assert label == problem.neg_labels[worst]
+        assert abs(float(eigenvalue) - (misses[worst] - problem.delta)) <= 1e-9
 
     def test_missing_model_file(self, tmp_path, capsys):
         code = main(

@@ -404,9 +404,106 @@ class TestSolveFeasibility:
             assert abs(sym_eig(evaluate(amap, sol.z)).min - reported) <= 1e-9
 
 
+def split_problem():
+    """Blocks that split into pieces: a neg block whose 1x1 piece (row 1)
+    sits between the rows of its 2x2 piece and holds its largest eigenvalue
+    at z0, and a pos block whose 1x1 piece holds its smallest."""
+    lay = VariableLayout()
+    lay.add_sym("X", 2)
+    lay.add_sym("Y", 2)
+    lay.add_scalar("s")
+    a = np.array([[-1.0, 2.0], [0.0, -3.0]])
+    p = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])  # onto rows 0 and 2 of a 3x3 block
+    e1 = np.zeros((3, 3))
+    e1[1, 1] = 1.0
+    neg = [
+        MapBuilder(3, lay).linear("X", left=p @ a, right=p.T, mirror=True).scalar("s", -e1).const(0.8 * e1).build(),
+        MapBuilder(2, lay).linear("Y", left=a, mirror=True).build(),
+    ]
+    pos = [
+        MapBuilder(3, lay).linear("Y", left=p, right=p.T).scalar("s", e1).build(),
+        MapBuilder(2, lay).linear("X").build(),
+    ]
+    z0 = lay.pack({"X": np.eye(2), "Y": np.eye(2), "s": 0.9})
+    return LmiProblem(lay, neg, pos, delta=1e-3, z0=z0)
+
+
+def jump_problem(separate: bool):
+    """Coupled Lyapunov blocks of a three-mode jump system, Schur-expanded as
+    the synthesis builders do.  Modes 1 and 3 never jump to each other, so
+    their blocks have an empty companion and split off a -X_j piece; with
+    ``separate`` that piece is entered as a constraint of its own."""
+    a = [np.array([[0.8, 1.0], [-1.0, -0.1]]), np.array([[-1.5, 0.5], [0.0, -0.5]]), np.array([[0.0, 2.0], [-0.3, 0.7]])]
+    rates = np.array([[-3.0, 3.0, 0.0], [1.0, -2.0, 1.0], [0.0, 2.0, -2.0]])
+    lay = VariableLayout()
+    for i in range(3):
+        lay.add_sym(i, 2)
+    neg = []
+    for i in range(3):
+        e = MapBuilder(2, lay).linear(i, left=a[i], mirror=True).linear(i, coeff=rates[i, i]).build()
+        lams, xs = [], []
+        for j in (j for j in range(3) if j != i):
+            if separate and rates[i, j] == 0.0:
+                neg.append(MapBuilder(2, lay).linear(j, coeff=-1.0).build())
+                continue
+            lam = MapBuilder(2, lay)
+            if rates[i, j] > 0.0:
+                lam.linear(i, coeff=np.sqrt(rates[i, j]))
+            lams.append(lam.build())
+            xs.append(MapBuilder(2, lay).linear(j).build())
+        neg.append(schur_expand(e, lams, xs))
+    pos = [MapBuilder(2, lay).linear(i).build() for i in range(3)]
+    return LmiProblem(lay, neg, pos, delta=1e-3, z0=lay.pack({i: np.eye(2) for i in range(3)}))
+
+
+def edge_problem():
+    """An 8x8 block that is one piece only through a chain of seven links,
+    and a 3x3 block with a one-sided entry within the symmetry tolerance,
+    which still ties its row and column into one piece."""
+    lay = VariableLayout()
+    lay.add_scalar("s")
+    chain = np.diag(np.ones(7), 1) + np.diag(np.ones(7), -1) - 3.0 * np.eye(8)
+    lopsided = -np.eye(3)
+    lopsided[0, 2] = 5e-13
+    neg = [MapBuilder(8, lay).const(chain).scalar("s", np.eye(8)).build(), MapBuilder(3, lay).const(lopsided).build()]
+    return LmiProblem(lay, neg, [], delta=1e-3)
+
+
+def piece_sizes(prob):
+    return sorted((dim, len(pieces)) for dim, _, pieces, _, _, _ in _operator(prob).dims)
+
+
+class TestPieces:
+    def test_split_block_iterates_as_its_pieces(self):
+        # Clipping each piece's eigenvalues is clipping the block's: the
+        # same iteration as with the pieces entered as constraints.
+        whole, separate = jump_problem(False), jump_problem(True)
+        assert piece_sizes(whole) == piece_sizes(separate) == [(2, 5), (4, 2), (6, 1)]
+        a, b = solve_feasibility(whole, 5000), solve_feasibility(separate, 5000)
+        assert a.status is b.status is SolveStatus.FEASIBLE
+        assert a.iterations == b.iterations == 129
+        assert np.linalg.norm(a.z - b.z) <= 1e-12 * np.linalg.norm(b.z)
+
+    def test_margins_are_extremes_over_pieces(self):
+        prob = split_problem()
+        assert piece_sizes(prob) == [(1, 2), (2, 4)]
+        sol = solve_feasibility(prob, 100)
+        assert sol.status is SolveStatus.FEASIBLE
+        blocks = [evaluate(m, sol.z) for m in (*prob.neg, *prob.pos)]
+        eigs = [sym_eig(block) for block in blocks]
+        for reported, eig in zip(sol.neg_margins, eigs):
+            assert abs(reported - eig.max) <= 1e-9
+        for reported, eig in zip(sol.pos_margins, eigs[len(prob.neg) :]):
+            assert abs(reported - eig.min) <= 1e-9
+        # The extreme eigenvalue of each split block lies in its 1x1 piece.
+        assert sol.neg_margins[0] == blocks[0][1, 1] > sym_eig(blocks[0][np.ix_([0, 2], [0, 2])]).max
+        assert sol.pos_margins[0] == blocks[2][1, 1] < sym_eig(blocks[2][np.ix_([0, 2], [0, 2])]).min
+
+
 def test_operator_forward_and_adjoint():
-    # The solver's flat operator: each block of F(z) is evaluate(map, z), and
-    # L' is the adjoint of the linear part, <F(z) - F0, S> = <z, L'S>.
+    # The solver's flat operator: each constraint block of F(z), reassembled
+    # from its pieces, is evaluate(map, z), and L' is the adjoint of the
+    # linear part, <F(z) - F0, S> = <z, L'S>.
     no_vars = VariableLayout()
     bare = LmiProblem(
         no_vars,
@@ -414,18 +511,33 @@ def test_operator_forward_and_adjoint():
         [MapBuilder(1, no_vars).const([[4.0]]).build()],
         delta=1e-3,
     )
+    assert piece_sizes(edge_problem()) == [(1, 1), (2, 1), (8, 1)]
     rng = np.random.default_rng(7)
-    for prob in (mixed_problem(), bare):
+    for prob in (mixed_problem(), bare, split_problem(), jump_problem(False), edge_problem()):
         op = _operator(prob)
         maps = [*prob.neg, *prob.pos]
-        members = np.concatenate([m for _, _, m, _, _, _ in op.dims])
-        assert sorted(members) == list(range(len(maps)))
+        pieces = np.concatenate([p for _, _, p, _, _, _ in op.dims])
+        assert sorted(pieces) == list(range(op.first[-1]))
+        assert np.all(np.diff(op.first) >= 1) and op.first[0] == 0
+        for _, _, p, neg, _, _ in op.dims:
+            owner = np.searchsorted(op.first, p, side="right") - 1
+            assert np.array_equal(neg, owner < len(prob.neg))
+        assert len(np.unique(op.source)) == len(op.source) == len(op.f0)
+        starts = np.cumsum([0] + [m.dim**2 for m in maps])
+        # Every entry where F0 or a coefficient is nonzero lies in a piece.
+        covered = np.zeros(starts[-1], dtype=bool)
+        covered[op.source] = True
+        for c, amap in enumerate(maps):
+            inside = covered[starts[c] : starts[c + 1]]
+            assert inside[amap.entries].all() and inside[np.flatnonzero(amap.f0)].all()
         for _ in range(5):
             z = rng.normal(size=prob.layout.size)
             f = op.forward(z)
-            for dim, span, idx, _, _, _ in op.dims:
-                for block, c in zip(f[span].reshape(-1, dim, dim), idx):
-                    assert np.max(np.abs(block - evaluate(maps[c], z))) <= 1e-12
+            stacked = np.zeros(starts[-1])
+            stacked[op.source] = f
+            for c, amap in enumerate(maps):
+                block = stacked[starts[c] : starts[c + 1]].reshape(amap.dim, amap.dim)
+                assert np.max(np.abs(block - evaluate(amap, z))) <= 1e-12
             s = rng.normal(size=len(f))
             lhs, rhs = (f - op.f0) @ s, z @ op.adjoint(s)
             assert abs(lhs - rhs) <= 1e-12 * (np.abs(f - op.f0) @ np.abs(s))

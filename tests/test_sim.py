@@ -518,6 +518,19 @@ class TestDivergence:
             with pytest.raises(NonFinite, match=r"at t = 2\.367 \(step 2367\)"):
                 run(model, zero_bank(model), SimConfig(dt=1e-3, horizon=3.0), [1.0], [1.0])
 
+    def test_overflowing_functional_raises_naming_the_run(self):
+        # Over 2 s the state stays finite (3.7e260), but |x|^2 overflows.
+        model = scalar_decay_model(300.0)
+        cfg = SimConfig(dt=1e-3, horizon=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match=r"functional of run 0 exceeds .* 3\.656e\+260 at t = 2\)"):
+                estimate_stability(model, zero_bank(model), cfg, 1, [1.0], [1.0])
+            trace = simulate(model, zero_bank(model), cfg, [1.0], [1.0])
+            assert np.all(np.isfinite(trace.x1))
+            with pytest.raises(NonFinite, match="functional of the trace exceeds"):
+                energy_functional(trace)
+
     def test_overflowing_norm_is_outermost_region(self):
         # |x1|^2 overflows to inf past about 1e154 while x1 stays finite;
         # that state lies beyond every threshold, in region 3.

@@ -362,6 +362,24 @@ class TestCheckCorollary:
             check_corollary(demo, broken, demo_bank)
 
 
+class TestSolverParity:
+    """Statuses and iteration counts of the perfbench synthesis problems at
+    delta 1e-6.  A solver change that moves one changes the iteration, not
+    just its rounding."""
+
+    @pytest.mark.parametrize(
+        "decay, iterations",
+        [(0.0, (215, 62)), (0.5, (305, 73)), (1.0, (411, 57)), (1.5, (585, 137)), (2.0, (907, 280))],
+    )
+    def test_demo_distributed(self, demo, decay, iterations):
+        sols = [solve_feasibility(p, 20000) for p in build_distributed(demo, 1e-6, decay)]
+        assert [(s.status, s.iterations) for s in sols] == [(SolveStatus.FEASIBLE, n) for n in iterations]
+
+    def test_demo_centralized(self, demo_integrated):
+        sol = solve_feasibility(build_centralized(demo_integrated, 1e-6, 1.5), 20000)
+        assert (sol.status, sol.iterations) == (SolveStatus.FEASIBLE, 730)
+
+
 class TestPublishedExample:
     """The published example's synthesis is provably on the feasibility
     boundary once the rate matrices are repaired to valid generators (see
