@@ -8,6 +8,8 @@ recomputed certificate margin check, never on solver-internal state.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -79,7 +81,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--x2", required=True, help="comma-separated initial state of system 2")
     p_sim.add_argument("--horizon", type=float, default=10.0)
     p_sim.add_argument("--dt", type=float, default=1e-3)
-    p_sim.add_argument("--obs-policy", default="onchange", help="'onchange' or 'periodic:<seconds>'")
+    p_sim.add_argument(
+        "--obs-policy",
+        help="'onchange' or 'periodic:<seconds>' (default: periodic:<dt>, a refresh every step)",
+    )
     p_sim.add_argument("--out", required=True, help="trace CSV output path")
     p_sim.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 
@@ -91,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--x2", required=True)
     p_mc.add_argument("--horizon", type=float, default=10.0)
     p_mc.add_argument("--dt", type=float, default=1e-3)
-    p_mc.add_argument("--obs-policy", default="onchange")
+    p_mc.add_argument("--obs-policy", help="as for simulate (default: periodic:<dt>)")
     p_mc.add_argument("--out", required=True, help="report JSON output path")
     p_mc.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 
@@ -119,6 +124,16 @@ def _parse_policy(text: str):
     raise ParseError(f"--obs-policy: expected 'onchange' or 'periodic:<seconds>', got {text!r}")
 
 
+def _check_solver_flags(args) -> None:
+    """Reject solver settings that no run can honour, before any work."""
+    if args.delta is not None and not (0.0 < args.delta < math.inf):
+        raise ParseError(f"--delta: must be positive and finite, got {args.delta}")
+    if args.max_iter < 1:
+        raise ParseError(f"--max-iter: need at least one iteration, got {args.max_iter}")
+    if not math.isfinite(getattr(args, "decay", 0.0)):
+        raise ParseError(f"--decay: must be finite, got {args.decay}")
+
+
 def _load_valid_model(path):
     model = load_model(path)
     violations = validate(model)
@@ -140,6 +155,7 @@ def _binding(problem: LmiProblem, sol: LmiSolution) -> str:
 
 
 def cmd_synthesize(args) -> int:
+    _check_solver_flags(args)
     model = _load_valid_model(args.model)
     scheme = Scheme(args.scheme)
     outcome = synthesize(model, scheme, delta=args.delta, max_iter=args.max_iter, decay=args.decay)
@@ -176,6 +192,7 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    _check_solver_flags(args)
     model = _load_valid_model(args.model)
     bank = load_bank(args.gains)
     # Closed-loop form margins live on the Lyapunov scale, where the default
@@ -205,13 +222,10 @@ def _sim_inputs(args):
         raise ParseError(f"--x1: expected {model.sys1.state_dim} entries, got {len(x1)}")
     if x2.shape != (model.sys2.state_dim,):
         raise ParseError(f"--x2: expected {model.sys2.state_dim} entries, got {len(x2)}")
-    config = SimConfig(
-        dt=args.dt,
-        horizon=args.horizon,
-        seed=args.seed,
-        obs_policy=_parse_policy(args.obs_policy),
-    )
-    return model, bank, config, x1, x2
+    # dt is checked before it becomes the default observation period.
+    config = SimConfig(dt=args.dt, horizon=args.horizon, seed=args.seed)
+    policy = Periodic(config.dt) if args.obs_policy is None else _parse_policy(args.obs_policy)
+    return model, bank, dataclasses.replace(config, obs_policy=policy), x1, x2
 
 
 def cmd_simulate(args) -> int:

@@ -49,13 +49,23 @@ class ParseError(MjlsError):
 
 
 def _matrix(node, where: str) -> np.ndarray:
+    if not (
+        isinstance(node, list)
+        and node
+        and all(isinstance(row, list) and row and len(row) == len(node[0]) for row in node)
+    ):
+        raise ParseError(f"{where}: expected a nonempty rectangular matrix, given as a list of rows")
     try:
-        m = np.array(node, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: not a rectangular number matrix ({exc})") from None
-    if m.ndim != 2 or m.size == 0:
-        raise ParseError(f"{where}: expected a nonempty 2-D matrix, got shape {m.shape}")
-    return m
+        if {type(v) for row in node for v in row} <= {int, float}:
+            return np.array(node, dtype=float)
+    except OverflowError:
+        pass
+    # Entry by entry, so that the error names the entry.  Formatting every
+    # entry's name costs more than the load itself on a valid file.
+    return np.array([
+        [_number(v, f"{where}[{i}][{j}]") for j, v in enumerate(row, start=1)]
+        for i, row in enumerate(node, start=1)
+    ])
 
 
 def _require(node, key: str, where: str):
@@ -75,7 +85,10 @@ def _integer(node, key: str, where: str) -> int:
 def _number(value, where: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ParseError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{where}: integer too large for a float") from None
 
 
 def _system_from_dict(node, where: str) -> JumpLinearSystem:
@@ -101,11 +114,9 @@ def _partition_from_dict(node, where: str) -> RegionPartition:
     thresholds = _require(node, "thresholds", where)
     if not isinstance(thresholds, list):
         raise ParseError(f"{where}.thresholds: expected a list of numbers")
-    try:
-        values = tuple(float(t) for t in thresholds)
-    except (TypeError, ValueError):
-        raise ParseError(f"{where}.thresholds: entries must be numbers") from None
-    return RegionPartition(values)
+    return RegionPartition(
+        tuple(_number(t, f"{where}.thresholds[{i}]") for i, t in enumerate(thresholds, start=1))
+    )
 
 
 def _matrix_list(node, where: str) -> tuple[np.ndarray, ...]:

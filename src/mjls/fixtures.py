@@ -1,12 +1,17 @@
-"""Bundled worked-example model: two coupled jump systems, fully specified.
+"""Bundled worked-example models: two coupled jump systems, fully specified.
+
+Both models are read from the package's data files, which are their only
+copy: ``data/example_model.json`` holds the published example and
+``data/demo_model.json`` its feasible variant, whose every transition rate
+is 0.1 times the example's (the float product, so the files agree bitwise).
 
 System 1 has two modes on a 2-dimensional state, System 2 three modes on a
 3-dimensional state.  System 1's rate matrix switches with which of three
 shells |x2|^2 falls in (boundaries 5 and 10); System 2's with which of two
 shells |x1|^2 falls in (boundary 10).  Both systems are disturbance-free.
 
-Two entries of the published data set are repaired here, recorded in the
-model file's "notes" field:
+Two entries of the published data set are repaired in the example file,
+as its "notes" field records:
 
 * the lambda matrices were printed with rows like [-0.4, 0.4] whose
   off-diagonal rate is negative; each such row's signs are flipped so
@@ -22,14 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import (
-    InterdependentModel,
-    JumpLinearSystem,
-    ModeDynamics,
-    ObservationModel,
-    RateFamily,
-    RegionPartition,
-)
+from .fileio import load_model
+from .model import InterdependentModel
 
 __all__ = [
     "example_model",
@@ -38,117 +37,22 @@ __all__ = [
     "example_printed_gains",
     "fixture_path",
     "demo_path",
-    "FIXTURE_NOTES",
-    "DEMO_NOTES",
 ]
-
-FIXTURE_NOTES = (
-    "Rate matrices repaired to valid generators: lambda rows printed with "
-    "negative off-diagonal rates ([-0.4,0.4], [-0.8,0.8], [-1.2,1.2]) are "
-    "sign-flipped to [0.4,-0.4], [0.8,-0.8], [1.2,-1.2]; mu2 row 2 diagonal "
-    "set to -0.6 so the row sums to zero (printed -0.5 leaves a 0.1 surplus)."
-)
-
-A1 = [[5.0, 2.0], [2.0, 4.0]]
-B1_1 = [[1.0], [2.0]]
-B1_2 = [[2.0], [1.0]]
-
-A2_1 = [[3.0, 2.0, 4.0], [5.0, 2.0, 6.0], [-9.0, 0.0, 2.0]]
-A2_2 = [[1.0, 2.0, 3.0], [2.0, 1.0, 0.0], [5.0, 6.0, 3.0]]
-A2_3 = [[4.0, -1.0, 8.0], [5.0, 8.0, 0.0], [-1.0, 7.0, 5.0]]
-B2_1 = [[1.0], [2.0], [1.0]]
-B2_2 = [[1.0], [0.0], [1.0]]
-B2_3 = [[2.0], [1.0], [0.0]]
-
-# Sign-corrected generators (see module docstring).
-LAMBDA = [
-    [[-0.6, 0.6], [0.4, -0.4]],
-    [[-0.2, 0.2], [0.8, -0.8]],
-    [[-0.5, 0.5], [1.2, -1.2]],
-]
-MU = [
-    [[-0.8, 0.2, 0.6], [0.2, -0.9, 0.7], [0.5, 0.4, -0.9]],
-    [[-0.4, 0.2, 0.2], [0.2, -0.6, 0.4], [0.5, 0.6, -1.1]],
-]
-
-# Emission matrices, indexed by the system's own region.
-P_OBS = [
-    [[0.9, 0.1], [0.1, 0.9]],
-    [[0.7, 0.3], [0.3, 0.7]],
-]
-Q_OBS = [
-    [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
-    [[0.7, 0.2, 0.1], [0.2, 0.7, 0.1], [0.2, 0.1, 0.7]],
-    [[0.7, 0.1, 0.2], [0.1, 0.7, 0.2], [0.1, 0.2, 0.7]],
-]
-
-X1_0 = (-6.0, 5.0)
-X2_0 = (2.0, -5.5, 8.0)
 
 
 def example_model() -> InterdependentModel:
     """The bundled two-system model with repaired rate matrices."""
-    sys1 = JumpLinearSystem(
-        state_dim=2,
-        input_dim=1,
-        disturbance_dim=1,
-        modes=(
-            ModeDynamics(A1, B1_1, np.zeros((2, 1))),
-            ModeDynamics(A1, B1_2, np.zeros((2, 1))),
-        ),
-    )
-    sys2 = JumpLinearSystem(
-        state_dim=3,
-        input_dim=1,
-        disturbance_dim=1,
-        modes=(
-            ModeDynamics(A2_1, B2_1, np.zeros((3, 1))),
-            ModeDynamics(A2_2, B2_2, np.zeros((3, 1))),
-            ModeDynamics(A2_3, B2_3, np.zeros((3, 1))),
-        ),
-    )
-    return InterdependentModel(
-        sys1=sys1,
-        sys2=sys2,
-        part1=RegionPartition((10.0,)),
-        part2=RegionPartition((5.0, 10.0)),
-        rates1=RateFamily(tuple(np.array(g) for g in LAMBDA)),
-        rates2=RateFamily(tuple(np.array(g) for g in MU)),
-        obs1=ObservationModel(tuple(np.array(a) for a in P_OBS)),
-        obs2=ObservationModel(tuple(np.array(a) for a in Q_OBS)),
-    )
-
-
-def example_initial_state() -> tuple[np.ndarray, np.ndarray]:
-    """Initial conditions used by the published simulation figures."""
-    return np.array(X1_0), np.array(X2_0)
-
-
-DEMO_NOTES = (
-    "Same dynamics, partitions and observation matrices as the published "
-    "example, with every transition rate scaled by 0.1.  The published "
-    "rates make System 1's synthesis problem sit exactly on the "
-    "feasibility boundary (provably no strictly feasible point exists); "
-    "the scaled rates leave a usable margin, so this model demonstrates "
-    "the full synthesize/certify/simulate pipeline."
-)
-
-DEMO_RATE_SCALE = 0.1
+    return load_model(fixture_path())
 
 
 def demo_model() -> InterdependentModel:
     """Feasible variant of the example: transition rates scaled by 0.1."""
-    base = example_model()
-    return InterdependentModel(
-        sys1=base.sys1,
-        sys2=base.sys2,
-        part1=base.part1,
-        part2=base.part2,
-        rates1=RateFamily(tuple(DEMO_RATE_SCALE * g for g in base.rates1.matrices)),
-        rates2=RateFamily(tuple(DEMO_RATE_SCALE * g for g in base.rates2.matrices)),
-        obs1=base.obs1,
-        obs2=base.obs2,
-    )
+    return load_model(demo_path())
+
+
+def example_initial_state() -> tuple[np.ndarray, np.ndarray]:
+    """Initial conditions used by the published simulation figures."""
+    return np.array([-6.0, 5.0]), np.array([2.0, -5.5, 8.0])
 
 
 def example_printed_gains() -> dict[tuple[int, int, tuple[int, int]], np.ndarray]:

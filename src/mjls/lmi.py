@@ -325,7 +325,7 @@ class LmiProblem:
     pos_labels: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.delta <= 0.0:
+        if not self.delta > 0.0:
             raise ValueError("margin delta must be positive")
         if not (self.neg or self.pos):
             raise ValueError("a problem needs at least one constraint")

@@ -678,6 +678,8 @@ def check_corollary(
     a fresh ``certify_gains`` search when the candidate misses the margin
     or either certificate is absent.
     """
+    if not delta > 0.0:
+        raise ValueError("margin delta must be positive")
     integ = compose_integrated(model)
     gains = {key: g for key, g in bank1.gains.items() if key[0] != 2}
     gains.update((key, g) for key, g in bank2.gains.items() if key[0] == 2)

@@ -216,6 +216,49 @@ class TestFlags:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "verb, flags, message",
+        [
+            *(
+                (verb, flags, message)
+                for verb in ("synthesize", "certify")
+                for flags, message in [
+                    (["--delta", "0"], "--delta: must be positive and finite, got 0.0"),
+                    (["--delta=-1e6"], "--delta: must be positive and finite, got -1000000.0"),
+                    (["--delta", "nan"], "--delta: must be positive and finite, got nan"),
+                    (["--delta", "inf"], "--delta: must be positive and finite, got inf"),
+                    (["--max-iter", "0"], "--max-iter: need at least one iteration, got 0"),
+                    (["--max-iter", "-5"], "--max-iter: need at least one iteration, got -5"),
+                ]
+            ),
+            *(("synthesize", [f"--decay={v}"], f"--decay: must be finite, got {v}") for v in ("nan", "inf", "-inf")),
+        ],
+    )
+    def test_bad_solver_flags_rejected_before_any_work(self, tmp_path, capsys, verb, flags, message):
+        # The model path does not exist, so only a check made before the
+        # model is read can produce the flag's message.
+        model = str(tmp_path / "absent.json")
+        argv = {
+            "synthesize": ["synthesize", model, "--scheme", "distributed", "--out", str(tmp_path / "g.json")],
+            "certify": ["certify", model, str(tmp_path / "g.json")],
+        }[verb]
+        assert main([*argv, *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_negative_delta_does_not_certify_zero_gains(self, tmp_path, demo_gains_file, capsys):
+        # Zero gains carrying a distributed bank's certificate: the
+        # block-diagonal candidate clears any negative margin.
+        doc = json.loads(demo_gains_file.read_text())
+        for entry in doc["gains"]:
+            entry["G"] = np.zeros_like(entry["G"]).tolist()
+        gains = tmp_path / "zero_certified.json"
+        gains.write_text(canonical_json(doc))
+        code = main(["certify", str(demo_path()), str(gains), "--delta=-1e6"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "--delta" in captured.err
+        assert "certified: yes" not in captured.out
+
 
 def _add_unused_entry(doc):
     doc.pop("certificate")  # its margin count would no longer match the gains
@@ -279,6 +322,22 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert code == 1
         assert "need dt <=" in captured.err
+
+    @pytest.mark.parametrize("verb", ["simulate", "montecarlo"])
+    def test_default_policy_refreshes_every_step(self, tmp_path, demo_gains_file, verb):
+        # The default is periodic:<dt>, the policy the certificates cover;
+        # onchange stays behind the flag and gives another output.
+        argv = [verb, str(demo_path()), str(demo_gains_file), "--x1=-6,5", "--x2=2,-5.5,8",
+                "--horizon", "1", "--dt", "0.002", "--seed", "3"]
+        if verb == "montecarlo":
+            argv += ["--runs", "2"]
+        outs = []
+        for name, flags in [("default", []), ("periodic", ["--obs-policy", "periodic:0.002"]),
+                            ("onchange", ["--obs-policy", "onchange"])]:
+            out = tmp_path / name
+            assert main([*argv, *flags, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] != outs[2]
 
     def test_wrong_state_dimension(self, tmp_path, demo_gains_file, capsys):
         code = main(

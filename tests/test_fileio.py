@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -31,12 +32,32 @@ class TestModelFiles:
     def test_bundled_files_are_canonical(self):
         # The shipped bytes equal the canonical serialization of their own
         # parse, so the files hash identically across platforms.
-        import json
-
         for path in (fixture_path(), demo_path()):
             raw = path.read_text()
             doc = json.loads(raw)
             assert canonical_json(doc) == raw
+
+    def test_example_carries_both_repairs(self):
+        doc = json.loads(fixture_path().read_text())
+        # lambda rows printed [-0.4, 0.4], [-0.8, 0.8], [-1.2, 1.2] are
+        # sign-flipped; the first rows were printed as valid generators.
+        printed_second_rows = [[-0.4, 0.4], [-0.8, 0.8], [-1.2, 1.2]]
+        assert [g[1] for g in doc["rates1"]] == [[-a for a in row] for row in printed_second_rows]
+        assert [g[0] for g in doc["rates1"]] == [[-0.6, 0.6], [-0.2, 0.2], [-0.5, 0.5]]
+        # mu^2 row 2 was printed [0.2, -0.5, 0.4]; its diagonal is -0.6.
+        assert doc["rates2"][1][1] == [0.2, -0.6, 0.4]
+        assert sum(doc["rates2"][1][1]) == pytest.approx(0.0, abs=1e-15)
+        assert validate(model_from_dict(doc)) == []
+
+    def test_demo_is_example_with_rates_scaled(self):
+        example = json.loads(fixture_path().read_text())
+        demo = json.loads(demo_path().read_text())
+        for key in ("rates1", "rates2"):
+            scaled = [0.1 * np.array(g) for g in example.pop(key)]
+            got = [np.array(g) for g in demo.pop(key)]
+            assert [g.tobytes() for g in got] == [g.tobytes() for g in scaled]
+        assert example.pop("notes") and demo.pop("notes")
+        assert demo == example
 
     def test_round_trip_identity(self, tmp_path):
         model = load_model(fixture_path())
@@ -64,6 +85,31 @@ class TestModelFiles:
         raw["rates1"][0][0] = [1.0, 2.0, 3.0]  # ragged row
         with pytest.raises(ParseError, match="rates1"):
             model_from_dict(raw)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["system1"]["modes"][0].update(A=[["5", 2.0], [2.0, 4.0]]),
+         "system1.modes[1].A[1][1]: expected a number, got '5'"),
+        (lambda d: d["system1"]["modes"][0].update(A=[[5.0, 2.0], [True, 4.0]]),
+         "system1.modes[1].A[2][1]: expected a number, got True"),
+        (lambda d: d["system2"]["modes"][2].update(B=[[2.0], [1.0], [None]]),
+         "system2.modes[3].B[3][1]: expected a number, got None"),
+        (lambda d: d["rates2"][1].__setitem__(0, [[-0.4], 0.2, 0.2]),
+         "rates2[2][1][1]: expected a number, got [-0.4]"),
+        (lambda d: d["obs1"].__setitem__(0, 0.9), "obs1[1]: expected a nonempty rectangular matrix"),
+        (lambda d: d["obs1"].__setitem__(0, [[]]), "obs1[1]: expected a nonempty rectangular matrix"),
+        (lambda d: d["partition2"].update(thresholds=["5", True]),
+         "partition2.thresholds[1]: expected a number, got '5'"),
+        (lambda d: d["partition2"].update(thresholds=[5.0, True]),
+         "partition2.thresholds[2]: expected a number, got True"),
+        (lambda d: d["partition1"].update(thresholds=[10**400]),
+         "partition1.thresholds[1]: integer too large for a float"),
+        (lambda d: d["obs2"][2][0].__setitem__(1, 10**400), "obs2[3][1][2]: integer too large for a float"),
+    ])
+    def test_non_number_entries_rejected(self, edit, message):
+        doc = json.loads(fixture_path().read_text())
+        edit(doc)
+        with pytest.raises(ParseError, match=re.escape(message)):
+            model_from_dict(doc)
 
 
 class TestGainFiles:
@@ -121,6 +167,16 @@ class TestGainFiles:
         with pytest.raises(ParseError, match=rf"gains\[1\]\.{field}: expected an integer"):
             bank_from_dict({"scheme": "distributed", "gains": [entry]})
 
+    @pytest.mark.parametrize("value, message", [
+        ([["0.5", 1.0]], "gains[1].G[1][1]: expected a number, got '0.5'"),
+        ([[0.5, True]], "gains[1].G[1][2]: expected a number, got True"),
+        ([[0.5], [1.0, 2.0]], "gains[1].G: expected a nonempty rectangular matrix"),
+    ])
+    def test_non_number_gain_rejected(self, value, message):
+        entry = {"system": 1, "observation": 1, "region1": 1, "region2": 1, "G": value}
+        with pytest.raises(ParseError, match=re.escape(message)):
+            bank_from_dict({"scheme": "distributed", "gains": [entry]})
+
     @pytest.mark.parametrize("field, value, message", [
         ("certified", "no", "certificate.certified: expected a boolean, got 'no'"),
         ("certified", 1, "certificate.certified: expected a boolean"),
@@ -129,6 +185,8 @@ class TestGainFiles:
         ("margins", ["0.5"], "certificate.margins[1]: expected a number"),
         ("margins", [False], "certificate.margins[1]: expected a number"),
         ("margins", "0.5", "certificate.margins: expected a list"),
+        ("P", [[["1.0"]]], "certificate.P[1][1][1]: expected a number, got '1.0'"),
+        ("P", [[[False]]], "certificate.P[1][1][1]: expected a number, got False"),
     ])
     def test_certificate_field_types_checked(self, field, value, message):
         cert = {"P": [[[1.0]]], "margins": [0.5], "delta": 1e-8, "certified": True, field: value}

@@ -306,6 +306,11 @@ class TestSolveFeasibility:
         with pytest.raises(ValueError, match="at least one constraint"):
             LmiProblem(VariableLayout(), [], [], delta=0.1)
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan")])
+    def test_non_positive_margin_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            scalar_problem(delta)
+
     def test_one_dimensional(self):
         sol = solve_feasibility(scalar_problem(0.5), 100)
         assert sol.status is SolveStatus.FEASIBLE

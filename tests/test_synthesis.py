@@ -361,6 +361,15 @@ class TestCheckCorollary:
         with pytest.raises(MissingGain):
             check_corollary(demo, broken, demo_bank)
 
+    @pytest.mark.parametrize("delta", [0.0, -1e6])
+    def test_non_positive_margin_rejected(self, demo, demo_bank, delta):
+        # The block-diagonal candidate builds no LmiProblem, so without its
+        # own check every form would clear a negative margin.
+        zero = {key: np.zeros_like(g) for key, g in demo_bank.gains.items()}
+        bank = ControllerBank(Scheme.DISTRIBUTED, zero, demo_bank.certificates)
+        with pytest.raises(ValueError, match="delta must be positive"):
+            check_corollary(demo, bank, bank, delta=delta)
+
 
 class TestSolverParity:
     """Statuses and iteration counts of the perfbench synthesis problems at
