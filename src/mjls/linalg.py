@@ -67,19 +67,19 @@ class SymEig:
         return float(self.eigenvalues[-1])
 
 
-def sym_eig(m, sym_tol: float = _SYM_TOL) -> SymEig:
+def sym_eig(m) -> SymEig:
     """Full eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
 
     Raises NonSymmetric if ``m`` deviates from symmetry by more than
-    ``sym_tol`` (absolute) and NonFinite on NaN/Inf input.  The input is
+    ``_SYM_TOL`` (absolute) and NonFinite on NaN/Inf input.  The input is
     symmetrised before the decomposition, so both triangles count.
     """
     a = as_matrix(m)
     require_finite(a, "sym_eig input")
     _require_square(a, "sym_eig input")
-    if a.size and np.max(np.abs(a - a.T)) > sym_tol:
+    if a.size and np.max(np.abs(a - a.T)) > _SYM_TOL:
         raise NonSymmetric(
-            f"matrix is not symmetric within {sym_tol:g} "
+            f"matrix is not symmetric within {_SYM_TOL:g} "
             f"(deviation {np.max(np.abs(a - a.T)):.3e})"
         )
     w, v = np.linalg.eigh(0.5 * (a + a.T))

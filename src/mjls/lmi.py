@@ -222,13 +222,12 @@ class MapBuilder:
         if at[0] + shape[0] > self.dim or at[1] + shape[1] > self.dim:
             raise DimensionMismatch(f"term of shape {shape} at {at} exceeds block dim {self.dim}")
 
-    def const(self, m, at=(0, 0), mirror=False):
+    def const(self, m):
+        """Adds the constant m at the top-left corner."""
         m = np.asarray(m, dtype=float)
-        self._fit(m.shape, at)
-        (r, c), (rows, cols) = at, m.shape
-        self._f0[r : r + rows, c : c + cols] += m
-        if mirror:
-            self._f0[c : c + cols, r : r + rows] += m.T
+        self._fit(m.shape, (0, 0))
+        rows, cols = m.shape
+        self._f0[:rows, :cols] += m
         return self
 
     def linear(self, key, left=None, right=None, coeff=1.0, at=(0, 0), mirror=False):
@@ -410,7 +409,8 @@ class _Operator:
 
 
 def _operator(problem: LmiProblem) -> _Operator:
-    """The constraints as one sparse operator on their pieces."""
+    """The constraints as one sparse operator on their pieces; a block that
+    does not split is one piece holding all its rows."""
     maps = [*problem.neg, *problem.pos]
     by_dim: dict[int, list[int]] = {}
     for c, amap in enumerate(maps):
@@ -441,34 +441,25 @@ def _operator(problem: LmiProblem) -> _Operator:
     # reachability closure of the block's graph, by repeated squaring.
     linked = f0 != 0.0
     linked[rows] = True
-    parts = {}  # the rows of each piece of the blocks that split
+    parts = [None] * len(maps)  # the rows of each constraint's pieces
     for dim, members in by_dim.items():
         reach = linked[base[members][:, None] + np.arange(dim * dim)].reshape(-1, dim, dim)
         reach = (reach | reach.transpose(0, 2, 1) | np.eye(dim, dtype=bool)).astype(float)
         for _ in range((dim - 1).bit_length()):
             reach = np.minimum(reach @ reach, 1.0)
         root = reach.argmax(axis=2)  # the lowest row in each row's piece
-        for k in np.flatnonzero(root.any(axis=1)):
-            parts[members[k]] = [np.flatnonzero(root[k] == r) for r in np.unique(root[k])]
-    # Pieces are numbered in constraint order; a block that does not split is
-    # one piece, and only the pieces of blocks that split keep their rows.
-    counts = np.ones(len(maps), dtype=int)
-    counts[list(parts)] = [len(pieces) for pieces in parts.values()]
-    owner = np.repeat(np.arange(len(maps)), counts)
-    first = np.concatenate(([0], np.cumsum(counts)))
-    rows_of = {first[c] + k: piece for c, pieces in parts.items() for k, piece in enumerate(pieces)}
-    size = dim_of[owner]
-    size[list(rows_of)] = [len(piece) for piece in rows_of.values()]
+        for c, r in zip(members, root):
+            parts[c] = [np.flatnonzero(r == i) for i in np.unique(r)]
+    # Pieces are numbered in constraint order, each with its entries of the
+    # stacked blocks, and grouped by size in order of first use.
+    first = np.cumsum([0] + [len(pieces) for pieces in parts])
+    at = [base[c] + (r[:, None] * dim_of[c] + r).ravel() for c, pieces in enumerate(parts) for r in pieces]
+    size = np.array([len(r) for pieces in parts for r in pieces])
 
     dims, source, start = [], [], 0
     for dim in dict.fromkeys(size.tolist()):
         pieces = np.flatnonzero(size == dim)
-        c = owner[pieces]
-        at = base[c][:, None] + np.arange(dim * dim)
-        for k in np.flatnonzero(dim_of[c] != dim):  # pieces of blocks that split
-            r = rows_of[pieces[k]]
-            at[k] = base[c[k]] + (r[:, None] * dim_of[c[k]] + r).ravel()
-        source.append(at.ravel())
+        source += [at[i] for i in pieces]
         neg = pieces < first[len(problem.neg)]
         lo = np.where(neg, -np.inf, problem.delta)[:, None]
         hi = np.where(neg, -problem.delta, np.inf)[:, None]

@@ -45,6 +45,7 @@ __all__ = [
 _GEN_TOL = 1e-12
 _STOCH_TOL = 1e-12
 _BETA_TOL = 1e-8
+_COND_LIMIT = 1e6  # below it, build_beta inverts exactly and validate checks beta alpha = I
 
 
 @dataclass(frozen=True)
@@ -302,7 +303,7 @@ def validate(model: InterdependentModel) -> list[Violation]:
                     out.append(
                         Violation(f"{path}[{m_idx}].beta", f"alpha*beta*alpha deviates from alpha by {resid:.3e} (> {_BETA_TOL:g})")
                     )
-                if cond(a) < 1e6:
+                if cond(a) < _COND_LIMIT:
                     left = np.max(np.abs(beta @ a - np.eye(sys.mode_count)))
                     if left > _BETA_TOL:
                         out.append(
@@ -323,12 +324,12 @@ def region_index(partition: RegionPartition, x) -> int:
     return partition.region_count
 
 
-def build_beta(alpha, tol: float = 1e-6) -> np.ndarray:
+def build_beta(alpha) -> np.ndarray:
     """Inverse of a row-stochastic matrix, or its pseudo-inverse when singular.
 
     The exact inverse is used whenever the condition number stays below
-    1/tol; beyond that the SVD pseudo-inverse takes over so that nearly
-    singular emissions degrade gracefully instead of blowing up gains.
+    ``_COND_LIMIT``; beyond that the SVD pseudo-inverse takes over so that
+    nearly singular emissions degrade gracefully instead of blowing up gains.
     """
     a = as_matrix(alpha)
     if a.shape[0] != a.shape[1]:
@@ -337,7 +338,7 @@ def build_beta(alpha, tol: float = 1e-6) -> np.ndarray:
         raise NotStochastic("entries must lie in [0, 1]")
     if np.max(np.abs(a.sum(axis=1) - 1.0)) > 1e-9:
         raise NotStochastic("rows must sum to 1")
-    if cond(a) < 1.0 / max(tol, 1e-300):
+    if cond(a) < _COND_LIMIT:
         # Well-conditioned: exact inverse via the pseudo-inverse with no
         # cutoff active (all singular values retained).
         return pinv(a, tol=0.0)

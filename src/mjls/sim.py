@@ -34,8 +34,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidGenerator, NonFinite, NotStochastic
-from .model import InterdependentModel, joint_system
+from .errors import DimensionMismatch, InvalidGenerator, InvalidModel, NonFinite, NotStochastic
+from .model import InterdependentModel, joint_system, validate
 from .synthesis import ControllerBank, Scheme, check_bank
 
 __all__ = [
@@ -77,9 +77,6 @@ class Periodic:
 class Zero:
     """No disturbance."""
 
-    def value(self, t: float, system: int) -> float:
-        return 0.0
-
 
 @dataclass(frozen=True)
 class DecayingSine:
@@ -109,13 +106,26 @@ class SimConfig:
     init_modes: tuple[int, int] = (1, 1)
 
     def __post_init__(self):
+        if isinstance(self.seed, int) and self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (math.isfinite(self.horizon) and self.horizon >= 0.0):
             raise ValueError(f"horizon must be nonnegative and finite, got {self.horizon}")
-        steps = self.horizon / self.dt
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+        if _steps(self.horizon, self.dt) is None:
             raise ValueError(f"horizon must be a whole number of steps of dt {self.dt}, got {self.horizon}")
+        if isinstance(self.obs_policy, Periodic) and not _steps(self.obs_policy.period, self.dt):
+            raise ValueError(
+                f"observation period must be a positive whole number of steps of dt {self.dt}, "
+                f"got {self.obs_policy.period}"
+            )
+
+
+def _steps(span: float, dt: float) -> int | None:
+    """The number of steps of ``dt`` in ``span``, or None when it is not a
+    whole number (within a relative 1e-9)."""
+    steps = span / dt
+    return round(steps) if abs(steps - round(steps)) <= 1e-9 * max(1.0, steps) else None
 
 
 @dataclass(frozen=True)
@@ -276,7 +286,8 @@ def _prepare(model: InterdependentModel, bank: ControllerBank, config: SimConfig
     mode in force whatever was observed.  The step matrices of all loops
     come from a few matrix products on the stacked (loops, n, n) array.
     Every rate and emission row becomes a draw table here, so a bad row is
-    rejected even in a region the run never enters.
+    rejected even in a region the run never enters; a model that
+    ``validate`` rejects is then refused with InvalidModel.
     """
     check_dt(model, config.dt)
     dt = config.dt
@@ -300,6 +311,10 @@ def _prepare(model: InterdependentModel, bank: ControllerBank, config: SimConfig
         [[_emission_row(model.obs1.alpha(m)[i]) for i in range(n1)] for m in range(1, r1 + 1)],
         [[_emission_row(model.obs2.alpha(m)[i]) for i in range(n2)] for m in range(1, r2 + 1)],
     )
+    # The draw tables skip the diagonal rates, which only validate checks.
+    violations = validate(model)
+    if violations:
+        raise InvalidModel(violations)
 
     system = joint_system(model)
     joint = check_bank(model, bank).gains
@@ -358,8 +373,9 @@ def simulate(model: InterdependentModel, bank: ControllerBank, config: SimConfig
     Each iteration freezes the rates, gains and disturbance at the current
     step's values, advances the joint state one RK4 step, then samples the
     mode jumps (using the regions the step started from) and refreshes the
-    observations per policy.  Bit-identical for identical inputs.  The bank
-    and every draw law are checked against the model before the first step.
+    observations per policy.  Bit-identical for identical inputs.  The
+    model is validated, and the bank and every draw law are checked against
+    it, before the first step.
     A state that overflows raises NonFinite naming the time of the first
     non-finite row.
     """
@@ -384,18 +400,18 @@ def simulate(model: InterdependentModel, bank: ControllerBank, config: SimConfig
     )
 
 
-def _regions(tables: _Tables, block: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """The 0-based regions of each row of a (rows, n) block of joint states,
-    or None for a partition without thresholds: the count of thresholds at
-    or below |x_k|^2.  The squares are summed in index order, as a Python
-    ``sum`` would, so a norm on a threshold lands where ``bisect_right``
-    puts it.  A square that overflows is inf, in the outermost region."""
+def _regions(tables: _Tables, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 0-based regions of each row of a (rows, n) block of joint states:
+    the count of thresholds at or below |x_k|^2, so 0 for a partition without
+    thresholds.  The squares are summed in index order, as a Python ``sum``
+    would, so a norm on a threshold lands where ``bisect_right`` puts it.  A
+    square that overflows is inf, in the outermost region."""
     squares = (block * block).T
     nx1 = tables.split[0]
     regions = []
     for t, part in zip(tables.thresholds, (squares[:nx1], squares[nx1:])):
         if len(t) == 0:
-            regions.append(None)
+            regions.append(np.zeros(len(block), dtype=int))
             continue
         sq = part[0]
         for column in part[1:]:
@@ -436,14 +452,16 @@ def _run(tables: _Tables, config: SimConfig) -> tuple[np.ndarray, list[int]]:
     regions; an ``OnChange`` policy now refreshes both observations, since
     the regions changed.  The rows past the cut are dropped, and the next
     chunk starts from the cut row, so the uniforms are consumed exactly as
-    a per-step region check would consume them.
+    a per-step region check would consume them.  Row 0 is the cut row of a
+    first chunk of one row, with no regions held, so its observations are
+    drawn there as the refresh of step 0.
 
     A chunk that holds a non-finite state raises NonFinite; numpy's overflow
     and invalid-value warnings are silenced, since that error reports them.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     dt = config.dt
-    n_steps = round(config.horizon / dt)
+    n_steps = _steps(config.horizon, dt)
     n1, n2, _, _, r1, r2 = tables.shape
     steps, pushes = tables.steps, tables.pushes
     jumps1, jumps2 = tables.jumps
@@ -453,24 +471,45 @@ def _run(tables: _Tables, config: SimConfig) -> tuple[np.ndarray, list[int]]:
         t = np.arange(n_steps) * dt
         envelope = (np.exp(-dist.decay * t) * np.sin(dist.frequency * t)).tolist()
     periodic = isinstance(config.obs_policy, Periodic)
-    period_steps = max(1, round(config.obs_policy.period / dt)) if periodic else 0
+    period_steps = _steps(config.obs_policy.period, dt) if periodic else 0
 
+    th1, th2 = config.init_modes[0] - 1, config.init_modes[1] - 1
+    rows, chunk_ks, marks = [tables.x0], [(th1 * n2 + th2) * n1 * n2 * r1 * r2], [0]
+    m1 = m2 = -1
+    draws, p = rng.random(2).tolist(), 0
+    blocks, ks = [], []
+    n, length = -1, 1
     with np.errstate(over="ignore", invalid="ignore"):
-        x = tables.x0
-        _check_finite(x[None], 0, dt)
-        reg1, reg2 = _regions(tables, x[None])
-        m1 = 0 if reg1 is None else int(reg1[0])
-        m2 = 0 if reg2 is None else int(reg2[0])
-        th1, th2 = config.init_modes[0] - 1, config.init_modes[1] - 1
-        draws, p = rng.random(2).tolist(), 2
-        ob1 = _pick(emit1[m1][th1], draws[0])
-        ob2 = _pick(emit2[m2][th2], draws[1])
-        k = ((((th1 * n2 + th2) * n1 + ob1) * n2 + ob2) * r1 + m1) * r2 + m2
-        blocks, ks = [x[None]], [k]
-
-        n, length = 0, _CHUNK_FIRST
-        while n < n_steps:
-            length = min(length, n_steps - n)
+        while True:
+            block = np.array(rows)
+            reg1, reg2 = _regions(tables, block)
+            moved = (reg1 != m1) | (reg2 != m2)
+            if moved.any():
+                cut = int(np.argmax(moved))
+                length = cut + 1
+                block, x = block[:length], rows[cut]
+                m1, m2 = int(reg1[cut]), int(reg2[cut])
+                th1, th2, ob1, ob2, _, _ = (int(i) for i in np.unravel_index(chunk_ks[cut], tables.shape))
+                # The cut row's draws rewind to the end of its jump draws; a
+                # refresh there is redrawn under the new regions.
+                p = marks[cut]
+                if not periodic or (n + length) % period_steps == 0:
+                    ob1 = _pick(emit1[m1][th1], draws[p])
+                    ob2 = _pick(emit2[m2][th2], draws[p + 1])
+                    p += 2
+                k = ((((th1 * n2 + th2) * n1 + ob1) * n2 + ob2) * r1 + m1) * r2 + m2
+                chunk_ks[cut] = k
+                del chunk_ks[length:]
+                next_length = _CHUNK_FIRST
+            else:
+                next_length = min(2 * length, _CHUNK_MAX)
+            _check_finite(block, n + 1, dt)
+            blocks.append(block)
+            ks.extend(chunk_ks)
+            n += length
+            if n == n_steps:
+                break
+            length = min(next_length, n_steps - n)
             if len(draws) - p < 4 * length:  # at most four draws per step
                 count = max(4 * length, min(4096, 4 * (n_steps - n)))
                 draws, p = draws[p:] + rng.random(count).tolist(), 0
@@ -501,37 +540,6 @@ def _run(tables: _Tables, config: SimConfig) -> tuple[np.ndarray, list[int]]:
                 k = (((th1 * n2 + th2) * n1 + ob1) * n2 + ob2) * r1 * r2 + cell
                 rows.append(x)
                 chunk_ks.append(k)
-
-            block = np.array(rows)
-            reg1, reg2 = _regions(tables, block)
-            moved = False if reg1 is None else reg1 != m1
-            if reg2 is not None:
-                moved = moved | (reg2 != m2)
-            if np.any(moved):
-                cut = int(np.argmax(moved))
-                length = cut + 1
-                block, x = block[:length], rows[cut]
-                m1 = m1 if reg1 is None else int(reg1[cut])
-                m2 = m2 if reg2 is None else int(reg2[cut])
-                th1, th2, ob1, ob2, _, _ = (int(i) for i in np.unravel_index(chunk_ks[cut], tables.shape))
-                # The cut row's draws rewind to the end of its jump draws; a
-                # refresh there is redrawn under the new regions.
-                p = marks[cut]
-                if not periodic or (n + length) % period_steps == 0:
-                    ob1 = _pick(emit1[m1][th1], draws[p])
-                    ob2 = _pick(emit2[m2][th2], draws[p + 1])
-                    p += 2
-                k = ((((th1 * n2 + th2) * n1 + ob1) * n2 + ob2) * r1 + m1) * r2 + m2
-                chunk_ks[cut] = k
-                del chunk_ks[length:]
-                next_length = _CHUNK_FIRST
-            else:
-                next_length = min(2 * length, _CHUNK_MAX)
-            _check_finite(block, n + 1, dt)
-            blocks.append(block)
-            ks.extend(chunk_ks)
-            n += length
-            length = next_length
 
     return np.concatenate(blocks), ks
 
@@ -599,7 +607,7 @@ def estimate_stability(
         raise ValueError("need at least one run")
     tables = _prepare(model, bank, config, x1_0, x2_0)
     nx1 = tables.split[0]
-    t = np.arange(round(config.horizon / config.dt) + 1) * config.dt
+    t = np.arange(_steps(config.horizon, config.dt) + 1) * config.dt
     functionals = []
     halves = []
     terminals = []

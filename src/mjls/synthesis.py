@@ -514,12 +514,7 @@ def _recover(
     return gains, tuple(x_inv), s_values
 
 
-def recover_gains(
-    solution,
-    model,
-    scheme: Scheme,
-    psi_margin: float = PSI_MARGIN,
-) -> ControllerBank:
+def recover_gains(solution, model, scheme: Scheme) -> ControllerBank:
     """Turn a feasible solver result into an observation-indexed gain bank.
 
     Centralized recovery unmixes through the joint emission inverse; full
@@ -546,7 +541,7 @@ def recover_gains(
         lyapunov.append((p_matrices, s_values))
     bank = ControllerBank(scheme=scheme, gains=gains, certificates={})
     certificates = {
-        target.system_id: _certificate(target, bank, p_matrices, s_values, psi_margin)
+        target.system_id: _certificate(target, bank, p_matrices, s_values, PSI_MARGIN)
         for target, (p_matrices, s_values) in zip(targets, lyapunov)
     }
     return ControllerBank(scheme=scheme, gains=gains, certificates=certificates)

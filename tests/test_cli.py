@@ -383,6 +383,11 @@ class TestSimulate:
             (["--x1=nan,5"], "--x1: entries must be finite"),
             (["--x2=0,inf,1"], "--x2: entries must be finite"),
             (["--horizon", "0.0016", "--dt", "0.001"], "horizon must be a whole number of steps of dt 0.001, got 0.0016"),
+            (["--obs-policy", "periodic:0.0005"],
+             "observation period must be a positive whole number of steps of dt 0.001, got 0.0005"),
+            (["--obs-policy", "periodic:0.0015"],
+             "observation period must be a positive whole number of steps of dt 0.001, got 0.0015"),
+            (["--seed", "-1"], "seed must be a nonnegative integer, got -1"),
         ],
     )
     def test_non_finite_inputs_rejected(self, tmp_path, demo_gains_file, capsys, flags, message):

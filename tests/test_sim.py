@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from mjls import sim
-from mjls.errors import InvalidGenerator, MissingGain, NonFinite, NotStochastic
+from mjls.errors import InvalidGenerator, InvalidModel, MissingGain, NonFinite, NotStochastic
 from mjls.fixtures import demo_model, example_initial_state
 from mjls.model import (
     InterdependentModel,
@@ -380,6 +381,40 @@ def test_unusable_start_or_partition_rejected(model, init_modes, message):
         simulate(model, zero_bank(model), cfg, [1.0], [1.0])
 
 
+PERIOD_MESSAGE = "observation period must be a positive whole number of steps of dt 0.001, got "
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        (dict(obs_policy=Periodic(0.0015)), PERIOD_MESSAGE + "0.0015"),
+        (dict(obs_policy=Periodic(0.0005)), PERIOD_MESSAGE + "0.0005"),
+        (dict(obs_policy=Periodic(1e-13)), PERIOD_MESSAGE + "1e-13"),
+        (dict(seed=-1), "seed must be a nonnegative integer, got -1"),
+    ],
+    ids=["period-one-and-a-half-steps", "period-half-a-step", "period-no-step", "negative-seed"],
+)
+def test_unusable_config_rejected(settings, message):
+    # A period between whole steps ran as a neighbouring one, and a negative
+    # seed failed inside numpy with a message that names no field.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SimConfig(dt=1e-3, horizon=1.0, **settings)
+
+
+@pytest.mark.parametrize("run", VERBS.values(), ids=VERBS.keys())
+def test_invalid_model_rejected_before_first_step(no_steps, demo, demo_bank, run):
+    # The draw tables read only the off-diagonal rates, so a generator row
+    # that does not sum to zero ran as the valid model.
+    matrices = [g.copy() for g in demo.rates1.matrices]
+    matrices[0][0, 0] *= 3.0
+    model = dataclasses.replace(demo, rates1=RateFamily(tuple(matrices)))
+    x1_0, x2_0 = [1.0, 0.0], [0.0, 0.0, 1.0]
+    with pytest.raises(KernelReached):
+        run(demo, demo_bank, SimConfig(dt=1e-3, horizon=1.0), x1_0, x2_0)
+    with pytest.raises(InvalidModel, match=re.escape("rates1[1][row 1]: row sums to -0.12")):
+        run(model, demo_bank, SimConfig(dt=1e-3, horizon=1.0), x1_0, x2_0)
+
+
 def reference_simulate(model, bank, config, x1_0, x2_0):
     """A plain per-step loop for a distributed bank: explicit RK4 stages on
     the joint closed loop, scalar draws through ``step_mode`` and
@@ -452,21 +487,43 @@ TRACE_FIELDS = ("t", "x1", "x2", "mode1", "mode2", "obs1", "obs2", "u1", "u2", "
 # Periodic(5e-3) refreshes on every fifth step only, so regions also change
 # on steps that do not refresh.
 @pytest.mark.parametrize(
-    "policy", [Periodic(1e-3), OnChange(), Periodic(5e-3)], ids=["periodic", "onchange", "periodic-5-steps"]
+    "policy, disturbance, partition2",
+    [
+        pytest.param(Periodic(1e-3), Zero(), True, id="undisturbed-periodic"),
+        pytest.param(OnChange(), Zero(), True, id="undisturbed-onchange"),
+        pytest.param(Periodic(5e-3), Zero(), True, id="undisturbed-periodic-5-steps"),
+        pytest.param(Periodic(1e-3), SINE, True, id="decaying-sine-periodic"),
+        pytest.param(OnChange(), SINE, True, id="decaying-sine-onchange"),
+        pytest.param(Periodic(5e-3), SINE, True, id="decaying-sine-periodic-5-steps"),
+        # Partition 2 without thresholds: system 2 stays in region 1, and x1
+        # starts in partition 1's outer shell.
+        pytest.param(Periodic(1e-3), SINE, False, id="one-region-partition2-outer-start"),
+    ],
 )
-@pytest.mark.parametrize("disturbance", [Zero(), SINE], ids=["undisturbed", "decaying-sine"])
-def test_simulate_matches_reference_loop(demo, demo_bank, policy, disturbance):
-    model = lively_demo(demo)
+def test_simulate_matches_reference_loop(demo, demo_bank, policy, disturbance, partition2):
+    model, bank = lively_demo(demo), demo_bank
     x1_0, x2_0 = np.array([1.0, -2.5]), np.array([0.5, 1.5, -2.0])
+    if not partition2:
+        model = dataclasses.replace(
+            model,
+            part2=RegionPartition(()),
+            rates1=RateFamily(model.rates1.matrices[:1]),
+            obs2=ObservationModel(model.obs2.alphas[:1]),
+        )
+        bank = ControllerBank(Scheme.DISTRIBUTED, {key: g for key, g in bank.gains.items() if key[2][1] == 1}, {})
+        x1_0 = np.array([3.0, -2.5])
     cfg = SimConfig(dt=1e-3, horizon=4.0, seed=0, obs_policy=policy, disturbance=disturbance)
-    trace = simulate(model, demo_bank, cfg, x1_0, x2_0)
-    states, inputs, columns = reference_simulate(model, demo_bank, cfg, x1_0, x2_0)
+    trace = simulate(model, bank, cfg, x1_0, x2_0)
+    states, inputs, columns = reference_simulate(model, bank, cfg, x1_0, x2_0)
     for j, name in enumerate(("mode1", "mode2", "obs1", "obs2", "region1", "region2")):
         assert np.array_equal(getattr(trace, name), columns[:, j]), name
-        assert np.any(np.diff(columns[:, j]) != 0), f"{name} never changes"
+        if partition2 or name != "region2":
+            assert np.any(np.diff(columns[:, j]) != 0), f"{name} never changes"
+    if not partition2:
+        assert columns[0, 4] == 2 and np.all(columns[:, 5] == 1)
     scale = np.linalg.norm(states, axis=1)
     assert np.all(np.linalg.norm(np.hstack([trace.x1, trace.x2]) - states, axis=1) <= 1e-10 * scale)
-    gain_scale = max(np.linalg.norm(g) for g in demo_bank.gains.values())
+    gain_scale = max(np.linalg.norm(g) for g in bank.gains.values())
     assert np.all(np.linalg.norm(np.hstack([trace.u1, trace.u2]) - inputs, axis=1) <= 1e-10 * gain_scale * scale)
 
 
