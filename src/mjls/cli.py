@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .errors import MjlsError
+from .errors import InvalidModel, MjlsError
 from .fileio import (
     ParseError,
     load_bank,
@@ -24,7 +24,7 @@ from .fileio import (
     write_trace_csv,
 )
 from .lmi import LmiProblem, LmiSolution, SolveStatus
-from .model import compose_integrated, validate
+from .model import compose_integrated
 from .sim import OnChange, Periodic, SimConfig, estimate_stability, simulate
 from .synthesis import (
     PSI_MARGIN,
@@ -134,16 +134,6 @@ def _check_solver_flags(args) -> None:
         raise ParseError(f"--decay: must be finite, got {args.decay}")
 
 
-def _load_valid_model(path):
-    model = load_model(path)
-    violations = validate(model)
-    if violations:
-        for v in violations:
-            print(f"invalid model: {v}", file=sys.stderr)
-        raise ParseError(f"{path}: model failed validation with {len(violations)} violation(s)")
-    return model
-
-
 def _binding(problem: LmiProblem, sol: LmiSolution) -> str:
     """The label and extreme eigenvalue of the constraint that misses its
     margin by the most."""
@@ -156,7 +146,7 @@ def _binding(problem: LmiProblem, sol: LmiSolution) -> str:
 
 def cmd_synthesize(args) -> int:
     _check_solver_flags(args)
-    model = _load_valid_model(args.model)
+    model = load_model(args.model)
     scheme = Scheme(args.scheme)
     outcome = synthesize(model, scheme, delta=args.delta, max_iter=args.max_iter, decay=args.decay)
 
@@ -193,7 +183,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_certify(args) -> int:
     _check_solver_flags(args)
-    model = _load_valid_model(args.model)
+    model = load_model(args.model)
     bank = load_bank(args.gains)
     # Closed-loop form margins live on the Lyapunov scale, where the default
     # is tighter than synthesize's constraint margin.
@@ -202,8 +192,8 @@ def cmd_certify(args) -> int:
     if bank.scheme is Scheme.DISTRIBUTED:
         cert = check_corollary(model, bank, bank, delta=delta, max_iter=args.max_iter)
     else:
-        joint = check_bank(model, bank)
-        cert = certify_gains(compose_integrated(model), joint, delta=delta, max_iter=args.max_iter)
+        integ = compose_integrated(model)  # validates the model before check_bank reads it
+        cert = certify_gains(integ, check_bank(model, bank), delta=delta, max_iter=args.max_iter)
 
     print("closed-loop form max eigenvalues (mode, regions):")
     for key in sorted(cert.psi_max):
@@ -214,7 +204,7 @@ def cmd_certify(args) -> int:
 
 
 def _sim_inputs(args):
-    model = _load_valid_model(args.model)
+    model = load_model(args.model)
     bank = load_bank(args.gains)
     x1 = _parse_vector(args.x1, "--x1")
     x2 = _parse_vector(args.x2, "--x2")
@@ -262,6 +252,12 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
+    except InvalidModel as exc:
+        for v in exc.violations:
+            print(f"invalid model: {v}", file=sys.stderr)
+        count = len(exc.violations)
+        print(f"error: {args.model}: model failed validation with {count} violation(s)", file=sys.stderr)
+        return EXIT_INPUT
     except (MjlsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -25,10 +25,6 @@ class NotStochastic(MjlsError):
     """Row-stochastic matrix expected (entries in [0,1], rows summing to 1)."""
 
 
-class InvalidGenerator(MjlsError):
-    """Transition-rate matrix violates generator sign/row-sum structure."""
-
-
 class InvalidModel(MjlsError):
     """Model failed validation; carries the list of violations."""
 

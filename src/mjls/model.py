@@ -247,7 +247,9 @@ def check_generator(g: np.ndarray, path: str, out: list[Violation], n_modes: int
             out.append(Violation(f"{path}[{i + 1},{i + 1}]", f"positive diagonal rate {g[i, i]:.6g}"))
 
 
-def _check_stochastic(a: np.ndarray, path: str, out: list[Violation], n_modes: int) -> bool:
+def check_stochastic(a: np.ndarray, path: str, out: list[Violation], n_modes: int) -> bool:
+    """Append to ``out`` each way ``a`` fails to be a row-stochastic
+    n_modes x n_modes matrix; True when it is one."""
     ok = True
     if a.shape != (n_modes, n_modes):
         out.append(Violation(path, f"expected shape {(n_modes, n_modes)}, got {a.shape}"))
@@ -296,7 +298,7 @@ def validate(model: InterdependentModel) -> list[Violation]:
                 Violation(path, f"expected {part.region_count} matrices (one per own region), got {len(obs.alphas)}")
             )
         for m_idx, a in enumerate(obs.alphas, start=1):
-            if _check_stochastic(a, f"{path}[{m_idx}]", out, sys.mode_count):
+            if check_stochastic(a, f"{path}[{m_idx}]", out, sys.mode_count):
                 beta = obs.beta(m_idx)
                 resid = np.max(np.abs(a @ beta @ a - a))
                 if resid > _BETA_TOL:
@@ -330,14 +332,12 @@ def build_beta(alpha) -> np.ndarray:
     The exact inverse is used whenever the condition number stays below
     ``_COND_LIMIT``; beyond that the SVD pseudo-inverse takes over so that
     nearly singular emissions degrade gracefully instead of blowing up gains.
+    A matrix that ``check_stochastic`` rejects raises NotStochastic.
     """
     a = as_matrix(alpha)
-    if a.shape[0] != a.shape[1]:
-        raise NotStochastic(f"emission matrix must be square, got {a.shape}")
-    if not np.all(np.isfinite(a)) or np.any(a < -_STOCH_TOL) or np.any(a > 1.0 + _STOCH_TOL):
-        raise NotStochastic("entries must lie in [0, 1]")
-    if np.max(np.abs(a.sum(axis=1) - 1.0)) > 1e-9:
-        raise NotStochastic("rows must sum to 1")
+    violations: list[Violation] = []
+    if not check_stochastic(a, "emission matrix", violations, a.shape[0]):
+        raise NotStochastic("; ".join(str(v) for v in violations))
     if cond(a) < _COND_LIMIT:
         # Well-conditioned: exact inverse via the pseudo-inverse with no
         # cutoff active (all singular values retained).

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidGenerator, InvalidModel, NonFinite, NotStochastic
+from .errors import DimensionMismatch, InvalidModel, NonFinite
 from .model import InterdependentModel, joint_system, validate
 from .synthesis import ControllerBank, Scheme, check_bank
 
@@ -90,6 +90,9 @@ class DecayingSine:
     def __post_init__(self):
         object.__setattr__(self, "amplitude1", tuple(float(a) for a in self.amplitude1))
         object.__setattr__(self, "amplitude2", tuple(float(a) for a in self.amplitude2))
+        for name in ("amplitude1", "amplitude2", "decay", "frequency"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"disturbance {name} must be finite, got {getattr(self, name)}")
         if self.decay <= 0.0:
             raise ValueError("disturbance decay rate must be positive for square integrability")
 
@@ -188,35 +191,16 @@ def _jump_row(rate_row, i: int, dt: float) -> tuple[list[float], list[int]]:
     jump probabilities rate * dt, accumulated in target order with the
     diagonal skipped, and the 0-based modes they pick; the last outcome,
     ``i`` itself, takes the leftover mass."""
-    cums, outcomes = [], []
-    acc = 0.0
-    for j, rate in enumerate(np.asarray(rate_row, dtype=float).tolist()):
-        if j == i:
-            continue
-        p = rate * dt
-        if not p >= 0.0:
-            raise InvalidGenerator(f"negative or NaN jump probability from rate {rate} at target {j + 1}")
-        acc += p
-        cums.append(acc)
-        outcomes.append(j)
-    if acc > 1.0:
-        raise InvalidGenerator(f"per-step jump probability {acc:.3g} exceeds 1; reduce dt")
-    return cums, [*outcomes, i]
+    rates = np.asarray(rate_row, dtype=float).tolist()
+    outcomes = [j for j in range(len(rates)) if j != i]
+    return list(itertools.accumulate(rates[j] * dt for j in outcomes)), [*outcomes, i]
 
 
 def _emission_row(row) -> tuple[list[float], list[int]]:
     """Draw table for one emission-matrix row: its cumulative probabilities
     and the 0-based observations they pick, the last again for any mass a
     rounding shortfall leaves over."""
-    cums = []
-    acc = 0.0
-    for p in np.asarray(row, dtype=float).tolist():
-        if not p >= 0.0:
-            raise NotStochastic(f"negative or NaN emission probability {p}")
-        acc += p
-        cums.append(acc)
-    if acc < 1.0 - 1e-9:
-        raise NotStochastic(f"emission row sums to {acc:.12g}, expected 1")
+    cums = list(itertools.accumulate(np.asarray(row, dtype=float).tolist()))
     return cums, [*range(len(cums)), len(cums) - 1]
 
 
@@ -230,24 +214,26 @@ def step_mode(rng, i: int, rate_row, dt: float) -> int:
     """One jump-chain step: leave mode i with probability rate * dt per target.
 
     A single uniform draw is compared against the cumulative per-target jump
-    probabilities; the leftover mass keeps the current mode.
+    probabilities; the leftover mass keeps the current mode.  ``rate_row``
+    must be a row of a model that ``validate`` accepts, at a ``dt`` that
+    ``check_dt`` accepts; it is not checked here.
     """
     return _pick(_jump_row(rate_row, i - 1, dt), rng.random()) + 1
 
 
 def sample_observation(rng, row) -> int:
-    """Sample a 1-based observation index from one emission-matrix row."""
+    """Sample a 1-based observation index from one emission-matrix row.
+
+    ``row`` must be a row of a model that ``validate`` accepts; it is not
+    checked here.
+    """
     return _pick(_emission_row(row), rng.random()) + 1
 
 
 def check_dt(model: InterdependentModel, dt: float) -> None:
-    """Reject non-finite rates, and a dt whose per-step jump probability, at
-    the worst joint diagonal rate over all regions and mode pairs, exceeds
-    the cap."""
-    for k, rates in ((1, model.rates1), (2, model.rates2)):
-        for region, g in enumerate(rates.matrices, start=1):
-            if not np.isfinite(g).all():
-                raise InvalidGenerator(f"system {k}: rate matrix for partner region {region} has non-finite entries")
+    """Reject a dt whose per-step jump probability, at the worst joint
+    diagonal rate over all regions and mode pairs, exceeds the cap.  The
+    model is one that ``validate`` accepts."""
     worst = sum(max(float(np.max(np.abs(np.diag(g)))) for g in r.matrices) for r in (model.rates1, model.rates2))
     if dt * worst > JUMP_PROBABILITY_CAP:
         bound = JUMP_PROBABILITY_CAP / worst if worst > 0.0 else math.inf
@@ -259,7 +245,7 @@ def check_dt(model: InterdependentModel, dt: float) -> None:
 
 @dataclass(frozen=True)
 class _Tables:
-    """What ``_run`` reads, built and checked once by ``_prepare``.
+    """What ``_run`` reads, built once by ``_prepare``.
 
     Closed loop k is the one in force at the 0-based (mode1, mode2, obs1,
     obs2, region1, region2) whose flat position in an array of ``shape`` is k.
@@ -285,10 +271,12 @@ def _prepare(model: InterdependentModel, bank: ControllerBank, config: SimConfig
     controller reads the true modes, so its loops hold the gain of the joint
     mode in force whatever was observed.  The step matrices of all loops
     come from a few matrix products on the stacked (loops, n, n) array.
-    Every rate and emission row becomes a draw table here, so a bad row is
-    rejected even in a region the run never enters; a model that
-    ``validate`` rejects is then refused with InvalidModel.
+    A model that ``validate`` rejects is refused with InvalidModel first,
+    even where the bad entry lies in a region the run never enters.
     """
+    violations = validate(model)
+    if violations:
+        raise InvalidModel(violations)
     check_dt(model, config.dt)
     dt = config.dt
     s1, s2 = model.sys1, model.sys2
@@ -299,9 +287,12 @@ def _prepare(model: InterdependentModel, bank: ControllerBank, config: SimConfig
     n1, n2 = s1.mode_count, s2.mode_count
     if not (1 <= config.init_modes[0] <= n1 and 1 <= config.init_modes[1] <= n2):
         raise ValueError(f"initial modes must lie in 1..{n1} and 1..{n2}, got {config.init_modes}")
-    for name, part in (("partition1", model.part1), ("partition2", model.part2)):
-        if not all(a < b for a, b in zip(part.thresholds, part.thresholds[1:])):
-            raise ValueError(f"{name}: thresholds must be strictly increasing, got {part.thresholds}")
+    dist = config.disturbance
+    if isinstance(dist, DecayingSine):
+        for name, amplitude, nw in (("amplitude1", dist.amplitude1, s1.disturbance_dim),
+                                    ("amplitude2", dist.amplitude2, s2.disturbance_dim)):
+            if len(amplitude) != nw:
+                raise DimensionMismatch(f"disturbance {name}: expected {nw} entries, got {len(amplitude)}")
     r1, r2 = model.part1.region_count, model.part2.region_count
     jumps = (
         [[_jump_row(model.rates1.matrix(m)[i], i, dt) for i in range(n1)] for m in range(1, r2 + 1)],
@@ -311,10 +302,6 @@ def _prepare(model: InterdependentModel, bank: ControllerBank, config: SimConfig
         [[_emission_row(model.obs1.alpha(m)[i]) for i in range(n1)] for m in range(1, r1 + 1)],
         [[_emission_row(model.obs2.alpha(m)[i]) for i in range(n2)] for m in range(1, r2 + 1)],
     )
-    # The draw tables skip the diagonal rates, which only validate checks.
-    violations = validate(model)
-    if violations:
-        raise InvalidModel(violations)
 
     system = joint_system(model)
     joint = check_bank(model, bank).gains
@@ -333,7 +320,6 @@ def _prepare(model: InterdependentModel, bank: ControllerBank, config: SimConfig
     phi = eye + m @ s3  # I + M + M^2/2 + M^3/6 + M^4/24
 
     pushes = None
-    dist = config.disturbance
     if not isinstance(dist, Zero):
         amplitude = np.concatenate([dist.amplitude1, dist.amplitude2])
         dw = np.array([mode.d @ amplitude for mode in system.modes])[:, None, None]
@@ -374,8 +360,8 @@ def simulate(model: InterdependentModel, bank: ControllerBank, config: SimConfig
     step's values, advances the joint state one RK4 step, then samples the
     mode jumps (using the regions the step started from) and refreshes the
     observations per policy.  Bit-identical for identical inputs.  The
-    model is validated, and the bank and every draw law are checked against
-    it, before the first step.
+    model is validated, and the bank checked against it, before the first
+    step.
     A state that overflows raises NonFinite naming the time of the first
     non-finite row.
     """

@@ -59,8 +59,10 @@ from .model import (
     InterdependentModel,
     JumpLinearSystem,
     ObservationModel,
+    Violation,
     block_diag,
     check_generator,
+    check_stochastic,
     compose_integrated,
     mode_pairs,
     validate,
@@ -157,19 +159,19 @@ def _with_identity_obs(model: IntegratedModel) -> IntegratedModel:
 
 
 def _validate_integrated(model: IntegratedModel) -> None:
-    violations: list = []
+    violations: list[Violation] = []
     n = model.mode_count
-    if len(model.rates.matrices) != model.cell_count:
-        violations.append(f"expected {model.cell_count} joint rate matrices, got {len(model.rates.matrices)}")
+    for path, matrices in (("rates", model.rates.matrices), ("obs", model.obs.alphas)):
+        if len(matrices) != model.cell_count:
+            violations.append(
+                Violation(path, f"expected {model.cell_count} matrices (one per product cell), got {len(matrices)}")
+            )
     for m_idx, g in enumerate(model.rates.matrices, start=1):
         check_generator(g, f"rates[{m_idx}]", violations, n)
     for m_idx, a in enumerate(model.obs.alphas, start=1):
-        if a.shape != (n, n):
-            violations.append(f"obs[{m_idx}]: expected shape {(n, n)}, got {a.shape}")
-        elif np.max(np.abs(a.sum(axis=1) - 1.0)) > 1e-9 or np.any(a < 0.0):
-            violations.append(f"obs[{m_idx}]: not row-stochastic")
+        check_stochastic(a, f"obs[{m_idx}]", violations, n)
     if len(model.system.modes) != n:
-        violations.append(f"expected {n} joint modes, got {len(model.system.modes)}")
+        violations.append(Violation("system", f"expected {n} joint modes, got {len(model.system.modes)}"))
     if violations:
         raise InvalidModel(violations)
 

@@ -1,9 +1,11 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from mjls import cli
+from mjls import model as model_module
 from mjls.cli import main
 from mjls.fileio import canonical_json, load_bank, load_model, save_bank, save_model
 from mjls.fixtures import demo_path, fixture_path
@@ -470,3 +472,77 @@ class TestMonteCarlo:
             ]
         )
         assert code == 1
+
+
+class TestInvalidModel:
+    @pytest.mark.parametrize("verb", ["synthesize", "certify", "simulate", "montecarlo"])
+    def test_violations_printed_and_nothing_written(self, tmp_path, demo_gains_file, capsys, verb):
+        # Row 1 of rates1[1] sums to -0.12 once its diagonal is tripled.
+        doc = json.loads(demo_path().read_text())
+        doc["rates1"][0][0][0] *= 3.0
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(canonical_json(doc))
+        out = tmp_path / "out"
+        argv = {
+            "synthesize": ["synthesize", str(bad), "--scheme", "distributed", "--out", str(out)],
+            "certify": ["certify", str(bad), str(demo_gains_file)],
+            "simulate": ["simulate", str(bad), str(demo_gains_file), "--x1=1,0", "--x2=0,0,1", "--out", str(out)],
+            "montecarlo": ["montecarlo", str(bad), str(demo_gains_file), "--runs", "2", "--x1=1,0", "--x2=0,0,1",
+                           "--out", str(out)],
+        }[verb]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "invalid model: rates1[1][row 1]: row sums to -0.12, must be 0 within 1e-12\n"
+            f"error: {bad}: model failed validation with 1 violation(s)\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
+
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """The models passed to ``mjls.model.validate``, through every binding of
+    it in the mjls modules, rebound as perfbench's tracer rebinds them."""
+    calls = []
+    original = model_module.validate
+
+    def counted(model):
+        calls.append(model)
+        return original(model)
+
+    for name, module in list(sys.modules.items()):
+        if name == "mjls" or name.startswith("mjls."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_validate_runs_once_per_check(tmp_path, validate_calls):
+    # Each verb validates the model where it first uses it; distributed
+    # synthesis validates again in the corollary check that certifies it.
+    model = str(scalar_model_file(tmp_path))
+    distributed, centralized = str(tmp_path / "distributed.json"), str(tmp_path / "centralized.json")
+    sim_flags = ["--x1=1", "--x2=0", "--horizon", "0.01", "--dt", "0.001"]
+    runs = {
+        "synthesize distributed": ["synthesize", model, "--scheme", "distributed", "--out", distributed],
+        "synthesize centralized": ["synthesize", model, "--scheme", "centralized", "--out", centralized],
+        "certify distributed": ["certify", model, distributed],
+        "certify centralized": ["certify", model, centralized],
+        "simulate": ["simulate", model, distributed, *sim_flags, "--out", str(tmp_path / "t.csv")],
+        "montecarlo": ["montecarlo", model, distributed, "--runs", "2", *sim_flags, "--out", str(tmp_path / "r.json")],
+    }
+    counts = {}
+    for label, argv in runs.items():
+        del validate_calls[:]
+        assert main(argv) == 0, label
+        counts[label] = len(validate_calls)
+    assert counts == {
+        "synthesize distributed": 2,
+        "synthesize centralized": 1,
+        "certify distributed": 1,
+        "certify centralized": 1,
+        "simulate": 1,
+        "montecarlo": 1,
+    }

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mjls import sim
-from mjls.errors import InvalidGenerator, InvalidModel, MissingGain, NonFinite, NotStochastic
+from mjls.errors import DimensionMismatch, InvalidModel, MissingGain, NonFinite
 from mjls.fixtures import demo_model, example_initial_state
 from mjls.model import (
     InterdependentModel,
@@ -327,15 +327,18 @@ def two_region_static_model(rates2_far=None, obs1_far=None):
 
 
 @pytest.mark.parametrize(
-    "model, error",
+    "model, message",
     [
-        (two_region_static_model(obs1_far=np.array([[0.5, 0.4], [0.0, 1.0]])), NotStochastic),
-        (two_region_static_model(obs1_far=np.array([[1.0, 0.0], [-0.5, 1.5]])), NotStochastic),
-        (two_region_static_model(rates2_far=np.array([[0.5, -0.5], [0.0, 0.0]])), InvalidGenerator),
+        (two_region_static_model(obs1_far=np.array([[0.5, 0.4], [0.0, 1.0]])), "obs1[2][row 1]: row sums to 0.9"),
+        (two_region_static_model(obs1_far=np.array([[1.0, 0.0], [-0.5, 1.5]])), "obs1[2]: entries must lie in [0, 1]"),
+        (
+            two_region_static_model(rates2_far=np.array([[0.5, -0.5], [0.0, 0.0]])),
+            "rates2[2][1,2]: negative off-diagonal rate",
+        ),
     ],
     ids=["emission-row-sum", "negative-emission", "negative-rate"],
 )
-def test_bad_draw_law_rejected_before_first_step(no_steps, model, error):
+def test_bad_draw_law_rejected_before_first_step(no_steps, model, message):
     # The bad row sits in a region the trajectory never enters; it is
     # rejected all the same, before any step is taken.
     gains = {(k, i, (m1, 1)): np.zeros((1, 1)) for k in (1, 2) for i in (1, 2) for m1 in (1, 2)}
@@ -344,7 +347,7 @@ def test_bad_draw_law_rejected_before_first_step(no_steps, model, error):
     for run in VERBS.values():
         with pytest.raises(KernelReached):
             run(two_region_static_model(), bank, cfg, [1.0], [1.0])
-        with pytest.raises(error):
+        with pytest.raises(InvalidModel, match=re.escape(message)):
             run(model, bank, cfg, [1.0], [1.0])
 
 
@@ -360,7 +363,7 @@ def test_non_finite_rate_rejected(demo, demo_bank, system, region, entry, value)
     matrices = [g.copy() for g in getattr(demo, field).matrices]
     matrices[region - 1][entry] = value
     model = dataclasses.replace(demo, **{field: RateFamily(tuple(matrices))})
-    with pytest.raises(InvalidGenerator, match=f"system {system}: rate matrix for partner region {region}"):
+    with pytest.raises(InvalidModel, match=re.escape(f"{field}[{region}]: non-finite entries")):
         simulate(model, demo_bank, SimConfig(dt=1e-3, horizon=1.0), [1.0, 0.0], [0.0, 0.0, 1.0])
 
 
@@ -369,9 +372,8 @@ def test_non_finite_rate_rejected(demo, demo_bank, system, region, entry, value)
     [
         (static_model(n_modes1=2), (0, 1), "initial modes"),
         (static_model(n_modes1=2), (3, 1), "initial modes"),
-        (dataclasses.replace(static_model(), part1=RegionPartition((4.0, 1.0))), (1, 1), "partition1"),
     ],
-    ids=["mode-0", "mode-past-last", "unsorted-thresholds"],
+    ids=["mode-0", "mode-past-last"],
 )
 def test_unusable_start_or_partition_rejected(model, init_modes, message):
     # Modes and regions index the loop table, so one out of range would
@@ -401,6 +403,50 @@ def test_unusable_config_rejected(settings, message):
         SimConfig(dt=1e-3, horizon=1.0, **settings)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("decay", math.nan),
+        ("decay", math.inf),
+        ("frequency", math.nan),
+        ("frequency", -math.inf),
+        ("amplitude1", (math.nan,)),
+        ("amplitude2", (math.inf,)),
+    ],
+    ids=["nan-decay", "inf-decay", "nan-frequency", "inf-frequency", "nan-amplitude1", "inf-amplitude2"],
+)
+def test_non_finite_disturbance_rejected(field, value):
+    # A NaN or infinite field ran until the state turned NaN at the first
+    # step, with numpy warnings escaping from the envelope.
+    fields = dict(amplitude1=(1.0,), amplitude2=(1.0,), decay=1.0, frequency=1.0)
+    with pytest.raises(ValueError, match=re.escape(f"disturbance {field} must be finite, got {value}")):
+        DecayingSine(**{**fields, field: value})
+
+
+@pytest.mark.parametrize(
+    "amplitude1, amplitude2, message",
+    [
+        ((), (1.0, 1.0), "disturbance amplitude1: expected 1 entries, got 0"),
+        ((1.0, 1.0), (1.0,), "disturbance amplitude1: expected 1 entries, got 2"),
+        ((1.0,), (), "disturbance amplitude2: expected 1 entries, got 0"),
+        ((1.0,), (1.0, 1.0), "disturbance amplitude2: expected 1 entries, got 2"),
+    ],
+    ids=["amplitude1-empty", "amplitude1-long", "amplitude2-empty", "amplitude2-long"],
+)
+def test_disturbance_of_wrong_length_rejected_before_first_step(no_steps, demo, demo_bank, amplitude1, amplitude2,
+                                                                message):
+    # An empty amplitude1 with a two-entry amplitude2 ran to the end, system
+    # 2's amplitudes driving both systems; other mismatches failed in numpy.
+    x1_0, x2_0 = [1.0, 0.0], [0.0, 0.0, 1.0]
+    for run in VERBS.values():
+        good = DecayingSine(amplitude1=(1.0,), amplitude2=(1.0,), decay=1.0, frequency=1.0)
+        with pytest.raises(KernelReached):
+            run(demo, demo_bank, SimConfig(dt=1e-3, horizon=1.0, disturbance=good), x1_0, x2_0)
+        bad = DecayingSine(amplitude1=amplitude1, amplitude2=amplitude2, decay=1.0, frequency=1.0)
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            run(demo, demo_bank, SimConfig(dt=1e-3, horizon=1.0, disturbance=bad), x1_0, x2_0)
+
+
 @pytest.mark.parametrize("run", VERBS.values(), ids=VERBS.keys())
 def test_invalid_model_rejected_before_first_step(no_steps, demo, demo_bank, run):
     # The draw tables read only the off-diagonal rates, so a generator row
@@ -413,6 +459,16 @@ def test_invalid_model_rejected_before_first_step(no_steps, demo, demo_bank, run
         run(demo, demo_bank, SimConfig(dt=1e-3, horizon=1.0), x1_0, x2_0)
     with pytest.raises(InvalidModel, match=re.escape("rates1[1][row 1]: row sums to -0.12")):
         run(model, demo_bank, SimConfig(dt=1e-3, horizon=1.0), x1_0, x2_0)
+
+
+def test_unsorted_thresholds_rejected_before_first_step(no_steps):
+    # Regions index the loop table, so thresholds out of order would
+    # silently pick another loop.
+    model = dataclasses.replace(static_model(), part1=RegionPartition((4.0, 1.0)))
+    cfg = SimConfig(dt=0.01, horizon=1.0)
+    for run in VERBS.values():
+        with pytest.raises(InvalidModel, match=re.escape("partition1.thresholds[2]: thresholds must be strictly")):
+            run(model, zero_bank(model), cfg, [1.0], [1.0])
 
 
 def reference_simulate(model, bank, config, x1_0, x2_0):

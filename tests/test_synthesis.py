@@ -1,7 +1,12 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mjls.errors import InvalidModel, MissingGain, NotFeasible, SingularX
+from mjls.fileio import load_bank
 from mjls.lmi import LmiSolution, SolveStatus, solve_feasibility
 from mjls.linalg import sym_eig
 from mjls.model import (
@@ -28,6 +33,8 @@ from mjls.synthesis import (
     recover_gains,
     synthesize,
 )
+
+CENTRALIZED_BANK = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "bank_centralized.json"
 
 
 def scalar_integrated(a=-1.0, b=1.0):
@@ -101,6 +108,16 @@ class TestBuildCentralized:
         )
         with pytest.raises(InvalidModel):
             build_centralized(model, delta=1e-6)
+
+    def test_missing_emission_matrices_rejected(self, demo_integrated):
+        # Only the rate matrices were counted, so the cells past the first
+        # read an emission matrix that is not there (IndexError).
+        model = dataclasses.replace(demo_integrated, obs=ObservationModel(demo_integrated.obs.alphas[:1]))
+        message = re.escape("obs: expected 6 matrices (one per product cell), got 1")
+        with pytest.raises(InvalidModel, match=message):
+            build_centralized(model)
+        with pytest.raises(InvalidModel, match=message):
+            certify_gains(model, load_bank(CENTRALIZED_BANK))
 
     def test_initial_point(self, paper_integrated):
         prob = build_centralized(paper_integrated, delta=1e-6)
