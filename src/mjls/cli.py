@@ -168,7 +168,7 @@ def cmd_synthesize(args) -> int:
     bank = outcome.bank
     worst_lmi = max(max(s.neg_margins) for s in outcome.solutions)
     if scheme is Scheme.DISTRIBUTED:
-        cert = check_corollary(model, bank, bank, delta=PSI_MARGIN)
+        cert = check_corollary(model, bank, delta=PSI_MARGIN)
     else:
         cert = bank.certificates[0]
     certified = cert.certified and all(c.certified for c in bank.certificates.values())
@@ -190,7 +190,7 @@ def cmd_certify(args) -> int:
     delta = PSI_MARGIN if args.delta is None else args.delta
 
     if bank.scheme is Scheme.DISTRIBUTED:
-        cert = check_corollary(model, bank, bank, delta=delta, max_iter=args.max_iter)
+        cert = check_corollary(model, bank, delta=delta, max_iter=args.max_iter)
     else:
         integ = compose_integrated(model)  # validates the model before check_bank reads it
         cert = certify_gains(integ, check_bank(model, bank), delta=delta, max_iter=args.max_iter)

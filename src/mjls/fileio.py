@@ -274,7 +274,6 @@ def bank_from_dict(doc) -> ControllerBank:
             keys = [(i, cell) for i in modes for cell in cells]
             certificates[k] = Certificate(
                 p_matrices=tuple(p_all[p_cursor : p_cursor + len(modes)]),
-                psi={},
                 psi_max=dict(zip(keys, margins[m_cursor : m_cursor + len(keys)])),
                 delta=delta,
                 certified=certified,

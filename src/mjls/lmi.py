@@ -23,9 +23,7 @@ exact.  Entries outside the pieces are zero in F(z) for every z, and the
 eigenvalues of a block-diagonal matrix are those of its blocks, so each
 constraint's extreme eigenvalue is the extreme over its pieces; clipping
 eigenvalues keeps a block-diagonal matrix block-diagonal, so the cone
-projection of a block is the projection of each piece.  A Schur block
-with an empty companion (a zero transition rate) splits off its ``-X_j``
-piece this way.
+projection of a block is the projection of each piece.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ __all__ = [
     "LmiSolution",
     "SolveStatus",
     "evaluate",
-    "schur_expand",
     "solve_feasibility",
 ]
 
@@ -260,49 +257,6 @@ class MapBuilder:
             var_idx, entries = np.divmod(key[sums != 0.0], self.dim**2)
             coeffs = sums[sums != 0.0]
         return AffineMatrixMap(self.dim, self.layout.size, self._f0, entries, var_idx, coeffs)
-
-
-def schur_expand(e_map: AffineMatrixMap, lam_maps, x_maps) -> AffineMatrixMap:
-    """Block map [[E, L1, ..., Lj], [*, -X1, ...], ...] for the complement test.
-
-    Negative definiteness of the result is equivalent to
-    E + sum_j Lj Xj^{-1} Lj' < 0 whenever every Xj > 0.  With an empty
-    companion list the map is E itself.
-    """
-    lam_maps = list(lam_maps)
-    x_maps = list(x_maps)
-    if len(lam_maps) != len(x_maps):
-        raise DimensionMismatch("need one companion X block per off-diagonal block")
-    if not lam_maps:
-        return e_map
-    n = e_map.dim
-    for lm, xm in zip(lam_maps, x_maps):
-        if lm.dim != n or xm.dim != n:
-            raise DimensionMismatch("companion blocks must match the leading block dimension")
-        if lm.nvars != e_map.nvars or xm.nvars != e_map.nvars:
-            raise DimensionMismatch("all blocks must share one decision vector")
-
-    total = n * (1 + len(lam_maps))
-    f0 = np.zeros((total, total))
-    triples = []
-
-    def place(src: AffineMatrixMap, r, c, mirror=False, sign=1.0):
-        f0[r : r + n, c : c + n] += sign * src.f0
-        i, j = np.divmod(src.entries, n)
-        triples.append(((r + i) * total + c + j, src.var_idx, sign * src.coeffs))
-        if mirror:
-            f0[c : c + n, r : r + n] += sign * src.f0.T
-            triples.append(((c + j) * total + r + i, src.var_idx, sign * src.coeffs))
-
-    place(e_map, 0, 0)
-    for j, (lm, xm) in enumerate(zip(lam_maps, x_maps)):
-        off = n * (1 + j)
-        place(lm, 0, off, mirror=True)
-        place(xm, off, off, sign=-1.0)
-
-    entries, var_idx, coeffs = map(np.concatenate, zip(*triples))
-    order = np.argsort(var_idx * total**2 + entries)  # the sub-blocks never overlap
-    return AffineMatrixMap(total, e_map.nvars, f0, entries[order], var_idx[order], coeffs[order])
 
 
 class SolveStatus(enum.Enum):

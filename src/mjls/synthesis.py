@@ -17,8 +17,8 @@ certificate assembler and one gain recovery work on any target:
 Certification is separate from synthesis: ``build_psi`` evaluates the
 closed-loop generator quadratic form for fixed gains and Lyapunov
 matrices, ``certify_gains`` searches for Lyapunov matrices proving a
-fixed bank stable, and ``check_corollary`` verifies that two subsystem
-banks stabilize the integrated system via a block-diagonal candidate.
+fixed bank stable, and ``check_corollary`` verifies that a distributed
+bank stabilizes the integrated system via a block-diagonal candidate.
 ``check_bank`` rejects a bank that does not fit a model and returns its
 joint gains, the ones both the certifier and the simulator run.
 The forms are the coupled-Lyapunov forms of Costa, Fragoso and Todorov,
@@ -50,7 +50,6 @@ from .lmi import (
     MapBuilder,
     SolveStatus,
     VariableLayout,
-    schur_expand,
     solve_feasibility,
 )
 from .linalg import sym_eig
@@ -104,13 +103,12 @@ class Scheme(str, enum.Enum):
 class Certificate:
     """Lyapunov matrices plus the closed-loop forms they certify.
 
-    ``psi`` maps (mode, region-key) to the evaluated quadratic form and
-    ``psi_max`` to its largest eigenvalue; ``certified`` means every one of
-    those eigenvalues sits below ``-delta`` (within solver slack).
+    ``psi_max`` maps (mode, region-key) to the largest eigenvalue of the
+    evaluated quadratic form; ``certified`` means every one of those
+    eigenvalues sits below ``-delta`` (within solver slack).
     """
 
     p_matrices: tuple[np.ndarray, ...]
-    psi: dict
     psi_max: dict
     delta: float
     certified: bool
@@ -327,19 +325,16 @@ def _certificate(
 ) -> Certificate:
     """Evaluate every closed-loop form of a target's bank gains under P."""
     cell_gains = [_cell_gains(bank, target, cell) for cell in target.cells]
-    psi = {}
     psi_max = {}
     for i in target.modes:
         for cell, gains in zip(target.cells, cell_gains):
             mat = _form(target.system, cell, gains, p_matrices, i, s_values[i - 1])
-            psi[(i, cell.key)] = mat
             psi_max[(i, cell.key)] = sym_eig(mat).max
     certified = all(v <= -delta + _CERT_SLACK for v in psi_max.values()) and all(
         sym_eig(p).min > 0.0 for p in p_matrices
     )
     return Certificate(
         p_matrices=p_matrices,
-        psi=psi,
         psi_max=psi_max,
         delta=delta,
         certified=certified,
@@ -356,39 +351,36 @@ def _jump_system_blocks(
     s_key,
     decay: float = 0.0,
 ) -> AffineMatrixMap:
-    """One Schur-expanded synthesis block for mode i under one rate matrix.
+    """One synthesis block for mode i under one rate matrix.
 
-    The leading block carries A X_i + X_i A' + B Y + Y' B' + rate_ii X_i
-    (+ s D D' when disturbances exist); the companions encode the coupling
-    sum over the other modes' X_j through the complement structure.  A
-    positive ``decay`` shifts A by decay*I, which forces the certified
-    closed loop to contract at least that fast.
+    The leading nx x nx block carries A X_i + X_i A' + B Y + Y' B' +
+    rate_ii X_i (+ s D D' when disturbances exist).  Each other mode j adds
+    a row and column of blocks: sqrt(rate_ij) X_i beside the leading block
+    and -X_j on the diagonal.  With every X_j > 0 the block is negative
+    definite exactly when its Schur complement, the leading block plus
+    sum_j rate_ij X_i X_j^{-1} X_i, is; under a zero rate_ij, -X_j is a
+    piece of its own for the solver.  A positive ``decay`` shifts A by
+    decay*I, which forces the certified closed loop to contract at least
+    that fast.
     """
     nx = sys.state_dim
     dyn = sys.dynamics(i)
     a_shifted = dyn.a + decay * np.eye(nx) if decay else dyn.a
-    e = MapBuilder(nx, layout)
-    e.linear(("X", i), left=a_shifted, mirror=True)
-    e.linear(y_key, left=dyn.b, mirror=True)
+    b = MapBuilder(nx * sys.mode_count, layout)
+    b.linear(("X", i), left=a_shifted, mirror=True)
+    b.linear(y_key, left=dyn.b, mirror=True)
     diag_rate = float(rates[i - 1, i - 1])
     if diag_rate != 0.0:
-        e.linear(("X", i), coeff=diag_rate)
+        b.linear(("X", i), coeff=diag_rate)
     if s_key is not None:
-        e.scalar(s_key, dyn.d @ dyn.d.T)
-    e_map = e.build()
-
-    lam_maps = []
-    x_maps = []
-    for j in range(1, sys.mode_count + 1):
-        if j == i:
-            continue
+        b.scalar(s_key, dyn.d @ dyn.d.T)
+    others = (j for j in range(1, sys.mode_count + 1) if j != i)
+    for n, j in enumerate(others, start=1):
         rate = float(rates[i - 1, j - 1])
-        lam = MapBuilder(nx, layout)
         if rate > 0.0:
-            lam.linear(("X", i), coeff=math.sqrt(rate))
-        lam_maps.append(lam.build())
-        x_maps.append(MapBuilder(nx, layout).linear(("X", j)).build())
-    return schur_expand(e_map, lam_maps, x_maps)
+            b.linear(("X", i), coeff=math.sqrt(rate), at=(0, n * nx), mirror=True)
+        b.linear(("X", j), coeff=-1.0, at=(n * nx, n * nx))
+    return b.build()
 
 
 def _close_problem(
@@ -418,7 +410,7 @@ def _close_problem(
 def _build_problem(target: _Target, delta: float, decay: float) -> LmiProblem:
     """Synthesis feasibility problem for one target.
 
-    One Schur-expanded block per (mode, cell), plus positivity of every X_i
+    One Schur-complement block per (mode, cell), plus positivity of every X_i
     and of the disturbance scalings when disturbances exist.
     """
     sys = target.system
@@ -523,7 +515,8 @@ def recover_gains(solution, model, scheme: Scheme) -> ControllerBank:
     information uses the solver variables directly; distributed recovery
     (``solution`` is the pair of per-system results) unmixes through each
     subsystem's own-region emission inverse.  The returned bank carries the
-    Lyapunov matrices P = X^{-1} and freshly evaluated closed-loop forms.
+    Lyapunov matrices P = X^{-1} and the largest eigenvalue of each freshly
+    evaluated closed-loop form.
     """
     solutions = tuple(solution) if scheme is Scheme.DISTRIBUTED else (solution,)
     for sol in solutions:
@@ -661,29 +654,26 @@ def certify_gains(
 
 def check_corollary(
     model: InterdependentModel,
-    bank1: ControllerBank,
-    bank2: ControllerBank,
+    bank: ControllerBank,
     delta: float = PSI_MARGIN,
     max_iter: int = 20000,
 ) -> Certificate:
-    """Verify that per-subsystem banks stabilize the integrated system.
+    """Verify that a distributed bank stabilizes the integrated system.
 
-    System 2's gains come from ``bank2`` and every other entry from
-    ``bank1``; ``check_bank`` rejects the pair unless it fits the model.
-    Builds the block-diagonal Lyapunov candidate from the two subsystem
-    certificates and evaluates every joint closed-loop form; falls back to
-    a fresh ``certify_gains`` search when the candidate misses the margin
-    or either certificate is absent.
+    ``check_bank`` rejects the bank unless it fits the model as a
+    distributed bank.  Builds the block-diagonal Lyapunov candidate from
+    the two subsystem certificates and evaluates every joint closed-loop
+    form; falls back to a fresh ``certify_gains`` search when the candidate
+    misses the margin or either certificate is absent.
     """
     if not delta > 0.0:
         raise ValueError("margin delta must be positive")
     integ = compose_integrated(model)
-    gains = {key: g for key, g in bank1.gains.items() if key[0] != 2}
-    gains.update((key, g) for key, g in bank2.gains.items() if key[0] == 2)
-    joint_bank = check_bank(model, ControllerBank(scheme=Scheme.DISTRIBUTED, gains=gains, certificates={}))
+    # Read as distributed whatever its scheme, so a joint bank is refused.
+    joint_bank = check_bank(model, ControllerBank(scheme=Scheme.DISTRIBUTED, gains=bank.gains, certificates={}))
 
-    cert1 = bank1.certificates.get(1)
-    cert2 = bank2.certificates.get(2)
+    cert1 = bank.certificates.get(1)
+    cert2 = bank.certificates.get(2)
     if cert1 is not None and cert2 is not None:
         p_joint = []
         s_joint = []

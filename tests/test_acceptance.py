@@ -22,7 +22,7 @@ from mjls.fixtures import (
     example_printed_gains,
     fixture_path,
 )
-from mjls.lmi import MapBuilder, VariableLayout, evaluate, schur_expand
+from mjls.lmi import evaluate
 from mjls.linalg import cond, sym_eig
 from mjls.model import (
     InterdependentModel,
@@ -39,6 +39,7 @@ from mjls.synthesis import (
     ControllerBank,
     Scheme,
     build_centralized,
+    build_distributed,
     build_fullinfo,
     check_corollary,
     synthesize,
@@ -95,7 +96,7 @@ class TestCriterion2:
             detail = "no feasible distributed bank exists for the repaired fixture"
             _report(2, False, detail)
             pytest.fail(detail)
-        cert = check_corollary(example_model(), bank, bank, delta=1e-8)
+        cert = check_corollary(example_model(), bank, delta=1e-8)
         ok = cert.certified and len(cert.psi_max) == 36
         _report(2, ok, f"worst form eigenvalue {cert.worst:.3e}")
         assert ok
@@ -174,39 +175,83 @@ class TestCriterion5:
         assert ok
 
 
+def _single_region_model(rng):
+    """System 1: 2-3 modes, random dynamics, some zero transition rates, D
+    nonzero in some modes; system 2 a stable scalar.  One region each."""
+    n = int(rng.integers(2, 4))
+    nx, nu, nw = (int(v) for v in rng.integers(1, 4, size=3))
+    modes = []
+    for _ in range(n):
+        d = rng.normal(size=(nx, nw)) if rng.random() < 0.5 else np.zeros((nx, nw))
+        a = rng.normal(size=(nx, nx)) - rng.uniform(0.0, 4.0) * np.eye(nx)
+        modes.append(ModeDynamics(a, rng.normal(size=(nx, nu)), d))
+    rates = rng.uniform(0.0, 2.0, size=(n, n)) * (rng.random(size=(n, n)) < 0.6)
+    np.fill_diagonal(rates, 0.0)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    scalar = JumpLinearSystem(1, 1, 1, (ModeDynamics([[-1.0]], [[0.0]], [[0.0]]),))
+    return InterdependentModel(
+        sys1=JumpLinearSystem(nx, nu, nw, tuple(modes)),
+        sys2=scalar,
+        part1=RegionPartition(()),
+        part2=RegionPartition(()),
+        rates1=RateFamily((rates,)),
+        rates2=RateFamily(([[0.0]],)),
+        obs1=ObservationModel((np.eye(n),)),
+        obs2=ObservationModel(([[1.0]],)),
+    )
+
+
 class TestCriterion6:
     def test_schur_complement_equivalence(self):
+        # The definiteness verdict of each synthesis block, as
+        # build_distributed emits it, agrees with its dense Schur complement
+        # A X_i + X_i A' + B Y_i + Y_i' B' + rate_ii X_i + s D D'
+        # + sum_j rate_ij X_i X_j^{-1} X_i at random X_j > 0, Y and s > 0.
         rng = np.random.default_rng(99)
         agreements = 0
         comparisons = 0
+        negative = 0
         for _ in range(200):
-            n = int(rng.integers(1, 4))
-            n_comp = int(rng.integers(1, 3))
-            e = rng.normal(size=(n, n))
-            e = 0.5 * (e + e.T) - rng.uniform(0.0, 3.0) * np.eye(n)
-            lams = []
-            xs = []
-            for _ in range(n_comp):
-                raw = rng.normal(size=(n, n))
-                lams.append(0.3 * (raw + raw.T))
-                g = rng.normal(size=(n, n))
-                xs.append(g @ g.T + 0.5 * np.eye(n))
-            complement = e + sum(l @ np.linalg.solve(x, l.T) for l, x in zip(lams, xs))
-            lay = VariableLayout()
-            block = schur_expand(
-                MapBuilder(n, lay).const(e).build(),
-                [MapBuilder(n, lay).const(l).build() for l in lams],
-                [MapBuilder(n, lay).const(x).build() for x in xs],
-            )
-            block_eig = sym_eig(evaluate(block, np.zeros(0))).max
-            comp_eig = sym_eig(complement).max
+            model = _single_region_model(rng)
+            problem = build_distributed(model, delta=1e-6)[0]
+            sys, rates = model.sys1, model.rates1.matrix(1)
+            nx, nu, n = sys.state_dim, sys.input_dim, sys.mode_count
+            values = {}
+            for key in problem.layout.keys:
+                if key[0] == "X":
+                    g = rng.normal(size=(nx, nx))
+                    values[key] = g @ g.T + 0.5 * np.eye(nx)
+                elif key[0] == "Y":
+                    values[key] = rng.normal(size=(nu, nx))
+                else:
+                    values[key] = rng.uniform(0.1, 2.0)
+            z = problem.layout.pack(values)
+            i = int(rng.integers(1, n + 1))
+            dyn = sys.dynamics(i)
+            y = next(values[key] for key in problem.layout.keys if key[:2] == ("Y", i))
+            s = values.get(("s", i), 0.0)
+            x_i = values[("X", i)]
+            ax, by = dyn.a @ x_i, dyn.b @ y
+            complement = ax + ax.T + by + by.T + rates[i - 1, i - 1] * x_i + s * (dyn.d @ dyn.d.T)
+            for j in range(1, n + 1):
+                if j != i:
+                    complement = complement + rates[i - 1, j - 1] * (x_i @ np.linalg.solve(values[("X", j)], x_i))
+            assert problem.neg_labels[i - 1] == f"mode {i}, regions (1,1)"
+            block_eig = sym_eig(evaluate(problem.neg[i - 1], z)).max
+            comp_eig = sym_eig(0.5 * (complement + complement.T)).max
             if abs(comp_eig) < 1e-6 or abs(block_eig) < 1e-6:
                 continue
             comparisons += 1
+            negative += comp_eig < 0.0
             if (block_eig < 0.0) == (comp_eig < 0.0):
                 agreements += 1
         ok = comparisons >= 150 and agreements == comparisons
-        _report(6, ok, f"{agreements}/{comparisons} sign agreements past the 1e-6 boundary margin")
+        _report(
+            6,
+            ok,
+            f"{agreements}/{comparisons} sign agreements past the 1e-6 boundary margin"
+            f" ({negative} negative definite)",
+        )
         assert ok
 
 

@@ -192,9 +192,9 @@ class TestCertify:
     def test_delta_honoured(self, monkeypatch, tmp_path, flag, expected):
         seen = []
 
-        def fake_check_corollary(model, bank1, bank2, delta, max_iter):
+        def fake_check_corollary(model, bank, delta, max_iter):
             seen.append(delta)
-            return Certificate((), {}, {(1, (1, 1)): -1.0}, delta, True, ())
+            return Certificate((), {(1, (1, 1)): -1.0}, delta, True, ())
 
         monkeypatch.setattr(cli, "check_corollary", fake_check_corollary)
         gains = zero_gain_file(tmp_path, demo_path())

@@ -134,7 +134,7 @@ class TestGainFiles:
             for i, (i1, i2) in enumerate(mode_pairs(demo), start=1):
                 joint[(0, i, cell)] = block_diag(demo_bank.gain(1, i1, cell), demo_bank.gain(2, i2, cell))
         centralized = ControllerBank(
-            Scheme.CENTRALIZED, joint, {0: check_corollary(demo, demo_bank, demo_bank)}
+            Scheme.CENTRALIZED, joint, {0: check_corollary(demo, demo_bank)}
         )
         for bank in (demo_bank, centralized):
             path = tmp_path / "gains.json"

@@ -10,16 +10,9 @@ from mjls.lmi import (
     VariableLayout,
     _operator,
     evaluate,
-    schur_expand,
     solve_feasibility,
 )
 from mjls.linalg import sym_eig
-
-
-def constant_map(m):
-    """Variable-free map over an empty layout."""
-    lay = VariableLayout()
-    return MapBuilder(len(m), lay).const(m).build(), lay
 
 
 class TestLayoutPacking:
@@ -173,22 +166,6 @@ class TestMapBuilder:
                 z = rng.normal(size=lay.size)
                 assert np.max(np.abs(evaluate(amap, z) - ref.value(z))) <= 1e-12
 
-    def test_schur_expand_matches_dense_reference(self):
-        rng = np.random.default_rng(12)
-        lay = mixed_layout()
-        for _ in range(10):
-            e_map, e_ref = build_both(random_terms(rng), 6, lay)
-            parts = [build_both(random_terms(rng), 6, lay) for _ in range(4)]
-            lams, xs = parts[:2], parts[2:]
-            block = schur_expand(e_map, [m for m, _ in lams], [m for m, _ in xs])
-            for _ in range(3):
-                z = rng.normal(size=lay.size)
-                lam = [r.value(z) for _, r in lams]
-                x = [r.value(z) for _, r in xs]
-                zero = np.zeros((6, 6))
-                dense = np.block([[e_ref.value(z), lam[0], lam[1]], [lam[0].T, -x[0], zero], [lam[1].T, zero, -x[1]]])
-                assert np.max(np.abs(evaluate(block, z) - dense)) <= 1e-12
-
     def test_cancelling_terms_leave_no_triples(self):
         lay = mixed_layout()
         amap = MapBuilder(3, lay).linear("X", coeff=0.5).linear("X", coeff=-0.5).build()
@@ -205,68 +182,18 @@ class TestMapBuilder:
         with pytest.raises(DimensionMismatch, match="triples"):
             AffineMatrixMap(2, 1, np.zeros((2, 2)), np.array([1, 2]), np.zeros(2, dtype=int), np.ones(3))
 
+    @pytest.mark.parametrize("at, mirror", [((0, 2), False), ((2, 0), False), ((0, 2), True), ((3, 3), False)])
+    def test_term_past_the_block_edge_rejected(self, at, mirror):
+        lay = mixed_layout()
+        with pytest.raises(DimensionMismatch, match="exceeds block dim 4"):
+            MapBuilder(4, lay).linear("X", at=at, mirror=mirror)
+
     def test_unmirrored_non_symmetric_term_rejected(self):
         lay = VariableLayout()
         lay.add_sym("X", 2)
         a = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(NonSymmetric):
             MapBuilder(2, lay).linear("X", left=a).build()
-
-
-class TestSchurExpand:
-    def test_scalar_block(self):
-        # [[e, l],[l, -x]] < 0 iff e + l^2/x < 0 for x > 0.
-        e, lay = constant_map([[-2.0]])
-        l = MapBuilder(1, lay).const([[1.0]]).build()
-        x = MapBuilder(1, lay).const([[1.0]]).build()
-        block = schur_expand(e, [l], [x])
-        out = evaluate(block, np.zeros(0))
-        assert np.allclose(out, [[-2.0, 1.0], [1.0, -1.0]])
-
-    def test_empty_companions_returns_e(self):
-        e, _ = constant_map([[-2.0]])
-        assert schur_expand(e, [], []) is e
-
-    def test_complement_equivalence_random(self):
-        # Definiteness verdict of the block form agrees with the directly
-        # evaluated complement whenever the boundary margin exceeds 1e-6.
-        rng = np.random.default_rng(23)
-        checked = 0
-        for _ in range(200):
-            n = int(rng.integers(1, 4))
-            n_comp = int(rng.integers(1, 3))
-            e_mat = rng.normal(size=(n, n))
-            e_mat = 0.5 * (e_mat + e_mat.T) - rng.uniform(0.0, 3.0) * np.eye(n)
-            lams = []
-            xs = []
-            for _ in range(n_comp):
-                raw = rng.normal(size=(n, n))
-                lams.append(0.3 * (raw + raw.T))
-                g = rng.normal(size=(n, n))
-                xs.append(g @ g.T + 0.5 * np.eye(n))
-            complement = e_mat + sum(
-                lam @ np.linalg.solve(x, lam.T) for lam, x in zip(lams, xs)
-            )
-            lay = VariableLayout()
-            e_map = MapBuilder(n, lay).const(e_mat).build()
-            block = schur_expand(
-                e_map,
-                [MapBuilder(n, lay).const(lam).build() for lam in lams],
-                [MapBuilder(n, lay).const(x).build() for x in xs],
-            )
-            block_eig = sym_eig(evaluate(block, np.zeros(0))).max
-            comp_eig = sym_eig(complement).max
-            if abs(comp_eig) < 1e-6 or abs(block_eig) < 1e-6:
-                continue
-            checked += 1
-            assert (block_eig < 0.0) == (comp_eig < 0.0)
-        assert checked >= 150
-
-    def test_dimension_mismatch(self):
-        e, lay = constant_map([[-1.0]])
-        wrong = MapBuilder(2, lay).const(np.eye(2)).build()
-        with pytest.raises(DimensionMismatch):
-            schur_expand(e, [wrong], [wrong])
 
 
 def scalar_problem(delta=0.5):
@@ -434,10 +361,11 @@ def split_problem():
 
 
 def jump_problem(separate: bool):
-    """Coupled Lyapunov blocks of a three-mode jump system, Schur-expanded as
-    the synthesis builders do.  Modes 1 and 3 never jump to each other, so
-    their blocks have an empty companion and split off a -X_j piece; with
-    ``separate`` that piece is entered as a constraint of its own."""
+    """Coupled Lyapunov blocks of a three-mode jump system with their Schur
+    companions, placed as the synthesis builders place them.  Modes 1 and 3
+    never jump to each other, so their blocks have an empty companion and
+    split off a -X_j piece; with ``separate`` that piece is entered as a
+    constraint of its own."""
     a = [np.array([[0.8, 1.0], [-1.0, -0.1]]), np.array([[-1.5, 0.5], [0.0, -0.5]]), np.array([[0.0, 2.0], [-0.3, 0.7]])]
     rates = np.array([[-3.0, 3.0, 0.0], [1.0, -2.0, 1.0], [0.0, 2.0, -2.0]])
     lay = VariableLayout()
@@ -445,18 +373,17 @@ def jump_problem(separate: bool):
         lay.add_sym(i, 2)
     neg = []
     for i in range(3):
-        e = MapBuilder(2, lay).linear(i, left=a[i], mirror=True).linear(i, coeff=rates[i, i]).build()
-        lams, xs = [], []
-        for j in (j for j in range(3) if j != i):
-            if separate and rates[i, j] == 0.0:
-                neg.append(MapBuilder(2, lay).linear(j, coeff=-1.0).build())
-                continue
-            lam = MapBuilder(2, lay)
+        others = [j for j in range(3) if j != i]
+        if separate:
+            neg.extend(MapBuilder(2, lay).linear(j, coeff=-1.0).build() for j in others if rates[i, j] == 0.0)
+            others = [j for j in others if rates[i, j] != 0.0]
+        block = MapBuilder(2 * (1 + len(others)), lay)
+        block.linear(i, left=a[i], mirror=True).linear(i, coeff=rates[i, i])
+        for n, j in enumerate(others, start=1):
             if rates[i, j] > 0.0:
-                lam.linear(i, coeff=np.sqrt(rates[i, j]))
-            lams.append(lam.build())
-            xs.append(MapBuilder(2, lay).linear(j).build())
-        neg.append(schur_expand(e, lams, xs))
+                block.linear(i, coeff=np.sqrt(rates[i, j]), at=(0, 2 * n), mirror=True)
+            block.linear(j, coeff=-1.0, at=(2 * n, 2 * n))
+        neg.append(block.build())
     pos = [MapBuilder(2, lay).linear(i).build() for i in range(3)]
     return LmiProblem(lay, neg, pos, delta=1e-3, z0=lay.pack({i: np.eye(2) for i in range(3)}))
 

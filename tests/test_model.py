@@ -11,6 +11,7 @@ from mjls.model import (
     RateFamily,
     RegionPartition,
     build_beta,
+    check_generator,
     compose_integrated,
     mode_pairs,
     region_index,
@@ -75,6 +76,26 @@ class TestValidate:
             obs2=m.obs2,
         )
         assert any(v.path == "rates1" for v in validate(bad))
+
+
+class TestCheckGenerator:
+    def test_row_sum_tolerance_scales_with_the_rates(self):
+        # With each diagonal set to minus its row's off-diagonal sum, the row
+        # sums are rounding error, which grows with the rates.
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            g = rng.uniform(0.0, 1e4, size=(3, 3))
+            np.fill_diagonal(g, 0.0)
+            np.fill_diagonal(g, -g.sum(axis=1))
+            out = []
+            check_generator(g, "g", out, 3)
+            assert out == []
+
+    def test_row_off_by_a_millionth_of_its_scale_rejected(self):
+        g = np.array([[-1e4 - 1e-2, 4e3, 6e3], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
+        out = []
+        check_generator(g, "g", out, 3)
+        assert [str(v) for v in out] == ["g[row 1]: row sums to -0.01, must be 0 within 1e-08"]
 
 
 class TestRegionIndex:

@@ -268,7 +268,7 @@ class TestCertifyGains:
         cert = certify_gains(model, bank, delta=1e-8)
         assert cert.certified
         assert np.allclose(cert.p_matrices[0], [[1.0]])
-        assert np.allclose(cert.psi[(1, 1)], [[-2.0]])
+        assert np.isclose(cert.psi_max[(1, 1)], -2.0)
 
     def test_unstable_scalar_cannot_certify(self):
         model = scalar_integrated(a=1.0, b=0.0)
@@ -286,7 +286,7 @@ class TestCertifyGains:
     def test_certificate_soundness(self, demo_integrated, demo_bank, demo):
         # Re-evaluate every closed-loop form independently from the
         # certificate's P matrices and compare against the stored maxima.
-        cert = check_corollary(demo, demo_bank, demo_bank)
+        cert = check_corollary(demo, demo_bank)
         assert cert.certified
         for (i, m), stored in cert.psi_max.items():
             gains = {}
@@ -344,29 +344,28 @@ class TestCheckCorollary:
         zero = np.zeros((1, 1))
         cert1 = Certificate(
             p_matrices=(np.array([[1.0]]),),
-            psi={(1, (1, 1)): np.array([[-2.0]])},
             psi_max={(1, (1, 1)): -2.0},
             delta=1e-8,
             certified=True,
             s_values=(1.0,),
         )
-        bank1 = ControllerBank(Scheme.DISTRIBUTED, {(1, 1, (1, 1)): zero}, {1: cert1})
         cert2 = Certificate(
             p_matrices=(np.array([[2.0]]),),
-            psi={(1, (1, 1)): np.array([[-4.0]])},
             psi_max={(1, (1, 1)): -4.0},
             delta=1e-8,
             certified=True,
             s_values=(1.0,),
         )
-        bank2 = ControllerBank(Scheme.DISTRIBUTED, {(2, 1, (1, 1)): zero}, {2: cert2})
-        cert = check_corollary(model, bank1, bank2)
+        bank = ControllerBank(
+            Scheme.DISTRIBUTED, {(1, 1, (1, 1)): zero, (2, 1, (1, 1)): zero}, {1: cert1, 2: cert2}
+        )
+        cert = check_corollary(model, bank)
         assert cert.certified
         # Block-diagonal candidate keeps the subsystem Lyapunov matrices.
         assert np.allclose(cert.p_matrices[0], np.diag([1.0, 2.0]))
 
     def test_demo_model_end_to_end(self, demo, demo_bank):
-        cert = check_corollary(demo, demo_bank, demo_bank)
+        cert = check_corollary(demo, demo_bank)
         assert cert.certified
         assert len(cert.psi_max) == 36
         assert all(v <= -1e-8 + 1e-9 for v in cert.psi_max.values())
@@ -376,7 +375,11 @@ class TestCheckCorollary:
         gains.pop((1, 1, (1, 1)))
         broken = ControllerBank(Scheme.DISTRIBUTED, gains, demo_bank.certificates)
         with pytest.raises(MissingGain):
-            check_corollary(demo, broken, demo_bank)
+            check_corollary(demo, broken)
+
+    def test_non_distributed_bank_refused(self, demo):
+        with pytest.raises(MissingGain, match="no gain for system 1"):
+            check_corollary(demo, load_bank(CENTRALIZED_BANK))
 
     @pytest.mark.parametrize("delta", [0.0, -1e6])
     def test_non_positive_margin_rejected(self, demo, demo_bank, delta):
@@ -385,7 +388,7 @@ class TestCheckCorollary:
         zero = {key: np.zeros_like(g) for key, g in demo_bank.gains.items()}
         bank = ControllerBank(Scheme.DISTRIBUTED, zero, demo_bank.certificates)
         with pytest.raises(ValueError, match="delta must be positive"):
-            check_corollary(demo, bank, bank, delta=delta)
+            check_corollary(demo, bank, delta=delta)
 
 
 class TestSolverParity:
@@ -422,8 +425,8 @@ class TestPublishedExample:
         from mjls.fixtures import example_printed_gains
 
         printed = example_printed_gains()
-        bank1 = ControllerBank(Scheme.DISTRIBUTED, printed, {})
-        cert = check_corollary(paper_model, bank1, bank1, delta=1e-8)
+        bank = ControllerBank(Scheme.DISTRIBUTED, printed, {})
+        cert = check_corollary(paper_model, bank, delta=1e-8)
         assert not cert.certified
         assert cert.worst > 0.0
 
@@ -467,7 +470,7 @@ class TestDisturbanceHandling:
             cert = out.bank.certificates[k]
             assert cert.certified
             assert all(s > 0.0 for s in cert.s_values)
-        cor = check_corollary(model, out.bank, out.bank)
+        cor = check_corollary(model, out.bank)
         assert cor.certified
 
     def test_certify_gains_uses_companion_block(self):
@@ -489,7 +492,7 @@ class TestDisturbanceHandling:
         p = float(cert.p_matrices[0][0, 0])
         s = cert.s_values[0]
         expected = -2.0 * p + s * (p * 0.5) ** 2
-        assert abs(float(cert.psi[(1, 1)][0, 0]) - expected) <= 1e-12
+        assert abs(cert.psi_max[(1, 1)] - expected) <= 1e-12
 
 
 class TestFullInformationCertification:
