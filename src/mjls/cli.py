@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -134,6 +135,14 @@ def _check_solver_flags(args) -> None:
         raise ParseError(f"--decay: must be finite, got {args.decay}")
 
 
+def _check_out(path: str) -> None:
+    """Reject an output path that no write can honour, before any work."""
+    if Path(path).is_dir():
+        raise ParseError(f"--out: {path} is a directory")
+    if not Path(path).parent.is_dir():
+        raise ParseError(f"--out: directory {Path(path).parent} does not exist")
+
+
 def _binding(problem: LmiProblem, sol: LmiSolution) -> str:
     """The label and extreme eigenvalue of the constraint that misses its
     margin by the most."""
@@ -168,7 +177,7 @@ def cmd_synthesize(args) -> int:
     bank = outcome.bank
     worst_lmi = max(max(s.neg_margins) for s in outcome.solutions)
     if scheme is Scheme.DISTRIBUTED:
-        cert = check_corollary(model, bank, delta=PSI_MARGIN)
+        cert = check_corollary(model, bank, delta=PSI_MARGIN, max_iter=args.max_iter)
     else:
         cert = bank.certificates[0]
     certified = cert.certified and all(c.certified for c in bank.certificates.values())
@@ -251,6 +260,8 @@ def main(argv=None) -> int:
         "montecarlo": cmd_montecarlo,
     }[args.command]
     try:
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out)
         return handler(args)
     except InvalidModel as exc:
         for v in exc.violations:
@@ -258,7 +269,7 @@ def main(argv=None) -> int:
         count = len(exc.violations)
         print(f"error: {args.model}: model failed validation with {count} violation(s)", file=sys.stderr)
         return EXIT_INPUT
-    except (MjlsError, ValueError) as exc:
+    except (MjlsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -13,10 +13,6 @@ class NonSymmetric(MjlsError):
     """Matrix is not symmetric within tolerance."""
 
 
-class NonSquare(MjlsError):
-    """Matrix is not square."""
-
-
 class DimensionMismatch(MjlsError):
     """Operands have incompatible dimensions."""
 

@@ -340,5 +340,9 @@ def canonical_json(doc) -> str:
 def atomic_write_text(path, text: str) -> None:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidModel, NotStochastic
-from .linalg import as_matrix, cond, kron_sum, pinv
 
 __all__ = [
     "ModeDynamics",
@@ -45,7 +44,8 @@ __all__ = [
 _GEN_TOL = 1e-12
 _STOCH_TOL = 1e-12
 _BETA_TOL = 1e-8
-_COND_LIMIT = 1e6  # below it, build_beta inverts exactly and validate checks beta alpha = I
+_COND_LIMIT = 1e6  # below it, validate checks beta alpha = I
+_PINV_RCOND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,9 @@ class ModeDynamics:
     d: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a", as_matrix(self.a))
-        object.__setattr__(self, "b", as_matrix(self.b))
-        object.__setattr__(self, "d", as_matrix(self.d))
+        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
+        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
+        object.__setattr__(self, "d", np.asarray(self.d, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ class RateFamily:
     matrices: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "matrices", tuple(as_matrix(m) for m in self.matrices))
+        object.__setattr__(self, "matrices", tuple(np.asarray(m, dtype=float) for m in self.matrices))
 
     def matrix(self, region: int) -> np.ndarray:
         return self.matrices[region - 1]
@@ -122,7 +122,7 @@ class ObservationModel:
     _beta_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(as_matrix(a) for a in self.alphas))
+        object.__setattr__(self, "alphas", tuple(np.asarray(a, dtype=float) for a in self.alphas))
 
     def alpha(self, region: int) -> np.ndarray:
         return self.alphas[region - 1]
@@ -307,7 +307,7 @@ def validate(model: InterdependentModel) -> list[Violation]:
                     out.append(
                         Violation(f"{path}[{m_idx}].beta", f"alpha*beta*alpha deviates from alpha by {resid:.3e} (> {_BETA_TOL:g})")
                     )
-                if cond(a) < _COND_LIMIT:
+                if np.linalg.cond(a) < _COND_LIMIT:
                     left = np.max(np.abs(beta @ a - np.eye(sys.mode_count)))
                     if left > _BETA_TOL:
                         out.append(
@@ -331,20 +331,15 @@ def region_index(partition: RegionPartition, x) -> int:
 def build_beta(alpha) -> np.ndarray:
     """Inverse of a row-stochastic matrix, or its pseudo-inverse when singular.
 
-    The exact inverse is used whenever the condition number stays below
-    ``_COND_LIMIT``; beyond that the SVD pseudo-inverse takes over so that
-    nearly singular emissions degrade gracefully instead of blowing up gains.
-    A matrix that ``check_stochastic`` rejects raises NotStochastic.
+    Singular values at or below ``_PINV_RCOND`` times the largest drop,
+    which keeps them all below a condition number of ``_COND_LIMIT``.  A
+    matrix that ``check_stochastic`` rejects raises NotStochastic.
     """
-    a = as_matrix(alpha)
+    a = np.asarray(alpha, dtype=float)
     violations: list[Violation] = []
-    if not check_stochastic(a, "emission matrix", violations, a.shape[0]):
+    if not check_stochastic(a, "emission matrix", violations, a.shape[0] if a.ndim else 1):
         raise NotStochastic("; ".join(str(v) for v in violations))
-    if cond(a) < _COND_LIMIT:
-        # Well-conditioned: exact inverse via the pseudo-inverse with no
-        # cutoff active (all singular values retained).
-        return pinv(a, tol=0.0)
-    return pinv(a)
+    return np.linalg.pinv(a, rcond=_PINV_RCOND)
 
 
 def compose_integrated(model: InterdependentModel) -> IntegratedModel:
@@ -363,7 +358,8 @@ def compose_integrated(model: InterdependentModel) -> IntegratedModel:
     joint_alphas = []
     for m1 in range(1, model.part1.region_count + 1):
         for m2 in range(1, model.part2.region_count + 1):
-            joint_rates.append(kron_sum(model.rates1.matrix(m2), model.rates2.matrix(m1)))
+            g1, g2 = model.rates1.matrix(m2), model.rates2.matrix(m1)
+            joint_rates.append(np.kron(g1, np.eye(len(g2))) + np.kron(np.eye(len(g1)), g2))
             joint_alphas.append(np.kron(model.obs1.alpha(m1), model.obs2.alpha(m2)))
 
     return IntegratedModel(

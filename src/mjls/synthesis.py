@@ -40,6 +40,7 @@ from .errors import (
     InvalidModel,
     MissingGain,
     NonFinite,
+    NonSymmetric,
     NotFeasible,
     SingularX,
 )
@@ -52,7 +53,6 @@ from .lmi import (
     VariableLayout,
     solve_feasibility,
 )
-from .linalg import sym_eig
 from .model import (
     IntegratedModel,
     InterdependentModel,
@@ -91,6 +91,7 @@ PSI_MARGIN = 1e-8
 
 _SINGULAR_EIG = 1e-12
 _CERT_SLACK = 1e-9
+_SYM_TOL = 1e-12
 
 
 class Scheme(str, enum.Enum):
@@ -323,15 +324,22 @@ def _certificate(
     s_values: tuple[float, ...],
     delta: float,
 ) -> Certificate:
-    """Evaluate every closed-loop form of a target's bank gains under P."""
+    """Evaluate every closed-loop form of a target's bank gains under P; a
+    form that overflows has largest eigenvalue +inf, so it fails."""
     cell_gains = [_cell_gains(bank, target, cell) for cell in target.cells]
-    psi_max = {}
-    for i in target.modes:
-        for cell, gains in zip(target.cells, cell_gains):
-            mat = _form(target.system, cell, gains, p_matrices, i, s_values[i - 1])
-            psi_max[(i, cell.key)] = sym_eig(mat).max
+    keys = [(i, cell.key) for i in target.modes for cell in target.cells]
+    with np.errstate(all="ignore"):
+        forms = np.stack([
+            _form(target.system, cell, gains, p_matrices, i, s_values[i - 1])
+            for i in target.modes
+            for cell, gains in zip(target.cells, cell_gains)
+        ])
+    finite = np.isfinite(forms).all(axis=(1, 2))
+    tops = np.full(len(forms), np.inf)
+    tops[finite] = np.linalg.eigh(forms[finite])[0][:, -1]
+    psi_max = {key: float(top) for key, top in zip(keys, tops)}
     certified = all(v <= -delta + _CERT_SLACK for v in psi_max.values()) and all(
-        sym_eig(p).min > 0.0 for p in p_matrices
+        np.linalg.eigh(p)[0][0] > 0.0 for p in p_matrices
     )
     return Certificate(
         p_matrices=p_matrices,
@@ -471,11 +479,10 @@ def build_distributed(
 
 
 def _invert_x(x: np.ndarray, label: str) -> np.ndarray:
-    eig = sym_eig(x)
-    if eig.min < _SINGULAR_EIG:
-        raise SingularX(f"{label} has minimum eigenvalue {eig.min:.3e} < {_SINGULAR_EIG:g}")
-    v = eig.eigenvectors
-    return (v / eig.eigenvalues) @ v.T
+    w, v = np.linalg.eigh(x)
+    if w[0] < _SINGULAR_EIG:
+        raise SingularX(f"{label} has minimum eigenvalue {w[0]:.3e} < {_SINGULAR_EIG:g}")
+    return (v / w) @ v.T
 
 
 def _require_feasible(solution: LmiSolution) -> None:
@@ -652,6 +659,21 @@ def certify_gains(
     return _certificate(target, bank, p_matrices, s_values, delta)
 
 
+def _check_lyapunov(k: int, sys: JumpLinearSystem, p_matrices: Sequence[np.ndarray]) -> None:
+    if len(p_matrices) != sys.mode_count:
+        raise DimensionMismatch(f"certificate of system {k} has {len(p_matrices)} P matrices, expected {sys.mode_count}")
+    shape = (sys.state_dim, sys.state_dim)
+    for i, p in enumerate(p_matrices, start=1):
+        where = f"certificate of system {k}, P of mode {i}"
+        if p.shape != shape:
+            raise DimensionMismatch(f"{where} has shape {p.shape}, expected {shape}")
+        if not np.all(np.isfinite(p)):
+            raise NonFinite(f"{where} has non-finite entries")
+        deviation, tol = np.abs(p - p.T).max(), _SYM_TOL * max(1.0, np.abs(p).max())
+        if deviation > tol:
+            raise NonSymmetric(f"{where} is not symmetric within {tol:g} (deviation {deviation:.3e})")
+
+
 def check_corollary(
     model: InterdependentModel,
     bank: ControllerBank,
@@ -664,7 +686,9 @@ def check_corollary(
     distributed bank.  Builds the block-diagonal Lyapunov candidate from
     the two subsystem certificates and evaluates every joint closed-loop
     form; falls back to a fresh ``certify_gains`` search when the candidate
-    misses the margin or either certificate is absent.
+    misses the margin or either certificate is absent.  A certificate that
+    is not one finite nx x nx P per mode, symmetric within 1e-12 times
+    max(1, max |P|), raises an error naming the system and the mode.
     """
     if not delta > 0.0:
         raise ValueError("margin delta must be positive")
@@ -675,6 +699,8 @@ def check_corollary(
     cert1 = bank.certificates.get(1)
     cert2 = bank.certificates.get(2)
     if cert1 is not None and cert2 is not None:
+        for k, sys, cert in ((1, model.sys1, cert1), (2, model.sys2, cert2)):
+            _check_lyapunov(k, sys, cert.p_matrices)
         p_joint = []
         s_joint = []
         for i1, i2 in mode_pairs(model):

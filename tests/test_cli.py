@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from mjls import model as model_module
 from mjls.cli import main
 from mjls.fileio import canonical_json, load_bank, load_model, save_bank, save_model
 from mjls.fixtures import demo_path, fixture_path
-from mjls.linalg import sym_eig
 from mjls.lmi import evaluate, solve_feasibility
 from mjls.model import (
     InterdependentModel,
@@ -20,6 +20,8 @@ from mjls.model import (
     RegionPartition,
 )
 from mjls.synthesis import PSI_MARGIN, Certificate, ControllerBank, Scheme, build_distributed
+
+PERF_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
 
 @pytest.fixture(scope="module")
@@ -124,8 +126,8 @@ class TestSynthesize:
 
         problem = build_distributed(load_model(fixture_path()))[0]
         sol = solve_feasibility(problem, 1000)
-        misses = [sym_eig(evaluate(m, sol.z)).max + problem.delta for m in problem.neg]
-        misses += [problem.delta - sym_eig(evaluate(m, sol.z)).min for m in problem.pos]
+        misses = [np.linalg.eigvalsh(evaluate(m, sol.z)).max() + problem.delta for m in problem.neg]
+        misses += [problem.delta - np.linalg.eigvalsh(evaluate(m, sol.z)).min() for m in problem.pos]
         worst = int(np.argmax(misses))
         assert worst < len(problem.neg)
         label, eigenvalue = binding[0].removeprefix("problem 1: binding constraint ").rsplit(", max eigenvalue ", 1)
@@ -202,6 +204,97 @@ class TestCertify:
         assert seen == [expected]
 
 
+def _certify_edited_bank(tmp_path, edit) -> int:
+    """``mjls certify`` of the perfbench distributed bank on the demo model,
+    after ``edit`` changed the bank's list of P matrices in place.  System
+    1 has two modes of dimension 2: the list starts with their P."""
+    doc = json.loads((PERF_DATA / "bank_distributed.json").read_text())
+    edit(doc["certificate"]["P"])
+    bank = tmp_path / "bank.json"
+    bank.write_text(json.dumps(doc))  # canonical_json refuses NaN
+    return main(["certify", str(PERF_DATA / "demo_model.json"), str(bank)])
+
+
+def _nan_entry(p):
+    p[0][0][0] = float("nan")
+
+
+def _asymmetric(p):
+    p[0][0][1] += 1.0
+
+
+def _three_by_three(p):
+    p[0] = np.eye(3).tolist()
+
+
+def _overflowing(p):
+    p[0] = [[1e308, 1e308], [1e308, 1e308]]
+
+
+def _scaled_and_moved(p):
+    p[0], p[1] = ([[v * 1e5 for v in row] for row in m] for m in p[:2])
+    p[0][0][1] += 1e-10
+
+
+class TestCertificateChecks:
+    """The P matrices of a distributed bank file are checked where
+    ``check_corollary`` reads them, and a candidate whose forms overflow
+    is left to the fallback search."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_nan_entry, "certificate of system 1, P of mode 1 has non-finite entries"),
+            (_asymmetric, "certificate of system 1, P of mode 1 is not symmetric within"),
+            (_three_by_three, "certificate of system 1, P of mode 1 has shape (3, 3), expected (2, 2)"),
+        ],
+        ids=["nan", "asymmetric", "wrong-shape"],
+    )
+    def test_bad_certificate_rejected(self, tmp_path, capsys, edit, message):
+        assert _certify_edited_bank(tmp_path, edit) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
+
+    # Overflowing forms raise no numpy warning and leave the verdict to the
+    # fallback; symmetry is judged against the scale of the entries.
+    @pytest.mark.parametrize("edit", [_overflowing, _scaled_and_moved], ids=["overflow", "relative-symmetry"])
+    def test_certificate_within_tolerance_certifies(self, tmp_path, capsys, edit):
+        assert _certify_edited_bank(tmp_path, edit) == 0
+        captured = capsys.readouterr()
+        assert "certified: yes" in captured.out
+        assert captured.err == ""
+
+
+class TestOutput:
+    @pytest.mark.parametrize("verb", ["synthesize", "simulate", "montecarlo"])
+    @pytest.mark.parametrize("target, message", [("absent/out", "does not exist"), (".", "is a directory")])
+    def test_unwritable_out_rejected_before_any_file_is_read(self, tmp_path, capsys, verb, target, message):
+        # The model path does not exist, so only a check made before the
+        # model is read can produce the --out message.
+        model, gains = str(tmp_path / "absent.json"), str(tmp_path / "g.json")
+        out = str(tmp_path / target)
+        argv = {
+            "synthesize": ["synthesize", model, "--scheme", "distributed"],
+            "simulate": ["simulate", model, gains, "--x1=1", "--x2=1"],
+            "montecarlo": ["montecarlo", model, gains, "--runs", "1", "--x1=1", "--x2=1"],
+        }[verb]
+        assert main([*argv, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out: ") and message in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_reported(self, tmp_path, capsys, monkeypatch):
+        def refuse(path, trace):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli, "write_trace_csv", refuse)
+        model, gains = str(PERF_DATA / "demo_model.json"), str(PERF_DATA / "bank_distributed.json")
+        argv = ["simulate", model, gains, "--x1=1,0", "--x2=0,0,1", "--horizon", "0.01", "--out", str(tmp_path / "t.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{tmp_path / 't.csv'}'\n"
+
+
 class TestFlags:
     @pytest.mark.parametrize(
         "argv",
@@ -246,6 +339,19 @@ class TestFlags:
         }[verb]
         assert main([*argv, *flags]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_synthesize_max_iter_bounds_corollary_check(self, monkeypatch, tmp_path):
+        seen = []
+
+        def fake_check_corollary(model, bank, delta, max_iter):
+            seen.append(max_iter)
+            return Certificate((), {(1, (1, 1)): -1.0}, delta, True, ())
+
+        monkeypatch.setattr(cli, "check_corollary", fake_check_corollary)
+        model = str(scalar_model_file(tmp_path))
+        argv = ["synthesize", model, "--scheme", "distributed", "--max-iter", "77", "--out", str(tmp_path / "g.json")]
+        assert main(argv) == 0
+        assert seen == [77]
 
     def test_negative_delta_does_not_certify_zero_gains(self, tmp_path, demo_gains_file, capsys):
         # Zero gains carrying a distributed bank's certificate: the

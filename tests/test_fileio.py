@@ -6,6 +6,7 @@ import pytest
 
 from mjls.fileio import (
     ParseError,
+    atomic_write_text,
     bank_from_dict,
     canonical_json,
     load_bank,
@@ -210,6 +211,14 @@ class TestGainFiles:
         bank = bank_from_dict(doc)
         assert bank.certificates == {}
         assert np.allclose(bank.gain(1, 1, (1, 1)), [[0.5, -1.0]])
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "out"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        atomic_write_text(target, "{}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 class TestTraceCsv:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,24 @@ class TestValidate:
 
     def test_single_mode_trivial_model(self):
         assert validate(single_mode_model()) == []
+
+    def test_matrix_that_is_not_2d_reported(self):
+        bad = dataclasses.replace(
+            single_mode_model(),
+            sys1=JumpLinearSystem(1, 1, 1, (ModeDynamics([-1.0], [[0.0]], [[0.0]]),)),
+            rates1=RateFamily(([0.0],)),
+            obs1=ObservationModel((1.0,)),
+        )
+        assert [str(v) for v in validate(bad)] == [
+            "system1.modes[1].A: expected shape (1, 1), got (1,)",
+            "rates1[1]: expected shape (1, 1), got (1,)",
+            "obs1[1]: expected shape (1, 1), got ()",
+        ]
+
+    def test_nonsquare_rate_matrix_reported(self):
+        m = example_model()
+        bad = dataclasses.replace(m, rates1=RateFamily((np.zeros((2, 3)),) + m.rates1.matrices[1:]))
+        assert "rates1[1]: expected shape (2, 2), got (2, 3)" in [str(v) for v in validate(bad)]
 
     def test_region_count_mismatch_reported(self):
         m = example_model()
@@ -147,6 +167,20 @@ class TestBuildBeta:
         with pytest.raises(NotStochastic):
             build_beta(np.array([[0.5, 0.6], [0.5, 0.5]]))
 
+    def test_rejects_nonfinite(self):
+        with pytest.raises(NotStochastic, match="non-finite entries"):
+            build_beta(np.array([[np.nan, 1.0], [0.0, 1.0]]))
+
+    def test_rejects_matrix_that_is_not_2d(self):
+        with pytest.raises(NotStochastic, match=r"expected shape \(2, 2\), got \(2,\)"):
+            build_beta([0.5, 0.5])
+
+    def test_cutoff_relative_to_largest_singular_value(self):
+        # Singular values about 1 and 1e-14: the second drops, so beta is the
+        # pseudo-inverse of the rank-one part, not an inverse of size 1e14.
+        alpha = np.array([[0.5, 0.5], [0.5 + 1e-14, 0.5 - 1e-14]])
+        assert np.allclose(build_beta(alpha), 0.5, atol=1e-10)
+
     def test_round_trip_random_stochastic(self):
         rng = np.random.default_rng(17)
         for _ in range(1000):
@@ -156,7 +190,11 @@ class TestBuildBeta:
                 alpha[-1] = alpha[0]  # occasionally singular
             alpha /= alpha.sum(axis=1, keepdims=True)
             beta = build_beta(alpha)
+            # The four Moore-Penrose identities.
             assert np.max(np.abs(alpha @ beta @ alpha - alpha)) <= 1e-8
+            assert np.max(np.abs(beta @ alpha @ beta - beta)) <= 1e-8 * max(1.0, np.abs(beta).max())
+            assert np.max(np.abs((alpha @ beta).T - alpha @ beta)) <= 1e-8
+            assert np.max(np.abs((beta @ alpha).T - beta @ alpha)) <= 1e-8
 
 
 class TestComposeIntegrated:
@@ -192,6 +230,26 @@ class TestComposeIntegrated:
             off = g - np.diag(np.diag(g))
             assert np.min(off) >= 0.0
 
+    def test_random_joint_generators_valid(self):
+        # Kronecker sums of generators are generators.
+        rng = np.random.default_rng(5)
+        m = single_mode_model()
+        for _ in range(200):
+            g1, g2 = (_random_generator(rng, int(rng.integers(1, 5))) for _ in range(2))
+            model = dataclasses.replace(
+                m,
+                sys1=JumpLinearSystem(1, 1, 1, m.sys1.modes * len(g1)),
+                sys2=JumpLinearSystem(1, 1, 1, m.sys2.modes * len(g2)),
+                rates1=RateFamily((g1,)),
+                rates2=RateFamily((g2,)),
+                obs1=ObservationModel((np.eye(len(g1)),)),
+                obs2=ObservationModel((np.eye(len(g2)),)),
+            )
+            joint = compose_integrated(model).rates.matrix(1)
+            assert joint.shape == (len(g1) * len(g2),) * 2
+            assert np.max(np.abs(joint.sum(axis=1))) <= 1e-12
+            assert np.min(joint - np.diag(np.diag(joint))) >= 0.0
+
     def test_joint_emissions_row_stochastic(self):
         integ = compose_integrated(example_model())
         for a in integ.obs.alphas:
@@ -210,3 +268,10 @@ class TestComposeIntegrated:
         part = compose_integrated(example_model()).partition
         row_major = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
         assert [part.cell_pair(m) for m in range(1, part.cell_count + 1)] == row_major
+
+
+def _random_generator(rng, n):
+    g = rng.uniform(0.0, 2.0, size=(n, n))
+    np.fill_diagonal(g, 0.0)
+    np.fill_diagonal(g, -g.sum(axis=1))
+    return g

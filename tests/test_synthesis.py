@@ -5,10 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mjls.errors import InvalidModel, MissingGain, NotFeasible, SingularX
+from mjls.errors import DimensionMismatch, InvalidModel, MissingGain, NotFeasible, SingularX
 from mjls.fileio import load_bank
 from mjls.lmi import LmiSolution, SolveStatus, solve_feasibility
-from mjls.linalg import sym_eig
 from mjls.model import (
     IntegratedModel,
     InterdependentModel,
@@ -281,7 +280,7 @@ class TestCertifyGains:
         assert not cert.certified
         # Any genuinely positive definite P makes the form 2P positive.
         p = cert.p_matrices[0]
-        assert sym_eig(p).min <= 0.0 or cert.worst > 0.0
+        assert np.linalg.eigvalsh(p).min() <= 0.0 or cert.worst > 0.0
 
     def test_certificate_soundness(self, demo_integrated, demo_bank, demo):
         # Re-evaluate every closed-loop form independently from the
@@ -299,7 +298,7 @@ class TestCertifyGains:
                 g[1:, 2:] = g2
                 gains[i_hat] = g
             psi = build_psi(cert.p_matrices, gains, demo_integrated, i, m)
-            assert abs(sym_eig(psi).max - stored) <= 1e-9
+            assert abs(np.linalg.eigvalsh(psi).max() - stored) <= 1e-9
             assert stored <= -1e-8 + 1e-9
 
     def test_distributed_certificate_soundness(self, demo, demo_bank):
@@ -376,6 +375,13 @@ class TestCheckCorollary:
         broken = ControllerBank(Scheme.DISTRIBUTED, gains, demo_bank.certificates)
         with pytest.raises(MissingGain):
             check_corollary(demo, broken)
+
+    def test_certificate_needs_one_p_per_mode(self, demo, demo_bank):
+        cert1, cert2 = demo_bank.certificates[1], demo_bank.certificates[2]
+        short = dataclasses.replace(cert2, p_matrices=cert2.p_matrices[:2])
+        bank = ControllerBank(Scheme.DISTRIBUTED, demo_bank.gains, {1: cert1, 2: short})
+        with pytest.raises(DimensionMismatch, match="certificate of system 2 has 2 P matrices, expected 3"):
+            check_corollary(demo, bank)
 
     def test_non_distributed_bank_refused(self, demo):
         with pytest.raises(MissingGain, match="no gain for system 1"):
