@@ -7,7 +7,7 @@ certificate assembler and one gain recovery work on any target:
 
 * ``build_centralized``: one target, the integrated product-mode system
   over its product cells; gains are recovered per joint observation by
-  unmixing with the emission matrix's (pseudo-)inverse.
+  unmixing with the emission matrix's inverse.
 * ``build_fullinfo``: the same problem; the target's emissions are the
   identity, since the controller reads the true mode.
 * ``build_distributed``: one target per subsystem, over the (region1,
@@ -16,9 +16,9 @@ certificate assembler and one gain recovery work on any target:
 
 Certification is separate from synthesis: ``build_psi`` evaluates the
 closed-loop generator quadratic form for fixed gains and Lyapunov
-matrices, ``certify_gains`` searches for Lyapunov matrices proving a
-fixed bank stable, and ``check_corollary`` verifies that a distributed
-bank stabilizes the integrated system via a block-diagonal candidate.
+matrices; ``certify_gains`` and ``check_corollary`` check a candidate
+certificate (a joint bank's own, or the block-diagonal composition of a
+distributed bank's two) and search only when it is absent or misses.
 ``check_bank`` rejects a bank that does not fit a model and returns its
 joint gains, the ones both the certifier and the simulator run.
 The forms are the coupled-Lyapunov forms of Costa, Fragoso and Todorov,
@@ -54,6 +54,7 @@ from .lmi import (
     solve_feasibility,
 )
 from .model import (
+    _COND_LIMIT,
     IntegratedModel,
     InterdependentModel,
     JumpLinearSystem,
@@ -175,6 +176,24 @@ def _validate_integrated(model: IntegratedModel) -> None:
         raise InvalidModel(violations)
 
 
+def _require_invertible_emissions(model: InterdependentModel, scheme: Scheme) -> None:
+    """Refuse an emission matrix whose inverse gain recovery cannot use:
+    unmixing reproduces the synthesized closed loop only where beta alpha
+    = I, which ``validate`` checks below ``_COND_LIMIT``."""
+    violations = [
+        Violation(
+            f"{path}[{r}]",
+            f"condition number {cond:.3e} is not below {_COND_LIMIT:g}, "
+            f"so {scheme.value} synthesis cannot recover gains through its inverse",
+        )
+        for path, obs in (("obs1", model.obs1), ("obs2", model.obs2))
+        for r, cond in enumerate(map(np.linalg.cond, obs.alphas), start=1)
+        if cond >= _COND_LIMIT
+    ]
+    if violations:
+        raise InvalidModel(violations)
+
+
 @dataclass(frozen=True)
 class _Cell:
     """One cell of a synthesis target's grid.
@@ -280,18 +299,12 @@ def _form(
     s: float,
 ) -> np.ndarray:
     """P_i Abar + Abar' P_i + sum_j rate_ij P_j + s P_i D D' P_i for mode i
-    in one cell, exactly symmetric."""
-    nx = sys.state_dim
-    n_modes = sys.mode_count
-    if len(p_matrices) != n_modes:
-        raise DimensionMismatch(f"expected {n_modes} Lyapunov matrices, got {len(p_matrices)}")
-    p_i = np.asarray(p_matrices[i - 1], dtype=float)
-    if p_i.shape != (nx, nx):
-        raise DimensionMismatch(f"P_{i} must be {nx}x{nx}, got {p_i.shape}")
+    in one cell, exactly symmetric; ``p_matrices`` passed ``_check_lyapunov``."""
+    p_i = p_matrices[i - 1]
     a_bar = _closed_loop(sys, i, cell.alpha, gains)
     psi = p_i @ a_bar + a_bar.T @ p_i
-    for j in range(1, n_modes + 1):
-        psi += cell.rates[i - 1, j - 1] * np.asarray(p_matrices[j - 1], dtype=float)
+    for j in range(1, sys.mode_count + 1):
+        psi += cell.rates[i - 1, j - 1] * p_matrices[j - 1]
     dyn = sys.dynamics(i)
     if np.any(dyn.d):
         if s <= 0.0:
@@ -314,6 +327,8 @@ def build_psi(
     Returns P_i Abar + Abar' P_i + sum_j rate_ij P_j + s P_i D D' P_i with
     Abar the observation-averaged closed loop; exactly symmetric output.
     """
+    p_matrices = tuple(np.asarray(p, dtype=float) for p in p_matrices)
+    _check_lyapunov(0, model.system, p_matrices)
     return _form(model.system, _integrated_cell(model, m), gains, p_matrices, i, s)
 
 
@@ -470,10 +485,12 @@ def build_distributed(
     System 1 gets one block per (own mode, region1, region2) under the rate
     matrix selected by region2; system 2 symmetrically under region1's.
     Gains carry both region indices; the two problems share no variables.
+    An emission matrix that gain recovery cannot invert is refused.
     """
     violations = validate(model)
     if violations:
         raise InvalidModel(violations)
+    _require_invertible_emissions(model, Scheme.DISTRIBUTED)
     prob1, prob2 = (_build_problem(_subsystem_target(model, k), delta, decay) for k in (1, 2))
     return prob1, prob2
 
@@ -598,24 +615,24 @@ def check_bank(model: InterdependentModel, bank: ControllerBank) -> ControllerBa
     return ControllerBank(scheme=Scheme.CENTRALIZED, gains=joint, certificates={}) if distributed else bank
 
 
-def certify_gains(
-    model: IntegratedModel,
+def _certify(
+    target: _Target,
     bank: ControllerBank,
-    delta: float = PSI_MARGIN,
-    max_iter: int = 20000,
+    candidate: tuple[tuple[np.ndarray, ...], tuple[float, ...]] | None,
+    delta: float,
+    max_iter: int,
 ) -> Certificate:
-    """Search for Lyapunov matrices proving a fixed gain bank stable.
-
-    With the gains fixed, the closed-loop forms are affine in the P_i (the
-    disturbance term enters through a Schur companion block), so this is
-    itself a feasibility problem.  Infeasibility is reported through
-    ``certified=False``, never raised.  Full-information banks are checked
-    against identity emissions, since that controller reads the true mode.
-    """
-    if bank.scheme is Scheme.FULL_INFORMATION:
-        model = _with_identity_obs(model)
-    _validate_integrated(model)
-    target = _integrated_target(model)
+    """Return the candidate (P, s) if it certifies the target's bank gains
+    at ``delta``, else search for Lyapunov matrices: with the gains fixed
+    the forms are affine in the P_i, the disturbance term entering through
+    a Schur companion block.  The direct evaluation of the forms decides
+    the certified flag, whatever the solver claimed."""
+    if not delta > 0.0:
+        raise ValueError("margin delta must be positive")
+    if candidate is not None:
+        cert = _certificate(target, bank, *candidate, delta)
+        if cert.certified:
+            return cert
     sys = target.system
     nx = sys.state_dim
     cell_gains = [_cell_gains(bank, target, cell) for cell in target.cells]
@@ -630,17 +647,15 @@ def certify_gains(
     neg, neg_labels = [], []
     for i in target.modes:
         dyn = sys.dynamics(i)
-        has_d = i in s_modes
-        nw = dyn.d.shape[1] if has_d else 0
-        dim = nx + nw
+        nw = dyn.d.shape[1] if i in s_modes else 0
         for cell, gains in zip(target.cells, cell_gains):
-            b = MapBuilder(dim, layout)
+            b = MapBuilder(nx + nw, layout)
             b.linear(("P", i), right=_closed_loop(sys, i, cell.alpha, gains), mirror=True, at=(0, 0))
             for j in target.modes:
                 rate = float(cell.rates[i - 1, j - 1])
                 if rate != 0.0:
                     b.linear(("P", j), coeff=rate, at=(0, 0))
-            if has_d:
+            if nw:
                 b.linear(("P", i), right=dyn.d, at=(0, nx), mirror=True)
                 b.scalar(("r", i), -np.eye(nw), at=(nx, nx))
             neg.append(b.build())
@@ -649,13 +664,8 @@ def certify_gains(
     problem = _close_problem(target, layout, neg, neg_labels, delta, "P", "r")
     solution = solve_feasibility(problem, max_iter)
 
-    p_matrices = tuple(solution.layout.unpack(solution.z, ("P", i)) for i in target.modes)
-    s_values = tuple(
-        1.0 / solution.layout.unpack(solution.z, ("r", i)) if i in s_modes else 1.0
-        for i in target.modes
-    )
-    # The direct evaluation of the closed-loop forms is authoritative for
-    # the certified flag, whatever the solver claimed.
+    p_matrices = tuple(solution.variable(("P", i)) for i in target.modes)
+    s_values = tuple(1.0 / solution.variable(("r", i)) if i in s_modes else 1.0 for i in target.modes)
     return _certificate(target, bank, p_matrices, s_values, delta)
 
 
@@ -674,6 +684,27 @@ def _check_lyapunov(k: int, sys: JumpLinearSystem, p_matrices: Sequence[np.ndarr
             raise NonSymmetric(f"{where} is not symmetric within {tol:g} (deviation {deviation:.3e})")
 
 
+def certify_gains(
+    model: IntegratedModel,
+    bank: ControllerBank,
+    delta: float = PSI_MARGIN,
+    max_iter: int = 20000,
+) -> Certificate:
+    """Certify a fixed gain bank on the integrated system, searching only
+    when the bank's own certificate is absent or misses.  Infeasibility is
+    reported through ``certified=False``, never raised.  Full-information
+    banks are checked against identity emissions, since that controller
+    reads the true mode."""
+    if bank.scheme is Scheme.FULL_INFORMATION:
+        model = _with_identity_obs(model)
+    _validate_integrated(model)
+    own = bank.certificates.get(0)
+    if own is not None:
+        _check_lyapunov(0, model.system, own.p_matrices)
+    candidate = None if own is None else (own.p_matrices, own.s_values)
+    return _certify(_integrated_target(model), bank, candidate, delta, max_iter)
+
+
 def check_corollary(
     model: InterdependentModel,
     bank: ControllerBank,
@@ -683,36 +714,26 @@ def check_corollary(
     """Verify that a distributed bank stabilizes the integrated system.
 
     ``check_bank`` rejects the bank unless it fits the model as a
-    distributed bank.  Builds the block-diagonal Lyapunov candidate from
-    the two subsystem certificates and evaluates every joint closed-loop
-    form; falls back to a fresh ``certify_gains`` search when the candidate
-    misses the margin or either certificate is absent.  A certificate that
-    is not one finite nx x nx P per mode, symmetric within 1e-12 times
-    max(1, max |P|), raises an error naming the system and the mode.
-    """
-    if not delta > 0.0:
-        raise ValueError("margin delta must be positive")
+    distributed bank.  The candidate is the block-diagonal composition of
+    the two subsystem certificates; the search runs when either is absent
+    or the candidate misses.  A certificate that is not one finite nx x nx
+    P per mode, symmetric within 1e-12 times max(1, max |P|), raises an
+    error naming the system and the mode."""
     integ = compose_integrated(model)
     # Read as distributed whatever its scheme, so a joint bank is refused.
     joint_bank = check_bank(model, ControllerBank(scheme=Scheme.DISTRIBUTED, gains=bank.gains, certificates={}))
 
-    cert1 = bank.certificates.get(1)
-    cert2 = bank.certificates.get(2)
+    cert1, cert2 = bank.certificates.get(1), bank.certificates.get(2)
+    candidate = None
     if cert1 is not None and cert2 is not None:
         for k, sys, cert in ((1, model.sys1, cert1), (2, model.sys2, cert2)):
             _check_lyapunov(k, sys, cert.p_matrices)
-        p_joint = []
-        s_joint = []
-        for i1, i2 in mode_pairs(model):
-            p_joint.append(block_diag(cert1.p_matrices[i1 - 1], cert2.p_matrices[i2 - 1]))
-            s_joint.append(min(cert1.s_values[i1 - 1], cert2.s_values[i2 - 1]))
-        candidate = _certificate(
-            _integrated_target(integ), joint_bank, tuple(p_joint), tuple(s_joint), delta
+        pairs = mode_pairs(model)
+        candidate = (
+            tuple(block_diag(cert1.p_matrices[i1 - 1], cert2.p_matrices[i2 - 1]) for i1, i2 in pairs),
+            tuple(min(cert1.s_values[i1 - 1], cert2.s_values[i2 - 1]) for i1, i2 in pairs),
         )
-        if candidate.certified:
-            return candidate
-
-    return certify_gains(integ, joint_bank, delta, max_iter)
+    return _certify(_integrated_target(integ), joint_bank, candidate, delta, max_iter)
 
 
 @dataclass(frozen=True)
@@ -747,11 +768,16 @@ def synthesize(
     ``decay`` > 0 synthesizes against rate-shifted dynamics A + decay*I, a
     standard way to demand a guaranteed contraction rate; the recovered
     bank's certificate is always evaluated against the unshifted model.
+    Centralized and distributed synthesis refuse an emission matrix whose
+    inverse gain recovery cannot use.
     """
     if scheme is Scheme.DISTRIBUTED:
         problems = build_distributed(model, delta, decay)
     else:
-        model = compose_integrated(model)
+        integ = compose_integrated(model)
+        if scheme is Scheme.CENTRALIZED:
+            _require_invertible_emissions(model, scheme)
+        model = integ
         builder = build_fullinfo if scheme is Scheme.FULL_INFORMATION else build_centralized
         problems = (builder(model, delta, decay),)
     solutions = tuple(solve_feasibility(problem, max_iter) for problem in problems)

@@ -204,15 +204,22 @@ class TestCertify:
         assert seen == [expected]
 
 
-def _certify_edited_bank(tmp_path, edit) -> int:
-    """``mjls certify`` of the perfbench distributed bank on the demo model,
-    after ``edit`` changed the bank's list of P matrices in place.  System
-    1 has two modes of dimension 2: the list starts with their P."""
-    doc = json.loads((PERF_DATA / "bank_distributed.json").read_text())
-    edit(doc["certificate"]["P"])
+def _certify_edited_doc(tmp_path, edit, bank_file) -> int:
+    """``mjls certify`` of a perfbench bank on the demo model, after
+    ``edit`` changed the bank document in place."""
+    doc = json.loads((PERF_DATA / bank_file).read_text())
+    edit(doc)
     bank = tmp_path / "bank.json"
     bank.write_text(json.dumps(doc))  # canonical_json refuses NaN
     return main(["certify", str(PERF_DATA / "demo_model.json"), str(bank)])
+
+
+def _certify_edited_bank(tmp_path, edit, bank_file="bank_distributed.json") -> int:
+    """As ``_certify_edited_doc``, with ``edit`` changing the bank's list of
+    P matrices.  The list starts with the P of mode 1: of system 1 (two
+    modes of dimension 2) in the distributed bank, of the joint system
+    (dimension 5) in the centralized one."""
+    return _certify_edited_doc(tmp_path, lambda doc: edit(doc["certificate"]["P"]), bank_file)
 
 
 def _nan_entry(p):
@@ -228,7 +235,7 @@ def _three_by_three(p):
 
 
 def _overflowing(p):
-    p[0] = [[1e308, 1e308], [1e308, 1e308]]
+    p[0] = [[1e308] * len(p[0]) for _ in p[0]]
 
 
 def _scaled_and_moved(p):
@@ -236,31 +243,44 @@ def _scaled_and_moved(p):
     p[0][0][1] += 1e-10
 
 
+_CENTRALIZED_BANK = "bank_centralized.json"
+
+
 class TestCertificateChecks:
-    """The P matrices of a distributed bank file are checked where
-    ``check_corollary`` reads them, and a candidate whose forms overflow
-    is left to the fallback search."""
+    """The P matrices a bank file carries are checked before they are
+    evaluated, for every scheme, and a candidate whose forms overflow is
+    left to the fallback search."""
 
     @pytest.mark.parametrize(
-        "edit, message",
+        "edit, message, bank_file",
         [
-            (_nan_entry, "certificate of system 1, P of mode 1 has non-finite entries"),
-            (_asymmetric, "certificate of system 1, P of mode 1 is not symmetric within"),
-            (_three_by_three, "certificate of system 1, P of mode 1 has shape (3, 3), expected (2, 2)"),
+            pytest.param(edit, f"certificate of system {k}, P of mode 1 {tail}", bank_file, id=prefix + name)
+            for prefix, k, nx, bank_file in (("", 1, 2, "bank_distributed.json"), ("centralized-", 0, 5, _CENTRALIZED_BANK))
+            for name, edit, tail in (
+                ("nan", _nan_entry, "has non-finite entries"),
+                ("asymmetric", _asymmetric, "is not symmetric within"),
+                ("wrong-shape", _three_by_three, f"has shape (3, 3), expected ({nx}, {nx})"),
+            )
         ],
-        ids=["nan", "asymmetric", "wrong-shape"],
     )
-    def test_bad_certificate_rejected(self, tmp_path, capsys, edit, message):
-        assert _certify_edited_bank(tmp_path, edit) == 1
+    def test_bad_certificate_rejected(self, tmp_path, capsys, edit, message, bank_file):
+        assert _certify_edited_bank(tmp_path, edit, bank_file) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {message}")
         assert captured.out == ""
 
     # Overflowing forms raise no numpy warning and leave the verdict to the
     # fallback; symmetry is judged against the scale of the entries.
-    @pytest.mark.parametrize("edit", [_overflowing, _scaled_and_moved], ids=["overflow", "relative-symmetry"])
-    def test_certificate_within_tolerance_certifies(self, tmp_path, capsys, edit):
-        assert _certify_edited_bank(tmp_path, edit) == 0
+    @pytest.mark.parametrize(
+        "edit, bank_file",
+        [
+            pytest.param(edit, bank_file, id=prefix + name)
+            for prefix, bank_file in (("", "bank_distributed.json"), ("centralized-", _CENTRALIZED_BANK))
+            for name, edit in (("overflow", _overflowing), ("relative-symmetry", _scaled_and_moved))
+        ],
+    )
+    def test_certificate_within_tolerance_certifies(self, tmp_path, capsys, edit, bank_file):
+        assert _certify_edited_bank(tmp_path, edit, bank_file) == 0
         captured = capsys.readouterr()
         assert "certified: yes" in captured.out
         assert captured.err == ""
@@ -606,16 +626,55 @@ class TestInvalidModel:
         assert not out.exists()
 
 
-@pytest.fixture
-def validate_calls(monkeypatch):
-    """The models passed to ``mjls.model.validate``, through every binding of
-    it in the mjls modules, rebound as perfbench's tracer rebinds them."""
-    calls = []
-    original = model_module.validate
+class TestSingularEmission:
+    """No inverse unmixes an emission matrix of rank one, so gains recovered
+    through it do not reproduce the synthesized closed loop.  Synthesis
+    that recovers through it refuses the model; every other verb runs."""
 
-    def counted(model):
-        calls.append(model)
-        return original(model)
+    @pytest.fixture
+    def singular(self, tmp_path):
+        doc = json.loads((PERF_DATA / "demo_model.json").read_text())
+        doc["obs1"][0] = [[0.5, 0.5], [0.5, 0.5]]
+        path = tmp_path / "singular.json"
+        path.write_text(canonical_json(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("scheme", ["distributed", "centralized"])
+    def test_synthesis_refused(self, tmp_path, capsys, singular, scheme):
+        out = tmp_path / "gains.json"
+        assert main(["synthesize", singular, "--scheme", scheme, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        violation, error = captured.err.splitlines()
+        assert violation.startswith("invalid model: obs1[1]: condition number ")
+        assert violation.endswith(f"is not below 1e+06, so {scheme} synthesis cannot recover gains through its inverse")
+        assert error == f"error: {singular}: model failed validation with 1 violation(s)"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_other_verbs_accept_model(self, tmp_path, capsys, singular):
+        bank = str(PERF_DATA / "bank_distributed.json")
+        sim_flags = ["--x1=1,0", "--x2=0,0,1", "--horizon", "0.01"]
+        runs = {
+            "synthesize fullinfo": ["synthesize", singular, "--scheme", "fullinfo", "--out", str(tmp_path / "g.json")],
+            "certify": ["certify", singular, bank],
+            "simulate": ["simulate", singular, bank, *sim_flags, "--out", str(tmp_path / "t.csv")],
+            "montecarlo": ["montecarlo", singular, bank, "--runs", "2", *sim_flags, "--out", str(tmp_path / "r.json")],
+        }
+        codes = {label: main(argv) for label, argv in runs.items()}
+        assert capsys.readouterr().err == ""
+        # The bank was synthesized for the demo emissions: certify reaches a
+        # verdict on it, and it is "no".
+        assert codes == {"synthesize fullinfo": 0, "certify": 2, "simulate": 0, "montecarlo": 0}
+
+
+def _count_calls(monkeypatch, original):
+    """The first arguments of the calls of ``original`` through every binding
+    of it in the mjls modules, rebound as perfbench's tracer rebinds them."""
+    calls = []
+
+    def counted(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name == "mjls" or name.startswith("mjls."):
@@ -623,6 +682,18 @@ def validate_calls(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """The models passed to ``mjls.model.validate``."""
+    return _count_calls(monkeypatch, model_module.validate)
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """The problems passed to ``mjls.lmi.solve_feasibility``."""
+    return _count_calls(monkeypatch, solve_feasibility)
 
 
 def test_validate_runs_once_per_check(tmp_path, validate_calls):
@@ -652,3 +723,32 @@ def test_validate_runs_once_per_check(tmp_path, validate_calls):
         "simulate": 1,
         "montecarlo": 1,
     }
+
+
+
+def _negate_mode_1(doc):
+    doc["certificate"]["P"][0] = (-np.array(doc["certificate"]["P"][0])).tolist()
+
+
+def _drop_certificate(doc):
+    del doc["certificate"]
+
+
+class TestCertifySearch:
+    """``certify`` of a joint bank evaluates the certificate the bank
+    carries and searches for Lyapunov matrices only when it misses or is
+    absent.  The stored P of the perfbench bank certify with worst form
+    -1.842923e+00; the search finds -5.331413e-01."""
+
+    def test_carried_certificate_needs_no_search(self, tmp_path, capsys, solve_calls):
+        code = _certify_edited_doc(tmp_path, lambda doc: None, _CENTRALIZED_BANK)
+        assert (code, len(solve_calls)) == (0, 0)
+        assert capsys.readouterr().out.endswith("worst: -1.842923e+00\ncertified: yes\n")
+
+    @pytest.mark.parametrize("edit", [_negate_mode_1, _drop_certificate], ids=["candidate-misses", "no-certificate"])
+    def test_search_decides(self, tmp_path, capsys, solve_calls, edit):
+        code = _certify_edited_doc(tmp_path, edit, _CENTRALIZED_BANK)
+        assert (code, len(solve_calls)) == (0, 1)
+        captured = capsys.readouterr()
+        assert captured.out.endswith("worst: -5.331413e-01\ncertified: yes\n")
+        assert captured.err == ""

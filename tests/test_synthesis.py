@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mjls import synthesis as synthesis_module
 from mjls.errors import DimensionMismatch, InvalidModel, MissingGain, NotFeasible, SingularX
 from mjls.fileio import load_bank
 from mjls.lmi import LmiSolution, SolveStatus, solve_feasibility
@@ -166,6 +167,28 @@ class TestBuildDistributed:
         s2 = solve_feasibility(p2, 1000)
         assert s1.status is SolveStatus.FEASIBLE
         assert s2.status is SolveStatus.FEASIBLE
+
+
+class TestSingularEmission:
+    """Gain recovery unmixes through the emission inverse, so centralized
+    and distributed synthesis refuse an emission matrix of rank one."""
+
+    @pytest.fixture
+    def singular(self, demo):
+        alphas = (np.array([[0.5, 0.5], [0.5, 0.5]]), *demo.obs1.alphas[1:])
+        return dataclasses.replace(demo, obs1=ObservationModel(alphas))
+
+    @pytest.mark.parametrize("scheme", [Scheme.DISTRIBUTED, Scheme.CENTRALIZED])
+    def test_refused_before_any_problem_is_built(self, singular, scheme, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("a synthesis problem was built")
+
+        monkeypatch.setattr(synthesis_module, "_build_problem", no_build)
+        with pytest.raises(InvalidModel) as exc:
+            synthesize(singular, scheme, max_iter=10)
+        [violation] = exc.value.violations
+        assert violation.path == "obs1[1]"
+        assert f"{scheme.value} synthesis" in violation.message
 
 
 class TestRecoverGains:
@@ -388,13 +411,16 @@ class TestCheckCorollary:
             check_corollary(demo, load_bank(CENTRALIZED_BANK))
 
     @pytest.mark.parametrize("delta", [0.0, -1e6])
-    def test_non_positive_margin_rejected(self, demo, demo_bank, delta):
-        # The block-diagonal candidate builds no LmiProblem, so without its
-        # own check every form would clear a negative margin.
+    def test_non_positive_margin_rejected(self, demo, demo_bank, demo_integrated, delta):
+        # A candidate builds no LmiProblem, so without its own check every
+        # form would clear a negative margin: the block-diagonal candidate
+        # of a zero-gain bank, and the certificate a joint bank carries.
         zero = {key: np.zeros_like(g) for key, g in demo_bank.gains.items()}
         bank = ControllerBank(Scheme.DISTRIBUTED, zero, demo_bank.certificates)
         with pytest.raises(ValueError, match="delta must be positive"):
             check_corollary(demo, bank, delta=delta)
+        with pytest.raises(ValueError, match="delta must be positive"):
+            certify_gains(demo_integrated, load_bank(CENTRALIZED_BANK), delta=delta)
 
 
 class TestSolverParity:
