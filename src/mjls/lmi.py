@@ -8,7 +8,7 @@ pack row-major, scalars take one slot.
 
 Feasibility is decided by alternating between two projections: onto the
 product of shifted definite cones (eigenvalue clipping) and onto the
-affine set ``{F(z)}`` (least squares on ``z``), combined in the reflected
+affine set ``{F(z)}`` (least squares on ``z``), combined in the relaxed
 Douglas-Rachford form, which handles the shallow intersection angles
 these problems exhibit.  Each map's linear part is built and kept as
 coordinate triples (entry, variable, coefficient) of its nonzeros; the
@@ -49,7 +49,11 @@ __all__ = [
 
 _BLOCK_SYM_TOL = 1e-12
 _FEAS_SLACK = 1e-9
-# The reflected iteration makes non-monotone progress with long plateaus; a
+# Relaxation factor of the Douglas-Rachford step (see solve_feasibility).  Any
+# value in (0, 2) converges; 1 is the plain reflected form, and 1.5 takes
+# fewer than half its iterations on the centralized demo synthesis.
+_RELAX = 1.5
+# Douglas-Rachford makes non-monotone progress with long plateaus; a
 # 500-iteration stagnation window misfires right before convergence on thin
 # feasible problems, so the window is wider than that.
 _STAGNATION_WINDOW = 2000
@@ -428,23 +432,34 @@ def _operator(problem: LmiProblem) -> _Operator:
 def solve_feasibility(problem: LmiProblem, max_iter: int = 20000) -> LmiSolution:
     """Alternate between the affine set and the definite-cone product.
 
-    The iteration is the reflected (Douglas-Rachford) form of the two
-    projections: project the running tuple onto the affine set (least
+    The iteration is the relaxed Douglas-Rachford form of the two
+    projections: project the running tuple s onto the affine set (least
     squares on z), reflect through that point, project the reflection onto
-    the cones (eigenvalue clipping at the margin), and step by the
-    difference.  The affine-side shadow carries the reported z; the plain
+    the cones (eigenvalue clipping at the margin), and step by a multiple
+    of the difference,
+
+        s+ = s + lam * (P_cone(2 P_aff(s) - s) - P_aff(s)),  lam = _RELAX.
+
+    The affine-side shadow P_aff(s) carries the reported z; the plain
     alternating sequence stalls on the near-tangential geometry these
-    synthesis problems produce, while the reflected form converges on the
-    same two projection operators.  Each step works on one flat vector
-    holding every block: the affine side applies one sparse operator and
-    its adjoint, the cone side runs one batched eigendecomposition per
-    piece dimension on views of that vector.  Clipping each piece on its
-    own is the same iteration as clipping its whole block: the running
-    tuple starts as F(z0) and each step adds a cone projection minus an
-    affine one, both zero outside the pieces, so it stays zero there, and
-    the eigenvalues of a block are those of its pieces.  Margins are
-    tracked per piece and reduced to each constraint's extreme only for
-    the returned solution.
+    synthesis problems produce, while the Douglas-Rachford form converges
+    on the same two projection operators.  lam = 1 is the plain reflected
+    form.  Its step map s -> s + P_cone(2 P_aff(s) - s) - P_aff(s) is
+    firmly nonexpansive, so the relaxed map is averaged for every lam in
+    (0, 2), and when the sets meet the iteration converges to a fixed
+    point whose shadow lies in both (Eckstein & Bertsekas, Math.
+    Programming 55, 1992).  SCS relaxes by 1.5 by default (O'Donoghue,
+    Chu, Parikh & Boyd, JOTA 169, 2016).
+
+    Each step works on one flat vector holding every block: the affine
+    side applies one sparse operator and its adjoint, the cone side runs
+    one batched eigendecomposition per piece dimension on views of that
+    vector.  Clipping each piece on its own is the same iteration as
+    clipping its whole block: the running tuple starts as F(z0) and each
+    step adds lam times a cone projection minus an affine one, both zero
+    outside the pieces, so it stays zero there, and the eigenvalues of a
+    block are those of its pieces.  Margins are tracked per piece and
+    reduced to each constraint's extreme only for the returned solution.
 
     Deterministic for fixed inputs.  Returns FEASIBLE as soon as every
     constraint satisfies its margin (within 1e-9), INFEASIBLE when the best
@@ -513,6 +528,6 @@ def solve_feasibility(problem: LmiProblem, max_iter: int = 20000) -> LmiSolution
         for dim, span, _, _, lo, hi in op.dims:
             w, v = np.linalg.eigh(reflected[span].reshape(-1, dim, dim))
             cone[span] = ((v * np.clip(w, lo, hi)[:, None, :]) @ v.transpose(0, 2, 1)).ravel()
-        state = state + cone - shadow
+        state = state + _RELAX * (cone - shadow)
 
     return result(SolveStatus.ITERATION_LIMIT, best_z, best_margins)

@@ -738,7 +738,7 @@ class TestCertifySearch:
     """``certify`` of a joint bank evaluates the certificate the bank
     carries and searches for Lyapunov matrices only when it misses or is
     absent.  The stored P of the perfbench bank certify with worst form
-    -1.842923e+00; the search finds -5.331413e-01."""
+    -1.842923e+00; the search finds -1.948998e-01."""
 
     def test_carried_certificate_needs_no_search(self, tmp_path, capsys, solve_calls):
         code = _certify_edited_doc(tmp_path, lambda doc: None, _CENTRALIZED_BANK)
@@ -750,5 +750,5 @@ class TestCertifySearch:
         code = _certify_edited_doc(tmp_path, edit, _CENTRALIZED_BANK)
         assert (code, len(solve_calls)) == (0, 1)
         captured = capsys.readouterr()
-        assert captured.out.endswith("worst: -5.331413e-01\ncertified: yes\n")
+        assert captured.out.endswith("worst: -1.948998e-01\ncertified: yes\n")
         assert captured.err == ""

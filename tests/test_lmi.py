@@ -334,6 +334,51 @@ class TestSolveFeasibility:
         for amap, reported in zip(pos, sol.pos_margins):
             assert abs(np.linalg.eigvalsh(evaluate(amap, sol.z)).min() - reported) <= 1e-9
 
+    def test_two_relaxed_steps_by_hand(self):
+        # A X + X A' + C < -delta*I and X > delta*I over a symmetric 2x2 X,
+        # stepped twice by s+ = s + 1.5 (P_cone(2 P_aff(s) - s) - P_aff(s))
+        # with dense least squares and eigenvalue clipping written out here.
+        a = np.array([[-1.0, 2.0], [0.5, -0.5]])
+        c = np.array([[0.5, 0.2], [0.2, -0.1]])
+        delta = 0.1
+        lay = VariableLayout()
+        lay.add_sym("X", 2)
+        neg = MapBuilder(2, lay).linear("X", left=a, mirror=True).const(c).build()
+        pos = MapBuilder(2, lay).linear("X").build()
+        z0 = np.array([1.0, 0.3, -0.2])  # X = [[1, 0.3], [0.3, -0.2]]
+        prob = LmiProblem(lay, [neg], [pos], delta=delta, z0=z0)
+
+        def sym(z):
+            return np.array([[z[0], z[1]], [z[1], z[2]]])
+
+        f0 = np.concatenate([c.ravel(), np.zeros(4)])
+        # Column k holds both blocks of F(e_k) - F(0), flattened row-major.
+        lin = np.column_stack([np.concatenate([(a @ x + x @ a.T).ravel(), x.ravel()]) for x in map(sym, np.eye(3))])
+
+        def clip(block, lo, hi):
+            w, v = np.linalg.eigh(block.reshape(2, 2))
+            return (v * np.clip(w, lo, hi)) @ v.T
+
+        def violation(shadow):
+            neg_max = np.linalg.eigvalsh(shadow[:4].reshape(2, 2)).max()
+            pos_min = np.linalg.eigvalsh(shadow[4:].reshape(2, 2)).min()
+            return max(neg_max + delta, delta - pos_min)
+
+        state, shadows, zs = f0 + lin @ z0, [], []
+        for _ in range(2):
+            zs.append(np.linalg.lstsq(lin, state - f0, rcond=None)[0])
+            shadows.append(f0 + lin @ zs[-1])
+            reflected = 2.0 * shadows[-1] - state
+            cone = np.concatenate([clip(reflected[:4], -np.inf, -delta), clip(reflected[4:], delta, np.inf)], axis=None)
+            state = state + 1.5 * (cone - shadows[-1])
+        # The second point is the better one and still infeasible, so it is
+        # the best point returned at the iteration cap.
+        assert 1e-9 < violation(shadows[1]) < violation(shadows[0])
+
+        sol = solve_feasibility(prob, 2)
+        assert (sol.status, sol.iterations) == (SolveStatus.ITERATION_LIMIT, 2)
+        assert np.linalg.norm(sol.z - zs[1]) <= 1e-12 * np.linalg.norm(zs[1])
+
 
 def split_problem():
     """Blocks that split into pieces: a neg block whose 1x1 piece (row 1)
@@ -412,7 +457,7 @@ class TestPieces:
         assert piece_sizes(whole) == piece_sizes(separate) == [(2, 5), (4, 2), (6, 1)]
         a, b = solve_feasibility(whole, 5000), solve_feasibility(separate, 5000)
         assert a.status is b.status is SolveStatus.FEASIBLE
-        assert a.iterations == b.iterations == 129
+        assert a.iterations == b.iterations == 95
         assert np.linalg.norm(a.z - b.z) <= 1e-12 * np.linalg.norm(b.z)
 
     def test_margins_are_extremes_over_pieces(self):
