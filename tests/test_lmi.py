@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mjls.errors import DimensionMismatch, NonSymmetric
+from mjls.errors import DimensionMismatch, NonFinite, NonSymmetric
 from mjls.lmi import (
     AffineMatrixMap,
     LmiProblem,
@@ -202,6 +202,13 @@ def scalar_problem(delta=0.5):
     return LmiProblem(lay, [neg], [], delta=delta)
 
 
+def contradictory_pair():
+    lay = VariableLayout()
+    lay.add_sym("X", 1)
+    amap = MapBuilder(1, lay).linear("X").build()
+    return LmiProblem(lay, [amap], [amap], delta=0.1)
+
+
 def mixed_problem():
     """Block dimensions interleave across the neg and pos lists, one
     dimension holds blocks with different variable counts, a neg and a pos
@@ -244,11 +251,7 @@ class TestSolveFeasibility:
         assert sol.neg_margins[0] <= -0.5 + 1e-9
 
     def test_contradictory_pair_never_feasible(self):
-        lay = VariableLayout()
-        lay.add_sym("X", 1)
-        amap = MapBuilder(1, lay).linear("X").build()
-        prob = LmiProblem(lay, [amap], [amap], delta=0.1)
-        sol = solve_feasibility(prob, 5000)
+        sol = solve_feasibility(contradictory_pair(), 5000)
         assert sol.status in (SolveStatus.INFEASIBLE, SolveStatus.ITERATION_LIMIT)
         assert sol.worst_violation > 0.0
 
@@ -315,11 +318,7 @@ class TestSolveFeasibility:
             assert np.linalg.eigvalsh(x).min() >= prob.delta - 1e-9
 
     def test_infeasible_reports_best_point(self):
-        lay = VariableLayout()
-        lay.add_sym("X", 1)
-        amap = MapBuilder(1, lay).linear("X").build()
-        prob = LmiProblem(lay, [amap], [amap], delta=0.1)
-        sol = solve_feasibility(prob, 5000)
+        sol = solve_feasibility(contradictory_pair(), 5000)
         assert len(sol.margins) == 2
         assert sol.iterations <= 5000
 
@@ -474,6 +473,52 @@ class TestPieces:
         # The extreme eigenvalue of each split block lies in its 1x1 piece.
         assert sol.neg_margins[0] == blocks[0][1, 1] > np.linalg.eigvalsh(blocks[0][np.ix_([0, 2], [0, 2])]).max()
         assert sol.pos_margins[0] == blocks[2][1, 1] < np.linalg.eigvalsh(blocks[2][np.ix_([0, 2], [0, 2])]).min()
+
+
+class TestChunkedVerdict:
+    """The verdict pass runs once per chunk of iterations; no result may
+    depend on where the chunks end."""
+
+    @pytest.mark.parametrize("make", [split_problem, lambda: jump_problem(False), mixed_problem], ids=["split", "jump", "mixed"])
+    def test_result_independent_of_chunk_boundaries(self, make):
+        prob = make()
+        k = _operator(prob).chunk
+        ref = solve_feasibility(prob, 5000)
+        assert ref.status is SolveStatus.FEASIBLE and ref.iterations <= 2 * k + 1
+        worst = np.inf
+        for cap in range(1, 2 * k + 2):
+            sol = solve_feasibility(prob, cap)
+            if cap < ref.iterations:
+                assert (sol.status, sol.iterations) == (SolveStatus.ITERATION_LIMIT, cap)
+                assert sol.worst_violation <= worst
+                worst = sol.worst_violation
+            else:
+                assert (sol.status, sol.iterations) == (ref.status, ref.iterations)
+                for got, want in ((sol.z, ref.z), (sol.neg_margins, ref.neg_margins), (sol.pos_margins, ref.pos_margins)):
+                    assert got.tobytes() == want.tobytes()
+
+    def test_stagnation_verdict_independent_of_chunk_boundaries(self):
+        prob = contradictory_pair()
+        for cap in (2001, 2001 + _operator(prob).chunk // 2, 5000):
+            sol = solve_feasibility(prob, cap)
+            assert (sol.status, sol.iterations) == (SolveStatus.INFEASIBLE, 2001)
+
+    def test_non_finite_shadow_raises(self):
+        # F(0) is finite, but the reflection 2 F(0) - F(0) overflows, and the
+        # third shadow is no longer finite.  The rows before it are judged
+        # first, and eigvalsh never sees the non-finite shadow.
+        lay = VariableLayout()
+        lay.add_scalar("s")
+        neg = MapBuilder(1, lay).const([[1e308]]).scalar("s", [[1.0]]).build()
+        pos = MapBuilder(1, lay).const([[-1e308]]).scalar("s", [[1.0]]).build()
+        prob = LmiProblem(lay, [neg], [pos], delta=1.0)
+        k = _operator(prob).chunk
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = solve_feasibility(prob, 2)
+            assert (sol.status, sol.iterations) == (SolveStatus.ITERATION_LIMIT, 2)
+            for cap in (3, 4, k, k + 1):
+                with pytest.raises(NonFinite):
+                    solve_feasibility(prob, cap)
 
 
 def test_operator_forward_and_adjoint():
