@@ -251,10 +251,7 @@ def bank_from_dict(doc) -> ControllerBank:
     certificates = {}
     cert_node = doc.get("certificate")
     if cert_node is not None:
-        p_all = [
-            _matrix(p, f"certificate.P[{i}]")
-            for i, p in enumerate(_require(cert_node, "P", "certificate"), start=1)
-        ]
+        p_all = _matrix_list(_require(cert_node, "P", "certificate"), "certificate.P")
         margins_node = _require(cert_node, "margins", "certificate")
         if not isinstance(margins_node, list):
             raise ParseError("certificate.margins: expected a list of numbers")

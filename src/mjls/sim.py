@@ -126,9 +126,11 @@ class SimConfig:
 
 def _steps(span: float, dt: float) -> int | None:
     """The number of steps of ``dt`` in ``span``, or None when it is not a
-    whole number (within a relative 1e-9)."""
+    whole number (within a relative 1e-9) or overflows to infinity."""
     steps = span / dt
-    return round(steps) if abs(steps - round(steps)) <= 1e-9 * max(1.0, steps) else None
+    if math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * max(1.0, steps):
+        return round(steps)
+    return None
 
 
 @dataclass(frozen=True)

@@ -54,13 +54,13 @@ from .lmi import (
     solve_feasibility,
 )
 from .model import (
-    _COND_LIMIT,
     IntegratedModel,
     InterdependentModel,
     JumpLinearSystem,
     ObservationModel,
     Violation,
     block_diag,
+    build_beta,
     check_generator,
     check_stochastic,
     compose_integrated,
@@ -93,6 +93,7 @@ PSI_MARGIN = 1e-8
 _SINGULAR_EIG = 1e-12
 _CERT_SLACK = 1e-9
 _SYM_TOL = 1e-12
+_COND_LIMIT = 1e6  # emission condition numbers that gain recovery accepts lie below it
 
 
 class Scheme(str, enum.Enum):
@@ -179,7 +180,7 @@ def _validate_integrated(model: IntegratedModel) -> None:
 def _require_invertible_emissions(model: InterdependentModel, scheme: Scheme) -> None:
     """Refuse an emission matrix whose inverse gain recovery cannot use:
     unmixing reproduces the synthesized closed loop only where beta alpha
-    = I, which ``validate`` checks below ``_COND_LIMIT``."""
+    = I, which holds below ``_COND_LIMIT``."""
     violations = [
         Violation(
             f"{path}[{r}]",
@@ -201,24 +202,15 @@ class _Cell:
     ``key`` names the cell in certificates and layout keys: the product-cell
     index for the integrated system, the region pair for a subsystem.
     ``regions`` is the region pair the bank indexes gains by.  The rate
-    matrix and the emission matrix ``obs.alpha(own_region)`` are in force
-    throughout the cell.
+    matrix and the emission matrix ``alpha`` are in force throughout the
+    cell.
     """
 
     key: int | tuple[int, int]
     label: str
     regions: tuple[int, int]
     rates: np.ndarray
-    obs: ObservationModel
-    own_region: int
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return self.obs.alpha(self.own_region)
-
-    @property
-    def beta(self) -> np.ndarray:
-        return self.obs.beta(self.own_region)
+    alpha: np.ndarray
 
     def y_key(self, i: int) -> tuple:
         return ("Y", i, *self.key) if isinstance(self.key, tuple) else ("Y", i, self.key)
@@ -246,7 +238,7 @@ class _Target:
 
 
 def _integrated_cell(model: IntegratedModel, m: int) -> _Cell:
-    return _Cell(m, f"cell {m}", model.partition.cell_pair(m), model.rates.matrix(m), model.obs, m)
+    return _Cell(m, f"cell {m}", model.partition.cell_pair(m), model.rates.matrix(m), model.obs.alpha(m))
 
 
 def _integrated_target(model: IntegratedModel) -> _Target:
@@ -265,7 +257,7 @@ def _subsystem_target(model: InterdependentModel, k: int) -> _Target:
     for m1 in range(1, model.part1.region_count + 1):
         for m2 in range(1, model.part2.region_count + 1):
             own, partner = (m1, m2) if k == 1 else (m2, m1)
-            cells.append(_Cell((m1, m2), f"regions ({m1},{m2})", (m1, m2), rates.matrix(partner), obs, own))
+            cells.append(_Cell((m1, m2), f"regions ({m1},{m2})", (m1, m2), rates.matrix(partner), obs.alpha(own)))
     return _Target(k, sys, tuple(cells))
 
 
@@ -521,7 +513,7 @@ def _recover(
     )
     gains = {}
     for cell in target.cells:
-        beta = cell.beta
+        beta = build_beta(cell.alpha)
         for i_hat in target.modes:
             g = np.zeros((sys.input_dim, sys.state_dim))
             for i in target.modes:

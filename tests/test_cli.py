@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -269,6 +271,12 @@ class TestCertificateChecks:
         assert captured.err.startswith(f"error: {message}")
         assert captured.out == ""
 
+    def test_p_that_is_not_a_list_rejected(self, tmp_path, capsys):
+        assert _certify_edited_doc(tmp_path, lambda doc: doc["certificate"].update(P=5), "bank_distributed.json") == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {tmp_path / 'bank.json'}: certificate.P: expected a nonempty list of matrices\n"
+        assert captured.out == ""
+
     # Overflowing forms raise no numpy warning and leave the verdict to the
     # fallback; symmetry is judged against the scale of the entries.
     @pytest.mark.parametrize(
@@ -516,6 +524,12 @@ class TestSimulate:
             (["--obs-policy", "periodic:0.0015"],
              "observation period must be a positive whole number of steps of dt 0.001, got 0.0015"),
             (["--seed", "-1"], "seed must be a nonnegative integer, got -1"),
+            (["--horizon", "1e308"], "horizon must be a whole number of steps of dt 0.001, got 1e+308"),
+            (["--obs-policy", "periodic:1e308"],
+             "observation period must be a positive whole number of steps of dt 0.001, got 1e+308"),
+            (["--x1=1,a"], "--x1: expected comma-separated numbers, got '1,a'"),
+            (["--x2=0,1"], "--x2: expected 3 entries, got 2"),
+            (["--obs-policy", "sometimes"], "--obs-policy: expected 'onchange' or 'periodic:<seconds>', got 'sometimes'"),
         ],
     )
     def test_non_finite_inputs_rejected(self, tmp_path, demo_gains_file, capsys, flags, message):
@@ -631,10 +645,12 @@ class TestSingularEmission:
     through it do not reproduce the synthesized closed loop.  Synthesis
     that recovers through it refuses the model; every other verb runs."""
 
+    ALPHA = [[0.5, 0.5], [0.5, 0.5]]
+
     @pytest.fixture
     def singular(self, tmp_path):
         doc = json.loads((PERF_DATA / "demo_model.json").read_text())
-        doc["obs1"][0] = [[0.5, 0.5], [0.5, 0.5]]
+        doc["obs1"][0] = self.ALPHA
         path = tmp_path / "singular.json"
         path.write_text(canonical_json(doc))
         return str(path)
@@ -665,6 +681,37 @@ class TestSingularEmission:
         # The bank was synthesized for the demo emissions: certify reaches a
         # verdict on it, and it is "no".
         assert codes == {"synthesize fullinfo": 0, "certify": 2, "simulate": 0, "montecarlo": 0}
+
+
+class TestIllConditionedEmission(TestSingularEmission):
+    """The same at condition number 1e9, which ``validate`` accepts: only
+    the synthesis that inverts the emission refuses the model."""
+
+    ALPHA = [[0.5 + 1e-9, 0.5 - 1e-9], [0.5, 0.5]]
+
+
+class TestModuleEntryPoint:
+    """``python -m mjls.cli`` runs ``main``, as the ``mjls`` script does."""
+
+    @staticmethod
+    def _run(*argv):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run(
+            [sys.executable, "-m", "mjls.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+
+    def test_certify(self, capsys):
+        argv = ["certify", str(PERF_DATA / "demo_model.json"), str(PERF_DATA / "bank_distributed.json")]
+        done = self._run(*argv)
+        assert main(argv) == 0
+        assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
+
+    def test_missing_model_file(self, tmp_path):
+        done = self._run("certify", str(tmp_path / "absent.json"), str(PERF_DATA / "bank_distributed.json"))
+        assert done.returncode == 1
+        assert done.stderr.startswith(f"error: {tmp_path / 'absent.json'}: ")
+        assert done.stdout == ""
 
 
 def _count_calls(monkeypatch, original):

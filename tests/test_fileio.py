@@ -105,6 +105,9 @@ class TestModelFiles:
         (lambda d: d["partition1"].update(thresholds=[10**400]),
          "partition1.thresholds[1]: integer too large for a float"),
         (lambda d: d["obs2"][2][0].__setitem__(1, 10**400), "obs2[3][1][2]: integer too large for a float"),
+        (lambda d: d["system1"].update(modes={"A": [[1.0]]}), "system1.modes: expected a nonempty list"),
+        (lambda d: d["partition1"].update(thresholds=10.0), "partition1.thresholds: expected a list of numbers"),
+        (lambda d: d.update(rates1={"1": [[0.0]]}), "rates1: expected a nonempty list of matrices"),
     ])
     def test_non_number_entries_rejected(self, edit, message):
         doc = json.loads(fixture_path().read_text())
@@ -188,6 +191,9 @@ class TestGainFiles:
         ("margins", "0.5", "certificate.margins: expected a list"),
         ("P", [[["1.0"]]], "certificate.P[1][1][1]: expected a number, got '1.0'"),
         ("P", [[[False]]], "certificate.P[1][1][1]: expected a number, got False"),
+        *(("P", value, "certificate.P: expected a nonempty list of matrices") for value in (5, None, True, 1.5)),
+        ("P", [[[1.0]], [[1.0]]], "certificate.P: wrong number of matrices"),
+        ("margins", [0.5, 0.5], "certificate.margins: expected 1 values, got 2"),
     ])
     def test_certificate_field_types_checked(self, field, value, message):
         cert = {"P": [[[1.0]]], "margins": [0.5], "delta": 1e-8, "certified": True, field: value}
@@ -211,6 +217,20 @@ class TestGainFiles:
         bank = bank_from_dict(doc)
         assert bank.certificates == {}
         assert np.allclose(bank.gain(1, 1, (1, 1)), [[0.5, -1.0]])
+
+
+@pytest.mark.parametrize(
+    "from_dict, doc, message",
+    [
+        (model_from_dict, [], "top level: expected a JSON object"),
+        (bank_from_dict, [], "top level: expected a JSON object"),
+        (bank_from_dict, {"scheme": "distributed", "gains": []}, "gains: expected a nonempty list"),
+    ],
+    ids=["model-top-level", "bank-top-level", "bank-no-gains"],
+)
+def test_document_shape_checked(from_dict, doc, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        from_dict(doc)
 
 
 def test_failed_write_leaves_no_temp_file(tmp_path):

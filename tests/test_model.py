@@ -65,6 +65,31 @@ class TestValidate:
     def test_single_mode_trivial_model(self):
         assert validate(single_mode_model()) == []
 
+    @pytest.mark.parametrize("eps", [1e-8, 1e-9, 1e-10])
+    def test_ill_conditioned_emission_is_valid(self, demo, eps):
+        # validate asks only that an emission be row-stochastic; whether it
+        # inverts is asked by the synthesis that recovers gains through it.
+        alphas = (np.array([[0.5 + eps, 0.5 - eps], [0.5, 0.5]]), *demo.obs1.alphas[1:])
+        assert validate(dataclasses.replace(demo, obs1=ObservationModel(alphas))) == []
+
+    @pytest.mark.parametrize(
+        "edit, violation",
+        [
+            (lambda m: dataclasses.replace(m, sys1=dataclasses.replace(m.sys1, modes=())),
+             "system1: system must declare at least one mode"),
+            (lambda m: _with_mode(m, "sys1", b=np.zeros((2, 2))), "system1.modes[1].B: expected shape (2, 1), got (2, 2)"),
+            (lambda m: _with_mode(m, "sys2", d=np.zeros((2, 3))), "system2.modes[1].D: expected shape (3, 1), got (2, 3)"),
+            (lambda m: _with_mode(m, "sys2", a=np.diag([-1.0, np.nan, -1.0])), "system2.modes[1].A: non-finite entries"),
+            (lambda m: dataclasses.replace(m, part1=RegionPartition((np.nan,))),
+             "partition1.thresholds[1]: non-finite threshold"),
+            (lambda m: dataclasses.replace(m, part2=RegionPartition((-1.0, 10.0))),
+             "partition2.thresholds[1]: threshold -1.0 is negative"),
+        ],
+        ids=["no-modes", "B-shape", "D-shape", "nan-in-A", "nan-threshold", "negative-threshold"],
+    )
+    def test_bad_field_named(self, edit, violation):
+        assert violation in [str(v) for v in validate(edit(example_model()))]
+
     def test_matrix_that_is_not_2d_reported(self):
         bad = dataclasses.replace(
             single_mode_model(),
@@ -96,6 +121,13 @@ class TestValidate:
             obs2=m.obs2,
         )
         assert any(v.path == "rates1" for v in validate(bad))
+
+
+def _with_mode(model, sys_name, **matrices):
+    """``model`` with the given matrices of mode 1 of ``sys_name`` replaced."""
+    sys = getattr(model, sys_name)
+    modes = (dataclasses.replace(sys.modes[0], **matrices), *sys.modes[1:])
+    return dataclasses.replace(model, **{sys_name: dataclasses.replace(sys, modes=modes)})
 
 
 class TestCheckGenerator:

@@ -393,14 +393,20 @@ PERIOD_MESSAGE = "observation period must be a positive whole number of steps of
         (dict(obs_policy=Periodic(0.0005)), PERIOD_MESSAGE + "0.0005"),
         (dict(obs_policy=Periodic(1e-13)), PERIOD_MESSAGE + "1e-13"),
         (dict(seed=-1), "seed must be a nonnegative integer, got -1"),
+        (dict(obs_policy=Periodic(1e308)), PERIOD_MESSAGE + "1e+308"),
+        (dict(horizon=1e308), "horizon must be a whole number of steps of dt 0.001, got 1e+308"),
     ],
-    ids=["period-one-and-a-half-steps", "period-half-a-step", "period-no-step", "negative-seed"],
+    ids=[
+        "period-one-and-a-half-steps", "period-half-a-step", "period-no-step", "negative-seed",
+        "period-overflows", "horizon-overflows",
+    ],
 )
 def test_unusable_config_rejected(settings, message):
-    # A period between whole steps ran as a neighbouring one, and a negative
-    # seed failed inside numpy with a message that names no field.
+    # A period between whole steps ran as a neighbouring one, a negative
+    # seed failed inside numpy with a message that names no field, and a
+    # step count that overflows raised OverflowError.
     with pytest.raises(ValueError, match=re.escape(message)):
-        SimConfig(dt=1e-3, horizon=1.0, **settings)
+        SimConfig(**{"dt": 1e-3, "horizon": 1.0, **settings})
 
 
 @pytest.mark.parametrize(

@@ -173,9 +173,11 @@ class TestSingularEmission:
     """Gain recovery unmixes through the emission inverse, so centralized
     and distributed synthesis refuse an emission matrix of rank one."""
 
+    ALPHA = [[0.5, 0.5], [0.5, 0.5]]
+
     @pytest.fixture
     def singular(self, demo):
-        alphas = (np.array([[0.5, 0.5], [0.5, 0.5]]), *demo.obs1.alphas[1:])
+        alphas = (np.array(self.ALPHA), *demo.obs1.alphas[1:])
         return dataclasses.replace(demo, obs1=ObservationModel(alphas))
 
     @pytest.mark.parametrize("scheme", [Scheme.DISTRIBUTED, Scheme.CENTRALIZED])
@@ -189,6 +191,13 @@ class TestSingularEmission:
         [violation] = exc.value.violations
         assert violation.path == "obs1[1]"
         assert f"{scheme.value} synthesis" in violation.message
+
+
+class TestIllConditionedEmission(TestSingularEmission):
+    """The same at condition number 1e9, which ``validate`` accepts: the
+    refusal is synthesis's alone."""
+
+    ALPHA = [[0.5 + 1e-9, 0.5 - 1e-9], [0.5, 0.5]]
 
 
 class TestRecoverGains:
