@@ -3,14 +3,16 @@
 Model files carry the two subsystems' mode matrices, the squared-norm
 shell thresholds, the per-region rate matrices, and the per-region
 emission matrices.  Gain files carry the scheme, the flat gain list and,
-when available, the certificate's Lyapunov matrices and closed-loop
-margins.  All JSON is written canonically: sorted keys, shortest
-round-trip float formatting, newline-terminated, atomic replace.
+when available, the candidate certificate: the Lyapunov matrices and the
+disturbance scalings, never a verdict.  All JSON is written canonically:
+sorted keys, shortest round-trip float formatting, newline-terminated,
+atomic replace.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -25,7 +27,7 @@ from .model import (
     RateFamily,
     RegionPartition,
 )
-from .synthesis import Certificate, ControllerBank, Scheme
+from .synthesis import ControllerBank, Lyapunov, Scheme
 
 __all__ = [
     "ParseError",
@@ -204,24 +206,23 @@ def bank_to_dict(bank: ControllerBank) -> dict:
             }
         )
     doc = {"scheme": bank.scheme.value, "gains": entries}
-    if bank.certificates:
-        p_list = []
-        margins = []
-        deltas = []
-        certified = []
-        for k in sorted(bank.certificates):
-            cert = bank.certificates[k]
-            p_list.extend(p.tolist() for p in cert.p_matrices)
-            margins.extend(cert.psi_max[key] for key in sorted(cert.psi_max))
-            deltas.append(cert.delta)
-            certified.append(cert.certified)
+    if bank.lyapunov:
+        candidates = [bank.lyapunov[k] for k in sorted(bank.lyapunov)]
         doc["certificate"] = {
-            "P": p_list,
-            "margins": margins,
-            "delta": min(deltas),
-            "certified": all(certified),
+            "P": [p.tolist() for c in candidates for p in c.p_matrices],
+            "s": [float(s) for c in candidates for s in c.s_values],
         }
     return doc
+
+
+def _scalings(node, count: int) -> tuple[float, ...]:
+    """One positive, finite disturbance scaling per P matrix."""
+    if not isinstance(node, list) or len(node) != count:
+        raise ParseError(f"certificate.s: expected one number per P matrix, a list of {count}")
+    for i, v in enumerate(node, start=1):
+        if not 0.0 < _number(v, f"certificate.s[{i}]") < math.inf:
+            raise ParseError(f"certificate.s[{i}]: expected a positive finite number, got {v!r}")
+    return tuple(map(float, node))
 
 
 def bank_from_dict(doc) -> ControllerBank:
@@ -248,41 +249,23 @@ def bank_from_dict(doc) -> ControllerBank:
             raise ParseError(f"{where}: duplicate gain for {key}")
         gains[key] = g
 
-    certificates = {}
+    # Older files also carry a verdict, which is never read.  Without s,
+    # every scaling is 1.
+    lyapunov = {}
     cert_node = doc.get("certificate")
     if cert_node is not None:
+        if not isinstance(cert_node, dict):
+            raise ParseError(f"certificate: expected an object, got {cert_node!r}")
         p_all = _matrix_list(_require(cert_node, "P", "certificate"), "certificate.P")
-        margins_node = _require(cert_node, "margins", "certificate")
-        if not isinstance(margins_node, list):
-            raise ParseError("certificate.margins: expected a list of numbers")
-        margins = [_number(v, f"certificate.margins[{i}]") for i, v in enumerate(margins_node, start=1)]
-        delta = _number(cert_node.get("delta", 1e-8), "certificate.delta")
-        certified = cert_node.get("certified", False)
-        if not isinstance(certified, bool):
-            raise ParseError(f"certificate.certified: expected a boolean, got {certified!r}")
-        p_cursor = m_cursor = 0
+        s_all = _scalings(cert_node.get("s", [1.0] * len(p_all)), len(p_all))
+        cursor = 0
         for k in (1, 2) if scheme is Scheme.DISTRIBUTED else (0,):
-            modes = sorted({obs for (sys_id, obs, _c) in gains if sys_id == k})
-            cells = sorted({c for (sys_id, _o, c) in gains if sys_id == k})
-            if k == 0:
-                # The integrated system names a cell by its product-cell
-                # index, which runs over the region pairs in sorted order.
-                cells = range(1, len(cells) + 1)
-            keys = [(i, cell) for i in modes for cell in cells]
-            certificates[k] = Certificate(
-                p_matrices=tuple(p_all[p_cursor : p_cursor + len(modes)]),
-                psi_max=dict(zip(keys, margins[m_cursor : m_cursor + len(keys)])),
-                delta=delta,
-                certified=certified,
-                s_values=tuple(1.0 for _ in modes),
-            )
-            p_cursor += len(modes)
-            m_cursor += len(keys)
-        if m_cursor != len(margins):
-            raise ParseError(f"certificate.margins: expected {m_cursor} values, got {len(margins)}")
-        if p_cursor != len(p_all):
+            n = len({obs for (sys_id, obs, _c) in gains if sys_id == k})
+            lyapunov[k] = Lyapunov(p_all[cursor : cursor + n], s_all[cursor : cursor + n])
+            cursor += n
+        if cursor != len(p_all):
             raise ParseError("certificate.P: wrong number of matrices")
-    return ControllerBank(scheme=scheme, gains=gains, certificates=certificates)
+    return ControllerBank(scheme, gains, lyapunov)
 
 
 def load_bank(path) -> ControllerBank:

@@ -526,51 +526,54 @@ def solve_feasibility(problem: LmiProblem, max_iter: int = 20000) -> LmiSolution
 
     state = op.forward(z)  # running tuple, started on the affine set
     iterations = 0
-    while iterations < max_iter:
-        # The recurrence for one chunk; the verdict pass below never feeds it.
-        rows = min(op.chunk, max_iter - iterations)
-        zs = np.empty((rows, nv))
-        shadows = np.empty((rows, len(op.f0)))
-        finite = rows
-        for row in range(rows):
-            z = op.q @ (op.inv_w * (op.q.T @ op.adjoint(state - op.f0)))
-            shadow = op.forward(z)
-            if not np.isfinite(shadow).all():
-                finite = row
-                break
-            zs[row], shadows[row] = z, shadow
+    # A step that overflows leaves a non-finite shadow, which ends the run
+    # with NonFinite below; numpy's own overflow warnings add nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while iterations < max_iter:
+            # The recurrence for one chunk; the verdict pass below never feeds it.
+            rows = min(op.chunk, max_iter - iterations)
+            zs = np.empty((rows, nv))
+            shadows = np.empty((rows, len(op.f0)))
+            finite = rows
+            for row in range(rows):
+                z = op.q @ (op.inv_w * (op.q.T @ op.adjoint(state - op.f0)))
+                shadow = op.forward(z)
+                if not np.isfinite(shadow).all():
+                    finite = row
+                    break
+                zs[row], shadows[row] = z, shadow
 
-            reflected = 2.0 * shadow - state
-            cone = np.empty_like(state)
-            for dim, span, _, _, lo, hi in op.dims:
-                w, v = np.linalg.eigh(reflected[span].reshape(-1, dim, dim))
-                cone[span] = ((v * np.clip(w, lo, hi)[:, None, :]) @ v.transpose(0, 2, 1)).ravel()
-            state = state + _RELAX * (cone - shadow)
+                reflected = 2.0 * shadow - state
+                cone = np.empty_like(state)
+                for dim, span, _, _, lo, hi in op.dims:
+                    w, v = np.linalg.eigh(reflected[span].reshape(-1, dim, dim))
+                    cone[span] = ((v * np.clip(w, lo, hi)[:, None, :]) @ v.transpose(0, 2, 1)).ravel()
+                state = state + _RELAX * (cone - shadow)
 
-        # The verdict on each finite row, in iteration order.
-        margins = np.empty((finite, op.first[-1]))
-        for dim, span, pieces, neg, _, _ in op.dims:
-            w = np.linalg.eigvalsh(shadows[:finite, span].reshape(finite, len(pieces), dim, dim))
-            margins[:, pieces] = np.where(neg, w[..., -1], w[..., 0])
-        violations = _violation(margins[:, :split], margins[:, split:], delta)
+            # The verdict on each finite row, in iteration order.
+            margins = np.empty((finite, op.first[-1]))
+            for dim, span, pieces, neg, _, _ in op.dims:
+                w = np.linalg.eigvalsh(shadows[:finite, span].reshape(finite, len(pieces), dim, dim))
+                margins[:, pieces] = np.where(neg, w[..., -1], w[..., 0])
+            violations = _violation(margins[:, :split], margins[:, split:], delta)
 
-        for row, violation in enumerate(violations.tolist()):
-            iterations += 1
-            if violation < best_violation:
-                best_violation = violation
-                best_z = zs[row]
-                best_margins = margins[row]
-            history.append(best_violation)
+            for row, violation in enumerate(violations.tolist()):
+                iterations += 1
+                if violation < best_violation:
+                    best_violation = violation
+                    best_z = zs[row]
+                    best_margins = margins[row]
+                history.append(best_violation)
 
-            if violation <= _FEAS_SLACK:
-                return result(SolveStatus.FEASIBLE, zs[row], margins[row])
+                if violation <= _FEAS_SLACK:
+                    return result(SolveStatus.FEASIBLE, zs[row], margins[row])
 
-            if len(history) > _STAGNATION_WINDOW and best_violation > 0.0:
-                past = history[-_STAGNATION_WINDOW - 1]
-                if past - best_violation < _STAGNATION_RTOL * max(best_violation, 1e-300):
-                    return result(SolveStatus.INFEASIBLE, best_z, best_margins)
+                if len(history) > _STAGNATION_WINDOW and best_violation > 0.0:
+                    past = history[-_STAGNATION_WINDOW - 1]
+                    if past - best_violation < _STAGNATION_RTOL * max(best_violation, 1e-300):
+                        return result(SolveStatus.INFEASIBLE, best_z, best_margins)
 
-        if finite < rows:
-            raise NonFinite("constraint evaluation produced non-finite entries")
+            if finite < rows:
+                raise NonFinite("constraint evaluation produced non-finite entries")
 
     return result(SolveStatus.ITERATION_LIMIT, best_z, best_margins)

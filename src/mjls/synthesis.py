@@ -14,11 +14,14 @@ certificate assembler and one gain recovery work on any target:
   region2) grid: system 1 under ``rates1[region2]`` and ``obs1[region1]``,
   system 2 under ``rates2[region1]`` and ``obs2[region2]``.
 
-Certification is separate from synthesis: ``build_psi`` evaluates the
-closed-loop generator quadratic form for fixed gains and Lyapunov
-matrices; ``certify_gains`` and ``check_corollary`` check a candidate
-certificate (a joint bank's own, or the block-diagonal composition of a
-distributed bank's two) and search only when it is absent or misses.
+A bank carries its candidate certificate, one ``Lyapunov`` (P and s) per
+system id, and never a verdict.  ``build_psi`` evaluates the closed-loop
+generator quadratic form for fixed gains and Lyapunov matrices;
+``certify_gains`` and ``check_corollary`` check the candidate (a joint
+bank's own, or the block-diagonal composition of a distributed bank's
+two), search only when it is absent or misses, and return the only
+``Certificate``, the verdict.  ``synthesize`` reaches its verdict through
+the same call.
 ``check_bank`` rejects a bank that does not fit a model and returns its
 joint gains, the ones both the certifier and the simulator run.
 The forms are the coupled-Lyapunov forms of Costa, Fragoso and Todorov,
@@ -30,7 +33,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -71,6 +74,7 @@ from .model import (
 __all__ = [
     "Scheme",
     "ControllerBank",
+    "Lyapunov",
     "Certificate",
     "build_psi",
     "build_centralized",
@@ -103,8 +107,18 @@ class Scheme(str, enum.Enum):
 
 
 @dataclass(frozen=True)
+class Lyapunov:
+    """A candidate certificate: one Lyapunov matrix P_i and one disturbance
+    scaling s_i per mode.  Only a check turns it into a verdict."""
+
+    p_matrices: tuple[np.ndarray, ...]
+    s_values: tuple[float, ...]
+
+
+@dataclass(frozen=True)
 class Certificate:
-    """Lyapunov matrices plus the closed-loop forms they certify.
+    """The verdict of a check: Lyapunov matrices plus the closed-loop forms
+    they certify.
 
     ``psi_max`` maps (mode, region-key) to the largest eigenvalue of the
     evaluated quadratic form; ``certified`` means every one of those
@@ -128,13 +142,13 @@ class ControllerBank:
 
     System id 0 carries gains for the integrated system (centralized and
     full-information schemes); ids 1 and 2 carry per-subsystem gains
-    (distributed scheme).  ``certificates`` holds one Certificate per
-    system id present.
+    (distributed scheme).  ``lyapunov`` holds the candidate certificate of
+    each system id it has one for.
     """
 
     scheme: Scheme
     gains: dict
-    certificates: dict
+    lyapunov: dict[int, Lyapunov] = field(default_factory=dict)
 
     def gain(self, system: int, observation: int, cell: tuple[int, int]) -> np.ndarray:
         key = (system, observation, tuple(cell))
@@ -324,15 +338,10 @@ def build_psi(
     return _form(model.system, _integrated_cell(model, m), gains, p_matrices, i, s)
 
 
-def _certificate(
-    target: _Target,
-    bank: ControllerBank,
-    p_matrices: tuple[np.ndarray, ...],
-    s_values: tuple[float, ...],
-    delta: float,
-) -> Certificate:
+def _certificate(target: _Target, bank: ControllerBank, lyapunov: Lyapunov, delta: float) -> Certificate:
     """Evaluate every closed-loop form of a target's bank gains under P; a
     form that overflows has largest eigenvalue +inf, so it fails."""
+    p_matrices, s_values = lyapunov.p_matrices, lyapunov.s_values
     cell_gains = [_cell_gains(bank, target, cell) for cell in target.cells]
     keys = [(i, cell.key) for i in target.modes for cell in target.cells]
     with np.errstate(all="ignore"):
@@ -499,9 +508,7 @@ def _require_feasible(solution: LmiSolution) -> None:
         raise NotFeasible(f"solver status is {solution.status.value}, cannot recover gains")
 
 
-def _recover(
-    target: _Target, solution: LmiSolution
-) -> tuple[dict, tuple[np.ndarray, ...], tuple[float, ...]]:
+def _recover(target: _Target, solution: LmiSolution) -> tuple[dict, Lyapunov]:
     """Gains G_ihat = sum_i beta[ihat, i] Y_i X_i^{-1} per cell, plus the
     Lyapunov matrices P_i = X_i^{-1} and the disturbance scalings."""
     sys = target.system
@@ -521,7 +528,7 @@ def _recover(
                 if weight != 0.0:
                     g = g + weight * (solution.variable(cell.y_key(i)) @ x_inv[i - 1])
             gains[(target.system_id, i_hat, cell.regions)] = g
-    return gains, tuple(x_inv), s_values
+    return gains, Lyapunov(tuple(x_inv), s_values)
 
 
 def recover_gains(solution, model, scheme: Scheme) -> ControllerBank:
@@ -530,9 +537,9 @@ def recover_gains(solution, model, scheme: Scheme) -> ControllerBank:
     Centralized recovery unmixes through the joint emission inverse; full
     information uses the solver variables directly; distributed recovery
     (``solution`` is the pair of per-system results) unmixes through each
-    subsystem's own-region emission inverse.  The returned bank carries the
-    Lyapunov matrices P = X^{-1} and the largest eigenvalue of each freshly
-    evaluated closed-loop form.
+    subsystem's own-region emission inverse.  The returned bank carries,
+    per target, the candidate P = X^{-1} and the disturbance scalings;
+    nothing is evaluated here.
     """
     solutions = tuple(solution) if scheme is Scheme.DISTRIBUTED else (solution,)
     for sol in solutions:
@@ -544,18 +551,11 @@ def recover_gains(solution, model, scheme: Scheme) -> ControllerBank:
         # averages over identity emissions.
         full_info = scheme is Scheme.FULL_INFORMATION
         targets = (_integrated_target(_with_identity_obs(model) if full_info else model),)
-    gains = {}
-    lyapunov = []
+    gains, lyapunov = {}, {}
     for target, sol in zip(targets, solutions):
-        target_gains, p_matrices, s_values = _recover(target, sol)
+        target_gains, lyapunov[target.system_id] = _recover(target, sol)
         gains.update(target_gains)
-        lyapunov.append((p_matrices, s_values))
-    bank = ControllerBank(scheme=scheme, gains=gains, certificates={})
-    certificates = {
-        target.system_id: _certificate(target, bank, p_matrices, s_values, PSI_MARGIN)
-        for target, (p_matrices, s_values) in zip(targets, lyapunov)
-    }
-    return ControllerBank(scheme=scheme, gains=gains, certificates=certificates)
+    return ControllerBank(scheme, gains, lyapunov)
 
 
 def check_bank(model: InterdependentModel, bank: ControllerBank) -> ControllerBank:
@@ -604,13 +604,13 @@ def check_bank(model: InterdependentModel, bank: ControllerBank) -> ControllerBa
             f"gain for system {k}, observation {i_hat}, regions {cell} does not fit a "
             f"{bank.scheme.value} bank for this model"
         )
-    return ControllerBank(scheme=Scheme.CENTRALIZED, gains=joint, certificates={}) if distributed else bank
+    return ControllerBank(Scheme.CENTRALIZED, joint) if distributed else bank
 
 
 def _certify(
     target: _Target,
     bank: ControllerBank,
-    candidate: tuple[tuple[np.ndarray, ...], tuple[float, ...]] | None,
+    candidate: Lyapunov | None,
     delta: float,
     max_iter: int,
 ) -> Certificate:
@@ -622,7 +622,7 @@ def _certify(
     if not delta > 0.0:
         raise ValueError("margin delta must be positive")
     if candidate is not None:
-        cert = _certificate(target, bank, *candidate, delta)
+        cert = _certificate(target, bank, candidate, delta)
         if cert.certified:
             return cert
     sys = target.system
@@ -658,7 +658,7 @@ def _certify(
 
     p_matrices = tuple(solution.variable(("P", i)) for i in target.modes)
     s_values = tuple(1.0 / solution.variable(("r", i)) if i in s_modes else 1.0 for i in target.modes)
-    return _certificate(target, bank, p_matrices, s_values, delta)
+    return _certificate(target, bank, Lyapunov(p_matrices, s_values), delta)
 
 
 def _check_lyapunov(k: int, sys: JumpLinearSystem, p_matrices: Sequence[np.ndarray]) -> None:
@@ -683,17 +683,16 @@ def certify_gains(
     max_iter: int = 20000,
 ) -> Certificate:
     """Certify a fixed gain bank on the integrated system, searching only
-    when the bank's own certificate is absent or misses.  Infeasibility is
+    when the bank's own candidate is absent or misses.  Infeasibility is
     reported through ``certified=False``, never raised.  Full-information
     banks are checked against identity emissions, since that controller
     reads the true mode."""
     if bank.scheme is Scheme.FULL_INFORMATION:
         model = _with_identity_obs(model)
     _validate_integrated(model)
-    own = bank.certificates.get(0)
-    if own is not None:
-        _check_lyapunov(0, model.system, own.p_matrices)
-    candidate = None if own is None else (own.p_matrices, own.s_values)
+    candidate = bank.lyapunov.get(0)
+    if candidate is not None:
+        _check_lyapunov(0, model.system, candidate.p_matrices)
     return _certify(_integrated_target(model), bank, candidate, delta, max_iter)
 
 
@@ -707,34 +706,36 @@ def check_corollary(
 
     ``check_bank`` rejects the bank unless it fits the model as a
     distributed bank.  The candidate is the block-diagonal composition of
-    the two subsystem certificates; the search runs when either is absent
-    or the candidate misses.  A certificate that is not one finite nx x nx
+    the two subsystem candidates; the search runs when either is absent or
+    the candidate misses.  A certificate that is not one finite nx x nx
     P per mode, symmetric within 1e-12 times max(1, max |P|), raises an
     error naming the system and the mode."""
     integ = compose_integrated(model)
     # Read as distributed whatever its scheme, so a joint bank is refused.
-    joint_bank = check_bank(model, ControllerBank(scheme=Scheme.DISTRIBUTED, gains=bank.gains, certificates={}))
+    joint_bank = check_bank(model, ControllerBank(Scheme.DISTRIBUTED, bank.gains))
 
-    cert1, cert2 = bank.certificates.get(1), bank.certificates.get(2)
+    lyap1, lyap2 = bank.lyapunov.get(1), bank.lyapunov.get(2)
     candidate = None
-    if cert1 is not None and cert2 is not None:
-        for k, sys, cert in ((1, model.sys1, cert1), (2, model.sys2, cert2)):
-            _check_lyapunov(k, sys, cert.p_matrices)
+    if lyap1 is not None and lyap2 is not None:
+        for k, sys, lyap in ((1, model.sys1, lyap1), (2, model.sys2, lyap2)):
+            _check_lyapunov(k, sys, lyap.p_matrices)
         pairs = mode_pairs(model)
-        candidate = (
-            tuple(block_diag(cert1.p_matrices[i1 - 1], cert2.p_matrices[i2 - 1]) for i1, i2 in pairs),
-            tuple(min(cert1.s_values[i1 - 1], cert2.s_values[i2 - 1]) for i1, i2 in pairs),
+        candidate = Lyapunov(
+            tuple(block_diag(lyap1.p_matrices[i1 - 1], lyap2.p_matrices[i2 - 1]) for i1, i2 in pairs),
+            tuple(min(lyap1.s_values[i1 - 1], lyap2.s_values[i2 - 1]) for i1, i2 in pairs),
         )
     return _certify(_integrated_target(integ), joint_bank, candidate, delta, max_iter)
 
 
 @dataclass(frozen=True)
 class SynthesisOutcome:
-    """Bundle of everything a synthesis run produced."""
+    """Bundle of everything a synthesis run produced: ``certificate`` is the
+    check of ``bank``, None when there is no bank."""
 
     bank: ControllerBank | None
     solutions: tuple[LmiSolution, ...]
     problems: tuple[LmiProblem, ...]
+    certificate: Certificate | None
 
     @property
     def feasible(self) -> bool:
@@ -755,13 +756,15 @@ def synthesize(
     max_iter: int = 20000,
     decay: float = 0.0,
 ) -> SynthesisOutcome:
-    """End-to-end synthesis: build, solve, and recover for any scheme.
+    """End-to-end synthesis: build, solve, recover and check for any scheme.
 
     ``decay`` > 0 synthesizes against rate-shifted dynamics A + decay*I, a
     standard way to demand a guaranteed contraction rate; the recovered
-    bank's certificate is always evaluated against the unshifted model.
-    Centralized and distributed synthesis refuse an emission matrix whose
-    inverse gain recovery cannot use.
+    bank is checked against the unshifted model at ``PSI_MARGIN`` by the
+    call ``certify`` makes, ``check_corollary`` or ``certify_gains``, with
+    ``max_iter`` bounding its fallback search.  Centralized and
+    distributed synthesis refuse an emission matrix whose inverse gain
+    recovery cannot use.
     """
     if scheme is Scheme.DISTRIBUTED:
         problems = build_distributed(model, delta, decay)
@@ -769,11 +772,15 @@ def synthesize(
         integ = compose_integrated(model)
         if scheme is Scheme.CENTRALIZED:
             _require_invertible_emissions(model, scheme)
-        model = integ
         builder = build_fullinfo if scheme is Scheme.FULL_INFORMATION else build_centralized
-        problems = (builder(model, delta, decay),)
+        problems = (builder(integ, delta, decay),)
     solutions = tuple(solve_feasibility(problem, max_iter) for problem in problems)
-    bank = None
-    if all(sol.status is SolveStatus.FEASIBLE for sol in solutions):
-        bank = recover_gains(solutions if scheme is Scheme.DISTRIBUTED else solutions[0], model, scheme)
-    return SynthesisOutcome(bank, solutions, problems)
+    if not all(sol.status is SolveStatus.FEASIBLE for sol in solutions):
+        return SynthesisOutcome(None, solutions, problems, None)
+    if scheme is Scheme.DISTRIBUTED:
+        bank = recover_gains(solutions, model, scheme)
+        certificate = check_corollary(model, bank, PSI_MARGIN, max_iter)
+    else:
+        bank = recover_gains(solutions[0], integ, scheme)
+        certificate = certify_gains(integ, bank, PSI_MARGIN, max_iter)
+    return SynthesisOutcome(bank, solutions, problems, certificate)

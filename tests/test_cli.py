@@ -9,6 +9,7 @@ import pytest
 
 from mjls import cli
 from mjls import model as model_module
+from mjls import synthesis
 from mjls.cli import main
 from mjls.fileio import canonical_json, load_bank, load_model, save_bank, save_model
 from mjls.fixtures import demo_path, fixture_path
@@ -375,7 +376,7 @@ class TestFlags:
             seen.append(max_iter)
             return Certificate((), {(1, (1, 1)): -1.0}, delta, True, ())
 
-        monkeypatch.setattr(cli, "check_corollary", fake_check_corollary)
+        monkeypatch.setattr(synthesis, "check_corollary", fake_check_corollary)
         model = str(scalar_model_file(tmp_path))
         argv = ["synthesize", model, "--scheme", "distributed", "--max-iter", "77", "--out", str(tmp_path / "g.json")]
         assert main(argv) == 0
@@ -397,7 +398,6 @@ class TestFlags:
 
 
 def _add_unused_entry(doc):
-    doc.pop("certificate")  # its margin count would no longer match the gains
     doc["gains"].append({**doc["gains"][3], "region1": 9})
 
 
@@ -799,3 +799,20 @@ class TestCertifySearch:
         captured = capsys.readouterr()
         assert captured.out.endswith("worst: -1.948998e-01\ncertified: yes\n")
         assert captured.err == ""
+
+    @pytest.mark.parametrize("scheme", ["distributed", "centralized"])
+    def test_written_bank_certifies_as_synthesized(self, tmp_path, capsys, solve_calls, scheme):
+        # Every D a column of 0.5: the bank file must carry the synthesized
+        # disturbance scalings, or certify misses the candidate and searches.
+        doc = json.loads(demo_path().read_text())
+        for system in ("system1", "system2"):
+            for mode in doc[system]["modes"]:
+                mode["D"] = [[0.5] for _ in mode["D"]]
+        model, gains = tmp_path / "disturbed.json", tmp_path / "gains.json"
+        model.write_text(canonical_json(doc))
+        assert main(["synthesize", str(model), "--scheme", scheme, "--decay", "1.5", "--out", str(gains)]) == 0
+        synthesized = capsys.readouterr().out.split("worst closed-loop form eigenvalue: ")[1].split("\n")[0]
+        del solve_calls[:]
+        assert main(["certify", str(model), str(gains)]) == 0
+        assert capsys.readouterr().out.endswith(f"worst: {float(synthesized):+.6e}\ncertified: yes\n")
+        assert len(solve_calls) == 0

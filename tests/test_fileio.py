@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -21,7 +22,7 @@ from mjls.fileio import (
 from mjls.fixtures import demo_path, fixture_path
 from mjls.model import block_diag, mode_pairs, validate
 from mjls.sim import Periodic, SimConfig, simulate
-from mjls.synthesis import ControllerBank, Scheme, check_corollary
+from mjls.synthesis import ControllerBank, Lyapunov, Scheme, check_corollary
 
 
 class TestModelFiles:
@@ -131,28 +132,29 @@ class TestGainFiles:
         assert path2.read_bytes() == path.read_bytes()
 
     def test_certificate_round_trip(self, tmp_path, demo, demo_bank):
-        # The centralized bank's certificate keys its cells by product-cell
-        # index, the distributed one by region pair.
+        # P and s of every system id come back exactly; the scalings are
+        # made distinct, since the demo's D = 0 leaves every s at 1.
         joint = {}
         for cell in {cell for (_k, _obs, cell) in demo_bank.gains}:
             for i, (i1, i2) in enumerate(mode_pairs(demo), start=1):
                 joint[(0, i, cell)] = block_diag(demo_bank.gain(1, i1, cell), demo_bank.gain(2, i2, cell))
-        centralized = ControllerBank(
-            Scheme.CENTRALIZED, joint, {0: check_corollary(demo, demo_bank)}
-        )
+        p_joint = check_corollary(demo, demo_bank).p_matrices
+        centralized = ControllerBank(Scheme.CENTRALIZED, joint, {0: Lyapunov(p_joint, (1.0,) * len(p_joint))})
         for bank in (demo_bank, centralized):
+            bank = dataclasses.replace(bank, lyapunov={
+                k: dataclasses.replace(lyap, s_values=tuple(k + 0.1 * i for i in range(1, len(lyap.s_values) + 1)))
+                for k, lyap in bank.lyapunov.items()
+            })
             path = tmp_path / "gains.json"
             save_bank(path, bank)
             loaded = load_bank(path)
-            assert set(loaded.certificates) == set(bank.certificates)
-            for k, fresh in bank.certificates.items():
-                again = loaded.certificates[k]
+            assert set(loaded.lyapunov) == set(bank.lyapunov)
+            for k, fresh in bank.lyapunov.items():
+                again = loaded.lyapunov[k]
                 assert len(fresh.p_matrices) == len(again.p_matrices)
                 for a, b in zip(fresh.p_matrices, again.p_matrices):
-                    assert np.allclose(a, b, atol=0.0)
-                assert set(fresh.psi_max) == set(again.psi_max)
-                for key, v in fresh.psi_max.items():
-                    assert again.psi_max[key] == v
+                    assert np.array_equal(a, b)
+                assert again.s_values == fresh.s_values
 
     def test_duplicate_entry_rejected(self):
         doc = {
@@ -182,24 +184,32 @@ class TestGainFiles:
             bank_from_dict({"scheme": "distributed", "gains": [entry]})
 
     @pytest.mark.parametrize("field, value, message", [
-        ("certified", "no", "certificate.certified: expected a boolean, got 'no'"),
-        ("certified", 1, "certificate.certified: expected a boolean"),
-        ("delta", "1e-8", "certificate.delta: expected a number"),
-        ("delta", True, "certificate.delta: expected a number"),
-        ("margins", ["0.5"], "certificate.margins[1]: expected a number"),
-        ("margins", [False], "certificate.margins[1]: expected a number"),
-        ("margins", "0.5", "certificate.margins: expected a list"),
+        ("s", ["1"], "certificate.s[1]: expected a number, got '1'"),
+        ("s", 5, "certificate.s: expected one number per P matrix, a list of 1"),
+        ("s", None, "certificate.s: expected one number per P matrix, a list of 1"),
+        ("s", [1.0, 1.0], "certificate.s: expected one number per P matrix, a list of 1"),
+        ("s", [0.0], "certificate.s[1]: expected a positive finite number, got 0.0"),
+        ("s", [-1.0], "certificate.s[1]: expected a positive finite number, got -1.0"),
+        ("s", [1e999], "certificate.s[1]: expected a positive finite number, got inf"),
         ("P", [[["1.0"]]], "certificate.P[1][1][1]: expected a number, got '1.0'"),
         ("P", [[[False]]], "certificate.P[1][1][1]: expected a number, got False"),
         *(("P", value, "certificate.P: expected a nonempty list of matrices") for value in (5, None, True, 1.5)),
         ("P", [[[1.0]], [[1.0]]], "certificate.P: wrong number of matrices"),
-        ("margins", [0.5, 0.5], "certificate.margins: expected 1 values, got 2"),
     ])
     def test_certificate_field_types_checked(self, field, value, message):
-        cert = {"P": [[[1.0]]], "margins": [0.5], "delta": 1e-8, "certified": True, field: value}
+        cert = {"P": [[[1.0]]], field: value}
         entry = {"system": 1, "observation": 1, "region1": 1, "region2": 1, "G": [[0.0]]}
         with pytest.raises(ParseError, match=re.escape(message)):
             bank_from_dict({"scheme": "distributed", "gains": [entry], "certificate": cert})
+
+    def test_legacy_verdict_ignored(self):
+        # Older files carry margins, delta and certified; nothing reads them,
+        # and a file without s gets s = 1 for every P.
+        cert = {"P": [[[2.0]]], "margins": "junk", "delta": True, "certified": "no"}
+        entry = {"system": 1, "observation": 1, "region1": 1, "region2": 1, "G": [[0.0]]}
+        bank = bank_from_dict({"scheme": "distributed", "gains": [entry], "certificate": cert})
+        assert np.array_equal(bank.lyapunov[1].p_matrices[0], [[2.0]])
+        assert bank.lyapunov[1].s_values == (1.0,)
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ParseError, match="scheme"):
@@ -215,7 +225,7 @@ class TestGainFiles:
             ],
         }
         bank = bank_from_dict(doc)
-        assert bank.certificates == {}
+        assert bank.lyapunov == {}
         assert np.allclose(bank.gain(1, 1, (1, 1)), [[0.5, -1.0]])
 
 
@@ -225,8 +235,15 @@ class TestGainFiles:
         (model_from_dict, [], "top level: expected a JSON object"),
         (bank_from_dict, [], "top level: expected a JSON object"),
         (bank_from_dict, {"scheme": "distributed", "gains": []}, "gains: expected a nonempty list"),
+        (
+            bank_from_dict,
+            {"scheme": "distributed", "gains": [
+                {"system": 1, "observation": 1, "region1": 1, "region2": 1, "G": [[0.0]]}
+            ], "certificate": 5},
+            "certificate: expected an object, got 5",
+        ),
     ],
-    ids=["model-top-level", "bank-top-level", "bank-no-gains"],
+    ids=["model-top-level", "bank-top-level", "bank-no-gains", "bank-certificate-not-object"],
 )
 def test_document_shape_checked(from_dict, doc, message):
     with pytest.raises(ParseError, match=re.escape(message)):

@@ -506,19 +506,19 @@ class TestChunkedVerdict:
     def test_non_finite_shadow_raises(self):
         # F(0) is finite, but the reflection 2 F(0) - F(0) overflows, and the
         # third shadow is no longer finite.  The rows before it are judged
-        # first, and eigvalsh never sees the non-finite shadow.
+        # first, and eigvalsh never sees the non-finite shadow.  The suite
+        # turns RuntimeWarning into an error, so no overflow warning escapes.
         lay = VariableLayout()
         lay.add_scalar("s")
         neg = MapBuilder(1, lay).const([[1e308]]).scalar("s", [[1.0]]).build()
         pos = MapBuilder(1, lay).const([[-1e308]]).scalar("s", [[1.0]]).build()
         prob = LmiProblem(lay, [neg], [pos], delta=1.0)
         k = _operator(prob).chunk
-        with np.errstate(over="ignore", invalid="ignore"):
-            sol = solve_feasibility(prob, 2)
-            assert (sol.status, sol.iterations) == (SolveStatus.ITERATION_LIMIT, 2)
-            for cap in (3, 4, k, k + 1):
-                with pytest.raises(NonFinite):
-                    solve_feasibility(prob, cap)
+        sol = solve_feasibility(prob, 2)
+        assert (sol.status, sol.iterations) == (SolveStatus.ITERATION_LIMIT, 2)
+        for cap in (3, 4, k, k + 1):
+            with pytest.raises(NonFinite):
+                solve_feasibility(prob, cap)
 
 
 def test_operator_forward_and_adjoint():

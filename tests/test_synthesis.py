@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 
 from mjls import synthesis as synthesis_module
 from mjls.errors import DimensionMismatch, InvalidModel, MissingGain, NotFeasible, SingularX
-from mjls.fileio import load_bank
+from mjls.fileio import bank_from_dict, bank_to_dict, load_bank
 from mjls.lmi import LmiSolution, SolveStatus, solve_feasibility
 from mjls.model import (
     IntegratedModel,
@@ -18,11 +19,13 @@ from mjls.model import (
     ProductPartition,
     RateFamily,
     RegionPartition,
+    block_diag,
     mode_pairs,
 )
 from mjls.synthesis import (
-    Certificate,
+    PSI_MARGIN,
     ControllerBank,
+    Lyapunov,
     Scheme,
     build_centralized,
     build_distributed,
@@ -242,16 +245,16 @@ class TestRecoverGains:
         with pytest.raises(NotFeasible):
             recover_gains((s1, s2), paper_model, Scheme.DISTRIBUTED)
 
-    def test_distributed_counts_and_consistency(self, demo, demo_bank):
+    def test_distributed_counts_and_consistency(self, demo, demo_bank, demo_outcome):
         # Count invariant: M1*M2*(|S1|+|S2|) = 6*5 = 30.
         assert demo_bank.size == 30
         assert sum(1 for k in demo_bank.gains if k[0] == 1) == 12
         assert sum(1 for k in demo_bank.gains if k[0] == 2) == 18
         # Unmixing consistency: with invertible alpha, the emission-weighted
         # gain mixture reproduces Y X^{-1} in the closed-loop average; check
-        # through the certificate's worst margin being genuinely negative.
-        for k in (1, 2):
-            assert demo_bank.certificates[k].certified
+        # through the synthesis verdict's worst margin being genuinely negative.
+        assert demo_outcome.certificate.certified
+        assert set(demo_bank.lyapunov) == {1, 2}
 
     def test_beta_mixing_two_modes(self):
         # Two modes, single region, emission [[0.9,.1],[.1,.9]]: recovery
@@ -294,7 +297,6 @@ class TestCertifyGains:
         bank = ControllerBank(
             scheme=Scheme.CENTRALIZED,
             gains={(0, 1, (1, 1)): np.zeros((1, 1))},
-            certificates={},
         )
         cert = certify_gains(model, bank, delta=1e-8)
         assert cert.certified
@@ -306,7 +308,6 @@ class TestCertifyGains:
         bank = ControllerBank(
             scheme=Scheme.CENTRALIZED,
             gains={(0, 1, (1, 1)): np.zeros((1, 1))},
-            certificates={},
         )
         cert = certify_gains(model, bank, delta=1e-8, max_iter=3000)
         assert not cert.certified
@@ -334,14 +335,16 @@ class TestCertifyGains:
             assert stored <= -1e-8 + 1e-9
 
     def test_distributed_certificate_soundness(self, demo, demo_bank):
-        # Re-evaluate every subsystem form with plain numpy from the model:
-        # system 1 runs under rates1[region2] and obs1[region1], system 2
-        # under rates2[region1] and obs2[region2].
+        # Re-evaluate every subsystem form with plain numpy from the model
+        # and the bank's candidate: system 1 runs under rates1[region2] and
+        # obs1[region1], system 2 under rates2[region1] and obs2[region2].
+        cells = list(itertools.product(range(1, demo.part1.region_count + 1), range(1, demo.part2.region_count + 1)))
+        assert len(cells) == 6
         for k, sys, rates, obs in ((1, demo.sys1, demo.rates1, demo.obs1), (2, demo.sys2, demo.rates2, demo.obs2)):
-            cert = demo_bank.certificates[k]
+            lyap = demo_bank.lyapunov[k]
             n = sys.mode_count
-            assert len(cert.psi_max) == n * 6
-            for (i, (m1, m2)), stored in cert.psi_max.items():
+            assert len(lyap.p_matrices) == len(lyap.s_values) == n
+            for i, (m1, m2) in itertools.product(range(1, n + 1), cells):
                 own, partner = (m1, m2) if k == 1 else (m2, m1)
                 alpha = obs.alpha(own)
                 rate = rates.matrix(partner)[i - 1]
@@ -350,13 +353,12 @@ class TestCertifyGains:
                     alpha[i - 1, ih - 1] * (dyn.a + dyn.b @ demo_bank.gain(k, ih, (m1, m2)))
                     for ih in range(1, n + 1)
                 )
-                p = cert.p_matrices
+                p = lyap.p_matrices
                 form = p[i - 1] @ a_bar + a_bar.T @ p[i - 1] + sum(rate[j] * p[j] for j in range(n))
                 pd = p[i - 1] @ dyn.d
-                form = form + cert.s_values[i - 1] * (pd @ pd.T)
+                form = form + lyap.s_values[i - 1] * (pd @ pd.T)
                 worst = float(np.linalg.eigvalsh(0.5 * (form + form.T))[-1])
-                assert abs(worst - stored) <= 1e-9 * max(1.0, abs(stored))
-                assert stored <= -1e-8 + 1e-9
+                assert worst <= -PSI_MARGIN + 1e-9
 
 
 class TestCheckCorollary:
@@ -373,22 +375,10 @@ class TestCheckCorollary:
             obs2=ObservationModel(([[1.0]],)),
         )
         zero = np.zeros((1, 1))
-        cert1 = Certificate(
-            p_matrices=(np.array([[1.0]]),),
-            psi_max={(1, (1, 1)): -2.0},
-            delta=1e-8,
-            certified=True,
-            s_values=(1.0,),
-        )
-        cert2 = Certificate(
-            p_matrices=(np.array([[2.0]]),),
-            psi_max={(1, (1, 1)): -4.0},
-            delta=1e-8,
-            certified=True,
-            s_values=(1.0,),
-        )
+        lyap1 = Lyapunov(p_matrices=(np.array([[1.0]]),), s_values=(1.0,))
+        lyap2 = Lyapunov(p_matrices=(np.array([[2.0]]),), s_values=(1.0,))
         bank = ControllerBank(
-            Scheme.DISTRIBUTED, {(1, 1, (1, 1)): zero, (2, 1, (1, 1)): zero}, {1: cert1, 2: cert2}
+            Scheme.DISTRIBUTED, {(1, 1, (1, 1)): zero, (2, 1, (1, 1)): zero}, {1: lyap1, 2: lyap2}
         )
         cert = check_corollary(model, bank)
         assert cert.certified
@@ -404,14 +394,14 @@ class TestCheckCorollary:
     def test_missing_gain(self, demo, demo_bank):
         gains = dict(demo_bank.gains)
         gains.pop((1, 1, (1, 1)))
-        broken = ControllerBank(Scheme.DISTRIBUTED, gains, demo_bank.certificates)
+        broken = ControllerBank(Scheme.DISTRIBUTED, gains, demo_bank.lyapunov)
         with pytest.raises(MissingGain):
             check_corollary(demo, broken)
 
     def test_certificate_needs_one_p_per_mode(self, demo, demo_bank):
-        cert1, cert2 = demo_bank.certificates[1], demo_bank.certificates[2]
-        short = dataclasses.replace(cert2, p_matrices=cert2.p_matrices[:2])
-        bank = ControllerBank(Scheme.DISTRIBUTED, demo_bank.gains, {1: cert1, 2: short})
+        lyap1, lyap2 = demo_bank.lyapunov[1], demo_bank.lyapunov[2]
+        short = dataclasses.replace(lyap2, p_matrices=lyap2.p_matrices[:2])
+        bank = ControllerBank(Scheme.DISTRIBUTED, demo_bank.gains, {1: lyap1, 2: short})
         with pytest.raises(DimensionMismatch, match="certificate of system 2 has 2 P matrices, expected 3"):
             check_corollary(demo, bank)
 
@@ -425,7 +415,7 @@ class TestCheckCorollary:
         # form would clear a negative margin: the block-diagonal candidate
         # of a zero-gain bank, and the certificate a joint bank carries.
         zero = {key: np.zeros_like(g) for key, g in demo_bank.gains.items()}
-        bank = ControllerBank(Scheme.DISTRIBUTED, zero, demo_bank.certificates)
+        bank = ControllerBank(Scheme.DISTRIBUTED, zero, demo_bank.lyapunov)
         with pytest.raises(ValueError, match="delta must be positive"):
             check_corollary(demo, bank, delta=delta)
         with pytest.raises(ValueError, match="delta must be positive"):
@@ -512,10 +502,9 @@ class TestDisturbanceHandling:
         model = self.disturbed_model()
         out = synthesize(model, Scheme.DISTRIBUTED, delta=1e-4, max_iter=20000)
         assert out.bank is not None
+        assert out.certificate.certified
         for k in (1, 2):
-            cert = out.bank.certificates[k]
-            assert cert.certified
-            assert all(s > 0.0 for s in cert.s_values)
+            assert all(s > 0.0 for s in out.bank.lyapunov[k].s_values)
         cor = check_corollary(model, out.bank)
         assert cor.certified
 
@@ -540,6 +529,28 @@ class TestDisturbanceHandling:
         expected = -2.0 * p + s * (p * 0.5) ** 2
         assert abs(cert.psi_max[(1, 1)] - expected) <= 1e-12
 
+    def test_file_keeps_the_disturbance_scalings(self, demo):
+        # With every D a column of 0.5 the synthesized s are far from 1, so a
+        # file that dropped them would hand check_corollary a candidate that
+        # misses, and its search would return other P and other forms.
+        disturbed = dataclasses.replace(demo, **{
+            name: dataclasses.replace(sys, modes=tuple(
+                dataclasses.replace(m, d=np.full_like(m.d, 0.5)) for m in sys.modes
+            ))
+            for name, sys in (("sys1", demo.sys1), ("sys2", demo.sys2))
+        })
+        out = synthesize(disturbed, Scheme.DISTRIBUTED, delta=1e-6, max_iter=20000, decay=1.5)
+        assert out.certificate.certified
+        assert all(abs(s - 1.0) > 0.5 for k in (1, 2) for s in out.bank.lyapunov[k].s_values)
+        loaded = bank_from_dict(bank_to_dict(out.bank))
+        cert = check_corollary(disturbed, loaded)
+        assert cert.psi_max == out.certificate.psi_max
+        stored = [
+            block_diag(loaded.lyapunov[1].p_matrices[i1 - 1], loaded.lyapunov[2].p_matrices[i2 - 1])
+            for i1, i2 in mode_pairs(disturbed)
+        ]
+        assert all(np.array_equal(p, q) for p, q in zip(cert.p_matrices, stored, strict=True))
+
 
 class TestFullInformationCertification:
     def test_fullinfo_bank_certified_against_true_mode_reading(self, demo, demo_integrated):
@@ -548,7 +559,7 @@ class TestFullInformationCertification:
         # emissions are noisy.
         out = synthesize(demo, Scheme.FULL_INFORMATION, delta=1e-6, max_iter=20000, decay=1.0)
         assert out.bank is not None
-        assert out.bank.certificates[0].certified
+        assert out.certificate.certified
         cert = certify_gains(demo_integrated, out.bank, delta=1e-8)
         assert cert.certified
 
