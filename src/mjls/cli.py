@@ -32,7 +32,6 @@ from .synthesis import (
     Scheme,
     certify_gains,
     check_bank,
-    check_corollary,
     synthesize,
 )
 
@@ -191,11 +190,8 @@ def cmd_certify(args) -> int:
     # is tighter than synthesize's constraint margin.
     delta = PSI_MARGIN if args.delta is None else args.delta
 
-    if bank.scheme is Scheme.DISTRIBUTED:
-        cert = check_corollary(model, bank, delta=delta, max_iter=args.max_iter)
-    else:
-        integ = compose_integrated(model)  # validates the model before check_bank reads it
-        cert = certify_gains(integ, check_bank(model, bank), delta=delta, max_iter=args.max_iter)
+    # compose_integrated validates the model before check_bank reads it.
+    cert = certify_gains(compose_integrated(model), check_bank(model, bank), delta=delta, max_iter=args.max_iter)
 
     print("closed-loop form max eigenvalues (mode, regions):")
     for key in sorted(cert.psi_max):

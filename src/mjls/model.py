@@ -39,6 +39,7 @@ __all__ = [
     "compose_integrated",
     "joint_system",
     "mode_pairs",
+    "region_pairs",
 ]
 
 _GEN_TOL = 1e-12
@@ -151,9 +152,7 @@ class ProductPartition:
         return self.part1.region_count * self.part2.region_count
 
     def cell_pair(self, m: int) -> tuple[int, int]:
-        m2 = (m - 1) % self.part2.region_count + 1
-        m1 = (m - 1) // self.part2.region_count + 1
-        return m1, m2
+        return region_pairs(self)[m - 1]
 
 
 @dataclass(frozen=True)
@@ -332,11 +331,10 @@ def compose_integrated(model: InterdependentModel) -> IntegratedModel:
     partition = ProductPartition(model.part1, model.part2)
     joint_rates = []
     joint_alphas = []
-    for m1 in range(1, model.part1.region_count + 1):
-        for m2 in range(1, model.part2.region_count + 1):
-            g1, g2 = model.rates1.matrix(m2), model.rates2.matrix(m1)
-            joint_rates.append(np.kron(g1, np.eye(len(g2))) + np.kron(np.eye(len(g1)), g2))
-            joint_alphas.append(np.kron(model.obs1.alpha(m1), model.obs2.alpha(m2)))
+    for m1, m2 in region_pairs(model):
+        g1, g2 = model.rates1.matrix(m2), model.rates2.matrix(m1)
+        joint_rates.append(np.kron(g1, np.eye(len(g2))) + np.kron(np.eye(len(g1)), g2))
+        joint_alphas.append(np.kron(model.obs1.alpha(m1), model.obs2.alpha(m2)))
 
     return IntegratedModel(
         system=joint_system(model),
@@ -355,6 +353,16 @@ def mode_pairs(model: InterdependentModel) -> list[tuple[int, int]]:
         (i1, i2)
         for i1 in range(1, model.sys1.mode_count + 1)
         for i2 in range(1, model.sys2.mode_count + 1)
+    ]
+
+
+def region_pairs(model: InterdependentModel | ProductPartition) -> list[tuple[int, int]]:
+    """The (region1, region2) pair of each product cell, in row-major order:
+    cell m is entry m - 1."""
+    return [
+        (m1, m2)
+        for m1 in range(1, model.part1.region_count + 1)
+        for m2 in range(1, model.part2.region_count + 1)
     ]
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidModel, NonFinite
-from .model import InterdependentModel, joint_system, validate
+from .model import InterdependentModel, joint_system, region_pairs, validate
 from .synthesis import ControllerBank, Scheme, check_bank
 
 __all__ = [
@@ -55,6 +55,9 @@ __all__ = [
 # Largest admissible dt * max diagonal jump rate; keeps the per-step jump
 # probabilities in the small-increment regime the rate definition assumes.
 JUMP_PROBABILITY_CAP = 0.1
+
+# Largest admissible horizon / dt, since a run holds every step's state.
+MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -115,8 +118,11 @@ class SimConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (math.isfinite(self.horizon) and self.horizon >= 0.0):
             raise ValueError(f"horizon must be nonnegative and finite, got {self.horizon}")
-        if _steps(self.horizon, self.dt) is None:
+        steps = _steps(self.horizon, self.dt)
+        if steps is None:
             raise ValueError(f"horizon must be a whole number of steps of dt {self.dt}, got {self.horizon}")
+        if steps > MAX_STEPS:
+            raise ValueError(f"horizon / dt must be at most {MAX_STEPS} steps, got {self.horizon} / {self.dt}")
         if isinstance(self.obs_policy, Periodic) and not _steps(self.obs_policy.period, self.dt):
             raise ValueError(
                 f"observation period must be a positive whole number of steps of dt {self.dt}, "
@@ -274,7 +280,8 @@ def _prepare(model: InterdependentModel, bank: ControllerBank, config: SimConfig
     mode in force whatever was observed.  The step matrices of all loops
     come from a few matrix products on the stacked (loops, n, n) array.
     A model that ``validate`` rejects is refused with InvalidModel first,
-    even where the bad entry lies in a region the run never enters.
+    even where the bad entry lies in a region the run never enters; a bank
+    that ``check_bank`` rejects, certificate included, as ``certify`` is.
     """
     violations = validate(model)
     if violations:
@@ -307,7 +314,7 @@ def _prepare(model: InterdependentModel, bank: ControllerBank, config: SimConfig
 
     system = joint_system(model)
     joint = check_bank(model, bank).gains
-    cells = list(itertools.product(range(1, r1 + 1), range(1, r2 + 1)))
+    cells = region_pairs(model)
     nj, nx, nu = n1 * n2, system.state_dim, system.input_dim
     g = np.array([[joint[(0, j, cell)] for cell in cells] for j in range(1, nj + 1)])
     # Axes (mode, observation, cell): a loop reads the gain of its
@@ -532,23 +539,28 @@ def _run(tables: _Tables, config: SimConfig) -> tuple[np.ndarray, list[int]]:
     return np.concatenate(blocks), ks
 
 
-def _functional(sq: np.ndarray, t: np.ndarray, horizon: float | None = None) -> float:
-    """Trapezoidal integral of the squared norms ``sq`` sampled at ``t``,
-    optionally truncated at ``horizon``; see ``energy_functional``."""
-    tail = 0.0
-    if horizon is not None:
-        k = int(np.count_nonzero(t <= horizon + 1e-12))
-        if 0 < k < len(t) and horizon > t[k - 1] + 1e-12:
-            w = horizon - t[k - 1]
-            end = sq[k - 1] + (sq[k] - sq[k - 1]) * (w / (t[k] - t[k - 1]))
-            tail = 0.5 * w * (sq[k - 1] + end)
-        sq, t = sq[:k], t[:k]
-    head = float(np.trapezoid(sq, t)) if len(t) >= 2 else 0.0
-    return head + float(tail)
+def _trapezoid_weights(t: np.ndarray, horizon: float | None = None) -> np.ndarray:
+    """Weights w with ``w @ sq[:len(w)]`` the trapezoidal integral of the
+    samples ``sq`` at times ``t``, optionally truncated at ``horizon``; see
+    ``energy_functional``.  Samples past the last weight are never read."""
+    k = len(t) if horizon is None else int(np.count_nonzero(t <= horizon + 1e-12))
+    w = np.zeros(k)
+    half_steps = np.diff(t[:k]) / 2.0
+    w[:-1] += half_steps
+    w[1:] += half_steps
+    if horizon is not None and 0 < k < len(t) and horizon > t[k - 1] + 1e-12:
+        # The tail across step k ends on the linear interpolant of sq, at
+        # fraction f of the step: 0.5 span ((2 - f) sq[k-1] + f sq[k]).
+        span = horizon - t[k - 1]
+        f = span / (t[k] - t[k - 1])
+        w[k - 1] += 0.5 * span * (2.0 - f)
+        w = np.append(w, 0.5 * span * f)
+    return w
 
 
-def _functionals(x1: np.ndarray, x2: np.ndarray, t: np.ndarray, horizons, what: str) -> list[float]:
-    """``_functional`` of |x1|^2 + |x2|^2 at each of ``horizons``.
+def _functionals(x1: np.ndarray, x2: np.ndarray, t: np.ndarray, weights, what: str) -> list[float]:
+    """The integrals of |x1|^2 + |x2|^2 sampled at ``t`` under each of
+    ``weights``, from ``_trapezoid_weights``.
 
     A finite state can still have a square or an integral beyond the float
     range (|x| above about 1e154); that raises NonFinite naming ``what`` and
@@ -556,7 +568,7 @@ def _functionals(x1: np.ndarray, x2: np.ndarray, t: np.ndarray, horizons, what: 
     """
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.sum(x1 * x1, axis=1) + np.sum(x2 * x2, axis=1)
-        values = [_functional(sq, t, horizon) for horizon in horizons]
+        values = [float(w @ sq[: len(w)]) for w in weights]
     if not all(map(math.isfinite, values)):
         peak = np.maximum(np.abs(x1).max(axis=1, initial=0.0), np.abs(x2).max(axis=1, initial=0.0))
         row = int(np.argmax(peak))
@@ -575,7 +587,7 @@ def energy_functional(trace: Trace, horizon: float | None = None) -> float:
     A value beyond the float range raises NonFinite; it is never returned
     as inf.
     """
-    return _functionals(trace.x1, trace.x2, trace.t, (horizon,), "the trace")[0]
+    return _functionals(trace.x1, trace.x2, trace.t, (_trapezoid_weights(trace.t, horizon),), "the trace")[0]
 
 
 def estimate_stability(
@@ -596,16 +608,16 @@ def estimate_stability(
     tables = _prepare(model, bank, config, x1_0, x2_0)
     nx1 = tables.split[0]
     t = np.arange(_steps(config.horizon, config.dt) + 1) * config.dt
+    weights = (_trapezoid_weights(t), _trapezoid_weights(t, config.horizon / 2.0))
     functionals = []
     halves = []
     terminals = []
-    half = config.horizon / 2.0
     for run in range(n_runs):
         # Composite entropy (master seed, run index) gives independent,
         # reproducible streams; SeedSequence accepts the tuple directly.
         x_arr, _ = _run(tables, replace(config, seed=(config.seed, run)))
         x1, x2 = x_arr[:, :nx1], x_arr[:, nx1:]
-        full, at_half = _functionals(x1, x2, t, (None, half), f"run {run}")
+        full, at_half = _functionals(x1, x2, t, weights, f"run {run}")
         functionals.append(full)
         halves.append(at_half)
         terminals.append(float(np.sqrt(x1[-1] @ x1[-1] + x2[-1] @ x2[-1])))

@@ -15,15 +15,14 @@ certificate assembler and one gain recovery work on any target:
   system 2 under ``rates2[region1]`` and ``obs2[region2]``.
 
 A bank carries its candidate certificate, one ``Lyapunov`` (P and s) per
-system id, and never a verdict.  ``build_psi`` evaluates the closed-loop
-generator quadratic form for fixed gains and Lyapunov matrices;
-``certify_gains`` and ``check_corollary`` check the candidate (a joint
-bank's own, or the block-diagonal composition of a distributed bank's
-two), search only when it is absent or misses, and return the only
-``Certificate``, the verdict.  ``synthesize`` reaches its verdict through
-the same call.
-``check_bank`` rejects a bank that does not fit a model and returns its
-joint gains, the ones both the certifier and the simulator run.
+system id, and never a verdict.  ``check_bank`` is the one place a bank
+meets a model: it rejects a bank that does not fit and returns the joint
+bank, whose gains and candidate (a distributed bank's two composed
+block-diagonally) both the certifier and the simulator run.
+``certify_gains`` checks that candidate, searches only when it is absent
+or misses, and returns the only ``Certificate``, the verdict; every verb
+reaches its verdict through it.  ``build_psi`` evaluates one closed-loop
+generator quadratic form for fixed gains and Lyapunov matrices.
 The forms are the coupled-Lyapunov forms of Costa, Fragoso and Todorov,
 *Continuous-Time Markov Jump Linear Systems* (2013).
 """
@@ -31,7 +30,6 @@ The forms are the coupled-Lyapunov forms of Costa, Fragoso and Todorov,
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -67,7 +65,9 @@ from .model import (
     check_generator,
     check_stochastic,
     compose_integrated,
+    joint_system,
     mode_pairs,
+    region_pairs,
     validate,
 )
 
@@ -268,10 +268,9 @@ def _subsystem_target(model: InterdependentModel, k: int) -> _Target:
     else:
         sys, rates, obs = model.sys2, model.rates2, model.obs2
     cells = []
-    for m1 in range(1, model.part1.region_count + 1):
-        for m2 in range(1, model.part2.region_count + 1):
-            own, partner = (m1, m2) if k == 1 else (m2, m1)
-            cells.append(_Cell((m1, m2), f"regions ({m1},{m2})", (m1, m2), rates.matrix(partner), obs.alpha(own)))
+    for m1, m2 in region_pairs(model):
+        own, partner = (m1, m2) if k == 1 else (m2, m1)
+        cells.append(_Cell((m1, m2), f"regions ({m1},{m2})", (m1, m2), rates.matrix(partner), obs.alpha(own)))
     return _Target(k, sys, tuple(cells))
 
 
@@ -559,18 +558,20 @@ def recover_gains(solution, model, scheme: Scheme) -> ControllerBank:
 
 
 def check_bank(model: InterdependentModel, bank: ControllerBank) -> ControllerBank:
-    """Reject a bank unless it holds exactly the gains its scheme reads on
-    this model, one finite gain of the right shape per (system, observation,
-    regions), and return them as joint gains keyed (0, joint observation,
-    regions).
+    """Reject a bank that does not fit this model, and return it as the
+    joint bank both the certifier and the simulator run.
 
-    A distributed bank's joint gain for the observation pair
-    ``mode_pairs(model)[i - 1]`` is blkdiag(G1, G2); a centralized or
-    full-information bank holds joint gains already and is returned as is.
+    The bank must hold exactly the gains its scheme reads on this model,
+    one finite gain of the right shape per (system, observation, regions),
+    and each candidate it carries for a system id its scheme reads must
+    pass ``_check_lyapunov``.  A distributed bank becomes joint gains
+    blkdiag(G1, G2) and, when it carries both candidates, the joint
+    candidate blkdiag(P1_i1, P2_i2) with s = min(s1_i1, s2_i2), both under
+    system id 0 and in ``mode_pairs`` order; a centralized or
+    full-information bank is returned as is.
 
-    Raises MissingGain for an absent entry, DimensionMismatch for a gain of
-    the wrong shape or an entry the model has no use for, and NonFinite for
-    a gain with NaN or infinite entries.
+    Raises MissingGain, DimensionMismatch, NonFinite or NonSymmetric with a
+    message naming the system: 1 or 2, or 0 for a joint bank.
     """
     s1, s2 = model.sys1, model.sys2
     distributed = bank.scheme is Scheme.DISTRIBUTED
@@ -589,7 +590,7 @@ def check_bank(model: InterdependentModel, bank: ControllerBank) -> ControllerBa
 
     joint = {}
     pairs = mode_pairs(model)
-    for cell in itertools.product(range(1, model.part1.region_count + 1), range(1, model.part2.region_count + 1)):
+    for cell in region_pairs(model):
         for i_hat, (o1, o2) in enumerate(pairs, start=1):
             if distributed:
                 g1 = fetch(1, o1, cell, (s1.input_dim, s1.state_dim))
@@ -604,24 +605,60 @@ def check_bank(model: InterdependentModel, bank: ControllerBank) -> ControllerBa
             f"gain for system {k}, observation {i_hat}, regions {cell} does not fit a "
             f"{bank.scheme.value} bank for this model"
         )
-    return ControllerBank(Scheme.CENTRALIZED, joint) if distributed else bank
+
+    for k, sys in ((1, s1), (2, s2)) if distributed else ((0, joint_system(model)),):
+        if k in bank.lyapunov:
+            _check_lyapunov(k, sys, bank.lyapunov[k].p_matrices)
+    if not distributed:
+        return bank
+    lyapunov = {}
+    if 1 in bank.lyapunov and 2 in bank.lyapunov:
+        lyap1, lyap2 = bank.lyapunov[1], bank.lyapunov[2]
+        lyapunov[0] = Lyapunov(
+            tuple(block_diag(lyap1.p_matrices[i1 - 1], lyap2.p_matrices[i2 - 1]) for i1, i2 in pairs),
+            tuple(min(lyap1.s_values[i1 - 1], lyap2.s_values[i2 - 1]) for i1, i2 in pairs),
+        )
+    return ControllerBank(Scheme.CENTRALIZED, joint, lyapunov)
 
 
-def _certify(
-    target: _Target,
+def _check_lyapunov(k: int, sys: JumpLinearSystem, p_matrices: Sequence[np.ndarray]) -> None:
+    if len(p_matrices) != sys.mode_count:
+        raise DimensionMismatch(f"certificate of system {k} has {len(p_matrices)} P matrices, expected {sys.mode_count}")
+    shape = (sys.state_dim, sys.state_dim)
+    for i, p in enumerate(p_matrices, start=1):
+        where = f"certificate of system {k}, P of mode {i}"
+        if p.shape != shape:
+            raise DimensionMismatch(f"{where} has shape {p.shape}, expected {shape}")
+        if not np.all(np.isfinite(p)):
+            raise NonFinite(f"{where} has non-finite entries")
+        deviation, tol = np.abs(p - p.T).max(), _SYM_TOL * max(1.0, np.abs(p).max())
+        if deviation > tol:
+            raise NonSymmetric(f"{where} is not symmetric within {tol:g} (deviation {deviation:.3e})")
+
+
+def certify_gains(
+    model: IntegratedModel,
     bank: ControllerBank,
-    candidate: Lyapunov | None,
-    delta: float,
-    max_iter: int,
+    delta: float = PSI_MARGIN,
+    max_iter: int = 20000,
 ) -> Certificate:
-    """Return the candidate (P, s) if it certifies the target's bank gains
-    at ``delta``, else search for Lyapunov matrices: with the gains fixed
-    the forms are affine in the P_i, the disturbance term entering through
-    a Schur companion block.  The direct evaluation of the forms decides
-    the certified flag, whatever the solver claimed."""
+    """Certify a joint gain bank on the integrated system: return the bank's
+    candidate (P, s) if it certifies the gains at ``delta``, else search for
+    Lyapunov matrices.  With the gains fixed the forms are affine in the
+    P_i, the disturbance term entering through a Schur companion block.
+    The direct evaluation of the forms decides the certified flag, whatever
+    the solver claimed; infeasibility is reported through
+    ``certified=False``, never raised.  Full-information banks are checked
+    against identity emissions, since that controller reads the true mode."""
+    if bank.scheme is Scheme.FULL_INFORMATION:
+        model = _with_identity_obs(model)
+    _validate_integrated(model)
     if not delta > 0.0:
         raise ValueError("margin delta must be positive")
+    target = _integrated_target(model)
+    candidate = bank.lyapunov.get(0)
     if candidate is not None:
+        _check_lyapunov(0, model.system, candidate.p_matrices)
         cert = _certificate(target, bank, candidate, delta)
         if cert.certified:
             return cert
@@ -661,70 +698,18 @@ def _certify(
     return _certificate(target, bank, Lyapunov(p_matrices, s_values), delta)
 
 
-def _check_lyapunov(k: int, sys: JumpLinearSystem, p_matrices: Sequence[np.ndarray]) -> None:
-    if len(p_matrices) != sys.mode_count:
-        raise DimensionMismatch(f"certificate of system {k} has {len(p_matrices)} P matrices, expected {sys.mode_count}")
-    shape = (sys.state_dim, sys.state_dim)
-    for i, p in enumerate(p_matrices, start=1):
-        where = f"certificate of system {k}, P of mode {i}"
-        if p.shape != shape:
-            raise DimensionMismatch(f"{where} has shape {p.shape}, expected {shape}")
-        if not np.all(np.isfinite(p)):
-            raise NonFinite(f"{where} has non-finite entries")
-        deviation, tol = np.abs(p - p.T).max(), _SYM_TOL * max(1.0, np.abs(p).max())
-        if deviation > tol:
-            raise NonSymmetric(f"{where} is not symmetric within {tol:g} (deviation {deviation:.3e})")
-
-
-def certify_gains(
-    model: IntegratedModel,
-    bank: ControllerBank,
-    delta: float = PSI_MARGIN,
-    max_iter: int = 20000,
-) -> Certificate:
-    """Certify a fixed gain bank on the integrated system, searching only
-    when the bank's own candidate is absent or misses.  Infeasibility is
-    reported through ``certified=False``, never raised.  Full-information
-    banks are checked against identity emissions, since that controller
-    reads the true mode."""
-    if bank.scheme is Scheme.FULL_INFORMATION:
-        model = _with_identity_obs(model)
-    _validate_integrated(model)
-    candidate = bank.lyapunov.get(0)
-    if candidate is not None:
-        _check_lyapunov(0, model.system, candidate.p_matrices)
-    return _certify(_integrated_target(model), bank, candidate, delta, max_iter)
-
-
 def check_corollary(
     model: InterdependentModel,
     bank: ControllerBank,
     delta: float = PSI_MARGIN,
     max_iter: int = 20000,
 ) -> Certificate:
-    """Verify that a distributed bank stabilizes the integrated system.
-
-    ``check_bank`` rejects the bank unless it fits the model as a
-    distributed bank.  The candidate is the block-diagonal composition of
-    the two subsystem candidates; the search runs when either is absent or
-    the candidate misses.  A certificate that is not one finite nx x nx
-    P per mode, symmetric within 1e-12 times max(1, max |P|), raises an
-    error naming the system and the mode."""
-    integ = compose_integrated(model)
-    # Read as distributed whatever its scheme, so a joint bank is refused.
-    joint_bank = check_bank(model, ControllerBank(Scheme.DISTRIBUTED, bank.gains))
-
-    lyap1, lyap2 = bank.lyapunov.get(1), bank.lyapunov.get(2)
-    candidate = None
-    if lyap1 is not None and lyap2 is not None:
-        for k, sys, lyap in ((1, model.sys1, lyap1), (2, model.sys2, lyap2)):
-            _check_lyapunov(k, sys, lyap.p_matrices)
-        pairs = mode_pairs(model)
-        candidate = Lyapunov(
-            tuple(block_diag(lyap1.p_matrices[i1 - 1], lyap2.p_matrices[i2 - 1]) for i1, i2 in pairs),
-            tuple(min(lyap1.s_values[i1 - 1], lyap2.s_values[i2 - 1]) for i1, i2 in pairs),
-        )
-    return _certify(_integrated_target(integ), joint_bank, candidate, delta, max_iter)
+    """Verify that a distributed bank stabilizes the integrated system:
+    ``certify_gains`` of the joint bank ``check_bank`` returns, with the
+    bank read as distributed whatever its scheme, so a joint bank is
+    refused."""
+    distributed = ControllerBank(Scheme.DISTRIBUTED, bank.gains, bank.lyapunov)
+    return certify_gains(compose_integrated(model), check_bank(model, distributed), delta, max_iter)
 
 
 @dataclass(frozen=True)
@@ -761,15 +746,14 @@ def synthesize(
     ``decay`` > 0 synthesizes against rate-shifted dynamics A + decay*I, a
     standard way to demand a guaranteed contraction rate; the recovered
     bank is checked against the unshifted model at ``PSI_MARGIN`` by the
-    call ``certify`` makes, ``check_corollary`` or ``certify_gains``, with
-    ``max_iter`` bounding its fallback search.  Centralized and
-    distributed synthesis refuse an emission matrix whose inverse gain
-    recovery cannot use.
+    call ``certify`` makes, with ``max_iter`` bounding its fallback search.
+    Centralized and distributed synthesis refuse an emission matrix whose
+    inverse gain recovery cannot use.
     """
+    integ = compose_integrated(model)
     if scheme is Scheme.DISTRIBUTED:
         problems = build_distributed(model, delta, decay)
     else:
-        integ = compose_integrated(model)
         if scheme is Scheme.CENTRALIZED:
             _require_invertible_emissions(model, scheme)
         builder = build_fullinfo if scheme is Scheme.FULL_INFORMATION else build_centralized
@@ -779,8 +763,7 @@ def synthesize(
         return SynthesisOutcome(None, solutions, problems, None)
     if scheme is Scheme.DISTRIBUTED:
         bank = recover_gains(solutions, model, scheme)
-        certificate = check_corollary(model, bank, PSI_MARGIN, max_iter)
     else:
         bank = recover_gains(solutions[0], integ, scheme)
-        certificate = certify_gains(integ, bank, PSI_MARGIN, max_iter)
+    certificate = certify_gains(integ, check_bank(model, bank), PSI_MARGIN, max_iter)
     return SynthesisOutcome(bank, solutions, problems, certificate)

@@ -197,11 +197,11 @@ class TestCertify:
     def test_delta_honoured(self, monkeypatch, tmp_path, flag, expected):
         seen = []
 
-        def fake_check_corollary(model, bank, delta, max_iter):
+        def fake_certify_gains(model, bank, delta, max_iter):
             seen.append(delta)
             return Certificate((), {(1, (1, 1)): -1.0}, delta, True, ())
 
-        monkeypatch.setattr(cli, "check_corollary", fake_check_corollary)
+        monkeypatch.setattr(cli, "certify_gains", fake_certify_gains)
         gains = zero_gain_file(tmp_path, demo_path())
         assert main(["certify", str(demo_path()), str(gains), *flag]) == 0
         assert seen == [expected]
@@ -271,6 +271,26 @@ class TestCertificateChecks:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {message}")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("verb", ["simulate", "montecarlo"])
+    @pytest.mark.parametrize(
+        "edit, tail",
+        [(_nan_entry, "has non-finite entries"), (_three_by_three, "has shape (3, 3), expected (2, 2)")],
+        ids=["nan", "wrong-shape"],
+    )
+    def test_bad_certificate_rejected_by_every_verb(self, tmp_path, capsys, verb, edit, tail):
+        # The simulator reads its bank through the check certify makes.
+        doc = json.loads((PERF_DATA / "bank_distributed.json").read_text())
+        edit(doc["certificate"]["P"])
+        bank, out = tmp_path / "bank.json", tmp_path / "out"
+        bank.write_text(json.dumps(doc))
+        flags = {"simulate": [], "montecarlo": ["--runs", "2"]}[verb]
+        argv = [verb, str(PERF_DATA / "demo_model.json"), str(bank), "--x1=1,0", "--x2=0,0,1", "--horizon", "0.01"]
+        assert main([*argv, *flags, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: certificate of system 1, P of mode 1 {tail}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_p_that_is_not_a_list_rejected(self, tmp_path, capsys):
         assert _certify_edited_doc(tmp_path, lambda doc: doc["certificate"].update(P=5), "bank_distributed.json") == 1
@@ -372,11 +392,11 @@ class TestFlags:
     def test_synthesize_max_iter_bounds_corollary_check(self, monkeypatch, tmp_path):
         seen = []
 
-        def fake_check_corollary(model, bank, delta, max_iter):
+        def fake_certify_gains(model, bank, delta, max_iter):
             seen.append(max_iter)
             return Certificate((), {(1, (1, 1)): -1.0}, delta, True, ())
 
-        monkeypatch.setattr(synthesis, "check_corollary", fake_check_corollary)
+        monkeypatch.setattr(synthesis, "certify_gains", fake_certify_gains)
         model = str(scalar_model_file(tmp_path))
         argv = ["synthesize", model, "--scheme", "distributed", "--max-iter", "77", "--out", str(tmp_path / "g.json")]
         assert main(argv) == 0
@@ -530,6 +550,8 @@ class TestSimulate:
             (["--x1=1,a"], "--x1: expected comma-separated numbers, got '1,a'"),
             (["--x2=0,1"], "--x2: expected 3 entries, got 2"),
             (["--obs-policy", "sometimes"], "--obs-policy: expected 'onchange' or 'periodic:<seconds>', got 'sometimes'"),
+            (["--dt", "1e-300", "--horizon", "10"],
+             "horizon / dt must be at most 10000000 steps, got 10.0 / 1e-300"),
         ],
     )
     def test_non_finite_inputs_rejected(self, tmp_path, demo_gains_file, capsys, flags, message):

@@ -17,6 +17,7 @@ from mjls.model import (
     compose_integrated,
     mode_pairs,
     region_index,
+    region_pairs,
     validate,
 )
 
@@ -276,3 +277,4 @@ class TestComposeIntegrated:
         part = compose_integrated(example_model()).partition
         row_major = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
         assert [part.cell_pair(m) for m in range(1, part.cell_count + 1)] == row_major
+        assert region_pairs(example_model()) == row_major

@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mjls import cli
+from mjls.cli import main
 from mjls.fileio import load_bank, load_model
 from mjls.lmi import solve_feasibility
 from mjls.model import block_diag, compose_integrated, mode_pairs
@@ -56,11 +58,14 @@ def test_traced_call_attributes(demo, demo_bank):
     assert estimate_stability(demo, demo_bank, config, 2, x1, x2).runs == 2
 
 
-@pytest.mark.parametrize("bank_file, model_file", [
+COMMITTED_BANKS = [
     ("bank_distributed.json", "demo_model.json"),
     ("bank_centralized.json", "demo_model.json"),
     ("bank_single_region.json", "single_region_model.json"),
-])
+]
+
+
+@pytest.mark.parametrize("bank_file, model_file", COMMITTED_BANKS)
 def test_committed_bank_certifies_its_own_candidate(bank_file, model_file):
     # These files carry the legacy margins, delta and certified, which the
     # loader ignores.  A candidate that certifies comes back as the P checked.
@@ -76,3 +81,30 @@ def test_committed_bank_certifies_its_own_candidate(bank_file, model_file):
         stored = bank.lyapunov[0].p_matrices
     assert cert.certified
     assert all(np.array_equal(p, q) for p, q in zip(cert.p_matrices, stored, strict=True))
+
+
+@pytest.mark.parametrize("bank_file, model_file", [b for b in COMMITTED_BANKS if b[0] != "bank_centralized.json"])
+def test_check_bank_composes_the_stored_candidate(bank_file, model_file):
+    model, bank = load_model(PERFBENCH / "data" / model_file), load_bank(PERFBENCH / "data" / bank_file)
+    lyap1, lyap2 = bank.lyapunov[1], bank.lyapunov[2]
+    pairs = mode_pairs(model)
+    joint = check_bank(model, bank).lyapunov[0]
+    stored = [block_diag(lyap1.p_matrices[i1 - 1], lyap2.p_matrices[i2 - 1]) for i1, i2 in pairs]
+    assert all(np.array_equal(p, q) for p, q in zip(joint.p_matrices, stored, strict=True))
+    assert joint.s_values == tuple(min(lyap1.s_values[i1 - 1], lyap2.s_values[i2 - 1]) for i1, i2 in pairs)
+
+
+@pytest.mark.parametrize("bank_file, model_file", COMMITTED_BANKS)
+def test_cli_certifies_committed_bank(monkeypatch, capsys, bank_file, model_file):
+    # ``certify`` runs one path for every scheme: one certify_gains call on
+    # the joint bank check_bank returns, candidate included.
+    banks = []
+
+    def spy(model, bank, **kwargs):
+        banks.append(bank)
+        return certify_gains(model, bank, **kwargs)
+
+    monkeypatch.setattr(cli, "certify_gains", spy)
+    assert main(["certify", str(PERFBENCH / "data" / model_file), str(PERFBENCH / "data" / bank_file)]) == 0
+    assert capsys.readouterr().out.endswith("certified: yes\n")
+    assert [(b.scheme is Scheme.DISTRIBUTED, set(b.lyapunov)) for b in banks] == [(False, {0})]

@@ -395,18 +395,26 @@ PERIOD_MESSAGE = "observation period must be a positive whole number of steps of
         (dict(seed=-1), "seed must be a nonnegative integer, got -1"),
         (dict(obs_policy=Periodic(1e308)), PERIOD_MESSAGE + "1e+308"),
         (dict(horizon=1e308), "horizon must be a whole number of steps of dt 0.001, got 1e+308"),
+        (dict(dt=1e-300, horizon=10.0), "horizon / dt must be at most 10000000 steps, got 10.0 / 1e-300"),
+        (dict(horizon=10000.001), "horizon / dt must be at most 10000000 steps, got 10000.001 / 0.001"),
     ],
     ids=[
         "period-one-and-a-half-steps", "period-half-a-step", "period-no-step", "negative-seed",
-        "period-overflows", "horizon-overflows",
+        "period-overflows", "horizon-overflows", "steps-far-over-cap", "one-step-over-cap",
     ],
 )
 def test_unusable_config_rejected(settings, message):
     # A period between whole steps ran as a neighbouring one, a negative
-    # seed failed inside numpy with a message that names no field, and a
-    # step count that overflows raised OverflowError.
+    # seed failed inside numpy with a message that names no field, a step
+    # count that overflows raised OverflowError, and 1e301 finite steps
+    # were accepted.
     with pytest.raises(ValueError, match=re.escape(message)):
         SimConfig(**{"dt": 1e-3, "horizon": 1.0, **settings})
+
+
+def test_step_cap_admits_its_bound():
+    # Constructing the config runs nothing.
+    assert SimConfig(dt=1e-3, horizon=1e4).horizon == 1e4
 
 
 @pytest.mark.parametrize(
@@ -708,7 +716,10 @@ class TestEstimateStability:
         report = estimate_stability(model, zero_bank(model), cfg, 1, [1.0], [0.0])
         trace = simulate(model, zero_bank(model), cfg, [1.0], [0.0])
         sq = trace.x1[:, 0] ** 2 + trace.x2[:, 0] ** 2
-        assert report.half_mean == float(np.trapezoid(sq[:3], trace.t[:3]))
+        # The functional sums weighted samples, in another order than
+        # np.trapezoid: the digits agree to float64 rounding, 1e-12 relative.
+        trapezoid = float(np.trapezoid(sq[:3], trace.t[:3]))
+        assert abs(report.half_mean - trapezoid) <= 1e-12 * trapezoid
 
     def test_analytic_scalar_integral(self):
         # x' = -x from 1: integral of x^2 is 0.5; truncation at T=10 and
