@@ -2,7 +2,9 @@
 
 Exit codes: 0 success/certified, 1 input error, 2 infeasible or
 uncertified, 3 iteration limit.  A success exit always rests on a freshly
-recomputed certificate margin check, never on solver-internal state.
+recomputed certificate margin check, never on solver-internal state, and an
+infeasible synthesis verdict on a checked certificate of the alternative
+system, whose bound is printed.
 """
 
 from __future__ import annotations
@@ -53,7 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_syn = sub.add_parser("synthesize", help="solve the synthesis feasibility problem and write a gain bank")
     p_syn.add_argument("model", help="model JSON file")
     p_syn.add_argument("--scheme", required=True, choices=[s.value for s in Scheme])
-    p_syn.add_argument("--max-iter", type=int, default=20000)
+    p_syn.add_argument(
+        "--max-iter", type=int, default=20000, help="interior-point iterations per solve (default 20000)"
+    )
     p_syn.add_argument(
         "--decay",
         type=float,
@@ -66,7 +70,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="check a gain bank against a model")
     p_cert.add_argument("model")
     p_cert.add_argument("gains")
-    p_cert.add_argument("--max-iter", type=int, default=20000)
+    p_cert.add_argument(
+        "--max-iter",
+        type=int,
+        default=20000,
+        help="interior-point iterations of the Lyapunov search, when one runs (default 20000)",
+    )
     p_cert.add_argument(
         "--delta",
         type=float,
@@ -166,6 +175,9 @@ def cmd_synthesize(args) -> int:
         for label, sol, problem in zip(("problem 1", "problem 2"), outcome.solutions, outcome.problems):
             if sol.status is not SolveStatus.FEASIBLE:
                 print(f"{label}: binding constraint {_binding(problem, sol)}")
+            if sol.certificate is not None:
+                cert = sol.certificate
+                print(f"{label}: any point meeting δ has ‖z‖₂ ≥ δ/ρ = {cert.bound:.3e} (ρ = {cert.rho:.3e})")
         return (
             EXIT_INFEASIBLE
             if outcome.worst_status is SolveStatus.INFEASIBLE

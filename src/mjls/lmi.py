@@ -6,24 +6,26 @@ shared decision vector ``z``; each map must end up negative definite
 matrix variables pack their upper triangle into ``z``, rectangular ones
 pack row-major, scalars take one slot.
 
-Feasibility is decided by alternating between two projections: onto the
-product of shifted definite cones (eigenvalue clipping) and onto the
-affine set ``{F(z)}`` (least squares on ``z``), combined in the relaxed
-Douglas-Rachford form, which handles the shallow intersection angles
-these problems exhibit.  Each map's linear part is built and kept as
-coordinate triples (entry, variable, coefficient) of its nonzeros; the
-solver concatenates them into one sparse operator from ``z`` onto a flat
-vector holding every block.  It is deterministic: fixed initial point, no
-randomness, and a fixed projection order.
+Feasibility is decided by a primal-dual interior-point method on the
+max-margin problem (see :func:`solve_feasibility`).  Each map's linear part
+is built and kept as coordinate triples (entry, variable, coefficient) of
+its nonzeros; the solver concatenates them into one sparse operator from
+``z`` onto a flat vector holding every block.  It is deterministic: fixed
+starting point, no randomness, and a fixed order of operations.
 
 The solver works on each block's pieces, its irreducible diagonal blocks
 after a permutation of rows and columns: the connected components of the
 graph with an edge wherever F0 or a coefficient is nonzero.  This is
 exact.  Entries outside the pieces are zero in F(z) for every z, and the
 eigenvalues of a block-diagonal matrix are those of its blocks, so each
-constraint's extreme eigenvalue is the extreme over its pieces; clipping
-eigenvalues keeps a block-diagonal matrix block-diagonal, so the cone
-projection of a block is the projection of each piece.
+constraint's extreme eigenvalue is the extreme over its pieces, and a
+block is definite exactly when each of its pieces is.
+
+An infeasible verdict rests on a certificate of the alternative system
+(Boyd, El Ghaoui, Feron & Balakrishnan, *Linear Matrix Inequalities in
+System and Control Theory*, SIAM 1994, ch. 2), which
+:func:`check_infeasibility_certificate` checks from the problem's maps
+alone.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,28 +46,28 @@ __all__ = [
     "LmiProblem",
     "LmiSolution",
     "SolveStatus",
+    "InfeasibilityCertificate",
+    "check_infeasibility_certificate",
     "evaluate",
     "solve_feasibility",
 ]
 
 _BLOCK_SYM_TOL = 1e-12
 _FEAS_SLACK = 1e-9
-# Relaxation factor of the Douglas-Rachford step (see solve_feasibility).  Any
-# value in (0, 2) converges; 1 is the plain reflected form, and 1.5 takes
-# fewer than half its iterations on the centralized demo synthesis.
-_RELAX = 1.5
-# The verdict pass (margins, best point, stopping tests) runs once per chunk
-# of iterations (see solve_feasibility).  A chunk holds about _CHUNK_ENTRIES
-# flat-vector entries of shadows and at most _CHUNK_MAX iterations, which
-# bounds the steps run past a verdict.  In paired distributed-synthesis
-# benchmark runs 8192 beat 2048 and 32768 (with a cap of 256).
-_CHUNK_ENTRIES = 8192
-_CHUNK_MAX = 64
-# Douglas-Rachford makes non-monotone progress with long plateaus; a
-# 500-iteration stagnation window misfires right before convergence on thin
-# feasible problems, so the window is wider than that.
-_STAGNATION_WINDOW = 2000
-_STAGNATION_RTOL = 1e-12
+# Each interior-point step goes this fraction of the way to the boundary of
+# the cones.
+_STEP_FRACTION = 0.95
+# A certificate of the alternative system passes when its adjoint residual
+# rho is at most this.  It then proves that every point meeting the margin
+# delta has norm at least delta / rho: at least 100 at the default
+# synthesis margin of 1e-6.
+_CERT_RESIDUAL = 1e-8
+# How far a certificate's total trace may stray from 1 (rounding only).
+_CERT_TRACE_TOL = 1e-12
+# The Schur assembly builds each piece's dense coefficient stack, and their
+# Gram products, in batches of at most this many entries, which bounds its
+# temporaries.
+_SCHUR_BATCH = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -278,7 +281,10 @@ class SolveStatus(enum.Enum):
 
 @dataclass
 class LmiProblem:
-    """Strict feasibility problem: neg maps < -delta*I, pos maps > +delta*I."""
+    """Strict feasibility problem: neg maps < -delta*I, pos maps > +delta*I.
+
+    ``z0`` is a reference point the builders supply (the identity for every
+    matrix variable); the solver does not start from it."""
 
     layout: VariableLayout
     neg: list[AffineMatrixMap]
@@ -301,9 +307,30 @@ class LmiProblem:
             self.pos_labels = [f"pos[{i}]" for i in range(len(self.pos))]
 
 
+class InfeasibilityCertificate(NamedTuple):
+    """A checked solution Z of the alternative system.
+
+    Write each constraint as H_c(z) >= delta*I, with H_c = -F_c for a neg
+    map and H_c = F_c for a pos map, and H0_c for its constant.  ``blocks``
+    holds one positive semidefinite Z_c per constraint (neg maps first),
+    with traces summing to 1; ``rho`` is the norm of the gradient
+    sum_c H_c*(Z_c) of z -> sum_c tr(H_c(z) Z_c), and ``offset`` is
+    sum_c tr(H0_c Z_c).  A point meeting delta has sum_c tr(H_c(z) Z_c) >=
+    delta, while that sum is at most offset + rho * ||z||_2, so every such
+    point has ||z||_2 >= ``bound`` = (delta - offset) / rho.  Without
+    constants the offset is 0 and the bound is delta / rho.
+    """
+
+    blocks: tuple[np.ndarray, ...]
+    rho: float
+    offset: float
+    bound: float
+
+
 @dataclass(frozen=True)
 class LmiSolution:
-    """Solver outcome: decision vector, per-constraint margins, status."""
+    """Solver outcome: decision vector, per-constraint margins, status, and
+    for an INFEASIBLE status the certificate that decided it."""
 
     z: np.ndarray
     status: SolveStatus
@@ -312,6 +339,7 @@ class LmiSolution:
     pos_margins: np.ndarray  # min eigenvalue of each pos constraint at z
     delta: float
     layout: VariableLayout
+    certificate: InfeasibilityCertificate | None = None
 
     @property
     def margins(self) -> np.ndarray:
@@ -333,8 +361,45 @@ def _violation(neg_margins, pos_margins, delta: float):
     return np.maximum(0.0, np.maximum(neg, pos))
 
 
-@dataclass(frozen=True)
-class _Operator:
+def check_infeasibility_certificate(problem: LmiProblem, blocks) -> InfeasibilityCertificate | None:
+    """Check Z = ``blocks`` (one square matrix per constraint, neg maps
+    first) as a certificate that no point meets the problem's margin within
+    a stated norm, and return it as an :class:`InfeasibilityCertificate`,
+    or None when it fails.
+
+    Nothing from a solver is trusted: each block is symmetrized and must be
+    finite and positive semidefinite by ``eigvalsh``, the traces must sum to
+    1 within ``_CERT_TRACE_TOL``, the adjoint residual rho, recomputed from
+    the maps' own coefficient triples, must be at most ``_CERT_RESIDUAL``,
+    and the offset must lie below delta, so that the bound is positive.
+    """
+    maps = [*problem.neg, *problem.pos]
+    if len(blocks) != len(maps):
+        raise DimensionMismatch(f"expected {len(maps)} certificate blocks, got {len(blocks)}")
+    checked = []
+    grad = np.zeros(problem.layout.size)
+    offset = trace = 0.0
+    for c, (amap, block) in enumerate(zip(maps, blocks)):
+        z = np.asarray(block, dtype=float)
+        if z.size != amap.dim**2:
+            raise DimensionMismatch(f"certificate block {c} has {z.size} entries, expected {amap.dim}x{amap.dim}")
+        z = z.reshape(amap.dim, amap.dim)
+        z = 0.5 * (z + z.T)
+        if not np.isfinite(z).all() or np.linalg.eigvalsh(z)[0] < 0.0:
+            return None
+        sign = -1.0 if c < len(problem.neg) else 1.0
+        grad += sign * np.bincount(amap.var_idx, amap.coeffs * z.ravel()[amap.entries], minlength=amap.nvars)
+        offset += sign * float(np.vdot(amap.f0, z))
+        trace += float(np.trace(z))
+        checked.append(z)
+    rho = float(np.linalg.norm(grad))
+    if abs(trace - 1.0) > _CERT_TRACE_TOL or not rho <= _CERT_RESIDUAL or not offset < problem.delta:
+        return None
+    bound = (problem.delta - offset) / rho if rho > 0.0 else np.inf
+    return InfeasibilityCertificate(tuple(checked), rho, offset, bound)
+
+
+class _Operator(NamedTuple):
     """Every constraint block, split into its pieces, as one affine map
     z -> F0 + L z onto a flat vector.
 
@@ -346,12 +411,10 @@ class _Operator:
     number of constraint c's first piece and ``first[-1]`` the piece count.
     The pieces of each dimension lie next to each other, flattened row-major;
     flat entry k is entry ``source[k]`` of the constraint blocks stacked in
-    constraint order.  ``dims`` holds one ``(dim, span, pieces, neg, lo, hi)``
-    record per piece dimension: the entries of the flat vector, the number of
-    each piece, whether it belongs to a neg map, and the bounds the cone step
-    clips its eigenvalues into.  L is held as COO triples: entry ``rows[t]``
-    gains ``vals[t] * z[cols[t]]``.  ``q`` and ``inv_w`` are the eigenvectors
-    and pseudo-inverted eigenvalues of the normal matrix L'L.
+    constraint order.  ``dims`` holds one ``(dim, span, pieces, neg)`` record
+    per piece dimension: the entries of the flat vector, the number of each
+    piece, and whether it belongs to a neg map.  L is held as COO triples:
+    entry ``rows[t]`` gains ``vals[t] * z[cols[t]]``.
     """
 
     rows: np.ndarray
@@ -361,20 +424,24 @@ class _Operator:
     dims: list[tuple]
     first: np.ndarray
     source: np.ndarray
-    q: np.ndarray
-    inv_w: np.ndarray
+    nvars: int
 
     def forward(self, z: np.ndarray) -> np.ndarray:
         return self.f0 + np.bincount(self.rows, self.vals * z[self.cols], minlength=len(self.f0))
 
     def adjoint(self, s: np.ndarray) -> np.ndarray:
         """L' s for a flat vector s."""
-        return np.bincount(self.cols, self.vals * s[self.rows], minlength=len(self.q))
+        return np.bincount(self.cols, self.vals * s[self.rows], minlength=self.nvars)
 
-    @property
-    def chunk(self) -> int:
-        """Iterations per verdict pass of the solver (see solve_feasibility)."""
-        return max(1, min(_CHUNK_ENTRIES // len(self.f0), _CHUNK_MAX))
+    def margins(self, z: np.ndarray) -> np.ndarray:
+        """Each piece's extreme eigenvalue at z: the largest for a neg
+        piece, the smallest for a pos piece."""
+        f = self.forward(z)
+        out = np.empty(self.first[-1])
+        for dim, span, pieces, neg in self.dims:
+            w = np.linalg.eigvalsh(f[span].reshape(len(pieces), dim, dim))
+            out[pieces] = np.where(neg, w[:, -1], w[:, 0])
+        return out
 
 
 def _operator(problem: LmiProblem) -> _Operator:
@@ -386,24 +453,9 @@ def _operator(problem: LmiProblem) -> _Operator:
         by_dim.setdefault(amap.dim, []).append(c)
     dim_of = np.array([amap.dim for amap in maps])
     base = np.cumsum(dim_of**2) - dim_of**2  # each block's start, stacked in constraint order
-    normal = np.zeros((problem.layout.size, problem.layout.size))
-    rows, cols, vals = [], [], []
-    for dim, members in by_dim.items():
-        for c in members:
-            amap = maps[c]
-            # The map's share of L'L, one row per variable across the whole block
-            # (the column count sets the product's summation order, so q's rounding).
-            v, t = np.unique(amap.var_idx, return_inverse=True)
-            gm = np.zeros((len(v), dim * dim))
-            gm[t, amap.entries] = amap.coeffs
-            normal[np.ix_(v, v)] += gm @ gm.T
-            rows.append(base[c] + amap.entries)
-            cols.append(amap.var_idx)
-            vals.append(amap.coeffs)
-    w, q = np.linalg.eigh(normal)
-    cutoff = max(w[-1], 0.0) * 1e-13 if len(w) else 0.0
-    inv_w = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
-    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    rows = np.concatenate([base[c] + amap.entries for c, amap in enumerate(maps)])
+    cols = np.concatenate([amap.var_idx for amap in maps])
+    vals = np.concatenate([amap.coeffs for amap in maps])
     f0 = np.concatenate([amap.f0.ravel() for amap in maps])
 
     # Each block's pieces, for all blocks of one dimension at once: the
@@ -430,150 +482,353 @@ def _operator(problem: LmiProblem) -> _Operator:
         pieces = np.flatnonzero(size == dim)
         source += [at[i] for i in pieces]
         neg = pieces < first[len(problem.neg)]
-        lo = np.where(neg, -np.inf, problem.delta)[:, None]
-        hi = np.where(neg, -problem.delta, np.inf)[:, None]
-        dims.append((dim, slice(start, start + len(pieces) * dim * dim), pieces, neg, lo, hi))
+        dims.append((dim, slice(start, start + len(pieces) * dim * dim), pieces, neg))
         start += len(pieces) * dim * dim
     source = np.concatenate(source)
     flat = np.empty(len(f0), dtype=int)  # every linked entry lies in a piece
     flat[source] = np.arange(len(source))
-    return _Operator(flat[rows], cols, vals, f0[source], dims, first, source, q, inv_w)
+    return _Operator(flat[rows], cols, vals, f0[source], dims, first, source, problem.layout.size)
+
+
+class _Group(NamedTuple):
+    """Pieces of one dimension as the Schur assembly reads them: their
+    entries ``span`` of the flat vector, the variables ``var[k]`` piece k's
+    coefficients touch (padded with variable 0 and zero coefficients), and
+    each coefficient ``value[t]`` at flat position ``index[t]`` of a
+    (pieces, dim, len(var[k]), dim) stack, sorted by piece; ``bounds[k]``
+    is the first coefficient of piece k."""
+
+    dim: int
+    span: slice
+    var: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+    bounds: np.ndarray
+
+
+def _group(rows, cols, vals, dim: int, span: slice, nvars: int) -> _Group:
+    count = (span.stop - span.start) // (dim * dim)
+    sel = np.flatnonzero((rows >= span.start) & (rows < span.stop))
+    piece, entry = np.divmod(rows[sel] - span.start, dim * dim)
+    pair, slot = np.unique(piece * nvars + cols[sel], return_inverse=True)
+    pair_piece, pair_var = np.divmod(pair, nvars)
+    per_piece = np.bincount(pair_piece, minlength=count)
+    rank = np.arange(len(pair)) - (np.cumsum(per_piece) - per_piece)[pair_piece]
+    n = max(1, int(per_piece.max(initial=0)))
+    var = np.zeros((count, n), dtype=int)
+    var[pair_piece, rank] = pair_var
+    p, q = np.divmod(entry, dim)
+    index = ((piece * dim + p) * n + rank[slot]) * dim + q
+    order = np.argsort(index)
+    bounds = np.searchsorted(index[order], np.arange(count + 1) * dim * n * dim)
+    return _Group(dim, span, var, index[order], vals[sel][order], bounds)
+
+
+class _MaxMargin(NamedTuple):
+    """The max-margin problem of an LmiProblem as a semidefinite program in
+    dual form: maximize t over y = (z, tau, t) subject to
+    S = C - A'y >= 0 (blockwise), where the blocks are
+
+    - each piece c of the operator: tau (H0_c - delta I) + L_c z - t I,
+      with H_c = -F_c on neg pieces and F_c on pos pieces;
+    - a 1x1 block delta tau - t;
+    - a 1x1 normalization block 1 - (sum_c tr(tau (H0_c - delta I) + L_c z)
+      + delta tau).
+
+    The first two kinds are (z, tau) homogenized: when t > 0 and tau > 0,
+    z / tau meets the margin with room t / tau, and delta tau >= t keeps
+    that room below delta.  The normalization bounds t (by 1 / (N + 1) for
+    N the summed piece dimensions).  A' is held as COO triples, flat entry
+    ``rows[k]`` of A'y gaining ``vals[k] * y[cols[k]]``, over the operator's
+    flat vector followed by the two 1x1 blocks; ``diag`` marks the diagonal
+    entries of every block.  The columns of ``null`` are an orthonormal
+    basis of the directions of y that no block sees (the null space of A',
+    which the Schur matrix shares); there are none when the coefficients
+    are independent.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    c: np.ndarray
+    diag: np.ndarray
+    groups: list[_Group]
+    null: np.ndarray
+    null_rows: np.ndarray  # the variables the null directions involve
+
+    @property
+    def size(self) -> int:
+        return len(self.null)
+
+    def forward(self, y: np.ndarray) -> np.ndarray:
+        """A'y."""
+        return np.bincount(self.rows, self.vals * y[self.cols], minlength=len(self.c))
+
+    def adjoint(self, x: np.ndarray) -> np.ndarray:
+        """A(x): each variable's coefficient blocks against x."""
+        return np.bincount(self.cols, self.vals * x[self.rows], minlength=self.size)
+
+    def blocks(self, v: np.ndarray) -> list[np.ndarray]:
+        """The stacked blocks of each group, as views of a flat vector."""
+        return [v[g.span].reshape(-1, g.dim, g.dim) for g in self.groups]
+
+
+def _max_margin(op: _Operator, delta: float) -> _MaxMargin:
+    nf, nv = len(op.f0), op.nvars
+    tau, t = nv, nv + 1
+    sign = np.empty(nf)
+    diag = np.zeros(nf + 2, dtype=bool)
+    for dim, span, pieces, neg in op.dims:
+        sign[span] = np.repeat(np.where(neg, -1.0, 1.0), dim * dim)
+        diag[span] = np.tile(np.eye(dim, dtype=bool).ravel(), len(pieces))
+    diag[nf:] = True
+    with np.errstate(over="ignore", invalid="ignore"):
+        h0 = sign * op.f0 - delta * diag[:nf]  # the coefficient of tau
+        lin = sign[op.rows] * op.vals  # the coefficients of z
+        on_diag = diag[op.rows]
+        norm_z = np.bincount(op.cols[on_diag], lin[on_diag], minlength=nv)
+        norm_tau = h0[diag[:nf]].sum() + delta
+    if not (np.isfinite(h0).all() and np.isfinite(norm_z).all() and np.isfinite(norm_tau)):
+        raise NonFinite("constraint data overflows the max-margin problem")
+    at_tau, at_diag, at_norm = np.flatnonzero(h0), np.flatnonzero(diag[:nf]), np.flatnonzero(norm_z)
+    rows = np.concatenate([op.rows, at_tau, at_diag, [nf, nf], np.full(len(at_norm) + 1, nf + 1)])
+    cols = np.concatenate([op.cols, np.full(len(at_tau), tau), np.full(len(at_diag), t), [tau, t], at_norm, [tau]])
+    vals = np.concatenate([-lin, -h0[at_tau], np.ones(len(at_diag)), [-delta, 1.0], norm_z[at_norm], [norm_tau]])
+    c = np.zeros(nf + 2)
+    c[-1] = 1.0
+    spans = [(dim, span) for dim, span, _, _ in op.dims] + [(1, slice(nf, nf + 1)), (1, slice(nf + 1, nf + 2))]
+    groups = [_group(rows, cols, vals, dim, span, nv + 2) for dim, span in spans]
+    null = np.pad(_null_space(op), ((0, 2), (0, 0)))  # tau and t take no part
+    return _MaxMargin(rows, cols, vals, c, diag, groups, null, np.flatnonzero(np.abs(null).sum(axis=1)))
+
+
+def _null_space(op: _Operator) -> np.ndarray:
+    """An orthonormal basis of the directions of z that no piece sees.
+
+    These are the null directions of A' too (see _MaxMargin): a null
+    direction (w_z, w_tau, w_t) has w_t = delta w_tau from the 1x1 block,
+    so on the pieces L w_z = -w_tau (H0 - 2 delta I), whose summed traces
+    turn the normalization row into w_tau delta (N + 1) = 0.
+
+    A variable with an entry that no other remaining variable touches has a
+    zero weight in every null direction, so such variables are set aside
+    until none is left; the null space of L'L scaled to a unit diagonal is
+    then found among the rest, usually none, and a variable no piece reads
+    keeps scale 1."""
+    rows, cols, m = op.rows, op.cols, op.nvars
+    alive = np.ones(m, dtype=bool)
+    while len(rows):
+        live = alive[cols]
+        alone = np.bincount(rows[live], minlength=len(op.f0))[rows] == 1
+        owners = cols[live & alone]
+        if not len(owners):
+            break
+        alive[owners] = False
+    rest = np.flatnonzero(alive)
+    if not len(rest):
+        return np.zeros((m, 0))
+    live, number = alive[cols], np.cumsum(alive) - 1
+    groups = [_group(rows[live], number[cols[live]], op.vals[live], dim, span, len(rest)) for dim, span, _, _ in op.dims]
+    identity = [np.broadcast_to(np.eye(g.dim), (len(g.var), g.dim, g.dim)) for g in groups]
+    gram = _schur(groups, len(rest), identity, identity)
+    norms = np.sqrt(gram.diagonal())
+    scale = 1.0 / np.where(norms > 0.0, norms, 1.0)
+    w, q = np.linalg.eigh(scale[:, None] * gram * scale)
+    null = np.zeros((m, np.count_nonzero(w <= 1e-13 * w[-1])))
+    null[rest] = np.linalg.qr(scale[:, None] * q[:, w <= 1e-13 * w[-1]])[0]
+    return null
+
+
+def _schur(groups: list[_Group], m: int, lx: list[np.ndarray], us: list[np.ndarray]) -> np.ndarray:
+    """M_ij = sum over blocks of tr(A_i X A_j S^-1) for m variables, given
+    each group's Cholesky factors X = lx lx' and inverse factors S^-1 =
+    us' us: the Gram matrix of the B_j = lx' A_j us', assembled piece by
+    piece in batches of at most _SCHUR_BATCH coefficient-stack entries and
+    Gram products."""
+    schur = np.zeros((m, m))
+    for g, lxg, usg in zip(groups, lx, us):
+        d, (count, n) = g.dim, g.var.shape
+        step = max(1, _SCHUR_BATCH // (n * d * d))
+        for k0 in range(0, count, step):
+            k1 = min(count, k0 + step)
+            lo, hi = g.bounds[k0], g.bounds[k1]
+            a = np.zeros((k1 - k0) * d * n * d)
+            a[g.index[lo:hi] - k0 * d * n * d] = g.value[lo:hi]
+            b = lxg[k0:k1].transpose(0, 2, 1) @ a.reshape(k1 - k0, d, n * d)
+            b = b.reshape(k1 - k0, d * n, d) @ usg[k0:k1].transpose(0, 2, 1)
+            b = b.reshape(k1 - k0, d, n, d).transpose(0, 2, 1, 3).reshape(k1 - k0, n, d * d)
+            v = g.var[k0:k1]
+            rows = max(1, _SCHUR_BATCH // ((k1 - k0) * n))  # of the Gram products at a time
+            for r0 in range(0, n, rows):
+                part = b[:, r0 : r0 + rows] @ b.transpose(0, 2, 1)
+                np.add.at(schur, (v[:, r0 : r0 + rows, None], v[:, None, :]), part)
+    return schur
+
+
+def _sym(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + a.transpose(0, 2, 1))
+
+
+def _step_to_boundary(inv_factors: list[np.ndarray], blocks: list[np.ndarray]) -> float:
+    """The largest alpha with V + alpha dV >= 0 in every block, given the
+    inverse Cholesky factors of V (inf when dV never leaves the cone)."""
+    lowest = 0.0
+    for li, dv in zip(inv_factors, blocks):
+        lowest = min(lowest, float(np.linalg.eigvalsh(li @ dv @ li.transpose(0, 2, 1))[:, 0].min()))
+    return np.inf if lowest >= 0.0 else -1.0 / lowest
+
+
+def _iterates(mm: _MaxMargin):
+    """The iterates (y, x, s) of an HKM primal-dual interior-point method
+    with Mehrotra's predictor-corrector on the max-margin problem, starting
+    from y = (0, 0, -1), S = I and X = I / (N + 1), a primal and dual
+    feasible point on the central path (see ``_newton_step``).  The
+    iteration ends, after yielding the last good iterate, when a Cholesky
+    factorization or the Schur solve fails (LinAlgError), or a step leaves
+    finite numbers or does not reduce the duality gap x.s: past that point
+    rounding, not the method, moves the iterates.
+    """
+    x = mm.diag / (mm.diag.sum() - 1.0)
+    s = mm.diag.astype(float)
+    y = np.zeros(mm.size)
+    y[-1] = -1.0
+    while True:
+        yield y, x, s
+        try:
+            step = _newton_step(mm, y, x, s)
+        except np.linalg.LinAlgError:
+            return
+        gap = x @ s
+        y, x, s = step
+        if not (np.isfinite(x).all() and np.isfinite(y).all() and x @ s < gap):
+            return
+
+
+def _newton_step(mm: _MaxMargin, y: np.ndarray, x: np.ndarray, s: np.ndarray):
+    """One predictor-corrector step from (y, x, s).
+
+    Each direction solves the Schur system M dy = b + A((X Rd + D - sigma mu
+    I) S^-1) with dS = Rd - A'dy and dX = sigma mu S^-1 - X - sym((X dS + D)
+    S^-1), where Rd = C - S - A'y and b picks t; the predictor takes sigma =
+    0 and D = 0, the corrector sigma = (mu_aff / mu)^3 and D = dX_aff
+    dS_aff (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 6, 1996;
+    Mehrotra, SIAM J. Optim. 2, 1992; Todd, Toh & Tutuncu, Optim. Methods
+    Softw. 11, 1999).  The Schur system is solved on the range of A, which
+    leaves y's components in the null space of A' at 0.  Primal and dual
+    each step _STEP_FRACTION of the way to the boundary, capped at a full
+    step.
+    """
+    m = mm.size
+    b = np.zeros(m)
+    b[-1] = 1.0
+    big_x, big_s = mm.blocks(x), mm.blocks(s)
+    lx = [np.linalg.cholesky(v) for v in big_x]
+    us = [np.linalg.inv(np.linalg.cholesky(v)) for v in big_s]
+    lx_inv = [np.linalg.inv(v) for v in lx]
+    schur = _schur(mm.groups, m, lx, us)
+    if len(mm.null_rows):
+        # M shares the null space of A', where the right-hand sides vanish:
+        # give it unit-scale eigenvalues there, and dy no part in it.
+        basis = mm.null[mm.null_rows]
+        schur[np.ix_(mm.null_rows, mm.null_rows)] += (np.trace(schur) / m) * (basis @ basis.T)
+    s_inv = [v.transpose(0, 2, 1) @ v for v in us]
+    rd = mm.c - s - mm.forward(y)
+    x_rd = [v @ r for v, r in zip(big_x, mm.blocks(rd))]
+
+    def direction(sigma_mu, second):
+        h = [(v + w) @ si - sigma_mu * si for v, w, si in zip(x_rd, second, s_inv)]
+        dy = np.linalg.solve(schur, b + mm.adjoint(np.concatenate([v.ravel() for v in h])))
+        ds = rd - mm.forward(dy)
+        dx = [sigma_mu * si - v - _sym((v @ e + w) @ si) for v, e, w, si in zip(big_x, mm.blocks(ds), second, s_inv)]
+        return dy, dx, ds
+
+    dy, dx, ds = direction(0.0, [0.0] * len(big_x))
+    step_x = min(1.0, _step_to_boundary(lx_inv, dx))
+    step_s = min(1.0, _step_to_boundary(us, mm.blocks(ds)))
+    dx_flat = np.concatenate([v.ravel() for v in dx])
+    sigma = min(1.0, ((x + step_x * dx_flat) @ (s + step_s * ds) / (x @ s)) ** 3)
+    second = [v @ e for v, e in zip(dx, mm.blocks(ds))]
+    dy, dx, ds = direction(sigma * (x @ s) / mm.diag.sum(), second)
+    step_x = min(1.0, _STEP_FRACTION * _step_to_boundary(lx_inv, dx))
+    step_s = min(1.0, _STEP_FRACTION * _step_to_boundary(us, mm.blocks(ds)))
+    return y + step_s * dy, x + step_x * np.concatenate([v.ravel() for v in dx]), s + step_s * ds
 
 
 def solve_feasibility(problem: LmiProblem, max_iter: int = 20000) -> LmiSolution:
-    """Alternate between the affine set and the definite-cone product.
+    """Decide the problem by a primal-dual interior-point method on its
+    max-margin problem (see ``_MaxMargin`` and ``_iterates``).
 
-    The iteration is the relaxed Douglas-Rachford form of the two
-    projections: project the running tuple s onto the affine set (least
-    squares on z), reflect through that point, project the reflection onto
-    the cones (eigenvalue clipping at the margin), and step by a multiple
-    of the difference,
+    Every iterate is judged, from the starting point (iteration 0) to
+    iteration ``max_iter``:
 
-        s+ = s + lam * (P_cone(2 P_aff(s) - s) - P_aff(s)),  lam = _RELAX.
+    - FEASIBLE when tau > 0 and the point z / tau meets every margin within
+      1e-9, judged by one batched ``eigvalsh`` per piece dimension; that
+      point is returned;
+    - INFEASIBLE when the primal X, restricted to the constraint pieces and
+      scaled to trace 1, passes :func:`check_infeasibility_certificate`
+      (tried once the solver's own residual estimate is small enough); the
+      certificate is returned with the iterate's z;
+    - ITERATION_LIMIT after ``max_iter`` iterations, or earlier when the
+      iteration ends (see ``_iterates``); the last iterate's z is returned.
 
-    The affine-side shadow P_aff(s) carries the reported z; the plain
-    alternating sequence stalls on the near-tangential geometry these
-    synthesis problems produce, while the Douglas-Rachford form converges
-    on the same two projection operators.  lam = 1 is the plain reflected
-    form.  Its step map s -> s + P_cone(2 P_aff(s) - s) - P_aff(s) is
-    firmly nonexpansive, so the relaxed map is averaged for every lam in
-    (0, 2), and when the sets meet the iteration converges to a fixed
-    point whose shadow lies in both (Eckstein & Bertsekas, Math.
-    Programming 55, 1992).  SCS relaxes by 1.5 by default (O'Donoghue,
-    Chu, Parikh & Boyd, JOTA 169, 2016).
-
-    Each step works on one flat vector holding every block: the affine
-    side applies one sparse operator and its adjoint, the cone side runs
-    one batched eigendecomposition per piece dimension on views of that
-    vector.  Clipping each piece on its own is the same iteration as
-    clipping its whole block: the running tuple starts as F(z0) and each
-    step adds lam times a cone projection minus an affine one, both zero
-    outside the pieces, so it stays zero there, and the eigenvalues of a
-    block are those of its pieces.  Margins are tracked per piece and
-    reduced to each constraint's extreme only for the returned solution.
-
-    The verdict on an iterate (its margins, the best-point record and the
-    stopping tests) never feeds the recurrence, so it runs once per chunk
-    of k iterations: the recurrence runs k steps keeping each z and
-    shadow, one batched ``eigvalsh`` per piece dimension gives every
-    row's margins, and the rows are judged in iteration order by the
-    same scalar tests.  This is exact: ``eigvalsh`` decomposes each
-    matrix of a stack on its own, so the margins are bit for bit those of
-    one iteration at a time, and the solver returns at the same iteration
-    with the same z and margins; steps run past the verdict are discarded.
-    k = _CHUNK_ENTRIES // (flat vector length), clipped to [1, _CHUNK_MAX],
-    so small problems, whose iterations are mostly interpreter overhead,
-    get long chunks, and a problem whose flat vector fills a batch on its
-    own (the centralized synthesis) is judged every iteration, with no
-    steps run past its verdict.  A chunk ends at the first non-finite
-    shadow: the rows before it are judged first, and NonFinite is raised
-    only if none of them decides.
-
-    Deterministic for fixed inputs.  Returns FEASIBLE as soon as every
-    constraint satisfies its margin (within 1e-9), INFEASIBLE when the best
-    violation stagnates while positive, ITERATION_LIMIT otherwise; the two
-    failure statuses report the best-found point.
+    Every F0 of the synthesis problems is zero, so z / tau there is the
+    iterate's z scaled to a binding margin of a few delta (1.6 to 2.4 delta
+    on the bundled problems).  The margins returned are those of the
+    returned z.  Deterministic for fixed inputs.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    delta = problem.delta
     n_neg = len(problem.neg)
     nv = problem.layout.size
-    z = np.asarray(problem.z0, dtype=float).copy()
-    if z.shape != (nv,):
-        raise DimensionMismatch("initial point has wrong length")
     op = _operator(problem)
-
+    mm = _max_margin(op, problem.delta)
     split = op.first[n_neg]  # the number of neg pieces
 
-    def result(status, z, margins):
-        # Each constraint's margin is the extreme over its pieces; z may be a
-        # row of a chunk's buffer, which the solution should not keep alive.
+    def result(status, z, margins, certificate=None):
+        # Each constraint's margin is the extreme over its pieces.
         return LmiSolution(
-            z=z.copy(),
+            z=z,
             status=status,
             iterations=iterations,
             neg_margins=np.maximum.reduceat(margins[:split], op.first[:n_neg]),
             pos_margins=np.minimum.reduceat(margins[split:], op.first[n_neg:-1] - split),
-            delta=delta,
+            delta=problem.delta,
             layout=problem.layout,
+            certificate=certificate,
         )
 
-    best_violation = np.inf
-    best_z = z
-    best_margins = np.zeros(op.first[-1])
-    history: list[float] = []
-
-    state = op.forward(z)  # running tuple, started on the affine set
-    iterations = 0
-    # A step that overflows leaves a non-finite shadow, which ends the run
-    # with NonFinite below; numpy's own overflow warnings add nothing.
+    # Overflow in a late step ends the iteration (see _iterates); numpy's own
+    # warnings add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
-        while iterations < max_iter:
-            # The recurrence for one chunk; the verdict pass below never feeds it.
-            rows = min(op.chunk, max_iter - iterations)
-            zs = np.empty((rows, nv))
-            shadows = np.empty((rows, len(op.f0)))
-            finite = rows
-            for row in range(rows):
-                z = op.q @ (op.inv_w * (op.q.T @ op.adjoint(state - op.f0)))
-                shadow = op.forward(z)
-                if not np.isfinite(shadow).all():
-                    finite = row
-                    break
-                zs[row], shadows[row] = z, shadow
+        for iterations, (y, x, _) in enumerate(_iterates(mm)):
+            z = y[:nv]
+            if y[nv] > 0.0:
+                point = z / y[nv]
+                if np.isfinite(point).all():
+                    margins = op.margins(point)
+                    if _violation(margins[:split], margins[split:], problem.delta) <= _FEAS_SLACK:
+                        return result(SolveStatus.FEASIBLE, point, margins)
+            certificate = _certificate(problem, op, mm, x)
+            if certificate is not None:
+                return result(SolveStatus.INFEASIBLE, z.copy(), op.margins(z), certificate)
+            if iterations == max_iter:
+                break
+    return result(SolveStatus.ITERATION_LIMIT, z.copy(), op.margins(z))
 
-                reflected = 2.0 * shadow - state
-                cone = np.empty_like(state)
-                for dim, span, _, _, lo, hi in op.dims:
-                    w, v = np.linalg.eigh(reflected[span].reshape(-1, dim, dim))
-                    cone[span] = ((v * np.clip(w, lo, hi)[:, None, :]) @ v.transpose(0, 2, 1)).ravel()
-                state = state + _RELAX * (cone - shadow)
 
-            # The verdict on each finite row, in iteration order.
-            margins = np.empty((finite, op.first[-1]))
-            for dim, span, pieces, neg, _, _ in op.dims:
-                w = np.linalg.eigvalsh(shadows[:finite, span].reshape(finite, len(pieces), dim, dim))
-                margins[:, pieces] = np.where(neg, w[..., -1], w[..., 0])
-            violations = _violation(margins[:, :split], margins[:, split:], delta)
-
-            for row, violation in enumerate(violations.tolist()):
-                iterations += 1
-                if violation < best_violation:
-                    best_violation = violation
-                    best_z = zs[row]
-                    best_margins = margins[row]
-                history.append(best_violation)
-
-                if violation <= _FEAS_SLACK:
-                    return result(SolveStatus.FEASIBLE, zs[row], margins[row])
-
-                if len(history) > _STAGNATION_WINDOW and best_violation > 0.0:
-                    past = history[-_STAGNATION_WINDOW - 1]
-                    if past - best_violation < _STAGNATION_RTOL * max(best_violation, 1e-300):
-                        return result(SolveStatus.INFEASIBLE, best_z, best_margins)
-
-            if finite < rows:
-                raise NonFinite("constraint evaluation produced non-finite entries")
-
-    return result(SolveStatus.ITERATION_LIMIT, best_z, best_margins)
+def _certificate(problem: LmiProblem, op: _Operator, mm: _MaxMargin, x: np.ndarray):
+    """The primal iterate's constraint pieces as a checked certificate, or
+    None.  The check runs only once the iterate's own residual, the
+    gradient sum_c H_c*(X_c) over the trace, is within _CERT_RESIDUAL."""
+    nf = len(op.f0)
+    pieces = np.concatenate([x[:nf], [0.0, 0.0]])  # without the two 1x1 blocks
+    trace = pieces[mm.diag].sum()
+    grad = mm.adjoint(pieces)[: op.nvars]  # -sum_c H_c*(X_c): A's z rows are -H_c
+    if not np.linalg.norm(grad) <= _CERT_RESIDUAL * trace:
+        return None
+    maps = [*problem.neg, *problem.pos]
+    sizes = [amap.dim**2 for amap in maps]
+    stacked = np.zeros(sum(sizes))
+    stacked[op.source] = x[:nf] / trace
+    blocks = np.split(stacked, np.cumsum(sizes)[:-1])
+    return check_infeasibility_certificate(problem, [b.reshape(m.dim, m.dim) for m, b in zip(maps, blocks)])

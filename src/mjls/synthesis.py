@@ -65,7 +65,6 @@ from .model import (
     check_generator,
     check_stochastic,
     compose_integrated,
-    joint_system,
     mode_pairs,
     region_pairs,
     validate,
@@ -333,7 +332,7 @@ def build_psi(
     Abar the observation-averaged closed loop; exactly symmetric output.
     """
     p_matrices = tuple(np.asarray(p, dtype=float) for p in p_matrices)
-    _check_lyapunov(0, model.system, p_matrices)
+    _check_lyapunov(0, model.system.mode_count, model.system.state_dim, p_matrices)
     return _form(model.system, _integrated_cell(model, m), gains, p_matrices, i, s)
 
 
@@ -606,9 +605,13 @@ def check_bank(model: InterdependentModel, bank: ControllerBank) -> ControllerBa
             f"{bank.scheme.value} bank for this model"
         )
 
-    for k, sys in ((1, s1), (2, s2)) if distributed else ((0, joint_system(model)),):
+    if distributed:
+        shapes = ((1, s1.mode_count, s1.state_dim), (2, s2.mode_count, s2.state_dim))
+    else:
+        shapes = ((0, s1.mode_count * s2.mode_count, s1.state_dim + s2.state_dim),)
+    for k, modes, n in shapes:
         if k in bank.lyapunov:
-            _check_lyapunov(k, sys, bank.lyapunov[k].p_matrices)
+            _check_lyapunov(k, modes, n, bank.lyapunov[k].p_matrices)
     if not distributed:
         return bank
     lyapunov = {}
@@ -621,10 +624,12 @@ def check_bank(model: InterdependentModel, bank: ControllerBank) -> ControllerBa
     return ControllerBank(Scheme.CENTRALIZED, joint, lyapunov)
 
 
-def _check_lyapunov(k: int, sys: JumpLinearSystem, p_matrices: Sequence[np.ndarray]) -> None:
-    if len(p_matrices) != sys.mode_count:
-        raise DimensionMismatch(f"certificate of system {k} has {len(p_matrices)} P matrices, expected {sys.mode_count}")
-    shape = (sys.state_dim, sys.state_dim)
+def _check_lyapunov(k: int, modes: int, n: int, p_matrices: Sequence[np.ndarray]) -> None:
+    """Reject a certificate of system k that is not ``modes`` finite,
+    symmetric n x n matrices."""
+    if len(p_matrices) != modes:
+        raise DimensionMismatch(f"certificate of system {k} has {len(p_matrices)} P matrices, expected {modes}")
+    shape = (n, n)
     for i, p in enumerate(p_matrices, start=1):
         where = f"certificate of system {k}, P of mode {i}"
         if p.shape != shape:
@@ -658,7 +663,7 @@ def certify_gains(
     target = _integrated_target(model)
     candidate = bank.lyapunov.get(0)
     if candidate is not None:
-        _check_lyapunov(0, model.system, candidate.p_matrices)
+        _check_lyapunov(0, model.system.mode_count, model.system.state_dim, candidate.p_matrices)
         cert = _certificate(target, bank, candidate, delta)
         if cert.certified:
             return cert

@@ -11,9 +11,10 @@ from mjls import cli
 from mjls import model as model_module
 from mjls import synthesis
 from mjls.cli import main
+from mjls.errors import DimensionMismatch
 from mjls.fileio import canonical_json, load_bank, load_model, save_bank, save_model
 from mjls.fixtures import demo_path, fixture_path
-from mjls.lmi import evaluate, solve_feasibility
+from mjls.lmi import check_infeasibility_certificate, evaluate, solve_feasibility
 from mjls.model import (
     InterdependentModel,
     JumpLinearSystem,
@@ -116,14 +117,13 @@ class TestSynthesize:
         assert code in (2, 3)
 
     def test_failed_verdict_prints_binding_constraint(self, tmp_path, capsys):
-        # Only problem 1 (system 1) fails within 1000 iterations; its binding
-        # constraint is found again by evaluating every block at the
-        # solver's best point.
+        # Only problem 1 (system 1) fails; its binding constraint is found
+        # again by evaluating every block at the solver's last iterate.
         code = main(
             ["synthesize", str(fixture_path()), "--scheme", "distributed", "--max-iter", "1000",
              "--out", str(tmp_path / "g.json")]
         )
-        assert code == 3
+        assert code == 2
         binding = [l for l in capsys.readouterr().out.splitlines() if "binding constraint" in l]
         assert len(binding) == 1 and binding[0].startswith("problem 1: binding constraint mode ")
 
@@ -136,6 +136,22 @@ class TestSynthesize:
         label, eigenvalue = binding[0].removeprefix("problem 1: binding constraint ").rsplit(", max eigenvalue ", 1)
         assert label == problem.neg_labels[worst]
         assert abs(float(eigenvalue) - (misses[worst] - problem.delta)) <= 1e-9
+
+    def test_infeasible_verdict_prints_checked_bound(self, tmp_path, capsys):
+        # Problem 1 of the published example is INFEASIBLE on a certificate
+        # that the check accepts again; the printed bound is delta / rho.
+        out = tmp_path / "g.json"
+        code = main(["synthesize", str(fixture_path()), "--scheme", "distributed", "--out", str(out)])
+        assert code == 2 and not out.exists()
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("problem 1: infeasible after ") and lines[1].startswith("problem 2: feasible after ")
+        bounds = [l for l in lines if "any point meeting" in l]
+        assert len(bounds) == 1 and bounds[0].startswith("problem 1: any point meeting δ has ‖z‖₂ ≥ δ/ρ = ")
+        printed, rho = bounds[0].removeprefix("problem 1: any point meeting δ has ‖z‖₂ ≥ δ/ρ = ").split(" (ρ = ")
+        problem = build_distributed(load_model(fixture_path()))[0]
+        cert = check_infeasibility_certificate(problem, solve_feasibility(problem).certificate.blocks)
+        assert printed == f"{problem.delta / cert.rho:.3e}" and rho == f"{cert.rho:.3e})"
+        assert float(printed) >= 100.0
 
     def test_missing_model_file(self, tmp_path, capsys):
         code = main(
@@ -795,6 +811,22 @@ def test_validate_runs_once_per_check(tmp_path, validate_calls):
 
 
 
+def test_joint_bank_check_builds_no_joint_system(monkeypatch):
+    # check_bank reads the joint mode count and state dimension off the two
+    # subsystems, with the messages it gave when it built the joint system.
+    model, bank = load_model(demo_path()), load_bank(PERF_DATA / "bank_centralized.json")
+    calls = _count_calls(monkeypatch, model_module.joint_system)
+    assert synthesis.check_bank(model, bank) is bank
+    p, s = bank.lyapunov[0].p_matrices, bank.lyapunov[0].s_values
+    for edited, message in (
+        (p[:-1], "certificate of system 0 has 5 P matrices, expected 6"),
+        ((p[0][:4, :4],) + p[1:], r"certificate of system 0, P of mode 1 has shape \(4, 4\), expected \(5, 5\)"),
+    ):
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            synthesis.check_bank(model, ControllerBank(bank.scheme, bank.gains, {0: synthesis.Lyapunov(edited, s)}))
+    assert calls == []
+
+
 def _negate_mode_1(doc):
     doc["certificate"]["P"][0] = (-np.array(doc["certificate"]["P"][0])).tolist()
 
@@ -807,7 +839,7 @@ class TestCertifySearch:
     """``certify`` of a joint bank evaluates the certificate the bank
     carries and searches for Lyapunov matrices only when it misses or is
     absent.  The stored P of the perfbench bank certify with worst form
-    -1.842923e+00; the search finds -1.948998e-01."""
+    -1.842923e+00; the search finds -1.826816e-07."""
 
     def test_carried_certificate_needs_no_search(self, tmp_path, capsys, solve_calls):
         code = _certify_edited_doc(tmp_path, lambda doc: None, _CENTRALIZED_BANK)
@@ -819,7 +851,7 @@ class TestCertifySearch:
         code = _certify_edited_doc(tmp_path, edit, _CENTRALIZED_BANK)
         assert (code, len(solve_calls)) == (0, 1)
         captured = capsys.readouterr()
-        assert captured.out.endswith("worst: -1.948998e-01\ncertified: yes\n")
+        assert captured.out.endswith("worst: -1.826816e-07\ncertified: yes\n")
         assert captured.err == ""
 
     @pytest.mark.parametrize("scheme", ["distributed", "centralized"])

@@ -8,10 +8,14 @@ from mjls.lmi import (
     MapBuilder,
     SolveStatus,
     VariableLayout,
+    _iterates,
+    _max_margin,
     _operator,
+    check_infeasibility_certificate,
     evaluate,
     solve_feasibility,
 )
+from mjls.synthesis import build_distributed
 
 
 class TestLayoutPacking:
@@ -209,6 +213,13 @@ def contradictory_pair():
     return LmiProblem(lay, [amap], [amap], delta=0.1)
 
 
+def contradictory_pair_2x2():
+    lay = VariableLayout()
+    lay.add_sym("X", 2)
+    amap = MapBuilder(2, lay).linear("X").build()
+    return LmiProblem(lay, [amap], [amap], delta=0.1)
+
+
 def mixed_problem():
     """Block dimensions interleave across the neg and pos lists, one
     dimension holds blocks with different variable counts, a neg and a pos
@@ -333,51 +344,6 @@ class TestSolveFeasibility:
         for amap, reported in zip(pos, sol.pos_margins):
             assert abs(np.linalg.eigvalsh(evaluate(amap, sol.z)).min() - reported) <= 1e-9
 
-    def test_two_relaxed_steps_by_hand(self):
-        # A X + X A' + C < -delta*I and X > delta*I over a symmetric 2x2 X,
-        # stepped twice by s+ = s + 1.5 (P_cone(2 P_aff(s) - s) - P_aff(s))
-        # with dense least squares and eigenvalue clipping written out here.
-        a = np.array([[-1.0, 2.0], [0.5, -0.5]])
-        c = np.array([[0.5, 0.2], [0.2, -0.1]])
-        delta = 0.1
-        lay = VariableLayout()
-        lay.add_sym("X", 2)
-        neg = MapBuilder(2, lay).linear("X", left=a, mirror=True).const(c).build()
-        pos = MapBuilder(2, lay).linear("X").build()
-        z0 = np.array([1.0, 0.3, -0.2])  # X = [[1, 0.3], [0.3, -0.2]]
-        prob = LmiProblem(lay, [neg], [pos], delta=delta, z0=z0)
-
-        def sym(z):
-            return np.array([[z[0], z[1]], [z[1], z[2]]])
-
-        f0 = np.concatenate([c.ravel(), np.zeros(4)])
-        # Column k holds both blocks of F(e_k) - F(0), flattened row-major.
-        lin = np.column_stack([np.concatenate([(a @ x + x @ a.T).ravel(), x.ravel()]) for x in map(sym, np.eye(3))])
-
-        def clip(block, lo, hi):
-            w, v = np.linalg.eigh(block.reshape(2, 2))
-            return (v * np.clip(w, lo, hi)) @ v.T
-
-        def violation(shadow):
-            neg_max = np.linalg.eigvalsh(shadow[:4].reshape(2, 2)).max()
-            pos_min = np.linalg.eigvalsh(shadow[4:].reshape(2, 2)).min()
-            return max(neg_max + delta, delta - pos_min)
-
-        state, shadows, zs = f0 + lin @ z0, [], []
-        for _ in range(2):
-            zs.append(np.linalg.lstsq(lin, state - f0, rcond=None)[0])
-            shadows.append(f0 + lin @ zs[-1])
-            reflected = 2.0 * shadows[-1] - state
-            cone = np.concatenate([clip(reflected[:4], -np.inf, -delta), clip(reflected[4:], delta, np.inf)], axis=None)
-            state = state + 1.5 * (cone - shadows[-1])
-        # The second point is the better one and still infeasible, so it is
-        # the best point returned at the iteration cap.
-        assert 1e-9 < violation(shadows[1]) < violation(shadows[0])
-
-        sol = solve_feasibility(prob, 2)
-        assert (sol.status, sol.iterations) == (SolveStatus.ITERATION_LIMIT, 2)
-        assert np.linalg.norm(sol.z - zs[1]) <= 1e-12 * np.linalg.norm(zs[1])
-
 
 def split_problem():
     """Blocks that split into pieces: a neg block whose 1x1 piece (row 1)
@@ -445,18 +411,18 @@ def edge_problem():
 
 
 def piece_sizes(prob):
-    return sorted((dim, len(pieces)) for dim, _, pieces, _, _, _ in _operator(prob).dims)
+    return sorted((dim, len(pieces)) for dim, _, pieces, _ in _operator(prob).dims)
 
 
 class TestPieces:
     def test_split_block_iterates_as_its_pieces(self):
-        # Clipping each piece's eigenvalues is clipping the block's: the
-        # same iteration as with the pieces entered as constraints.
+        # A block is definite exactly when each of its pieces is: the same
+        # iteration as with the pieces entered as constraints.
         whole, separate = jump_problem(False), jump_problem(True)
         assert piece_sizes(whole) == piece_sizes(separate) == [(2, 5), (4, 2), (6, 1)]
         a, b = solve_feasibility(whole, 5000), solve_feasibility(separate, 5000)
         assert a.status is b.status is SolveStatus.FEASIBLE
-        assert a.iterations == b.iterations == 95
+        assert a.iterations == b.iterations == 6
         assert np.linalg.norm(a.z - b.z) <= 1e-12 * np.linalg.norm(b.z)
 
     def test_margins_are_extremes_over_pieces(self):
@@ -470,55 +436,164 @@ class TestPieces:
             assert abs(reported - eig.max()) <= 1e-9
         for reported, eig in zip(sol.pos_margins, eigs[len(prob.neg) :]):
             assert abs(reported - eig.min()) <= 1e-9
-        # The extreme eigenvalue of each split block lies in its 1x1 piece.
-        assert sol.neg_margins[0] == blocks[0][1, 1] > np.linalg.eigvalsh(blocks[0][np.ix_([0, 2], [0, 2])]).max()
-        assert sol.pos_margins[0] == blocks[2][1, 1] < np.linalg.eigvalsh(blocks[2][np.ix_([0, 2], [0, 2])]).min()
+        # The extreme of each split block is the extreme over its pieces: at
+        # this point neg block 0's lies in its 1x1 piece, pos block 0's in its
+        # 2x2 piece.
+        inner = np.ix_([0, 2], [0, 2])
+        assert sol.neg_margins[0] == blocks[0][1, 1] > np.linalg.eigvalsh(blocks[0][inner]).max()
+        assert abs(sol.pos_margins[0] - np.linalg.eigvalsh(blocks[2][inner]).min()) <= 1e-9
+        assert sol.pos_margins[0] < blocks[2][1, 1]
+        # At z0 both split blocks hold their extreme in the 1x1 piece.
+        piece = _operator(prob).margins(prob.z0)  # pieces 0, 1 of neg block 0; 3, 4 of pos block 0
+        at_z0 = [evaluate(m, prob.z0) for m in (prob.neg[0], prob.pos[0])]
+        assert piece[1] == at_z0[0][1, 1] > piece[0] == pytest.approx(np.linalg.eigvalsh(at_z0[0][inner]).max())
+        assert piece[4] == at_z0[1][1, 1] < piece[3] == pytest.approx(np.linalg.eigvalsh(at_z0[1][inner]).min())
 
 
-class TestChunkedVerdict:
-    """The verdict pass runs once per chunk of iterations; no result may
-    depend on where the chunks end."""
+def scalar_pair(delta, neg_const=0.0, pos_const=0.0):
+    """{x + neg_const < -delta, x + pos_const > delta} over one scalar x."""
+    lay = VariableLayout()
+    lay.add_scalar("x")
+    neg = MapBuilder(1, lay).scalar("x", [[1.0]]).const([[neg_const]]).build()
+    pos = MapBuilder(1, lay).scalar("x", [[1.0]]).const([[pos_const]]).build()
+    return LmiProblem(lay, [neg], [pos], delta=delta)
+
+
+def converged_iterate(prob):
+    """The first max-margin iterate (y, x, s) whose duality gap x.s is
+    below 1e-13."""
+    for k, (y, x, s) in enumerate(_iterates(_max_margin(_operator(prob), prob.delta))):
+        if x @ s <= 1e-13:
+            return y, x, s
+        assert k < 40
+
+
+class TestInteriorPoint:
+    def test_hand_computed_max_margin(self):
+        # {x - 1 < -delta, x > delta}: with H = (1 - x, x) the blocks are
+        # tau (1 - delta) - x >= t, x - tau delta >= t and delta tau >= t,
+        # under tau (1 - delta) <= 1.  The first two give 2t <= tau (1 - 2
+        # delta), so for delta <= 1/4 the third binds: t* = delta / (1 -
+        # delta) at tau = 1 / (1 - delta).  At the optimum the primal
+        # objective (the normalization block's multiplier) equals t*.
+        delta = 0.1
+        y, x, s = converged_iterate(scalar_pair(delta, neg_const=-1.0))
+        assert abs(y[-1] - delta / (1 - delta)) <= 1e-9
+        assert abs(y[-2] - 1 / (1 - delta)) <= 1e-6
+        assert abs(x[-1] - delta / (1 - delta)) <= 1e-9
+        # The homogeneous {x < -delta}: -x - tau delta >= t, delta tau >= t,
+        # -x <= 1, so t* = 1/2 at x = -1, whatever delta.
+        y, x, s = converged_iterate(scalar_problem(1e-3))
+        assert abs(y[-1] - 0.5) <= 1e-9 and abs(y[0] + 1.0) <= 1e-8
 
     @pytest.mark.parametrize("make", [split_problem, lambda: jump_problem(False), mixed_problem], ids=["split", "jump", "mixed"])
-    def test_result_independent_of_chunk_boundaries(self, make):
+    def test_cap_returns_the_iterate_it_stops_at(self, make):
+        # A cap below the verdict's iteration returns that iterate; any other
+        # cap returns the verdict bit for bit.
         prob = make()
-        k = _operator(prob).chunk
         ref = solve_feasibility(prob, 5000)
-        assert ref.status is SolveStatus.FEASIBLE and ref.iterations <= 2 * k + 1
-        worst = np.inf
-        for cap in range(1, 2 * k + 2):
+        assert ref.status is SolveStatus.FEASIBLE
+        op = _operator(prob)
+        zs = [y[: prob.layout.size].copy() for y, _, _ in _iterates(_max_margin(op, prob.delta))]
+        for cap in range(1, ref.iterations + 2):
             sol = solve_feasibility(prob, cap)
             if cap < ref.iterations:
                 assert (sol.status, sol.iterations) == (SolveStatus.ITERATION_LIMIT, cap)
-                assert sol.worst_violation <= worst
-                worst = sol.worst_violation
+                assert sol.z.tobytes() == zs[cap].tobytes()
             else:
                 assert (sol.status, sol.iterations) == (ref.status, ref.iterations)
                 for got, want in ((sol.z, ref.z), (sol.neg_margins, ref.neg_margins), (sol.pos_margins, ref.pos_margins)):
                     assert got.tobytes() == want.tobytes()
 
-    def test_stagnation_verdict_independent_of_chunk_boundaries(self):
-        prob = contradictory_pair()
-        for cap in (2001, 2001 + _operator(prob).chunk // 2, 5000):
-            sol = solve_feasibility(prob, cap)
-            assert (sol.status, sol.iterations) == (SolveStatus.INFEASIBLE, 2001)
+    def test_factorization_failure_ends_in_iteration_limit(self, monkeypatch):
+        # A LinAlgError from the third step's first Cholesky ends the run on
+        # the iterate before it, as ITERATION_LIMIT, without raising.
+        prob = jump_problem(False)
+        zs = [y[: prob.layout.size].copy() for y, _, _ in _iterates(_max_margin(_operator(prob), prob.delta))]
+        groups = len(_max_margin(_operator(prob), prob.delta).groups)
+        cholesky, calls = np.linalg.cholesky, []
 
-    def test_non_finite_shadow_raises(self):
-        # F(0) is finite, but the reflection 2 F(0) - F(0) overflows, and the
-        # third shadow is no longer finite.  The rows before it are judged
-        # first, and eigvalsh never sees the non-finite shadow.  The suite
-        # turns RuntimeWarning into an error, so no overflow warning escapes.
+        def failing(a):
+            calls.append(1)
+            if len(calls) == 2 * 2 * groups + 1:  # X and S of every group, twice
+                raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        sol = solve_feasibility(prob, 5000)
+        assert (sol.status, sol.iterations) == (SolveStatus.ITERATION_LIMIT, 2)
+        assert sol.z.tobytes() == zs[2].tobytes()
+        assert sol.certificate is None
+        for amap, reported in zip(prob.neg, sol.neg_margins):
+            assert abs(np.linalg.eigvalsh(evaluate(amap, sol.z)).max() - reported) <= 1e-9
+
+    def test_published_and_demo_systems_decide_in_tens_of_iterations(self, paper_model, demo):
+        for decay in (0.0, 1.5):
+            for sol in map(solve_feasibility, build_distributed(demo, 1e-6, decay)):
+                assert sol.status is SolveStatus.FEASIBLE and sol.iterations <= 12
+        first, second = map(solve_feasibility, build_distributed(paper_model))
+        assert second.status is SolveStatus.FEASIBLE and second.iterations <= 12
+        assert first.status is SolveStatus.INFEASIBLE and first.iterations <= 25
+        assert first.certificate.rho <= 1e-8 and first.certificate.bound >= 100.0
+        assert check_infeasibility_certificate(build_distributed(paper_model)[0], first.certificate.blocks) is not None
+
+    def test_overflowing_data_raises(self):
+        # The normalization sums the constants' traces, which overflows; the
+        # suite turns RuntimeWarning into an error, so no warning escapes.
         lay = VariableLayout()
         lay.add_scalar("s")
         neg = MapBuilder(1, lay).const([[1e308]]).scalar("s", [[1.0]]).build()
         pos = MapBuilder(1, lay).const([[-1e308]]).scalar("s", [[1.0]]).build()
-        prob = LmiProblem(lay, [neg], [pos], delta=1.0)
-        k = _operator(prob).chunk
-        sol = solve_feasibility(prob, 2)
-        assert (sol.status, sol.iterations) == (SolveStatus.ITERATION_LIMIT, 2)
-        for cap in (3, 4, k, k + 1):
-            with pytest.raises(NonFinite):
-                solve_feasibility(prob, cap)
+        with pytest.raises(NonFinite):
+            solve_feasibility(LmiProblem(lay, [neg], [pos], delta=1.0), 10)
+
+
+class TestInfeasibilityCertificate:
+    def test_analytic_alternative_accepted(self):
+        # {x < -delta, x > delta}: tr(H(x) Z) = -x/2 + x/2 = 0 for Z = (1/2,
+        # 1/2), so rho = 0 and no point meets delta at any norm.
+        prob = scalar_pair(0.1)
+        cert = check_infeasibility_certificate(prob, [0.5, 0.5])
+        assert (cert.rho, cert.offset, cert.bound) == (0.0, 0.0, np.inf)
+        # With constants the offset enters the bound: {x < -1/2 - delta, x >
+        # 1/2 + delta} gives offset -1/2 and the same exact certificate.
+        cert = check_infeasibility_certificate(scalar_pair(0.1, 0.5, -0.5), [[0.5], [0.5]])
+        assert (cert.rho, cert.offset) == (0.0, -0.5)
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [[0.5 + 1e-6, 0.5 - 1e-6], [0.6, 0.6], [0.4, 0.4], [1.5, -0.5], [np.nan, 0.5]],
+        ids=["perturbed", "trace-above", "trace-below", "not-psd", "not-finite"],
+    )
+    def test_bad_alternative_rejected(self, blocks):
+        assert check_infeasibility_certificate(scalar_pair(0.1), blocks) is None
+
+    def test_non_psd_block_rejected_at_zero_residual(self):
+        # {X < -delta, X > delta} over a symmetric 2x2 X: Z = (W/2, W/2) has
+        # zero residual for every symmetric W; only a PSD W certifies.
+        prob = contradictory_pair_2x2()
+        assert check_infeasibility_certificate(prob, [np.eye(2) / 4, np.eye(2) / 4]).rho == 0.0
+        w = np.diag([1.5, -0.5])
+        assert check_infeasibility_certificate(prob, [w / 2, w / 2]) is None
+
+    def test_offset_at_delta_rejected(self):
+        # {x < 1 - delta, x > delta} is feasible: Z = (1/2, 1/2) has rho = 0
+        # but offset 1/2 >= delta, so it proves nothing.
+        assert check_infeasibility_certificate(scalar_pair(0.1, neg_const=-1.0), [0.5, 0.5]) is None
+
+    def test_wrong_block_count_or_shape_rejected(self):
+        with pytest.raises(DimensionMismatch, match="2 certificate blocks"):
+            check_infeasibility_certificate(scalar_pair(0.1), [1.0])
+        with pytest.raises(DimensionMismatch, match="block 1"):
+            check_infeasibility_certificate(contradictory_pair_2x2(), [np.eye(2) / 2, np.eye(3)])
+
+    @pytest.mark.parametrize("make", [contradictory_pair, lambda: scalar_pair(0.1), lambda: contradictory_pair_2x2()], ids=["1x1", "scalar", "2x2"])
+    def test_solver_certificate_checks_again(self, make):
+        prob = make()
+        sol = solve_feasibility(prob, 100)
+        assert sol.status is SolveStatus.INFEASIBLE and sol.certificate is not None
+        again = check_infeasibility_certificate(prob, sol.certificate.blocks)
+        assert (again.rho, again.offset, again.bound) == (sol.certificate.rho, sol.certificate.offset, sol.certificate.bound)
 
 
 def test_operator_forward_and_adjoint():
@@ -537,10 +612,10 @@ def test_operator_forward_and_adjoint():
     for prob in (mixed_problem(), bare, split_problem(), jump_problem(False), edge_problem()):
         op = _operator(prob)
         maps = [*prob.neg, *prob.pos]
-        pieces = np.concatenate([p for _, _, p, _, _, _ in op.dims])
+        pieces = np.concatenate([p for _, _, p, _ in op.dims])
         assert sorted(pieces) == list(range(op.first[-1]))
         assert np.all(np.diff(op.first) >= 1) and op.first[0] == 0
-        for _, _, p, neg, _, _ in op.dims:
+        for _, _, p, neg in op.dims:
             owner = np.searchsorted(op.first, p, side="right") - 1
             assert np.array_equal(neg, owner < len(prob.neg))
         assert len(np.unique(op.source)) == len(op.source) == len(op.f0)
