@@ -1,6 +1,6 @@
 """Command-line front end: synthesize, certify, simulate, montecarlo.
 
-Exit codes: 0 success/certified, 1 input error, 2 infeasible or
+Exit codes: 0 success/certified, 1 input or usage error, 2 infeasible or
 uncertified, 3 iteration limit.  A success exit always rests on a freshly
 recomputed certificate margin check, never on solver-internal state, and an
 infeasible synthesis verdict on a checked certificate of the alternative
@@ -45,8 +45,18 @@ EXIT_INFEASIBLE = 2
 EXIT_ITERATION_LIMIT = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with EXIT_INPUT, not
+    argparse's 2, which this program's exit codes give to an infeasible
+    verdict.  Subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mjls",
         description="Controller synthesis and simulation for two interdependent jump linear systems.",
     )
@@ -55,9 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_syn = sub.add_parser("synthesize", help="solve the synthesis feasibility problem and write a gain bank")
     p_syn.add_argument("model", help="model JSON file")
     p_syn.add_argument("--scheme", required=True, choices=[s.value for s in Scheme])
-    p_syn.add_argument(
-        "--max-iter", type=int, default=20000, help="interior-point iterations per solve (default 20000)"
-    )
     p_syn.add_argument(
         "--decay",
         type=float,
@@ -70,12 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="check a gain bank against a model")
     p_cert.add_argument("model")
     p_cert.add_argument("gains")
-    p_cert.add_argument(
-        "--max-iter",
-        type=int,
-        default=20000,
-        help="interior-point iterations of the Lyapunov search, when one runs (default 20000)",
-    )
     p_cert.add_argument(
         "--delta",
         type=float,
@@ -137,8 +138,6 @@ def _check_solver_flags(args) -> None:
     """Reject solver settings that no run can honour, before any work."""
     if args.delta is not None and not (0.0 < args.delta < math.inf):
         raise ParseError(f"--delta: must be positive and finite, got {args.delta}")
-    if args.max_iter < 1:
-        raise ParseError(f"--max-iter: need at least one iteration, got {args.max_iter}")
     if not math.isfinite(getattr(args, "decay", 0.0)):
         raise ParseError(f"--decay: must be finite, got {args.decay}")
 
@@ -164,7 +163,7 @@ def _binding(problem: LmiProblem, sol: LmiSolution) -> str:
 def cmd_synthesize(args) -> int:
     _check_solver_flags(args)
     model = load_model(args.model)
-    outcome = synthesize(model, Scheme(args.scheme), delta=args.delta, max_iter=args.max_iter, decay=args.decay)
+    outcome = synthesize(model, Scheme(args.scheme), delta=args.delta, decay=args.decay)
 
     for label, sol in zip(("problem 1", "problem 2"), outcome.solutions):
         print(
@@ -203,7 +202,7 @@ def cmd_certify(args) -> int:
     delta = PSI_MARGIN if args.delta is None else args.delta
 
     # compose_integrated validates the model before check_bank reads it.
-    cert = certify_gains(compose_integrated(model), check_bank(model, bank), delta=delta, max_iter=args.max_iter)
+    cert = certify_gains(compose_integrated(model), check_bank(model, bank), delta=delta)
 
     print("closed-loop form max eigenvalues (mode, regions):")
     for key in sorted(cert.psi_max):

@@ -9,9 +9,10 @@ pack row-major, scalars take one slot.
 Feasibility is decided by a primal-dual interior-point method on the
 max-margin problem (see :func:`solve_feasibility`).  Each map's linear part
 is built and kept as coordinate triples (entry, variable, coefficient) of
-its nonzeros; the solver concatenates them into one sparse operator from
-``z`` onto a flat vector holding every block.  It is deterministic: fixed
-starting point, no randomness, and a fixed order of operations.
+its nonzeros; the solver concatenates them, negated for a neg map, into
+the one sparse operator of the max-margin problem, onto a flat vector
+holding every block.  It is deterministic: fixed starting point, no
+randomness, and a fixed order of operations.
 
 The solver works on each block's pieces, its irreducible diagonal blocks
 after a permutation of rows and columns: the connected components of the
@@ -58,10 +59,10 @@ _FEAS_SLACK = 1e-9
 # the cones.
 _STEP_FRACTION = 0.95
 # A certificate of the alternative system passes when its adjoint residual
-# rho is at most this.  It then proves that every point meeting the margin
-# delta has norm at least delta / rho: at least 100 at the default
-# synthesis margin of 1e-6.
-_CERT_RESIDUAL = 1e-8
+# rho is at most this times the largest coefficient of the problem's maps,
+# a bound that scales with the maps.  It then proves that every point
+# meeting the margin delta has norm at least delta / rho.
+_CERT_RESIDUAL = 1e-9
 # How far a certificate's total trace may stray from 1 (rounding only).
 _CERT_TRACE_TOL = 1e-12
 # The Schur assembly builds each piece's dense coefficient stack, and their
@@ -281,16 +282,12 @@ class SolveStatus(enum.Enum):
 
 @dataclass
 class LmiProblem:
-    """Strict feasibility problem: neg maps < -delta*I, pos maps > +delta*I.
-
-    ``z0`` is a reference point the builders supply (the identity for every
-    matrix variable); the solver does not start from it."""
+    """Strict feasibility problem: neg maps < -delta*I, pos maps > +delta*I."""
 
     layout: VariableLayout
     neg: list[AffineMatrixMap]
     pos: list[AffineMatrixMap]
     delta: float
-    z0: np.ndarray | None = None
     neg_labels: list[str] = field(default_factory=list)
     pos_labels: list[str] = field(default_factory=list)
 
@@ -299,8 +296,6 @@ class LmiProblem:
             raise ValueError("margin delta must be positive")
         if not (self.neg or self.pos):
             raise ValueError("a problem needs at least one constraint")
-        if self.z0 is None:
-            self.z0 = np.zeros(self.layout.size)
         if not self.neg_labels:
             self.neg_labels = [f"neg[{i}]" for i in range(len(self.neg))]
         if not self.pos_labels:
@@ -370,7 +365,8 @@ def check_infeasibility_certificate(problem: LmiProblem, blocks) -> Infeasibilit
     Nothing from a solver is trusted: each block is symmetrized and must be
     finite and positive semidefinite by ``eigvalsh``, the traces must sum to
     1 within ``_CERT_TRACE_TOL``, the adjoint residual rho, recomputed from
-    the maps' own coefficient triples, must be at most ``_CERT_RESIDUAL``,
+    the maps' own coefficient triples, must be at most ``_CERT_RESIDUAL``
+    times the largest coefficient magnitude of the maps,
     and the offset must lie below delta, so that the bound is positive.
     """
     maps = [*problem.neg, *problem.pos]
@@ -393,101 +389,16 @@ def check_infeasibility_certificate(problem: LmiProblem, blocks) -> Infeasibilit
         trace += float(np.trace(z))
         checked.append(z)
     rho = float(np.linalg.norm(grad))
-    if abs(trace - 1.0) > _CERT_TRACE_TOL or not rho <= _CERT_RESIDUAL or not offset < problem.delta:
+    if abs(trace - 1.0) > _CERT_TRACE_TOL or not rho <= _residual_bound(problem) or not offset < problem.delta:
         return None
     bound = (problem.delta - offset) / rho if rho > 0.0 else np.inf
     return InfeasibilityCertificate(tuple(checked), rho, offset, bound)
 
 
-class _Operator(NamedTuple):
-    """Every constraint block, split into its pieces, as one affine map
-    z -> F0 + L z onto a flat vector.
-
-    A piece is an irreducible diagonal block of a constraint: the rows and
-    columns of one connected component of the graph on the block's rows that
-    has an edge wherever F0 or a coefficient is nonzero.  Entries outside the
-    pieces are zero for every z.  Pieces are numbered in constraint order (neg
-    maps, then pos maps), so the neg pieces come first; ``first[c]`` is the
-    number of constraint c's first piece and ``first[-1]`` the piece count.
-    The pieces of each dimension lie next to each other, flattened row-major;
-    flat entry k is entry ``source[k]`` of the constraint blocks stacked in
-    constraint order.  ``dims`` holds one ``(dim, span, pieces, neg)`` record
-    per piece dimension: the entries of the flat vector, the number of each
-    piece, and whether it belongs to a neg map.  L is held as COO triples:
-    entry ``rows[t]`` gains ``vals[t] * z[cols[t]]``.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    f0: np.ndarray
-    dims: list[tuple]
-    first: np.ndarray
-    source: np.ndarray
-    nvars: int
-
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        return self.f0 + np.bincount(self.rows, self.vals * z[self.cols], minlength=len(self.f0))
-
-    def adjoint(self, s: np.ndarray) -> np.ndarray:
-        """L' s for a flat vector s."""
-        return np.bincount(self.cols, self.vals * s[self.rows], minlength=self.nvars)
-
-    def margins(self, z: np.ndarray) -> np.ndarray:
-        """Each piece's extreme eigenvalue at z: the largest for a neg
-        piece, the smallest for a pos piece."""
-        f = self.forward(z)
-        out = np.empty(self.first[-1])
-        for dim, span, pieces, neg in self.dims:
-            w = np.linalg.eigvalsh(f[span].reshape(len(pieces), dim, dim))
-            out[pieces] = np.where(neg, w[:, -1], w[:, 0])
-        return out
-
-
-def _operator(problem: LmiProblem) -> _Operator:
-    """The constraints as one sparse operator on their pieces; a block that
-    does not split is one piece holding all its rows."""
-    maps = [*problem.neg, *problem.pos]
-    by_dim: dict[int, list[int]] = {}
-    for c, amap in enumerate(maps):
-        by_dim.setdefault(amap.dim, []).append(c)
-    dim_of = np.array([amap.dim for amap in maps])
-    base = np.cumsum(dim_of**2) - dim_of**2  # each block's start, stacked in constraint order
-    rows = np.concatenate([base[c] + amap.entries for c, amap in enumerate(maps)])
-    cols = np.concatenate([amap.var_idx for amap in maps])
-    vals = np.concatenate([amap.coeffs for amap in maps])
-    f0 = np.concatenate([amap.f0.ravel() for amap in maps])
-
-    # Each block's pieces, for all blocks of one dimension at once: the
-    # reachability closure of the block's graph, by repeated squaring.
-    linked = f0 != 0.0
-    linked[rows] = True
-    parts = [None] * len(maps)  # the rows of each constraint's pieces
-    for dim, members in by_dim.items():
-        reach = linked[base[members][:, None] + np.arange(dim * dim)].reshape(-1, dim, dim)
-        reach = (reach | reach.transpose(0, 2, 1) | np.eye(dim, dtype=bool)).astype(float)
-        for _ in range((dim - 1).bit_length()):
-            reach = np.minimum(reach @ reach, 1.0)
-        root = reach.argmax(axis=2)  # the lowest row in each row's piece
-        for c, r in zip(members, root):
-            parts[c] = [np.flatnonzero(r == i) for i in np.unique(r)]
-    # Pieces are numbered in constraint order, each with its entries of the
-    # stacked blocks, and grouped by size in order of first use.
-    first = np.cumsum([0] + [len(pieces) for pieces in parts])
-    at = [base[c] + (r[:, None] * dim_of[c] + r).ravel() for c, pieces in enumerate(parts) for r in pieces]
-    size = np.array([len(r) for pieces in parts for r in pieces])
-
-    dims, source, start = [], [], 0
-    for dim in dict.fromkeys(size.tolist()):
-        pieces = np.flatnonzero(size == dim)
-        source += [at[i] for i in pieces]
-        neg = pieces < first[len(problem.neg)]
-        dims.append((dim, slice(start, start + len(pieces) * dim * dim), pieces, neg))
-        start += len(pieces) * dim * dim
-    source = np.concatenate(source)
-    flat = np.empty(len(f0), dtype=int)  # every linked entry lies in a piece
-    flat[source] = np.arange(len(source))
-    return _Operator(flat[rows], cols, vals, f0[source], dims, first, source, problem.layout.size)
+def _residual_bound(problem: LmiProblem) -> float:
+    """The largest adjoint residual a certificate of the problem may have:
+    _CERT_RESIDUAL times the largest coefficient magnitude of its maps."""
+    return _CERT_RESIDUAL * max(np.abs(amap.coeffs).max(initial=0.0) for amap in (*problem.neg, *problem.pos))
 
 
 class _Group(NamedTuple):
@@ -529,8 +440,9 @@ class _MaxMargin(NamedTuple):
     dual form: maximize t over y = (z, tau, t) subject to
     S = C - A'y >= 0 (blockwise), where the blocks are
 
-    - each piece c of the operator: tau (H0_c - delta I) + L_c z - t I,
-      with H_c = -F_c on neg pieces and F_c on pos pieces;
+    - each piece c of a constraint: tau (H0_c - delta I) + L_c z - t I,
+      where H_c(z) = H0_c + L_c z is -F_c(z) on the pieces of a neg map and
+      F_c(z) on those of a pos map;
     - a 1x1 block delta tau - t;
     - a 1x1 normalization block 1 - (sum_c tr(tau (H0_c - delta I) + L_c z)
       + delta tau).
@@ -538,13 +450,26 @@ class _MaxMargin(NamedTuple):
     The first two kinds are (z, tau) homogenized: when t > 0 and tau > 0,
     z / tau meets the margin with room t / tau, and delta tau >= t keeps
     that room below delta.  The normalization bounds t (by 1 / (N + 1) for
-    N the summed piece dimensions).  A' is held as COO triples, flat entry
-    ``rows[k]`` of A'y gaining ``vals[k] * y[cols[k]]``, over the operator's
-    flat vector followed by the two 1x1 blocks; ``diag`` marks the diagonal
-    entries of every block.  The columns of ``null`` are an orthonormal
-    basis of the directions of y that no block sees (the null space of A',
-    which the Schur matrix shares); there are none when the coefficients
-    are independent.
+    N the summed piece dimensions).
+
+    A piece is an irreducible diagonal block of a constraint: the rows and
+    columns of one connected component of the graph on the block's rows that
+    has an edge wherever F0 or a coefficient is nonzero.  Entries outside the
+    pieces are zero for every z.  Pieces are numbered in constraint order
+    (neg maps, then pos maps); ``first[c]`` is the number of constraint c's
+    first piece and ``first[-1]`` the piece count.  The flat vector holds
+    the pieces of each dimension next to each other, flattened row-major,
+    one group each (``groups``, whose last two are the 1x1 blocks);
+    ``order`` holds the number of each piece in flat order, and flat entry
+    k < len(h0) is entry ``source[k]`` of the constraint blocks stacked in
+    constraint order, where H0 is ``h0[k]``.
+
+    A' is held as COO triples, flat entry ``rows[k]`` of A'y gaining
+    ``vals[k] * y[cols[k]]``, the z columns first; ``diag`` marks the
+    diagonal entries of every block.  The columns of ``null`` are an
+    orthonormal basis of the directions of y that no block sees (the null
+    space of A', which the Schur matrix shares); there are none when the
+    coefficients are independent.
     """
 
     rows: np.ndarray
@@ -555,6 +480,10 @@ class _MaxMargin(NamedTuple):
     groups: list[_Group]
     null: np.ndarray
     null_rows: np.ndarray  # the variables the null directions involve
+    h0: np.ndarray
+    first: np.ndarray
+    order: np.ndarray
+    source: np.ndarray
 
     @property
     def size(self) -> int:
@@ -572,38 +501,89 @@ class _MaxMargin(NamedTuple):
         """The stacked blocks of each group, as views of a flat vector."""
         return [v[g.span].reshape(-1, g.dim, g.dim) for g in self.groups]
 
+    def lowest(self, z: np.ndarray) -> np.ndarray:
+        """The smallest eigenvalue of H(z) on each piece, in piece order:
+        H0 - A'(z, 0, 0) on the pieces."""
+        h = self.h0 - self.forward(np.concatenate([z, [0.0, 0.0]]))[: len(self.h0)]
+        low = np.empty(len(self.order))
+        low[self.order] = np.concatenate(
+            [np.linalg.eigvalsh(h[g.span].reshape(-1, g.dim, g.dim))[:, 0] for g in self.groups[:-2]]
+        )
+        return low
 
-def _max_margin(op: _Operator, delta: float) -> _MaxMargin:
-    nf, nv = len(op.f0), op.nvars
-    tau, t = nv, nv + 1
-    sign = np.empty(nf)
-    diag = np.zeros(nf + 2, dtype=bool)
-    for dim, span, pieces, neg in op.dims:
-        sign[span] = np.repeat(np.where(neg, -1.0, 1.0), dim * dim)
+
+def _max_margin(problem: LmiProblem) -> _MaxMargin:
+    maps = [*problem.neg, *problem.pos]
+    delta, nv = problem.delta, problem.layout.size
+    dim_of = np.array([amap.dim for amap in maps])
+    base = np.cumsum(dim_of**2) - dim_of**2  # each block's start, stacked in constraint order
+    sign = np.where(np.arange(len(maps)) < len(problem.neg), -1.0, 1.0)  # H_c = sign_c F_c
+    entries = np.concatenate([base[c] + amap.entries for c, amap in enumerate(maps)])
+    cols = np.concatenate([amap.var_idx for amap in maps])
+    lin = np.concatenate([sign[c] * amap.coeffs for c, amap in enumerate(maps)])  # the coefficients of H
+    h0 = np.concatenate([sign[c] * amap.f0.ravel() for c, amap in enumerate(maps)])
+
+    # Each block's pieces, for all blocks of one dimension at once: the
+    # reachability closure of the block's graph, by repeated squaring.
+    linked = h0 != 0.0
+    linked[entries] = True
+    by_dim: dict[int, list[int]] = {}
+    for c, amap in enumerate(maps):
+        by_dim.setdefault(amap.dim, []).append(c)
+    parts = [None] * len(maps)  # the rows of each constraint's pieces
+    for dim, members in by_dim.items():
+        reach = linked[base[members][:, None] + np.arange(dim * dim)].reshape(-1, dim, dim)
+        reach = (reach | reach.transpose(0, 2, 1) | np.eye(dim, dtype=bool)).astype(float)
+        for _ in range((dim - 1).bit_length()):
+            reach = np.minimum(reach @ reach, 1.0)
+        root = reach.argmax(axis=2)  # the lowest row in each row's piece
+        for c, r in zip(members, root):
+            parts[c] = [np.flatnonzero(r == i) for i in np.unique(r)]
+    # Pieces are numbered in constraint order, each with its entries of the
+    # stacked blocks, and grouped by size in order of first use.
+    first = np.cumsum([0] + [len(pieces) for pieces in parts])
+    at = [base[c] + (r[:, None] * dim_of[c] + r).ravel() for c, pieces in enumerate(parts) for r in pieces]
+    size = np.array([len(r) for pieces in parts for r in pieces])
+    spans, order, start = [], [], 0
+    for dim in dict.fromkeys(size.tolist()):
+        order.append(np.flatnonzero(size == dim))
+        spans.append((dim, slice(start, start + len(order[-1]) * dim * dim)))
+        start = spans[-1][1].stop
+    source = np.concatenate([at[i] for pieces in order for i in pieces])
+    nf = len(source)
+    flat = np.empty(len(h0), dtype=int)  # every linked entry lies in a piece
+    flat[source] = np.arange(nf)
+    rows, h0 = flat[entries], h0[source]
+    diag = np.ones(nf + 2, dtype=bool)
+    for (dim, span), pieces in zip(spans, order):
         diag[span] = np.tile(np.eye(dim, dtype=bool).ravel(), len(pieces))
-    diag[nf:] = True
+
+    tau, t = nv, nv + 1
     with np.errstate(over="ignore", invalid="ignore"):
-        h0 = sign * op.f0 - delta * diag[:nf]  # the coefficient of tau
-        lin = sign[op.rows] * op.vals  # the coefficients of z
-        on_diag = diag[op.rows]
-        norm_z = np.bincount(op.cols[on_diag], lin[on_diag], minlength=nv)
-        norm_tau = h0[diag[:nf]].sum() + delta
-    if not (np.isfinite(h0).all() and np.isfinite(norm_z).all() and np.isfinite(norm_tau)):
+        h0_tau = h0 - delta * diag[:nf]  # the coefficient of tau
+        on_diag = diag[rows]
+        norm_z = np.bincount(cols[on_diag], lin[on_diag], minlength=nv)
+        norm_tau = h0_tau[diag[:nf]].sum() + delta
+    if not (np.isfinite(h0_tau).all() and np.isfinite(norm_z).all() and np.isfinite(norm_tau)):
         raise NonFinite("constraint data overflows the max-margin problem")
-    at_tau, at_diag, at_norm = np.flatnonzero(h0), np.flatnonzero(diag[:nf]), np.flatnonzero(norm_z)
-    rows = np.concatenate([op.rows, at_tau, at_diag, [nf, nf], np.full(len(at_norm) + 1, nf + 1)])
-    cols = np.concatenate([op.cols, np.full(len(at_tau), tau), np.full(len(at_diag), t), [tau, t], at_norm, [tau]])
-    vals = np.concatenate([-lin, -h0[at_tau], np.ones(len(at_diag)), [-delta, 1.0], norm_z[at_norm], [norm_tau]])
+    at_tau, at_diag, at_norm = np.flatnonzero(h0_tau), np.flatnonzero(diag[:nf]), np.flatnonzero(norm_z)
+    a_rows = np.concatenate([rows, at_tau, at_diag, [nf, nf], np.full(len(at_norm) + 1, nf + 1)])
+    a_cols = np.concatenate([cols, np.full(len(at_tau), tau), np.full(len(at_diag), t), [tau, t], at_norm, [tau]])
+    a_vals = np.concatenate([-lin, -h0_tau[at_tau], np.ones(len(at_diag)), [-delta, 1.0], norm_z[at_norm], [norm_tau]])
     c = np.zeros(nf + 2)
     c[-1] = 1.0
-    spans = [(dim, span) for dim, span, _, _ in op.dims] + [(1, slice(nf, nf + 1)), (1, slice(nf + 1, nf + 2))]
-    groups = [_group(rows, cols, vals, dim, span, nv + 2) for dim, span in spans]
-    null = np.pad(_null_space(op), ((0, 2), (0, 0)))  # tau and t take no part
-    return _MaxMargin(rows, cols, vals, c, diag, groups, null, np.flatnonzero(np.abs(null).sum(axis=1)))
+    spans += [(1, slice(nf, nf + 1)), (1, slice(nf + 1, nf + 2))]
+    groups = [_group(a_rows, a_cols, a_vals, dim, span, nv + 2) for dim, span in spans]
+    null = np.pad(_null_space(rows, cols, -lin, groups[:-2], nv), ((0, 2), (0, 0)))  # tau and t take no part
+    return _MaxMargin(
+        a_rows, a_cols, a_vals, c, diag, groups, null, np.flatnonzero(np.abs(null).sum(axis=1)),
+        h0, first, np.concatenate(order), source,
+    )
 
 
-def _null_space(op: _Operator) -> np.ndarray:
-    """An orthonormal basis of the directions of z that no piece sees.
+def _null_space(rows, cols, vals, pieces: list[_Group], m: int) -> np.ndarray:
+    """An orthonormal basis of the directions of z that no piece sees, given
+    the z triples of A' over the piece ``groups`` and m variables.
 
     These are the null directions of A' too (see _MaxMargin): a null
     direction (w_z, w_tau, w_t) has w_t = delta w_tau from the 1x1 block,
@@ -615,11 +595,11 @@ def _null_space(op: _Operator) -> np.ndarray:
     until none is left; the null space of L'L scaled to a unit diagonal is
     then found among the rest, usually none, and a variable no piece reads
     keeps scale 1."""
-    rows, cols, m = op.rows, op.cols, op.nvars
+    nf = pieces[-1].span.stop  # the flat entries of the pieces
     alive = np.ones(m, dtype=bool)
     while len(rows):
         live = alive[cols]
-        alone = np.bincount(rows[live], minlength=len(op.f0))[rows] == 1
+        alone = np.bincount(rows[live], minlength=nf)[rows] == 1
         owners = cols[live & alone]
         if not len(owners):
             break
@@ -628,7 +608,7 @@ def _null_space(op: _Operator) -> np.ndarray:
     if not len(rest):
         return np.zeros((m, 0))
     live, number = alive[cols], np.cumsum(alive) - 1
-    groups = [_group(rows[live], number[cols[live]], op.vals[live], dim, span, len(rest)) for dim, span, _, _ in op.dims]
+    groups = [_group(rows[live], number[cols[live]], vals[live], g.dim, g.span, len(rest)) for g in pieces]
     identity = [np.broadcast_to(np.eye(g.dim), (len(g.var), g.dim, g.dim)) for g in groups]
     gram = _schur(groups, len(rest), identity, identity)
     norms = np.sqrt(gram.diagonal())
@@ -780,18 +760,20 @@ def solve_feasibility(problem: LmiProblem, max_iter: int = 20000) -> LmiSolution
         raise ValueError("max_iter must be >= 1")
     n_neg = len(problem.neg)
     nv = problem.layout.size
-    op = _operator(problem)
-    mm = _max_margin(op, problem.delta)
-    split = op.first[n_neg]  # the number of neg pieces
+    mm = _max_margin(problem)
+    residual = _residual_bound(problem)
 
-    def result(status, z, margins, certificate=None):
-        # Each constraint's margin is the extreme over its pieces.
+    def lowest(z):
+        # Each constraint's smallest eigenvalue of H is the extreme over its pieces.
+        return np.minimum.reduceat(mm.lowest(z), mm.first[:-1])
+
+    def result(status, z, low, certificate=None):
         return LmiSolution(
             z=z,
             status=status,
             iterations=iterations,
-            neg_margins=np.maximum.reduceat(margins[:split], op.first[:n_neg]),
-            pos_margins=np.minimum.reduceat(margins[split:], op.first[n_neg:-1] - split),
+            neg_margins=-low[:n_neg],
+            pos_margins=low[n_neg:],
             delta=problem.delta,
             layout=problem.layout,
             certificate=certificate,
@@ -805,30 +787,30 @@ def solve_feasibility(problem: LmiProblem, max_iter: int = 20000) -> LmiSolution
             if y[nv] > 0.0:
                 point = z / y[nv]
                 if np.isfinite(point).all():
-                    margins = op.margins(point)
-                    if _violation(margins[:split], margins[split:], problem.delta) <= _FEAS_SLACK:
-                        return result(SolveStatus.FEASIBLE, point, margins)
-            certificate = _certificate(problem, op, mm, x)
+                    low = lowest(point)
+                    if problem.delta - low.min() <= _FEAS_SLACK:
+                        return result(SolveStatus.FEASIBLE, point, low)
+            certificate = _certificate(problem, mm, x, residual)
             if certificate is not None:
-                return result(SolveStatus.INFEASIBLE, z.copy(), op.margins(z), certificate)
+                return result(SolveStatus.INFEASIBLE, z.copy(), lowest(z), certificate)
             if iterations == max_iter:
                 break
-    return result(SolveStatus.ITERATION_LIMIT, z.copy(), op.margins(z))
+    return result(SolveStatus.ITERATION_LIMIT, z.copy(), lowest(z))
 
 
-def _certificate(problem: LmiProblem, op: _Operator, mm: _MaxMargin, x: np.ndarray):
+def _certificate(problem: LmiProblem, mm: _MaxMargin, x: np.ndarray, residual: float):
     """The primal iterate's constraint pieces as a checked certificate, or
     None.  The check runs only once the iterate's own residual, the
-    gradient sum_c H_c*(X_c) over the trace, is within _CERT_RESIDUAL."""
-    nf = len(op.f0)
+    gradient sum_c H_c*(X_c) over the trace, is within ``residual``."""
+    nf = len(mm.h0)
     pieces = np.concatenate([x[:nf], [0.0, 0.0]])  # without the two 1x1 blocks
     trace = pieces[mm.diag].sum()
-    grad = mm.adjoint(pieces)[: op.nvars]  # -sum_c H_c*(X_c): A's z rows are -H_c
-    if not np.linalg.norm(grad) <= _CERT_RESIDUAL * trace:
+    grad = mm.adjoint(pieces)[:-2]  # -sum_c H_c*(X_c): A's z rows are -H_c
+    if not np.linalg.norm(grad) <= residual * trace:
         return None
     maps = [*problem.neg, *problem.pos]
     sizes = [amap.dim**2 for amap in maps]
     stacked = np.zeros(sum(sizes))
-    stacked[op.source] = x[:nf] / trace
+    stacked[mm.source] = x[:nf] / trace
     blocks = np.split(stacked, np.cumsum(sizes)[:-1])
     return check_infeasibility_certificate(problem, [b.reshape(m.dim, m.dim) for m, b in zip(maps, blocks)])

@@ -409,7 +409,7 @@ def _close_problem(
     target: _Target, layout: VariableLayout, neg, neg_labels, delta: float, name: str, s_name: str
 ) -> LmiProblem:
     """Finish a problem over per-mode matrices ``name`` and per-disturbed-mode
-    scalars ``s_name``: all must be positive, starting from I and 1."""
+    scalars ``s_name``: all must be positive."""
     nx = target.system.state_dim
     s_modes = target.disturbed_modes
     pos = []
@@ -420,13 +420,7 @@ def _close_problem(
     for i in s_modes:
         pos.append(MapBuilder(1, layout).scalar((s_name, i), [[1.0]]).build())
         pos_labels.append(f"{s_name}{i} > 0")
-
-    z0 = np.zeros(layout.size)
-    for i in target.modes:
-        layout.pack_into(z0, (name, i), np.eye(nx))
-    for i in s_modes:
-        layout.pack_into(z0, (s_name, i), 1.0)
-    return LmiProblem(layout, neg, pos, delta, z0, neg_labels, pos_labels)
+    return LmiProblem(layout, neg, pos, delta, neg_labels, pos_labels)
 
 
 def _build_problem(target: _Target, delta: float, decay: float) -> LmiProblem:
@@ -645,7 +639,6 @@ def certify_gains(
     model: IntegratedModel,
     bank: ControllerBank,
     delta: float = PSI_MARGIN,
-    max_iter: int = 20000,
 ) -> Certificate:
     """Certify a joint gain bank on the integrated system: return the bank's
     candidate (P, s) if it certifies the gains at ``delta``, else search for
@@ -696,7 +689,7 @@ def certify_gains(
             neg_labels.append(f"mode {i}, {cell.label}")
 
     problem = _close_problem(target, layout, neg, neg_labels, delta, "P", "r")
-    solution = solve_feasibility(problem, max_iter)
+    solution = solve_feasibility(problem)
 
     p_matrices = tuple(solution.variable(("P", i)) for i in target.modes)
     s_values = tuple(1.0 / solution.variable(("r", i)) if i in s_modes else 1.0 for i in target.modes)
@@ -707,14 +700,13 @@ def check_corollary(
     model: InterdependentModel,
     bank: ControllerBank,
     delta: float = PSI_MARGIN,
-    max_iter: int = 20000,
 ) -> Certificate:
     """Verify that a distributed bank stabilizes the integrated system:
     ``certify_gains`` of the joint bank ``check_bank`` returns, with the
     bank read as distributed whatever its scheme, so a joint bank is
     refused."""
     distributed = ControllerBank(Scheme.DISTRIBUTED, bank.gains, bank.lyapunov)
-    return certify_gains(compose_integrated(model), check_bank(model, distributed), delta, max_iter)
+    return certify_gains(compose_integrated(model), check_bank(model, distributed), delta)
 
 
 @dataclass(frozen=True)
@@ -743,7 +735,6 @@ def synthesize(
     model: InterdependentModel,
     scheme: Scheme,
     delta: float = 1e-6,
-    max_iter: int = 20000,
     decay: float = 0.0,
 ) -> SynthesisOutcome:
     """End-to-end synthesis: build, solve, recover and check for any scheme.
@@ -751,7 +742,7 @@ def synthesize(
     ``decay`` > 0 synthesizes against rate-shifted dynamics A + decay*I, a
     standard way to demand a guaranteed contraction rate; the recovered
     bank is checked against the unshifted model at ``PSI_MARGIN`` by the
-    call ``certify`` makes, with ``max_iter`` bounding its fallback search.
+    call ``certify`` makes.
     Centralized and distributed synthesis refuse an emission matrix whose
     inverse gain recovery cannot use.
     """
@@ -763,12 +754,12 @@ def synthesize(
             _require_invertible_emissions(model, scheme)
         builder = build_fullinfo if scheme is Scheme.FULL_INFORMATION else build_centralized
         problems = (builder(integ, delta, decay),)
-    solutions = tuple(solve_feasibility(problem, max_iter) for problem in problems)
+    solutions = tuple(solve_feasibility(problem) for problem in problems)
     if not all(sol.status is SolveStatus.FEASIBLE for sol in solutions):
         return SynthesisOutcome(None, solutions, problems, None)
     if scheme is Scheme.DISTRIBUTED:
         bank = recover_gains(solutions, model, scheme)
     else:
         bank = recover_gains(solutions[0], integ, scheme)
-    certificate = certify_gains(integ, check_bank(model, bank), PSI_MARGIN, max_iter)
+    certificate = certify_gains(integ, check_bank(model, bank), PSI_MARGIN)
     return SynthesisOutcome(bank, solutions, problems, certificate)

@@ -32,7 +32,7 @@ def demo_integrated(demo):
 
 @pytest.fixture(scope="session")
 def demo_outcome(demo):
-    out = synthesize(demo, Scheme.DISTRIBUTED, delta=DEMO_DELTA, max_iter=60000, decay=DEMO_DECAY)
+    out = synthesize(demo, Scheme.DISTRIBUTED, delta=DEMO_DELTA, decay=DEMO_DECAY)
     assert out.bank is not None, "demo model synthesis must succeed"
     return out
 

@@ -54,7 +54,7 @@ def _report(number: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def paper_synthesis():
     """One faithful distributed synthesis attempt on the published fixture."""
-    return synthesize(example_model(), Scheme.DISTRIBUTED, delta=1e-6, max_iter=20000)
+    return synthesize(example_model(), Scheme.DISTRIBUTED, delta=1e-6)
 
 
 class TestCriterion1:
@@ -280,8 +280,8 @@ class TestCriterion7:
             obs1=ObservationModel(tuple(np.eye(2) for _ in demo.obs1.alphas)),
             obs2=ObservationModel(tuple(np.eye(3) for _ in demo.obs2.alphas)),
         )
-        out_c = synthesize(ident, Scheme.CENTRALIZED, delta=1e-6, max_iter=20000, decay=1.0)
-        out_f = synthesize(ident, Scheme.FULL_INFORMATION, delta=1e-6, max_iter=20000, decay=1.0)
+        out_c = synthesize(ident, Scheme.CENTRALIZED, delta=1e-6, decay=1.0)
+        out_f = synthesize(ident, Scheme.FULL_INFORMATION, delta=1e-6, decay=1.0)
         banks_equal = (
             out_c.bank is not None
             and out_f.bank is not None
@@ -332,9 +332,7 @@ class TestCriterion9:
         bank = ControllerBank(Scheme.DISTRIBUTED, example_printed_gains(), {})
         gains_path = tmp_path / "printed_gains.json"
         save_bank(gains_path, bank)
-        code = main(
-            ["certify", str(fixture_path()), str(gains_path), "--max-iter", "4000"]
-        )
+        code = main(["certify", str(fixture_path()), str(gains_path)])
         captured = capsys.readouterr()
         margin_lines = [l for l in captured.out.splitlines() if l.startswith("  mode")]
         has_verdict = any(l.startswith("certified:") for l in captured.out.splitlines())

@@ -40,8 +40,6 @@ def demo_gains_file(tmp_path_factory):
             "distributed",
             "--decay",
             "1.5",
-            "--max-iter",
-            "60000",
             "--out",
             str(out),
         ]
@@ -108,8 +106,6 @@ class TestSynthesize:
                 str(path),
                 "--scheme",
                 "distributed",
-                "--max-iter",
-                "4000",
                 "--out",
                 str(tmp_path / "g.json"),
             ]
@@ -120,8 +116,7 @@ class TestSynthesize:
         # Only problem 1 (system 1) fails; its binding constraint is found
         # again by evaluating every block at the solver's last iterate.
         code = main(
-            ["synthesize", str(fixture_path()), "--scheme", "distributed", "--max-iter", "1000",
-             "--out", str(tmp_path / "g.json")]
+            ["synthesize", str(fixture_path()), "--scheme", "distributed", "--out", str(tmp_path / "g.json")]
         )
         assert code == 2
         binding = [l for l in capsys.readouterr().out.splitlines() if "binding constraint" in l]
@@ -177,7 +172,7 @@ class TestSynthesize:
         bank = load_bank(out)
         assert bank.size == 36
         assert bank.scheme is Scheme.CENTRALIZED
-        code = main(["certify", str(demo_path()), str(out), "--max-iter", "8000"])
+        code = main(["certify", str(demo_path()), str(out)])
         captured = capsys.readouterr()
         assert code == 0
         assert "certified: yes" in captured.out
@@ -194,7 +189,7 @@ class TestCertify:
 
     def test_zero_gains_not_certified(self, tmp_path, capsys):
         gains = zero_gain_file(tmp_path, demo_path())
-        code = main(["certify", str(demo_path()), str(gains), "--max-iter", "3000"])
+        code = main(["certify", str(demo_path()), str(gains)])
         captured = capsys.readouterr()
         assert code == 2
         assert "certified: no" in captured.out
@@ -213,7 +208,7 @@ class TestCertify:
     def test_delta_honoured(self, monkeypatch, tmp_path, flag, expected):
         seen = []
 
-        def fake_certify_gains(model, bank, delta, max_iter):
+        def fake_certify_gains(model, bank, delta):
             seen.append(delta)
             return Certificate((), {(1, (1, 1)): -1.0}, delta, True, ())
 
@@ -368,30 +363,50 @@ class TestFlags:
             ["certify", "m.json", "g.json", "--seed", "1"],
             ["simulate", "m.json", "g.json", "--x1=1", "--x2=1", "--out", "t.csv", "--delta", "1e-6"],
             ["montecarlo", "m.json", "g.json", "--runs", "1", "--x1=1", "--x2=1", "--out", "r.json", "--delta", "1e-6"],
+            ["synthesize", "m.json", "--scheme", "distributed", "--out", "g.json", "--max-iter", "60000"],
         ],
     )
     def test_unread_flags_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_usage_errors_exit_1_and_help_0(self, capsys):
+        # Exit 2 means infeasible or uncertified, so a usage error must not
+        # use argparse's 2.
+        for argv in (["synthesize", "m.json", "--scheme", "distributed"], ["simulate"], []):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1
+            assert "error: the following arguments are required" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["synthesize", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: mjls synthesize")
+
+    # Each case's id is fixed, so that it keeps its name when cases are
+    # added or removed.
     @pytest.mark.parametrize(
         "verb, flags, message",
         [
-            *(
-                (verb, flags, message)
-                for verb in ("synthesize", "certify")
-                for flags, message in [
-                    (["--delta", "0"], "--delta: must be positive and finite, got 0.0"),
-                    (["--delta=-1e6"], "--delta: must be positive and finite, got -1000000.0"),
-                    (["--delta", "nan"], "--delta: must be positive and finite, got nan"),
-                    (["--delta", "inf"], "--delta: must be positive and finite, got inf"),
-                    (["--max-iter", "0"], "--max-iter: need at least one iteration, got 0"),
-                    (["--max-iter", "-5"], "--max-iter: need at least one iteration, got -5"),
-                ]
-            ),
-            *(("synthesize", [f"--decay={v}"], f"--decay: must be finite, got {v}") for v in ("nan", "inf", "-inf")),
+            pytest.param(verb, flags, message, id=f"{verb}-flags{n}-{message}")
+            for n, verb, flags, message in [
+                *(
+                    (6 * k + i, verb, flags, message)
+                    for k, verb in enumerate(("synthesize", "certify"))
+                    for i, (flags, message) in enumerate([
+                        (["--delta", "0"], "--delta: must be positive and finite, got 0.0"),
+                        (["--delta=-1e6"], "--delta: must be positive and finite, got -1000000.0"),
+                        (["--delta", "nan"], "--delta: must be positive and finite, got nan"),
+                        (["--delta", "inf"], "--delta: must be positive and finite, got inf"),
+                    ])
+                ),
+                *(
+                    (12 + i, "synthesize", [f"--decay={v}"], f"--decay: must be finite, got {v}")
+                    for i, v in enumerate(("nan", "inf", "-inf"))
+                ),
+            ]
         ],
     )
     def test_bad_solver_flags_rejected_before_any_work(self, tmp_path, capsys, verb, flags, message):
@@ -404,19 +419,6 @@ class TestFlags:
         }[verb]
         assert main([*argv, *flags]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
-
-    def test_synthesize_max_iter_bounds_corollary_check(self, monkeypatch, tmp_path):
-        seen = []
-
-        def fake_certify_gains(model, bank, delta, max_iter):
-            seen.append(max_iter)
-            return Certificate((), {(1, (1, 1)): -1.0}, delta, True, ())
-
-        monkeypatch.setattr(synthesis, "certify_gains", fake_certify_gains)
-        model = str(scalar_model_file(tmp_path))
-        argv = ["synthesize", model, "--scheme", "distributed", "--max-iter", "77", "--out", str(tmp_path / "g.json")]
-        assert main(argv) == 0
-        assert seen == [77]
 
     def test_negative_delta_does_not_certify_zero_gains(self, tmp_path, demo_gains_file, capsys):
         # Zero gains carrying a distributed bank's certificate: the

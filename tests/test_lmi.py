@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from mjls.lmi import (
     VariableLayout,
     _iterates,
     _max_margin,
-    _operator,
     check_infeasibility_certificate,
     evaluate,
     solve_feasibility,
@@ -274,7 +275,7 @@ class TestSolveFeasibility:
         pos = MapBuilder(2, lay).linear("X").build()
 
         def run():
-            prob = LmiProblem(lay, [neg], [pos], delta=1e-3, z0=lay.pack({"X": np.eye(2)}))
+            prob = LmiProblem(lay, [neg], [pos], delta=1e-3)
             return solve_feasibility(prob, 2000)
 
         s1, s2 = run(), run()
@@ -296,7 +297,7 @@ class TestSolveFeasibility:
             .build()
         )
         pos = MapBuilder(3, lay).linear("X").build()
-        prob = LmiProblem(lay, [neg], [pos], delta=1e-4, z0=lay.pack({"X": np.eye(3)}))
+        prob = LmiProblem(lay, [neg], [pos], delta=1e-4)
         sol = solve_feasibility(prob, 5000)
         assert sol.status is SolveStatus.FEASIBLE
         for amap, reported, kind in ((neg, sol.neg_margins[0], "neg"), (pos, sol.pos_margins[0], "pos")):
@@ -321,7 +322,7 @@ class TestSolveFeasibility:
             lay.add_sym("X", n)
             neg = MapBuilder(n, lay).linear("X", left=a, mirror=True).build()
             pos = MapBuilder(n, lay).linear("X").build()
-            prob = LmiProblem(lay, [neg], [pos], delta=1e-4, z0=lay.pack({"X": np.eye(n)}))
+            prob = LmiProblem(lay, [neg], [pos], delta=1e-4)
             sol = solve_feasibility(prob, 5000)
             assert sol.status is SolveStatus.FEASIBLE
             x = sol.variable("X")
@@ -348,7 +349,7 @@ class TestSolveFeasibility:
 def split_problem():
     """Blocks that split into pieces: a neg block whose 1x1 piece (row 1)
     sits between the rows of its 2x2 piece and holds its largest eigenvalue
-    at z0, and a pos block whose 1x1 piece holds its smallest."""
+    at SPLIT_POINT, and a pos block whose 1x1 piece holds its smallest."""
     lay = VariableLayout()
     lay.add_sym("X", 2)
     lay.add_sym("Y", 2)
@@ -365,8 +366,10 @@ def split_problem():
         MapBuilder(3, lay).linear("Y", left=p, right=p.T).scalar("s", e1).build(),
         MapBuilder(2, lay).linear("X").build(),
     ]
-    z0 = lay.pack({"X": np.eye(2), "Y": np.eye(2), "s": 0.9})
-    return LmiProblem(lay, neg, pos, delta=1e-3, z0=z0)
+    return LmiProblem(lay, neg, pos, delta=1e-3)
+
+
+SPLIT_POINT = {"X": np.eye(2), "Y": np.eye(2), "s": 0.9}
 
 
 def jump_problem(separate: bool):
@@ -394,7 +397,7 @@ def jump_problem(separate: bool):
             block.linear(j, coeff=-1.0, at=(2 * n, 2 * n))
         neg.append(block.build())
     pos = [MapBuilder(2, lay).linear(i).build() for i in range(3)]
-    return LmiProblem(lay, neg, pos, delta=1e-3, z0=lay.pack({i: np.eye(2) for i in range(3)}))
+    return LmiProblem(lay, neg, pos, delta=1e-3)
 
 
 def edge_problem():
@@ -411,7 +414,7 @@ def edge_problem():
 
 
 def piece_sizes(prob):
-    return sorted((dim, len(pieces)) for dim, _, pieces, _ in _operator(prob).dims)
+    return sorted((g.dim, len(g.var)) for g in _max_margin(prob).groups[:-2])
 
 
 class TestPieces:
@@ -443,11 +446,14 @@ class TestPieces:
         assert sol.neg_margins[0] == blocks[0][1, 1] > np.linalg.eigvalsh(blocks[0][inner]).max()
         assert abs(sol.pos_margins[0] - np.linalg.eigvalsh(blocks[2][inner]).min()) <= 1e-9
         assert sol.pos_margins[0] < blocks[2][1, 1]
-        # At z0 both split blocks hold their extreme in the 1x1 piece.
-        piece = _operator(prob).margins(prob.z0)  # pieces 0, 1 of neg block 0; 3, 4 of pos block 0
-        at_z0 = [evaluate(m, prob.z0) for m in (prob.neg[0], prob.pos[0])]
-        assert piece[1] == at_z0[0][1, 1] > piece[0] == pytest.approx(np.linalg.eigvalsh(at_z0[0][inner]).max())
-        assert piece[4] == at_z0[1][1, 1] < piece[3] == pytest.approx(np.linalg.eigvalsh(at_z0[1][inner]).min())
+        # At SPLIT_POINT both split blocks hold their extreme in the 1x1
+        # piece.  Each piece's lowest eigenvalue of H is that of -F on a neg
+        # block.
+        point = prob.layout.pack(SPLIT_POINT)
+        piece = _max_margin(prob).lowest(point)  # pieces 0, 1 of neg block 0; 3, 4 of pos block 0
+        at = [evaluate(m, point) for m in (prob.neg[0], prob.pos[0])]
+        assert -piece[1] == at[0][1, 1] > -piece[0] == pytest.approx(np.linalg.eigvalsh(at[0][inner]).max())
+        assert piece[4] == at[1][1, 1] < piece[3] == pytest.approx(np.linalg.eigvalsh(at[1][inner]).min())
 
 
 def scalar_pair(delta, neg_const=0.0, pos_const=0.0):
@@ -462,7 +468,7 @@ def scalar_pair(delta, neg_const=0.0, pos_const=0.0):
 def converged_iterate(prob):
     """The first max-margin iterate (y, x, s) whose duality gap x.s is
     below 1e-13."""
-    for k, (y, x, s) in enumerate(_iterates(_max_margin(_operator(prob), prob.delta))):
+    for k, (y, x, s) in enumerate(_iterates(_max_margin(prob))):
         if x @ s <= 1e-13:
             return y, x, s
         assert k < 40
@@ -493,8 +499,7 @@ class TestInteriorPoint:
         prob = make()
         ref = solve_feasibility(prob, 5000)
         assert ref.status is SolveStatus.FEASIBLE
-        op = _operator(prob)
-        zs = [y[: prob.layout.size].copy() for y, _, _ in _iterates(_max_margin(op, prob.delta))]
+        zs = [y[: prob.layout.size].copy() for y, _, _ in _iterates(_max_margin(prob))]
         for cap in range(1, ref.iterations + 2):
             sol = solve_feasibility(prob, cap)
             if cap < ref.iterations:
@@ -509,8 +514,8 @@ class TestInteriorPoint:
         # A LinAlgError from the third step's first Cholesky ends the run on
         # the iterate before it, as ITERATION_LIMIT, without raising.
         prob = jump_problem(False)
-        zs = [y[: prob.layout.size].copy() for y, _, _ in _iterates(_max_margin(_operator(prob), prob.delta))]
-        groups = len(_max_margin(_operator(prob), prob.delta).groups)
+        zs = [y[: prob.layout.size].copy() for y, _, _ in _iterates(_max_margin(prob))]
+        groups = len(_max_margin(prob).groups)
         cholesky, calls = np.linalg.cholesky, []
 
         def failing(a):
@@ -536,6 +541,21 @@ class TestInteriorPoint:
         assert first.status is SolveStatus.INFEASIBLE and first.iterations <= 25
         assert first.certificate.rho <= 1e-8 and first.certificate.bound >= 100.0
         assert check_infeasibility_certificate(build_distributed(paper_model)[0], first.certificate.blocks) is not None
+
+    @pytest.mark.parametrize("scale", [10.0, 0.1])
+    def test_published_system_scaled_stays_infeasible(self, paper_model, scale):
+        # The residual bound scales with the maps: published system 1 with
+        # every map scaled is decided as the unscaled one is, on a
+        # certificate whose residual is at most 1e-9 times the largest
+        # scaled coefficient (9.8 unscaled).
+        problem = build_distributed(paper_model)[0]
+        scaled = [dataclasses.replace(m, f0=scale * m.f0, coeffs=scale * m.coeffs) for m in (*problem.neg, *problem.pos)]
+        n = len(problem.neg)
+        problem = LmiProblem(problem.layout, scaled[:n], scaled[n:], problem.delta)
+        sol = solve_feasibility(problem)
+        assert (sol.status, sol.iterations) == (SolveStatus.INFEASIBLE, 17)
+        assert sol.certificate.rho <= 1e-9 * 9.8 * scale
+        assert check_infeasibility_certificate(problem, sol.certificate.blocks) is not None
 
     def test_overflowing_data_raises(self):
         # The normalization sums the constants' traces, which overflows; the
@@ -597,9 +617,11 @@ class TestInfeasibilityCertificate:
 
 
 def test_operator_forward_and_adjoint():
-    # The solver's flat operator: each constraint block of F(z), reassembled
-    # from its pieces, is evaluate(map, z), and L' is the adjoint of the
-    # linear part, <F(z) - F0, S> = <z, L'S>.
+    # The max-margin problem's one operator A': at y = (z, 1, 0) each
+    # constraint block of S = C - A'y, reassembled from its pieces, is
+    # H(z) - delta I with H = -F for a neg map and F for a pos map; A is the
+    # adjoint of A', <A'y, x> = <y, A(x)>; and the pieces cover every entry
+    # where F0 or a coefficient is nonzero.
     no_vars = VariableLayout()
     bare = LmiProblem(
         no_vars,
@@ -610,30 +632,27 @@ def test_operator_forward_and_adjoint():
     assert piece_sizes(edge_problem()) == [(1, 1), (2, 1), (8, 1)]
     rng = np.random.default_rng(7)
     for prob in (mixed_problem(), bare, split_problem(), jump_problem(False), edge_problem()):
-        op = _operator(prob)
+        mm = _max_margin(prob)
         maps = [*prob.neg, *prob.pos]
-        pieces = np.concatenate([p for _, _, p, _ in op.dims])
-        assert sorted(pieces) == list(range(op.first[-1]))
-        assert np.all(np.diff(op.first) >= 1) and op.first[0] == 0
-        for _, _, p, neg in op.dims:
-            owner = np.searchsorted(op.first, p, side="right") - 1
-            assert np.array_equal(neg, owner < len(prob.neg))
-        assert len(np.unique(op.source)) == len(op.source) == len(op.f0)
+        nf = len(mm.h0)
+        assert sorted(mm.order) == list(range(mm.first[-1]))
+        assert np.all(np.diff(mm.first) >= 1) and mm.first[0] == 0 and len(mm.first) == len(maps) + 1
+        assert len(np.unique(mm.source)) == len(mm.source) == nf
         starts = np.cumsum([0] + [m.dim**2 for m in maps])
-        # Every entry where F0 or a coefficient is nonzero lies in a piece.
         covered = np.zeros(starts[-1], dtype=bool)
-        covered[op.source] = True
+        covered[mm.source] = True
         for c, amap in enumerate(maps):
             inside = covered[starts[c] : starts[c + 1]]
             assert inside[amap.entries].all() and inside[np.flatnonzero(amap.f0)].all()
         for _ in range(5):
             z = rng.normal(size=prob.layout.size)
-            f = op.forward(z)
+            slack = mm.c - mm.forward(np.concatenate([z, [1.0, 0.0]]))
             stacked = np.zeros(starts[-1])
-            stacked[op.source] = f
+            stacked[mm.source] = slack[:nf]
             for c, amap in enumerate(maps):
+                sign = -1.0 if c < len(prob.neg) else 1.0
                 block = stacked[starts[c] : starts[c + 1]].reshape(amap.dim, amap.dim)
-                assert np.max(np.abs(block - evaluate(amap, z))) <= 1e-12
-            s = rng.normal(size=len(f))
-            lhs, rhs = (f - op.f0) @ s, z @ op.adjoint(s)
-            assert abs(lhs - rhs) <= 1e-12 * (np.abs(f - op.f0) @ np.abs(s))
+                assert np.max(np.abs(block - (sign * evaluate(amap, z) - prob.delta * np.eye(amap.dim)))) <= 1e-12
+            y, x = rng.normal(size=mm.size), rng.normal(size=len(mm.c))
+            lhs, rhs = mm.forward(y) @ x, y @ mm.adjoint(x)
+            assert abs(lhs - rhs) <= 1e-12 * (np.abs(mm.vals * y[mm.cols]) @ np.abs(x[mm.rows]))
