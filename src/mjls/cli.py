@@ -72,7 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="demand a closed-loop contraction rate by shifting the dynamics (default 0)",
     )
     p_syn.add_argument("--out", required=True, help="gain bank output path")
-    p_syn.add_argument("--delta", type=float, default=1e-6, help="margin for definiteness constraints (default 1e-6)")
 
     p_cert = sub.add_parser("certify", help="check a gain bank against a model")
     p_cert.add_argument("model")
@@ -80,35 +79,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument(
         "--delta",
         type=float,
-        default=None,
+        default=PSI_MARGIN,
         help=f"margin the closed-loop forms must clear (default {PSI_MARGIN:g})",
     )
 
-    p_sim = sub.add_parser("simulate", help="run one closed-loop trajectory and write a CSV trace")
-    p_sim.add_argument("model")
-    p_sim.add_argument("gains")
-    p_sim.add_argument("--x1", required=True, help="comma-separated initial state of system 1")
-    p_sim.add_argument("--x2", required=True, help="comma-separated initial state of system 2")
-    p_sim.add_argument("--horizon", type=float, default=10.0)
-    p_sim.add_argument("--dt", type=float, default=1e-3)
-    p_sim.add_argument(
+    # The arguments simulate and montecarlo share.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("model")
+    shared.add_argument("gains")
+    shared.add_argument("--x1", required=True, help="comma-separated initial state of system 1")
+    shared.add_argument("--x2", required=True, help="comma-separated initial state of system 2")
+    shared.add_argument("--horizon", type=float, default=10.0)
+    shared.add_argument("--dt", type=float, default=1e-3)
+    shared.add_argument(
         "--obs-policy",
         help="'onchange' or 'periodic:<seconds>' (default: periodic:<dt>, a refresh every step)",
     )
-    p_sim.add_argument("--out", required=True, help="trace CSV output path")
-    p_sim.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    shared.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 
-    p_mc = sub.add_parser("montecarlo", help="estimate the stability functional over repeated runs")
-    p_mc.add_argument("model")
-    p_mc.add_argument("gains")
+    p_sim = sub.add_parser("simulate", parents=[shared], help="run one closed-loop trajectory and write a CSV trace")
+    p_sim.add_argument("--out", required=True, help="trace CSV output path")
+
+    p_mc = sub.add_parser("montecarlo", parents=[shared], help="estimate the stability functional over repeated runs")
     p_mc.add_argument("--runs", type=int, required=True)
-    p_mc.add_argument("--x1", required=True)
-    p_mc.add_argument("--x2", required=True)
-    p_mc.add_argument("--horizon", type=float, default=10.0)
-    p_mc.add_argument("--dt", type=float, default=1e-3)
-    p_mc.add_argument("--obs-policy", help="as for simulate (default: periodic:<dt>)")
     p_mc.add_argument("--out", required=True, help="report JSON output path")
-    p_mc.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 
     return parser
 
@@ -134,14 +128,6 @@ def _parse_policy(text: str):
     raise ParseError(f"--obs-policy: expected 'onchange' or 'periodic:<seconds>', got {text!r}")
 
 
-def _check_solver_flags(args) -> None:
-    """Reject solver settings that no run can honour, before any work."""
-    if args.delta is not None and not (0.0 < args.delta < math.inf):
-        raise ParseError(f"--delta: must be positive and finite, got {args.delta}")
-    if not math.isfinite(getattr(args, "decay", 0.0)):
-        raise ParseError(f"--decay: must be finite, got {args.decay}")
-
-
 def _check_out(path: str) -> None:
     """Reject an output path that no write can honour, before any work."""
     if Path(path).is_dir():
@@ -153,17 +139,17 @@ def _check_out(path: str) -> None:
 def _binding(problem: LmiProblem, sol: LmiSolution) -> str:
     """The label and extreme eigenvalue of the constraint that misses its
     margin by the most."""
-    misses = np.concatenate([sol.neg_margins + sol.delta, sol.delta - sol.pos_margins])
-    c = int(np.argmax(misses))
+    c = int(np.argmax(sol.misses))
     label = [*problem.neg_labels, *problem.pos_labels][c]
     kind = "max" if c < len(sol.neg_margins) else "min"
     return f"{label}, {kind} eigenvalue {sol.margins[c]:.6e}"
 
 
 def cmd_synthesize(args) -> int:
-    _check_solver_flags(args)
+    if not math.isfinite(args.decay):
+        raise ParseError(f"--decay: must be finite, got {args.decay}")
     model = load_model(args.model)
-    outcome = synthesize(model, Scheme(args.scheme), delta=args.delta, decay=args.decay)
+    outcome = synthesize(model, Scheme(args.scheme), decay=args.decay)
 
     for label, sol in zip(("problem 1", "problem 2"), outcome.solutions):
         print(
@@ -194,15 +180,13 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    _check_solver_flags(args)
+    if not 0.0 < args.delta < math.inf:
+        raise ParseError(f"--delta: must be positive and finite, got {args.delta}")
     model = load_model(args.model)
     bank = load_bank(args.gains)
-    # Closed-loop form margins live on the Lyapunov scale, where the default
-    # is tighter than synthesize's constraint margin.
-    delta = PSI_MARGIN if args.delta is None else args.delta
 
     # compose_integrated validates the model before check_bank reads it.
-    cert = certify_gains(compose_integrated(model), check_bank(model, bank), delta=delta)
+    cert = certify_gains(compose_integrated(model), check_bank(model, bank), delta=args.delta)
 
     print("closed-loop form max eigenvalues (mode, regions):")
     for key in sorted(cert.psi_max):

@@ -54,7 +54,6 @@ __all__ = [
 ]
 
 _BLOCK_SYM_TOL = 1e-12
-_FEAS_SLACK = 1e-9
 # Each interior-point step goes this fraction of the way to the boundary of
 # the cones.
 _STEP_FRACTION = 0.95
@@ -341,19 +340,19 @@ class LmiSolution:
         return np.concatenate([self.neg_margins, self.pos_margins])
 
     @property
+    def misses(self) -> np.ndarray:
+        """How far each constraint misses its margin, neg maps first: max
+        eigenvalue + delta for a neg map, delta - min eigenvalue for a pos
+        map.  A constraint meets its margin exactly where its miss is <= 0."""
+        return np.concatenate([self.neg_margins + self.delta, self.delta - self.pos_margins])
+
+    @property
     def worst_violation(self) -> float:
-        return float(_violation(self.neg_margins, self.pos_margins, self.delta))
+        """The largest miss, or 0 when every margin is met."""
+        return float(self.misses.max(initial=0.0))
 
     def variable(self, key):
         return self.layout.unpack(self.z, key)
-
-
-def _violation(neg_margins, pos_margins, delta: float):
-    """Largest amount by which a constraint misses its margin, or 0, for
-    each row of margins (the last axis runs over constraints or pieces)."""
-    neg = np.max(neg_margins, axis=-1, initial=-np.inf) + delta
-    pos = delta - np.min(pos_margins, axis=-1, initial=np.inf)
-    return np.maximum(0.0, np.maximum(neg, pos))
 
 
 def check_infeasibility_certificate(problem: LmiProblem, blocks) -> InfeasibilityCertificate | None:
@@ -741,9 +740,9 @@ def solve_feasibility(problem: LmiProblem, max_iter: int = 20000) -> LmiSolution
     Every iterate is judged, from the starting point (iteration 0) to
     iteration ``max_iter``:
 
-    - FEASIBLE when tau > 0 and the point z / tau meets every margin within
-      1e-9, judged by one batched ``eigvalsh`` per piece dimension; that
-      point is returned;
+    - FEASIBLE when tau > 0 and the point z / tau meets every margin, each
+      constraint's smallest eigenvalue of H at least delta, judged by one
+      batched ``eigvalsh`` per piece dimension; that point is returned;
     - INFEASIBLE when the primal X, restricted to the constraint pieces and
       scaled to trace 1, passes :func:`check_infeasibility_certificate`
       (tried once the solver's own residual estimate is small enough); the
@@ -788,7 +787,7 @@ def solve_feasibility(problem: LmiProblem, max_iter: int = 20000) -> LmiSolution
                 point = z / y[nv]
                 if np.isfinite(point).all():
                     low = lowest(point)
-                    if problem.delta - low.min() <= _FEAS_SLACK:
+                    if low.min() >= problem.delta:
                         return result(SolveStatus.FEASIBLE, point, low)
             certificate = _certificate(problem, mm, x, residual)
             if certificate is not None:

@@ -86,6 +86,7 @@ __all__ = [
     "synthesize",
     "SynthesisOutcome",
     "PSI_MARGIN",
+    "SYNTHESIS_MARGIN",
 ]
 
 # Margin (on the Lyapunov quadratic form scale) below which a closed loop
@@ -93,8 +94,12 @@ __all__ = [
 # shrink quadratically with ||X|| when mapped back, hence the small value.
 PSI_MARGIN = 1e-8
 
+# Margin of every synthesis problem.  The problems are homogeneous in
+# (X, Y, s), so it sets only the scale of X and of P = X^{-1}, never a
+# verdict or a gain.
+SYNTHESIS_MARGIN = 1e-6
+
 _SINGULAR_EIG = 1e-12
-_CERT_SLACK = 1e-9
 _SYM_TOL = 1e-12
 _COND_LIMIT = 1e6  # emission condition numbers that gain recovery accepts lie below it
 
@@ -121,7 +126,7 @@ class Certificate:
 
     ``psi_max`` maps (mode, region-key) to the largest eigenvalue of the
     evaluated quadratic form; ``certified`` means every one of those
-    eigenvalues sits below ``-delta`` (within solver slack).
+    eigenvalues is at most ``-delta`` and every P is positive definite.
     """
 
     p_matrices: tuple[np.ndarray, ...]
@@ -352,7 +357,7 @@ def _certificate(target: _Target, bank: ControllerBank, lyapunov: Lyapunov, delt
     tops = np.full(len(forms), np.inf)
     tops[finite] = np.linalg.eigh(forms[finite])[0][:, -1]
     psi_max = {key: float(top) for key, top in zip(keys, tops)}
-    certified = all(v <= -delta + _CERT_SLACK for v in psi_max.values()) and all(
+    certified = all(v <= -delta for v in psi_max.values()) and all(
         np.linalg.eigh(p)[0][0] > 0.0 for p in p_matrices
     )
     return Certificate(
@@ -423,7 +428,7 @@ def _close_problem(
     return LmiProblem(layout, neg, pos, delta, neg_labels, pos_labels)
 
 
-def _build_problem(target: _Target, delta: float, decay: float) -> LmiProblem:
+def _build_problem(target: _Target, decay: float) -> LmiProblem:
     """Synthesis feasibility problem for one target.
 
     One Schur-complement block per (mode, cell), plus positivity of every X_i
@@ -450,29 +455,23 @@ def _build_problem(target: _Target, delta: float, decay: float) -> LmiProblem:
             neg.append(_jump_system_blocks(layout, sys, cell.rates, i, cell.y_key(i), s_key, decay))
             neg_labels.append(f"mode {i}, {cell.label}")
 
-    return _close_problem(target, layout, neg, neg_labels, delta, "X", "s")
+    return _close_problem(target, layout, neg, neg_labels, SYNTHESIS_MARGIN, "X", "s")
 
 
-def build_centralized(
-    model: IntegratedModel, delta: float = 1e-6, decay: float = 0.0
-) -> LmiProblem:
+def build_centralized(model: IntegratedModel, *, decay: float = 0.0) -> LmiProblem:
     """Synthesis feasibility problem for the integrated system, one block
     per (joint mode, product cell)."""
     _validate_integrated(model)
-    return _build_problem(_integrated_target(model), delta, decay)
+    return _build_problem(_integrated_target(model), decay)
 
 
-def build_fullinfo(
-    model: IntegratedModel, delta: float = 1e-6, decay: float = 0.0
-) -> LmiProblem:
+def build_fullinfo(model: IntegratedModel, *, decay: float = 0.0) -> LmiProblem:
     """Full-information variant: identical blocks, since the constraints
     never reference the emission matrices; only gain recovery differs."""
-    return build_centralized(model, delta, decay)
+    return build_centralized(model, decay=decay)
 
 
-def build_distributed(
-    model: InterdependentModel, delta: float = 1e-6, decay: float = 0.0
-) -> tuple[LmiProblem, LmiProblem]:
+def build_distributed(model: InterdependentModel, *, decay: float = 0.0) -> tuple[LmiProblem, LmiProblem]:
     """Independent per-subsystem synthesis problems.
 
     System 1 gets one block per (own mode, region1, region2) under the rate
@@ -484,7 +483,7 @@ def build_distributed(
     if violations:
         raise InvalidModel(violations)
     _require_invertible_emissions(model, Scheme.DISTRIBUTED)
-    prob1, prob2 = (_build_problem(_subsystem_target(model, k), delta, decay) for k in (1, 2))
+    prob1, prob2 = (_build_problem(_subsystem_target(model, k), decay) for k in (1, 2))
     return prob1, prob2
 
 
@@ -731,12 +730,7 @@ class SynthesisOutcome:
         return SolveStatus.FEASIBLE
 
 
-def synthesize(
-    model: InterdependentModel,
-    scheme: Scheme,
-    delta: float = 1e-6,
-    decay: float = 0.0,
-) -> SynthesisOutcome:
+def synthesize(model: InterdependentModel, scheme: Scheme, *, decay: float = 0.0) -> SynthesisOutcome:
     """End-to-end synthesis: build, solve, recover and check for any scheme.
 
     ``decay`` > 0 synthesizes against rate-shifted dynamics A + decay*I, a
@@ -748,12 +742,12 @@ def synthesize(
     """
     integ = compose_integrated(model)
     if scheme is Scheme.DISTRIBUTED:
-        problems = build_distributed(model, delta, decay)
+        problems = build_distributed(model, decay=decay)
     else:
         if scheme is Scheme.CENTRALIZED:
             _require_invertible_emissions(model, scheme)
         builder = build_fullinfo if scheme is Scheme.FULL_INFORMATION else build_centralized
-        problems = (builder(integ, delta, decay),)
+        problems = (builder(integ, decay=decay),)
     solutions = tuple(solve_feasibility(problem) for problem in problems)
     if not all(sol.status is SolveStatus.FEASIBLE for sol in solutions):
         return SynthesisOutcome(None, solutions, problems, None)

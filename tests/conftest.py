@@ -7,7 +7,6 @@ from mjls.synthesis import Scheme, synthesize
 # Gains for the bundled demo model are synthesized once per session; the
 # decay shift gives the closed loop a visible contraction rate for the
 # simulation-facing tests.
-DEMO_DELTA = 1e-6
 DEMO_DECAY = 1.5
 
 
@@ -32,7 +31,7 @@ def demo_integrated(demo):
 
 @pytest.fixture(scope="session")
 def demo_outcome(demo):
-    out = synthesize(demo, Scheme.DISTRIBUTED, delta=DEMO_DELTA, decay=DEMO_DECAY)
+    out = synthesize(demo, Scheme.DISTRIBUTED, decay=DEMO_DECAY)
     assert out.bank is not None, "demo model synthesis must succeed"
     return out
 

@@ -54,7 +54,7 @@ def _report(number: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def paper_synthesis():
     """One faithful distributed synthesis attempt on the published fixture."""
-    return synthesize(example_model(), Scheme.DISTRIBUTED, delta=1e-6)
+    return synthesize(example_model(), Scheme.DISTRIBUTED)
 
 
 class TestCriterion1:
@@ -212,7 +212,7 @@ class TestCriterion6:
         negative = 0
         for _ in range(200):
             model = _single_region_model(rng)
-            problem = build_distributed(model, delta=1e-6)[0]
+            problem = build_distributed(model)[0]
             sys, rates = model.sys1, model.rates1.matrix(1)
             nx, nu, n = sys.state_dim, sys.input_dim, sys.mode_count
             values = {}
@@ -259,8 +259,8 @@ class TestCriterion7:
         # Identical problems on the published fixture (the blocks never
         # reference the emissions), checked bitwise.
         integ = compose_integrated(example_model())
-        a = build_centralized(integ, delta=1e-6)
-        b = build_fullinfo(integ, delta=1e-6)
+        a = build_centralized(integ)
+        b = build_fullinfo(integ)
         problems_equal = all(
             np.array_equal(ma.f0, mb.f0)
             and np.array_equal(ma.entries, mb.entries)
@@ -280,8 +280,8 @@ class TestCriterion7:
             obs1=ObservationModel(tuple(np.eye(2) for _ in demo.obs1.alphas)),
             obs2=ObservationModel(tuple(np.eye(3) for _ in demo.obs2.alphas)),
         )
-        out_c = synthesize(ident, Scheme.CENTRALIZED, delta=1e-6, decay=1.0)
-        out_f = synthesize(ident, Scheme.FULL_INFORMATION, delta=1e-6, decay=1.0)
+        out_c = synthesize(ident, Scheme.CENTRALIZED, decay=1.0)
+        out_f = synthesize(ident, Scheme.FULL_INFORMATION, decay=1.0)
         banks_equal = (
             out_c.bank is not None
             and out_f.bank is not None

@@ -204,6 +204,18 @@ class TestCertify:
         assert code == 1
         assert "no gain for" in captured.err
 
+    def test_small_margin_does_not_certify_open_loop(self, tmp_path, capsys):
+        # Zero gains leave the demo's open loop, which no P certifies (see
+        # test_zero_gains_not_certified).  With every P scaled by 1e-14 its
+        # forms are tiny, and they must still clear the margin 1e-10.
+        def zeroed_and_scaled(doc):
+            for entry in doc["gains"]:
+                entry["G"] = np.zeros_like(entry["G"]).tolist()
+            doc["certificate"]["P"] = [(1e-14 * np.array(p)).tolist() for p in doc["certificate"]["P"]]
+
+        assert _certify_edited_doc(tmp_path, zeroed_and_scaled, "bank_distributed.json", ["--delta", "1e-10"]) == 2
+        assert "certified: yes" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("flag, expected", [([], PSI_MARGIN), (["--delta", "1e-6"], 1e-6)])
     def test_delta_honoured(self, monkeypatch, tmp_path, flag, expected):
         seen = []
@@ -218,14 +230,14 @@ class TestCertify:
         assert seen == [expected]
 
 
-def _certify_edited_doc(tmp_path, edit, bank_file) -> int:
-    """``mjls certify`` of a perfbench bank on the demo model, after
-    ``edit`` changed the bank document in place."""
+def _certify_edited_doc(tmp_path, edit, bank_file, flags=()) -> int:
+    """``mjls certify`` of a perfbench bank on the demo model, with
+    ``flags``, after ``edit`` changed the bank document in place."""
     doc = json.loads((PERF_DATA / bank_file).read_text())
     edit(doc)
     bank = tmp_path / "bank.json"
     bank.write_text(json.dumps(doc))  # canonical_json refuses NaN
-    return main(["certify", str(PERF_DATA / "demo_model.json"), str(bank)])
+    return main(["certify", str(PERF_DATA / "demo_model.json"), str(bank), *flags])
 
 
 def _certify_edited_bank(tmp_path, edit, bank_file="bank_distributed.json") -> int:
@@ -364,6 +376,7 @@ class TestFlags:
             ["simulate", "m.json", "g.json", "--x1=1", "--x2=1", "--out", "t.csv", "--delta", "1e-6"],
             ["montecarlo", "m.json", "g.json", "--runs", "1", "--x1=1", "--x2=1", "--out", "r.json", "--delta", "1e-6"],
             ["synthesize", "m.json", "--scheme", "distributed", "--out", "g.json", "--max-iter", "60000"],
+            ["synthesize", "m.json", "--scheme", "distributed", "--out", "g.json", "--delta", "1e-6"],
         ],
     )
     def test_unread_flags_rejected(self, argv, capsys):
@@ -393,8 +406,7 @@ class TestFlags:
             pytest.param(verb, flags, message, id=f"{verb}-flags{n}-{message}")
             for n, verb, flags, message in [
                 *(
-                    (6 * k + i, verb, flags, message)
-                    for k, verb in enumerate(("synthesize", "certify"))
+                    (6 + i, "certify", flags, message)
                     for i, (flags, message) in enumerate([
                         (["--delta", "0"], "--delta: must be positive and finite, got 0.0"),
                         (["--delta=-1e6"], "--delta: must be positive and finite, got -1000000.0"),

@@ -6,12 +6,17 @@ P -> (A_i' P_i + P_i A_i + sum_j q_ij P_j)_i has spectral abscissa +-r for
 r in [0.1, 1].  The problem A_i' P_i + P_i A_i + sum_j q_ij P_j < -delta I,
 P_i > delta I is feasible exactly when that abscissa is negative (Costa,
 Fragoso & Todorov, *Continuous-Time Markov Jump Linear Systems*, 2013), and
-the margin r keeps every example away from the boundary.  Every verdict is
-checked by numpy code here, not by the solver's internals.
+the margin r keeps every example away from the boundary.  The problem is
+homogeneous, so delta, drawn log-uniform over [1e-14, 1e3], sets only the
+scale of P and never the verdict.  Every verdict is checked by numpy code
+here, not by the solver's internals: a feasible point's forms against
+-delta and its P against delta, each within a rounding allowance relative
+to the norms of the matrices summed.
 
-The solver decides every example within ``MAX_ITERATIONS``: 2 000 uniform
-draws from this range took at most 11 iterations, so the solver's iteration
-cap (20 000 by default) never decides a verdict here.
+The solver decides each of the 200 examples here within ``MAX_ITERATIONS``,
+so its iteration cap (20 000 by default) decides no verdict in this test.
+Other draws from this range can take more iterations (up to 13 in 4 500
+seeded draws).
 """
 
 import numpy as np
@@ -20,8 +25,10 @@ from hypothesis import strategies as st
 
 from mjls.lmi import LmiProblem, MapBuilder, SolveStatus, VariableLayout, check_infeasibility_certificate, solve_feasibility
 
-DELTA = 1e-6
 MAX_ITERATIONS = 11
+# Rounding allowance of a recomputed eigenvalue, relative to the norms of
+# the matrices summed into its matrix.
+ROUNDING = 1e-12
 
 
 def abscissa(a, q):
@@ -48,10 +55,11 @@ def jump_systems(draw):
     r = draw(st.floats(0.1, 1.0)) * draw(st.sampled_from([-1.0, 1.0]))
     # Shifting every A_i by c I shifts the operator's spectrum by 2c.
     shift = 0.5 * (r - abscissa(a, q))
-    return [ai + shift * np.eye(n) for ai in a], q, r
+    delta = 10.0 ** draw(st.floats(-14.0, 3.0))
+    return [ai + shift * np.eye(n) for ai in a], q, r, delta
 
 
-def lyapunov_problem(a, q):
+def lyapunov_problem(a, q, delta):
     lay = VariableLayout()
     for i in range(len(a)):
         lay.add_sym(i, a[i].shape[0])
@@ -63,14 +71,14 @@ def lyapunov_problem(a, q):
                 block.linear(j, coeff=q[i, j])
         neg.append(block.build())
     pos = [MapBuilder(ai.shape[0], lay).linear(i).build() for i, ai in enumerate(a)]
-    return LmiProblem(lay, neg, pos, delta=DELTA)
+    return LmiProblem(lay, neg, pos, delta=delta)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(jump_systems())
 def test_generated_problems_get_checked_verdicts(system):
-    a, q, r = system
-    problem = lyapunov_problem(a, q)
+    a, q, r, delta = system
+    problem = lyapunov_problem(a, q, delta)
     sol = solve_feasibility(problem)
     assert sol.status is not SolveStatus.ITERATION_LIMIT
     assert sol.iterations <= MAX_ITERATIONS
@@ -78,8 +86,9 @@ def test_generated_problems_get_checked_verdicts(system):
     if sol.status is SolveStatus.FEASIBLE:
         p = [sol.variable(i) for i in range(len(a))]
         for i, ai in enumerate(a):
-            form = ai.T @ p[i] + p[i] @ ai + sum(q[i, j] * p[j] for j in range(len(a)))
-            assert np.linalg.eigvalsh(form).max() <= -DELTA + 1e-9
-            assert np.linalg.eigvalsh(p[i]).min() >= DELTA - 1e-9
+            terms = [ai.T @ p[i], p[i] @ ai, *(q[i, j] * p[j] for j in range(len(a)))]
+            allowance = ROUNDING * sum(np.linalg.norm(t, 2) for t in terms)
+            assert np.linalg.eigvalsh(sum(terms)).max() <= -delta + allowance
+            assert np.linalg.eigvalsh(p[i]).min() >= delta - ROUNDING * np.linalg.norm(p[i], 2)
     else:
         assert check_infeasibility_certificate(problem, sol.certificate.blocks) is not None

@@ -534,7 +534,7 @@ class TestInteriorPoint:
 
     def test_published_and_demo_systems_decide_in_tens_of_iterations(self, paper_model, demo):
         for decay in (0.0, 1.5):
-            for sol in map(solve_feasibility, build_distributed(demo, 1e-6, decay)):
+            for sol in map(solve_feasibility, build_distributed(demo, decay=decay)):
                 assert sol.status is SolveStatus.FEASIBLE and sol.iterations <= 12
         first, second = map(solve_feasibility, build_distributed(paper_model))
         assert second.status is SolveStatus.FEASIBLE and second.iterations <= 12
@@ -555,6 +555,16 @@ class TestInteriorPoint:
         sol = solve_feasibility(problem)
         assert (sol.status, sol.iterations) == (SolveStatus.INFEASIBLE, 17)
         assert sol.certificate.rho <= 1e-9 * 9.8 * scale
+        assert check_infeasibility_certificate(problem, sol.certificate.blocks) is not None
+
+    @pytest.mark.parametrize("delta", [1e-10, 1e-12])
+    def test_published_system_at_small_margin_stays_infeasible(self, paper_model, delta):
+        # Without constants the problem is homogeneous, so a smaller margin
+        # only rescales every point: no margin makes published system 1
+        # feasible, and each verdict rests on a checked certificate.
+        problem = dataclasses.replace(build_distributed(paper_model)[0], delta=delta)
+        sol = solve_feasibility(problem)
+        assert sol.status is SolveStatus.INFEASIBLE
         assert check_infeasibility_certificate(problem, sol.certificate.blocks) is not None
 
     def test_overflowing_data_raises(self):

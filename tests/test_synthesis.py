@@ -24,6 +24,7 @@ from mjls.model import (
 )
 from mjls.synthesis import (
     PSI_MARGIN,
+    SYNTHESIS_MARGIN,
     ControllerBank,
     Lyapunov,
     Scheme,
@@ -83,7 +84,7 @@ class TestBuildPsi:
 
 class TestBuildCentralized:
     def test_example_counts_and_dimensions(self, paper_integrated):
-        prob = build_centralized(paper_integrated, delta=1e-6)
+        prob = build_centralized(paper_integrated)
         assert len(prob.neg) == 36
         assert all(b.dim == 30 for b in prob.neg)  # 5 + 5*5
         assert len(prob.pos) == 6  # X_i > 0; no s (disturbance-free)
@@ -92,7 +93,7 @@ class TestBuildCentralized:
 
     def test_scalar_stable_mode_feasible_with_zero_gain(self):
         model = scalar_integrated(a=-1.0, b=1.0)
-        prob = build_centralized(model, delta=1e-6)
+        prob = build_centralized(model)
         sol = solve_feasibility(prob, 2000)
         assert sol.status is SolveStatus.FEASIBLE
 
@@ -110,7 +111,7 @@ class TestBuildCentralized:
             mode_counts=paper_integrated.mode_counts,
         )
         with pytest.raises(InvalidModel):
-            build_centralized(model, delta=1e-6)
+            build_centralized(model)
 
     def test_missing_emission_matrices_rejected(self, demo_integrated):
         # Only the rate matrices were counted, so the cells past the first
@@ -125,8 +126,8 @@ class TestBuildCentralized:
 
 class TestBuildFullinfo:
     def test_identical_problems_bitwise(self, paper_integrated):
-        a = build_centralized(paper_integrated, delta=1e-6)
-        b = build_fullinfo(paper_integrated, delta=1e-6)
+        a = build_centralized(paper_integrated)
+        b = build_fullinfo(paper_integrated)
         assert len(a.neg) == len(b.neg) and len(a.pos) == len(b.pos)
         for ma, mb in zip(a.neg + a.pos, b.neg + b.pos):
             assert np.array_equal(ma.f0, mb.f0)
@@ -137,7 +138,7 @@ class TestBuildFullinfo:
 
 class TestBuildDistributed:
     def test_example_counts(self, paper_model):
-        p1, p2 = build_distributed(paper_model, delta=1e-6)
+        p1, p2 = build_distributed(paper_model)
         assert len(p1.neg) == 12  # |S1| * M1 * M2 = 2*2*3
         assert len(p2.neg) == 18  # |S2| * M1 * M2 = 3*2*3
         assert all(b.dim == 4 for b in p1.neg)  # 2 + 1*2
@@ -156,12 +157,25 @@ class TestBuildDistributed:
             obs1=ObservationModel(([[1.0]],)),
             obs2=ObservationModel(([[1.0]],)),
         )
-        p1, p2 = build_distributed(model, delta=1e-6)
+        p1, p2 = build_distributed(model)
         assert len(p1.neg) == 1 and len(p2.neg) == 1
         s1 = solve_feasibility(p1, 1000)
         s2 = solve_feasibility(p2, 1000)
         assert s1.status is SolveStatus.FEASIBLE
         assert s2.status is SolveStatus.FEASIBLE
+
+    def test_margin_is_no_argument(self, demo, demo_integrated):
+        # The margin is SYNTHESIS_MARGIN; a margin passed as it used to be,
+        # by position or by name, is refused, never read as a decay.
+        for call in (
+            lambda: build_distributed(demo, 1e-6),
+            lambda: build_centralized(demo_integrated, 1e-6),
+            lambda: synthesize(demo, Scheme.DISTRIBUTED, 1e-6),
+            lambda: synthesize(demo, Scheme.DISTRIBUTED, delta=1e-6),
+        ):
+            with pytest.raises(TypeError):
+                call()
+        assert all(p.delta == SYNTHESIS_MARGIN for p in build_distributed(demo))
 
 
 class TestSingularEmission:
@@ -199,7 +213,7 @@ class TestRecoverGains:
     def test_scalar_direct(self):
         # X = 2, Y = -4, identity emission -> G = -2.
         model = scalar_integrated(a=-1.0, b=1.0)
-        prob = build_centralized(model, delta=1e-6)
+        prob = build_centralized(model)
         z = prob.layout.pack({("X", 1): [[2.0]], ("Y", 1, 1): [[-4.0]]})
         sol = solve_feasibility(prob, 2000)
         forced = type(sol)(
@@ -216,7 +230,7 @@ class TestRecoverGains:
 
     def test_singular_x_rejected(self):
         model = scalar_integrated(a=-1.0, b=1.0)
-        prob = build_centralized(model, delta=1e-6)
+        prob = build_centralized(model)
         z = prob.layout.pack({("X", 1): [[1e-14]], ("Y", 1, 1): [[0.0]]})
         forced = LmiSolution(
             z=z,
@@ -231,7 +245,7 @@ class TestRecoverGains:
             recover_gains(forced, model, Scheme.FULL_INFORMATION)
 
     def test_not_feasible_rejected(self, paper_model):
-        p1, p2 = build_distributed(paper_model, delta=1e-6)
+        p1, p2 = build_distributed(paper_model)
         s1 = solve_feasibility(p1, 10)
         s2 = solve_feasibility(p2, 10000)
         with pytest.raises(NotFeasible):
@@ -266,7 +280,7 @@ class TestRecoverGains:
             obs1=ObservationModel(([[0.9, 0.1], [0.1, 0.9]],)),
             obs2=ObservationModel(([[1.0]],)),
         )
-        out = synthesize(model, Scheme.DISTRIBUTED, delta=1e-4)
+        out = synthesize(model, Scheme.DISTRIBUTED)
         assert out.bank is not None
         sol1 = out.solutions[0]
         x = {i: sol1.variable(("X", i)) for i in (1, 2)}
@@ -307,6 +321,18 @@ class TestCertifyGains:
         # Any genuinely positive definite P makes the form 2P positive.
         p = cert.p_matrices[0]
         assert np.linalg.eigvalsh(p).min() <= 0.0 or cert.worst > 0.0
+
+    def test_tiny_candidate_of_unstable_scalar_not_certified(self):
+        # x' = x under the stored P = 1e-12 has the form 2P = +2e-12, far
+        # above -delta however small delta is.
+        model = scalar_integrated(a=1.0, b=0.0)
+        bank = ControllerBank(
+            scheme=Scheme.CENTRALIZED,
+            gains={(0, 1, (1, 1)): np.zeros((1, 1))},
+            lyapunov={0: Lyapunov((np.array([[1e-12]]),), (1.0,))},
+        )
+        cert = certify_gains(model, bank, delta=1e-10)
+        assert not cert.certified
 
     def test_certificate_soundness(self, demo_integrated, demo_bank, demo):
         # Re-evaluate every closed-loop form independently from the
@@ -425,21 +451,21 @@ class TestSolverParity:
         [(0.0, (6, 5)), (0.5, (7, 5)), (1.0, (7, 5)), (1.5, (7, 6)), (2.0, (7, 7))],
     )
     def test_demo_distributed(self, demo, decay, iterations):
-        sols = [solve_feasibility(p, 20000) for p in build_distributed(demo, 1e-6, decay)]
+        sols = [solve_feasibility(p, 20000) for p in build_distributed(demo, decay=decay)]
         assert [(s.status, s.iterations) for s in sols] == [(SolveStatus.FEASIBLE, n) for n in iterations]
 
     def test_demo_centralized(self, demo_integrated):
-        sol = solve_feasibility(build_centralized(demo_integrated, 1e-6, 1.5), 20000)
+        sol = solve_feasibility(build_centralized(demo_integrated, decay=1.5), 20000)
         assert (sol.status, sol.iterations) == (SolveStatus.FEASIBLE, 10)
 
     def test_published_system_1(self, paper_model):
         # No strictly feasible point (criterion 1, TestPublishedExample): the
         # verdict rests on a checked certificate.
-        sol = solve_feasibility(build_distributed(paper_model, 1e-6)[0], 20000)
+        sol = solve_feasibility(build_distributed(paper_model)[0], 20000)
         assert (sol.status, sol.iterations) == (SolveStatus.INFEASIBLE, 17)
 
     def test_published_system_2(self, paper_model):
-        sol = solve_feasibility(build_distributed(paper_model, 1e-6)[1], 20000)
+        sol = solve_feasibility(build_distributed(paper_model)[1], 20000)
         assert (sol.status, sol.iterations) == (SolveStatus.FEASIBLE, 8)
 
 
@@ -450,7 +476,7 @@ class TestPublishedExample:
     fabricate a feasible point."""
 
     def test_distributed_not_feasible(self, paper_model):
-        out = synthesize(paper_model, Scheme.DISTRIBUTED, delta=1e-6)
+        out = synthesize(paper_model, Scheme.DISTRIBUTED)
         assert out.bank is None
         statuses = {s.status for s in out.solutions}
         assert SolveStatus.FEASIBLE not in statuses or out.solutions[0].status is not SolveStatus.FEASIBLE
@@ -490,15 +516,15 @@ class TestDisturbanceHandling:
 
     def test_scaling_variable_declared_and_bounded(self):
         model = self.disturbed_model()
-        p1, _p2 = build_distributed(model, delta=1e-4)
+        p1, _p2 = build_distributed(model)
         assert ("s", 1) in p1.layout.keys
         sol = solve_feasibility(p1, 5000)
         assert sol.status is SolveStatus.FEASIBLE
-        assert sol.variable(("s", 1)) >= 1e-4 - 1e-9
+        assert sol.variable(("s", 1)) >= SYNTHESIS_MARGIN
 
     def test_synthesis_and_certification_with_disturbance(self):
         model = self.disturbed_model()
-        out = synthesize(model, Scheme.DISTRIBUTED, delta=1e-4)
+        out = synthesize(model, Scheme.DISTRIBUTED)
         assert out.bank is not None
         assert out.certificate.certified
         for k in (1, 2):
@@ -537,7 +563,7 @@ class TestDisturbanceHandling:
             ))
             for name, sys in (("sys1", demo.sys1), ("sys2", demo.sys2))
         })
-        out = synthesize(disturbed, Scheme.DISTRIBUTED, delta=1e-6, decay=1.5)
+        out = synthesize(disturbed, Scheme.DISTRIBUTED, decay=1.5)
         assert out.certificate.certified
         assert all(abs(s - 1.0) > 0.5 for k in (1, 2) for s in out.bank.lyapunov[k].s_values)
         loaded = bank_from_dict(bank_to_dict(out.bank))
@@ -555,7 +581,7 @@ class TestFullInformationCertification:
         # The full-information controller reads the true mode; its bank is
         # certified against identity emissions even when the model's own
         # emissions are noisy.
-        out = synthesize(demo, Scheme.FULL_INFORMATION, delta=1e-6, decay=1.0)
+        out = synthesize(demo, Scheme.FULL_INFORMATION, decay=1.0)
         assert out.bank is not None
         assert out.certificate.certified
         cert = certify_gains(demo_integrated, out.bank, delta=1e-8)
@@ -582,8 +608,8 @@ class TestFullInformationEquivalence:
             obs1=ObservationModel((np.eye(2), np.eye(2))),
             obs2=ObservationModel((np.eye(1),)),
         )
-        out_c = synthesize(model, Scheme.CENTRALIZED, delta=1e-4)
-        out_f = synthesize(model, Scheme.FULL_INFORMATION, delta=1e-4)
+        out_c = synthesize(model, Scheme.CENTRALIZED)
+        out_f = synthesize(model, Scheme.FULL_INFORMATION)
         assert out_c.bank is not None and out_f.bank is not None
         assert np.array_equal(out_c.solutions[0].z, out_f.solutions[0].z)
         assert set(out_c.bank.gains) == set(out_f.bank.gains)
