@@ -13,11 +13,13 @@ The feedback and disturbance are frozen across a step, so the closed loop
 is linear there and its RK4 step is exact as one matrix: x <- T4(dt A_cl) x
 plus a disturbance term (see ``_run``).  ``_prepare`` tabulates that step
 matrix for every (modes, observations, regions) the loop can be in, and
-turns every rate and emission row into a cumulative draw table; ``_run`` is
-a scalar loop of one matrix-vector product and a few table lookups per
-step, with the regions held across a chunk of steps and found for the whole
-chunk at once.  ``simulate`` builds a ``Trace`` from its states and loop
-indices; ``estimate_stability`` reads the functional off the states alone.
+turns every rate and emission row into a cumulative draw table.  ``_run``
+holds the regions across a chunk of steps and finds them for the whole
+chunk at once.  Jumps are rare, so between the steps on which a chain may
+jump numpy finds the loop index of every step from the draw tables, and the
+Python loop is one matrix-vector product per step.  ``simulate`` builds a
+``Trace`` from its states and loop indices; ``estimate_stability`` reads
+the functional off the states alone.
 
 ``estimate_stability`` runs independent seeded simulations and reports the
 sample mean and standard error of the truncated energy functional
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -222,20 +224,36 @@ def step_mode(rng, i: int, rate_row, dt: float) -> int:
     """One jump-chain step: leave mode i with probability rate * dt per target.
 
     A single uniform draw is compared against the cumulative per-target jump
-    probabilities; the leftover mass keeps the current mode.  ``rate_row``
-    must be a row of a model that ``validate`` accepts, at a ``dt`` that
-    ``check_dt`` accepts; it is not checked here.
+    probabilities; the leftover mass keeps the current mode.  The sums are
+    those of ``_jump_row``, so a uniform picks the mode the simulator's
+    tables pick.  ``rate_row`` must be a row of a model that ``validate``
+    accepts, at a ``dt`` that ``check_dt`` accepts; it is not checked here.
     """
-    return _pick(_jump_row(rate_row, i - 1, dt), rng.random()) + 1
+    u = rng.random()
+    leave = 0.0
+    for j, rate in enumerate(np.asarray(rate_row, dtype=float).tolist(), 1):
+        if j != i:
+            leave += rate * dt
+            if u < leave:
+                return j
+    return i
 
 
 def sample_observation(rng, row) -> int:
     """Sample a 1-based observation index from one emission-matrix row.
 
-    ``row`` must be a row of a model that ``validate`` accepts; it is not
-    checked here.
+    The sums are those of ``_emission_row``, so a uniform picks the
+    observation the simulator's tables pick.  ``row`` must be a row of a
+    model that ``validate`` accepts; it is not checked here.
     """
-    return _pick(_emission_row(row), rng.random()) + 1
+    u = rng.random()
+    probabilities = np.asarray(row, dtype=float).tolist()
+    total = 0.0
+    for j, probability in enumerate(probabilities, 1):
+        total += probability
+        if u < total:
+            return j
+    return len(probabilities)
 
 
 def check_dt(model: InterdependentModel, dt: float) -> None:
@@ -264,6 +282,7 @@ class _Tables:
     steps: list[np.ndarray]  # T4(dt A_cl) of each loop
     pushes: list[np.ndarray] | None  # dt S3(dt A_cl) D amplitude of each loop; None without disturbance
     jumps: tuple[list, list]  # system k's jump tables, [partner region][mode]
+    leave: tuple[float, float]  # system k's largest leave probability over its jump tables
     emissions: tuple[list, list]  # system k's emission tables, [own region][mode]
     thresholds: tuple[np.ndarray, np.ndarray]
     x0: np.ndarray  # joint initial state [x1; x2]
@@ -341,6 +360,7 @@ def _prepare(model: InterdependentModel, bank: ControllerBank, config: SimConfig
         steps=list(phi),
         pushes=pushes,
         jumps=jumps,
+        leave=tuple(max((cums[-1] for per_region in j for cums, _ in per_region if cums), default=0.0) for j in jumps),
         emissions=emissions,
         thresholds=(np.array(model.part1.thresholds, dtype=float), np.array(model.part2.thresholds, dtype=float)),
         x0=np.concatenate([x1, x2]),
@@ -351,15 +371,20 @@ def _prepare(model: InterdependentModel, bank: ControllerBank, config: SimConfig
 # Chunk lengths of the region check, in steps (see ``_run``).  A chunk
 # starts at _CHUNK_FIRST steps, doubles after each chunk that kept its
 # regions, up to _CHUNK_MAX, and starts over at _CHUNK_FIRST after a cut.
-# One check costs about as much as eight steps, and a cut redoes the steps
-# past it.  Region changes come in bursts, so short chunks after a cut and
-# long ones between bursts keep both costs low.  On demo runs from the
+# One check costs about as much as eighteen steps, and a cut redoes the
+# steps past it.  Region changes come in bursts, so short chunks after a cut
+# and long ones between bursts keep both costs low.  On demo runs from the
 # outer shells, regions change every 40 steps or so in the first second:
-# there 44 % of steps are redone and a check falls every 19 steps (60 % and
-# 22 with a first chunk of 16).  Over 10 s, 6 % are redone and a check
-# falls every 160 steps.
+# there 45 % of steps are redone and a check falls every 20 steps (57 % and
+# 24 with a first chunk of 16).  Over 10 s, 7 % are redone and a check
+# falls every 120 steps.  At eighteen steps a check, first chunks of 8 and
+# 16 cost within 2 % of each other on both.
 _CHUNK_FIRST = 8
 _CHUNK_MAX = 1024
+
+# Steps of uniforms drawn, and of draw tables made, at once (see ``_run``).
+# From 256 to 16 384 steps, 10 s demo runs cost the same within noise.
+_WINDOW = 4096
 
 
 def simulate(model: InterdependentModel, bank: ControllerBank, config: SimConfig, x1_0, x2_0) -> Trace:
@@ -436,6 +461,16 @@ def _run(tables: _Tables, config: SimConfig) -> tuple[np.ndarray, list[int]]:
     disturbance envelope times the loop's push; only the rounding differs
     from evaluating the stages.
 
+    The uniforms form one stream, read in order: two jump draws per step,
+    then one per observation refreshed.  A chain jumps only when its draw
+    lies below its table's leave probability, so a step whose draws both
+    lie at or above the largest leave probability of their chain is no
+    event: modes hold, and so do the observations under ``OnChange``, and
+    under ``Periodic`` the draws sit at fixed positions in the stream.
+    Between events, numpy finds the loop indices of a run of steps from
+    tables made once per window of the stream (``_WINDOW``), and the Python
+    loop only takes the products.  An event step keeps the scalar rules.
+
     Regions are found a chunk of steps at a time.  A chunk runs with both
     regions held at their values at its start, then finds the regions of
     all its rows at once; the first row whose regions differ from the held
@@ -458,20 +493,43 @@ def _run(tables: _Tables, config: SimConfig) -> tuple[np.ndarray, list[int]]:
     dt = config.dt
     n_steps = _steps(config.horizon, dt)
     n1, n2, _, _, r1, r2 = tables.shape
+    strides = (n2 * r1 * r2, r1 * r2)  # of obs1 and obs2 in a loop index
     steps, pushes = tables.steps, tables.pushes
     jumps1, jumps2 = tables.jumps
     emit1, emit2 = tables.emissions
+    leave1, leave2 = tables.leave
     if pushes is not None:
         dist = config.disturbance
         t = np.arange(n_steps) * dt
         envelope = (np.exp(-dist.decay * t) * np.sin(dist.frequency * t)).tolist()
-    periodic = isinstance(config.obs_policy, Periodic)
-    period_steps = _steps(config.obs_policy.period, dt) if periodic else 0
+    period = _steps(config.obs_policy.period, dt) if isinstance(config.obs_policy, Periodic) else 0
+
+    def pos(s):
+        """Stream position of the first draw of step(s) s >= 1, counting
+        two draws per step plus two per refresh under ``Periodic``; the
+        offset ``off`` adds the refreshes ``OnChange`` draws at events."""
+        return 2 * s + 2 * ((s - 1) // period) if period else 2 * s
+
+    def observed(system, th, m):
+        """The observation in force at each step of the window, times its
+        stride, as drawn at the step's last refresh in mode ``th`` and
+        region ``m``; steps before the window's first refresh hold junk."""
+        key = (system, th, m)
+        if key not in cache:
+            cums, outcomes = tables.emissions[system][m][th]
+            picks = np.searchsorted(cums, seen[system], side="right")
+            cache[key] = strides[system] * np.array(outcomes)[picks]
+        return cache[key]
 
     th1, th2 = config.init_modes[0] - 1, config.init_modes[1] - 1
-    rows, chunk_ks, marks = [tables.x0], [(th1 * n2 + th2) * n1 * n2 * r1 * r2], [0]
+    k = (th1 * n2 + th2) * n1 * strides[0]
+    rows, chunk_ks = [tables.x0], [k]
+    # (first step, offset) of each draw offset in force in the chunk, the
+    # offset being the stream position less ``pos``; the stream opens with
+    # row 0's two refresh draws.
+    offs = [(0, -2 - pos(0))]
+    u, base = rng.random(2), 0  # the window of uniforms, and its first's stream position
     m1 = m2 = -1
-    draws, p = rng.random(2).tolist(), 0
     blocks, ks = [], []
     n, length = -1, 1
     with np.errstate(over="ignore", invalid="ignore"):
@@ -482,20 +540,24 @@ def _run(tables: _Tables, config: SimConfig) -> tuple[np.ndarray, list[int]]:
             if moved.any():
                 cut = int(np.argmax(moved))
                 length = cut + 1
-                block, x = block[:length], rows[cut]
+                block, x, k = block[:length], rows[cut], chunk_ks[cut]
                 m1, m2 = int(reg1[cut]), int(reg2[cut])
-                th1, th2, ob1, ob2, _, _ = (int(i) for i in np.unravel_index(chunk_ks[cut], tables.shape))
+                c = n + length
+                th1, th2 = divmod(k // (n1 * strides[0]), n2)
+                ob1, ob2 = k // strides[0] % n1, k // strides[1] % n2
                 # The cut row's draws rewind to the end of its jump draws; a
                 # refresh there is redrawn under the new regions.
-                p = marks[cut]
-                if not periodic or (n + length) % period_steps == 0:
-                    ob1 = _pick(emit1[m1][th1], draws[p])
-                    ob2 = _pick(emit2[m2][th2], draws[p + 1])
-                    p += 2
+                q = next(o for first, o in reversed(offs) if first <= c) + pos(c) + 2 - base
+                if not period or c % period == 0:
+                    ob1 = _pick(emit1[m1][th1], u[q])
+                    ob2 = _pick(emit2[m2][th2], u[q + 1])
+                    q += 2
+                off = q + base - pos(c + 1)
                 k = ((((th1 * n2 + th2) * n1 + ob1) * n2 + ob2) * r1 + m1) * r2 + m2
                 chunk_ks[cut] = k
                 del chunk_ks[length:]
-                next_length = _CHUNK_FIRST
+                # Without thresholds, row 0 makes the only cut.
+                next_length = _CHUNK_FIRST if any(map(len, tables.thresholds)) else _CHUNK_MAX
             else:
                 next_length = min(2 * length, _CHUNK_MAX)
             _check_finite(block, n + 1, dt)
@@ -505,36 +567,82 @@ def _run(tables: _Tables, config: SimConfig) -> tuple[np.ndarray, list[int]]:
             if n == n_steps:
                 break
             length = min(next_length, n_steps - n)
-            if len(draws) - p < 4 * length:  # at most four draws per step
-                count = max(4 * length, min(4096, 4 * (n_steps - n)))
-                draws, p = draws[p:] + rng.random(count).tolist(), 0
+            s, end = n + 1, n + length + 1
+            if off + pos(s) + 4 * length > base + len(u):  # at most four draws per step
+                keep = off + pos(s) - base
+                u = np.concatenate([u[keep:], rng.random(4 * max(length, min(_WINDOW, n_steps - n)))])
+                base += keep
+                if period:
+                    # The steps whose draws the window holds, their jump
+                    # draws, and the draws of their last refresh.
+                    window = np.arange(s, min(n_steps, s + len(u) // 2) + 1)
+                    at = pos(window) - base
+                    held = np.searchsorted(at, len(u) - 4, side="right")
+                    window, at = window[:held], at[:held]
+                    events = window[(u[at] < leave1) | (u[at + 1] < leave2)].tolist()
+                    last = np.maximum(pos(window // period * period) + 2 - base, 0)
+                    seen, cache, w0 = (u[last], u[last + 1]), {}, s
+                else:
+                    # Pair j of parity b is the draws at b + 2j and b + 2j + 1.
+                    pairs = [
+                        np.flatnonzero((u[b : len(u) - 1 : 2] < leave1) | (u[b + 1 :: 2] < leave2)).tolist()
+                        for b in (0, 1)
+                    ]
             # Regions held: each chain jumps by its partner's region, and
             # each observation is drawn in its own system's region.
             jump1, jump2, held1, held2 = jumps1[m2], jumps2[m1], emit1[m1], emit2[m2]
             cell = m1 * r2 + m2
-            rows, chunk_ks, marks = [], [], []
-            for step in range(n + 1, n + length + 1):
-                x = steps[k].dot(x)
-                if pushes is not None:
-                    x += envelope[step - 1] * pushes[k]
-                new_th1 = _pick(jump1[th1], draws[p])
-                new_th2 = _pick(jump2[th2], draws[p + 1])
-                p += 2
-                marks.append(p)
-                if periodic:
-                    refresh1 = refresh2 = step % period_steps == 0
+            rows, chunk_ks, offs = [], [], [(s, off)]
+            while s < end:
+                # e: the chunk's end, or the next step whose draws may jump.
+                if period:
+                    key, found = s, events
                 else:
-                    refresh1, refresh2 = new_th1 != th1, new_th2 != th2
-                th1, th2 = new_th1, new_th2
+                    key, found = (off + pos(s) - base) // 2, pairs[(off - base) % 2]
+                i = bisect_left(found, key)
+                e = min(end, s + found[i] - key) if i < len(found) else end
+                if period:
+                    # Observations hold until the run's first refresh step a.
+                    a = min(s + -s % period, e)
+                    seg = [k] * (a - s) + (
+                        observed(0, th1, m1)[a - w0 : e - w0]
+                        + observed(1, th2, m2)[a - w0 : e - w0]
+                        + (th1 * n2 + th2) * n1 * strides[0]
+                        + cell
+                    ).tolist()
+                else:
+                    seg = [k] * (e - s)
+                # Each row's product is with the loop of the row before it.
+                loops = [k, *seg] if e < end else [k, *seg[:-1]]
+                for step, k in enumerate(loops, s):
+                    x = steps[k].dot(x)
+                    if pushes is not None:
+                        x += envelope[step - 1] * pushes[k]
+                    rows.append(x)
+                chunk_ks += seg
+                if e == end:
+                    k = seg[-1]
+                    break
+                q = off + pos(e) - base
+                new1, new2 = _pick(jump1[th1], u[q]), _pick(jump2[th2], u[q + 1])
+                q += 2
+                ob1, ob2 = k // strides[0] % n1, k // strides[1] % n2
+                if period:
+                    refresh1 = refresh2 = e % period == 0
+                else:
+                    refresh1, refresh2 = new1 != th1, new2 != th2
+                th1, th2 = new1, new2
                 if refresh1:
-                    ob1 = _pick(held1[th1], draws[p])
-                    p += 1
+                    ob1 = _pick(held1[th1], u[q])
+                    q += 1
                 if refresh2:
-                    ob2 = _pick(held2[th2], draws[p])
-                    p += 1
+                    ob2 = _pick(held2[th2], u[q])
+                    q += 1
                 k = (((th1 * n2 + th2) * n1 + ob1) * n2 + ob2) * r1 * r2 + cell
-                rows.append(x)
                 chunk_ks.append(k)
+                off = q + base - pos(e + 1)
+                offs.append((e + 1, off))
+                s = e + 1
 
     return np.concatenate(blocks), ks
 
@@ -585,8 +693,12 @@ def energy_functional(trace: Trace, horizon: float | None = None) -> float:
     A horizon inside a step ends the integral on the linear interpolant of
     |x|^2 across that step, so half of an odd number of steps is met exactly.
     A value beyond the float range raises NonFinite; it is never returned
-    as inf.
+    as inf.  A horizon past the last sample (by more than the 1e-12 within
+    which a horizon meets a sample), negative or not finite raises
+    ValueError.
     """
+    if horizon is not None and not 0.0 <= horizon <= trace.t[-1] + 1e-12:
+        raise ValueError(f"energy functional horizon must lie in [0, {trace.t[-1]:g}], got {horizon}")
     return _functionals(trace.x1, trace.x2, trace.t, (_trapezoid_weights(trace.t, horizon),), "the trace")[0]
 
 

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mjls import sim
 from mjls.errors import DimensionMismatch, InvalidModel, MissingGain, NonFinite
@@ -534,6 +536,87 @@ def reference_simulate(model, bank, config, x1_0, x2_0):
     return np.array(states), np.array(inputs), np.array(columns)
 
 
+@st.composite
+def generated_runs(draw):
+    """A generated model with a distributed bank and no certificate, and a
+    seeded run of it.  Each system has 1-3 modes on 1-2 states, and each
+    partition 0-2 thresholds.  An emission row is one-hot or spread.  Every
+    off-diagonal rate lies in [4, 6], so a chain of two or more modes leaves
+    each mode at rate 4 or more and, over the 2.4 s horizon, jumps but for
+    odds of about e^-10."""
+
+    def matrix(rows, cols, lo, hi):
+        entries = draw(st.lists(st.floats(lo, hi), min_size=rows * cols, max_size=rows * cols))
+        return np.array(entries).reshape(rows, cols)
+
+    def rates(n):
+        q = matrix(n, n, 4.0, 6.0) * (1.0 - np.eye(n))
+        return q - np.diag(q.sum(axis=1))
+
+    def emission(n):
+        rows = []
+        for _ in range(n):
+            if draw(st.booleans()):
+                rows.append(np.eye(n)[draw(st.integers(0, n - 1))])
+            else:
+                weights = matrix(1, n, 0.05, 1.0)[0]
+                rows.append(weights / weights.sum())
+        return np.array(rows)
+
+    systems, parts = [], []
+    for _ in range(2):
+        n, nx = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+        modes = tuple(ModeDynamics(matrix(nx, nx, -2.0, 2.0), matrix(nx, 1, -1.0, 1.0), matrix(nx, 1, -1.0, 1.0))
+                      for _ in range(n))
+        systems.append(JumpLinearSystem(nx, 1, 1, modes))
+        parts.append(RegionPartition(tuple(np.cumsum(draw(st.lists(st.floats(0.3, 2.0), max_size=2))).tolist())))
+    (s1, s2), (p1, p2) = systems, parts
+    model = InterdependentModel(
+        sys1=s1,
+        sys2=s2,
+        part1=p1,
+        part2=p2,
+        rates1=RateFamily(tuple(rates(s1.mode_count) for _ in range(p2.region_count))),
+        rates2=RateFamily(tuple(rates(s2.mode_count) for _ in range(p1.region_count))),
+        obs1=ObservationModel(tuple(emission(s1.mode_count) for _ in range(p1.region_count))),
+        obs2=ObservationModel(tuple(emission(s2.mode_count) for _ in range(p2.region_count))),
+    )
+    cells = [(m1, m2) for m1 in range(1, p1.region_count + 1) for m2 in range(1, p2.region_count + 1)]
+    gains = {
+        (k, i, cell): matrix(1, system.state_dim, -1.0, 1.0)
+        for k, system in ((1, s1), (2, s2))
+        for i in range(1, system.mode_count + 1)
+        for cell in cells
+    }
+    dt = 4e-3
+    cfg = SimConfig(
+        dt=dt,
+        horizon=2.4,
+        seed=draw(st.integers(0, 2**32)),
+        obs_policy=draw(st.sampled_from([OnChange(), Periodic(dt), Periodic(3 * dt)])),
+        disturbance=draw(st.sampled_from([Zero(), DecayingSine((1.0,), (-0.5,), 1.0, 5.0)])),
+        init_modes=(draw(st.integers(1, s1.mode_count)), draw(st.integers(1, s2.mode_count))),
+    )
+    x1_0, x2_0 = matrix(1, s1.state_dim, -1.5, 1.5)[0], matrix(1, s2.state_dim, -1.5, 1.5)[0]
+    return model, ControllerBank(Scheme.DISTRIBUTED, gains, {}), cfg, x1_0, x2_0
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(generated_runs())
+def test_generated_models_match_reference_loop(run):
+    model, bank, cfg, x1_0, x2_0 = run
+    trace = simulate(model, bank, cfg, x1_0, x2_0)
+    states, inputs, columns = reference_simulate(model, bank, cfg, x1_0, x2_0)
+    for j, name in enumerate(("mode1", "mode2", "obs1", "obs2", "region1", "region2")):
+        assert np.array_equal(getattr(trace, name), columns[:, j]), name
+    for j, system in enumerate((model.sys1, model.sys2)):
+        assert system.mode_count == 1 or np.any(np.diff(columns[:, j]) != 0), f"chain {j + 1} never jumps"
+    scale = np.linalg.norm(states, axis=1)
+    assert np.all(np.linalg.norm(np.hstack([trace.x1, trace.x2]) - states, axis=1) <= 1e-10 * scale)
+    gain_scale = max(np.linalg.norm(g) for g in bank.gains.values())
+    assert np.all(np.linalg.norm(np.hstack([trace.u1, trace.u2]) - inputs, axis=1) <= 1e-10 * gain_scale * scale)
+
+
 def lively_demo(demo):
     """The demo model with D = 1, so that a disturbance acts, and its rates
     scaled back up by 10, so that both chains jump within a few seconds."""
@@ -632,6 +715,65 @@ def test_horizon_shorter_than_first_chunk(demo, demo_bank):
     report = estimate_stability(model, demo_bank, short_cfg, 1, x1_0, x2_0)
     run0 = simulate(model, demo_bank, dataclasses.replace(short_cfg, seed=(2, 0)), x1_0, x2_0)
     assert report.functional_per_run[0] == energy_functional(run0)
+
+
+def draw_starts(trace, period):
+    """The stream position of each step's first uniform, read off a trace of
+    the given ``Periodic`` period in steps, or of ``OnChange`` for 0: step 0
+    draws two observations; every later step two jumps and then one uniform
+    per observation it refreshes, both where its regions changed."""
+    moved = (np.diff(trace.region1) != 0) | (np.diff(trace.region2) != 0)
+    if period:
+        refreshes = 2 * (np.arange(1, len(trace)) % period == 0)
+    else:
+        refreshes = np.where(moved, 2, (np.diff(trace.mode1) != 0) * 1 + (np.diff(trace.mode2) != 0))
+    return np.concatenate([[0], 2 + np.cumsum(2 + refreshes) - (2 + refreshes)])
+
+
+@pytest.mark.parametrize("policy, period", [(OnChange(), 0), (Periodic(1e-3), 1), (Periodic(3e-3), 3)],
+                         ids=["onchange", "periodic", "periodic-3-steps"])
+def test_draw_window_does_not_change_the_trace(monkeypatch, demo, demo_bank, policy, period):
+    # Uniforms are drawn and tabulated a window of steps at a time.  With
+    # chunks of four steps, a window of one step puts a seam between two
+    # ``random`` calls every four to eight steps, and one longer than the run
+    # none after the first chunk; the traces and reports must not tell them
+    # apart.
+    model = lively_demo(demo)
+    x1_0, x2_0 = np.array([1.0, -2.5]), np.array([0.5, 1.5, -2.0])
+    cfg = SimConfig(dt=1e-3, horizon=2.0, seed=3, obs_policy=policy, disturbance=SINE)
+    seams = []
+
+    class Recording(np.random.Generator):
+        """Records the stream position at which each ``random`` call starts."""
+
+        drawn = 0
+
+        def random(self, size=None):
+            seams.append(self.drawn)
+            self.drawn += size
+            return super().random(size)
+
+    traces, reports = [], []
+    for window in (1, sim._WINDOW, 2001):
+        monkeypatch.setattr(sim, "_WINDOW", window)
+        monkeypatch.setattr(sim, "_CHUNK_FIRST", 4)
+        monkeypatch.setattr(sim, "_CHUNK_MAX", 4)
+        monkeypatch.setattr(np.random, "Generator", Recording)
+        traces.append(simulate(model, demo_bank, cfg, x1_0, x2_0))
+        if window == 1:
+            seam_steps = np.searchsorted(draw_starts(traces[0], period), seams, side="right") - 1
+        reports.append(estimate_stability(model, demo_bank, cfg, 2, x1_0, x2_0))
+        monkeypatch.undo()
+    # A jump and a region cut each land within three steps after a seam.
+    jumps = np.flatnonzero((np.diff(traces[0].mode1) != 0) | (np.diff(traces[0].mode2) != 0)) + 1
+    cuts = np.flatnonzero((np.diff(traces[0].region1) != 0) | (np.diff(traces[0].region2) != 0)) + 1
+    for steps in (jumps, cuts):
+        gaps = steps[:, None] - seam_steps[None, :]
+        assert np.any((gaps >= 0) & (gaps <= 3))
+    for trace, report in zip(traces[1:], reports[1:]):
+        for name in TRACE_FIELDS:
+            assert np.array_equal(getattr(trace, name), getattr(traces[0], name)), name
+        assert report == reports[0]
 
 
 class TestDivergence:
@@ -743,6 +885,20 @@ class TestEstimateStability:
         b = estimate_stability(model, zero_bank(model), cfg, 5, [1.0], [0.0])
         assert a.functional_per_run == b.functional_per_run
         assert a.terminal_norms == b.terminal_norms
+
+
+@pytest.mark.parametrize("horizon", [5.0, 1.0 + 1e-9, -1.0, math.nan, math.inf],
+                         ids=["past-the-end", "just-past-the-end", "negative", "nan", "inf"])
+def test_energy_functional_rejects_horizon_off_the_trace(demo, demo_bank, horizon):
+    # A horizon past the last sample returned the integral over the whole
+    # 1 s trace as if it covered the horizon; a negative or NaN one gave 0.
+    x1_0, x2_0 = example_initial_state()
+    cfg = SimConfig(dt=1e-2, horizon=1.0, seed=4, obs_policy=Periodic(1e-2))
+    trace = simulate(demo, demo_bank, cfg, x1_0, x2_0)
+    with pytest.raises(ValueError, match=re.escape(f"energy functional horizon must lie in [0, 1], got {horizon}")):
+        energy_functional(trace, horizon)
+    assert energy_functional(trace, 1.0) == energy_functional(trace)
+    assert energy_functional(trace, 0.0) == 0.0
 
 
 class TestDemoClosedLoop:
