@@ -258,13 +258,21 @@ def bank_from_dict(doc) -> ControllerBank:
             raise ParseError(f"certificate: expected an object, got {cert_node!r}")
         p_all = _matrix_list(_require(cert_node, "P", "certificate"), "certificate.P")
         s_all = _scalings(cert_node.get("s", [1.0] * len(p_all)), len(p_all))
+        # One P per observation the gains name, system by system.
+        counts = {
+            k: len({obs for (sys_id, obs, _c) in gains if sys_id == k})
+            for k in ((1, 2) if scheme is Scheme.DISTRIBUTED else (0,))
+        }
+        if sum(counts.values()) != len(p_all):
+            named = " and ".join(f"{n} for system {k}" for k, n in counts.items())
+            raise ParseError(
+                f"certificate.P: wrong number of matrices: {len(p_all)} given, "
+                f"one per observation the gains name: {named}"
+            )
         cursor = 0
-        for k in (1, 2) if scheme is Scheme.DISTRIBUTED else (0,):
-            n = len({obs for (sys_id, obs, _c) in gains if sys_id == k})
+        for k, n in counts.items():
             lyapunov[k] = Lyapunov(p_all[cursor : cursor + n], s_all[cursor : cursor + n])
             cursor += n
-        if cursor != len(p_all):
-            raise ParseError("certificate.P: wrong number of matrices")
     return ControllerBank(scheme, gains, lyapunov)
 
 

@@ -6,6 +6,9 @@ force being selected each step by the partner state's region.  Observations
 are re-sampled per the configured policy, and the feedback in force is
 frozen across each step.  Everything is driven by one seeded generator, so
 a (model, bank, config, seed) tuple reproduces its trace bit for bit.
+Every step after step 0 owns a fixed slot of four uniforms in that stream,
+two jump draws and two observation draws, whether or not the policy
+refreshes, so a chain's jump draws do not depend on the observation policy.
 The joint dynamics and gains are the ones the certifier checks, from
 ``model.joint_system`` and ``synthesis.check_bank``.
 
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
@@ -108,14 +112,15 @@ class SimConfig:
 
     dt: float
     horizon: float
-    seed: int = 0
+    seed: int | tuple[int, ...] = 0  # a nonnegative integer, or a tuple of them
     obs_policy: OnChange | Periodic = OnChange()
     disturbance: Zero | DecayingSine = Zero()
     init_modes: tuple[int, int] = (1, 1)
 
     def __post_init__(self):
-        if isinstance(self.seed, int) and self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        entropy = self.seed if isinstance(self.seed, tuple) else (self.seed,)
+        if not all(_is_int_at_least(e, 0) for e in entropy):
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (math.isfinite(self.horizon) and self.horizon >= 0.0):
@@ -130,6 +135,11 @@ class SimConfig:
                 f"observation period must be a positive whole number of steps of dt {self.dt}, "
                 f"got {self.obs_policy.period}"
             )
+
+
+def _is_int_at_least(value, least: int) -> bool:
+    """Whether ``value`` is an integer, not a bool, of at least ``least``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
 def _steps(span: float, dt: float) -> int | None:
@@ -461,15 +471,18 @@ def _run(tables: _Tables, config: SimConfig) -> tuple[np.ndarray, list[int]]:
     disturbance envelope times the loop's push; only the rounding differs
     from evaluating the stages.
 
-    The uniforms form one stream, read in order: two jump draws per step,
-    then one per observation refreshed.  A chain jumps only when its draw
-    lies below its table's leave probability, so a step whose draws both
-    lie at or above the largest leave probability of their chain is no
-    event: modes hold, and so do the observations under ``OnChange``, and
-    under ``Periodic`` the draws sit at fixed positions in the stream.
-    Between events, numpy finds the loop indices of a run of steps from
-    tables made once per window of the stream (``_WINDOW``), and the Python
-    loop only takes the products.  An event step keeps the scalar rules.
+    Every step owns a fixed slot of the uniform stream.  Row 0 draws its two
+    observations; every later step s draws, from position 4s - 2, chain 1's
+    jump, chain 2's jump, chain 1's observation and chain 2's observation.
+    An observation draw is used only where its chain refreshes.  The
+    uniforms come in windows of steps (``_WINDOW``), held as rows of four,
+    one row per step.  A chain jumps only when its draw lies below its
+    table's leave probability, so a step whose jump draws both lie at or
+    above the largest leave probability of their chain is no event: modes
+    hold, and so do the observations under ``OnChange``.  Between events,
+    numpy finds the loop indices of a run of steps from tables made once
+    per window, and the Python loop only takes the products.  An event step
+    keeps the scalar rules.
 
     Regions are found a chunk of steps at a time.  A chunk runs with both
     regions held at their values at its start, then finds the regions of
@@ -478,13 +491,12 @@ def _run(tables: _Tables, config: SimConfig) -> tuple[np.ndarray, list[int]]:
     came from the previous row's loop, whose regions were the held ones,
     and its jumps were drawn against the regions the step started from,
     which are the held ones too.  Only its observation refresh read the
-    held regions, so it is redrawn from the same uniforms under the new
-    regions; an ``OnChange`` policy now refreshes both observations, since
-    the regions changed.  The rows past the cut are dropped, and the next
-    chunk starts from the cut row, so the uniforms are consumed exactly as
-    a per-step region check would consume them.  Row 0 is the cut row of a
-    first chunk of one row, with no regions held, so its observations are
-    drawn there as the refresh of step 0.
+    held regions, so it is redrawn from the row's own observation draws
+    under the new regions; an ``OnChange`` policy now refreshes both
+    observations, since the regions changed.  The rows past the cut are
+    dropped, and the next chunk starts from the cut row.  Row 0 is the cut
+    row of a first chunk of one row, with no regions held, so its
+    observations are drawn there as the refresh of step 0.
 
     A chunk that holds a non-finite state raises NonFinite; numpy's overflow
     and invalid-value warnings are silenced, since that error reports them.
@@ -504,12 +516,6 @@ def _run(tables: _Tables, config: SimConfig) -> tuple[np.ndarray, list[int]]:
         envelope = (np.exp(-dist.decay * t) * np.sin(dist.frequency * t)).tolist()
     period = _steps(config.obs_policy.period, dt) if isinstance(config.obs_policy, Periodic) else 0
 
-    def pos(s):
-        """Stream position of the first draw of step(s) s >= 1, counting
-        two draws per step plus two per refresh under ``Periodic``; the
-        offset ``off`` adds the refreshes ``OnChange`` draws at events."""
-        return 2 * s + 2 * ((s - 1) // period) if period else 2 * s
-
     def observed(system, th, m):
         """The observation in force at each step of the window, times its
         stride, as drawn at the step's last refresh in mode ``th`` and
@@ -524,11 +530,9 @@ def _run(tables: _Tables, config: SimConfig) -> tuple[np.ndarray, list[int]]:
     th1, th2 = config.init_modes[0] - 1, config.init_modes[1] - 1
     k = (th1 * n2 + th2) * n1 * strides[0]
     rows, chunk_ks = [tables.x0], [k]
-    # (first step, offset) of each draw offset in force in the chunk, the
-    # offset being the stream position less ``pos``; the stream opens with
-    # row 0's two refresh draws.
-    offs = [(0, -2 - pos(0))]
-    u, base = rng.random(2), 0  # the window of uniforms, and its first's stream position
+    # The window of uniforms, row e - w0 holding step e's; row 0 has no
+    # jump draws.
+    u, w0 = np.append([np.nan, np.nan], rng.random(2)).reshape(1, 4), 0
     m1 = m2 = -1
     blocks, ks = [], []
     n, length = -1, 1
@@ -545,14 +549,9 @@ def _run(tables: _Tables, config: SimConfig) -> tuple[np.ndarray, list[int]]:
                 c = n + length
                 th1, th2 = divmod(k // (n1 * strides[0]), n2)
                 ob1, ob2 = k // strides[0] % n1, k // strides[1] % n2
-                # The cut row's draws rewind to the end of its jump draws; a
-                # refresh there is redrawn under the new regions.
-                q = next(o for first, o in reversed(offs) if first <= c) + pos(c) + 2 - base
                 if not period or c % period == 0:
-                    ob1 = _pick(emit1[m1][th1], u[q])
-                    ob2 = _pick(emit2[m2][th2], u[q + 1])
-                    q += 2
-                off = q + base - pos(c + 1)
+                    ob1 = _pick(emit1[m1][th1], u[c - w0, 2])
+                    ob2 = _pick(emit2[m2][th2], u[c - w0, 3])
                 k = ((((th1 * n2 + th2) * n1 + ob1) * n2 + ob2) * r1 + m1) * r2 + m2
                 chunk_ks[cut] = k
                 del chunk_ks[length:]
@@ -568,50 +567,36 @@ def _run(tables: _Tables, config: SimConfig) -> tuple[np.ndarray, list[int]]:
                 break
             length = min(next_length, n_steps - n)
             s, end = n + 1, n + length + 1
-            if off + pos(s) + 4 * length > base + len(u):  # at most four draws per step
-                keep = off + pos(s) - base
-                u = np.concatenate([u[keep:], rng.random(4 * max(length, min(_WINDOW, n_steps - n)))])
-                base += keep
+            if end > w0 + len(u):
+                # The next window keeps the rows from step s on and draws
+                # the rest up to _WINDOW steps, or the chunk, or the horizon.
+                fresh = min(n_steps + 1, s + max(length, _WINDOW)) - w0 - len(u)
+                u = np.concatenate([u[s - w0 :], rng.random(4 * fresh).reshape(fresh, 4)])
+                w0 = s
+                events = (w0 + np.flatnonzero((u[:, 0] < leave1) | (u[:, 1] < leave2))).tolist()
                 if period:
-                    # The steps whose draws the window holds, their jump
-                    # draws, and the draws of their last refresh.
-                    window = np.arange(s, min(n_steps, s + len(u) // 2) + 1)
-                    at = pos(window) - base
-                    held = np.searchsorted(at, len(u) - 4, side="right")
-                    window, at = window[:held], at[:held]
-                    events = window[(u[at] < leave1) | (u[at + 1] < leave2)].tolist()
-                    last = np.maximum(pos(window // period * period) + 2 - base, 0)
-                    seen, cache, w0 = (u[last], u[last + 1]), {}, s
-                else:
-                    # Pair j of parity b is the draws at b + 2j and b + 2j + 1.
-                    pairs = [
-                        np.flatnonzero((u[b : len(u) - 1 : 2] < leave1) | (u[b + 1 :: 2] < leave2)).tolist()
-                        for b in (0, 1)
-                    ]
+                    # The observation draws of each step's last refresh.
+                    last = np.maximum(np.arange(w0, w0 + len(u)) // period * period - w0, 0)
+                    seen, cache = (u[last, 2], u[last, 3]), {}
             # Regions held: each chain jumps by its partner's region, and
             # each observation is drawn in its own system's region.
             jump1, jump2, held1, held2 = jumps1[m2], jumps2[m1], emit1[m1], emit2[m2]
             cell = m1 * r2 + m2
-            rows, chunk_ks, offs = [], [], [(s, off)]
+            rows, chunk_ks = [], []
             while s < end:
                 # e: the chunk's end, or the next step whose draws may jump.
-                if period:
-                    key, found = s, events
-                else:
-                    key, found = (off + pos(s) - base) // 2, pairs[(off - base) % 2]
-                i = bisect_left(found, key)
-                e = min(end, s + found[i] - key) if i < len(found) else end
-                if period:
-                    # Observations hold until the run's first refresh step a.
-                    a = min(s + -s % period, e)
-                    seg = [k] * (a - s) + (
+                i = bisect_left(events, s)
+                e = min(end, events[i]) if i < len(events) else end
+                # Observations hold until the run's first refresh step a.
+                a = min(s + -s % period, e) if period else e
+                seg = [k] * (a - s)
+                if a < e:
+                    seg += (
                         observed(0, th1, m1)[a - w0 : e - w0]
                         + observed(1, th2, m2)[a - w0 : e - w0]
                         + (th1 * n2 + th2) * n1 * strides[0]
                         + cell
                     ).tolist()
-                else:
-                    seg = [k] * (e - s)
                 # Each row's product is with the loop of the row before it.
                 loops = [k, *seg] if e < end else [k, *seg[:-1]]
                 for step, k in enumerate(loops, s):
@@ -623,9 +608,8 @@ def _run(tables: _Tables, config: SimConfig) -> tuple[np.ndarray, list[int]]:
                 if e == end:
                     k = seg[-1]
                     break
-                q = off + pos(e) - base
-                new1, new2 = _pick(jump1[th1], u[q]), _pick(jump2[th2], u[q + 1])
-                q += 2
+                jump_draw1, jump_draw2, obs_draw1, obs_draw2 = u[e - w0].tolist()
+                new1, new2 = _pick(jump1[th1], jump_draw1), _pick(jump2[th2], jump_draw2)
                 ob1, ob2 = k // strides[0] % n1, k // strides[1] % n2
                 if period:
                     refresh1 = refresh2 = e % period == 0
@@ -633,15 +617,11 @@ def _run(tables: _Tables, config: SimConfig) -> tuple[np.ndarray, list[int]]:
                     refresh1, refresh2 = new1 != th1, new2 != th2
                 th1, th2 = new1, new2
                 if refresh1:
-                    ob1 = _pick(held1[th1], u[q])
-                    q += 1
+                    ob1 = _pick(held1[th1], obs_draw1)
                 if refresh2:
-                    ob2 = _pick(held2[th2], u[q])
-                    q += 1
+                    ob2 = _pick(held2[th2], obs_draw2)
                 k = (((th1 * n2 + th2) * n1 + ob1) * n2 + ob2) * r1 * r2 + cell
                 chunk_ks.append(k)
-                off = q + base - pos(e + 1)
-                offs.append((e + 1, off))
                 s = e + 1
 
     return np.concatenate(blocks), ks
@@ -713,10 +693,11 @@ def estimate_stability(
     Run r's values are those of ``simulate`` under seed (config.seed, r),
     read from the kernel's states without building a ``Trace``.  A run
     whose functional exceeds the float range raises NonFinite naming the
-    run; no report then holds inf.
+    run; no report then holds inf.  An ``n_runs`` that is not an integer of
+    at least 1, a bool included, raises ValueError before any work.
     """
-    if n_runs < 1:
-        raise ValueError("need at least one run")
+    if not _is_int_at_least(n_runs, 1):
+        raise ValueError(f"n_runs must be an integer of at least 1, got {n_runs!r}")
     tables = _prepare(model, bank, config, x1_0, x2_0)
     nx1 = tables.split[0]
     t = np.arange(_steps(config.horizon, config.dt) + 1) * config.dt

@@ -156,6 +156,20 @@ class TestGainFiles:
                     assert np.array_equal(a, b)
                 assert again.s_values == fresh.s_values
 
+    def test_missing_gains_named_in_certificate_count(self, tmp_path, demo_bank):
+        # The P count of each system is that of the observations its gains
+        # name, so a file without system 1's observation-2 gains failed on
+        # the certificate alone, with no hint that the gains were short.
+        path = tmp_path / "gains.json"
+        save_bank(path, demo_bank)
+        doc = json.loads(path.read_text())
+        doc["gains"] = [e for e in doc["gains"] if (e["system"], e["observation"]) != (1, 2)]
+        path.write_text(json.dumps(doc))
+        message = ("certificate.P: wrong number of matrices: 5 given, one per observation the gains name: "
+                   "1 for system 1 and 3 for system 2")
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_bank(path)
+
     def test_duplicate_entry_rejected(self):
         doc = {
             "scheme": "distributed",

@@ -395,6 +395,11 @@ PERIOD_MESSAGE = "observation period must be a positive whole number of steps of
         (dict(obs_policy=Periodic(0.0005)), PERIOD_MESSAGE + "0.0005"),
         (dict(obs_policy=Periodic(1e-13)), PERIOD_MESSAGE + "1e-13"),
         (dict(seed=-1), "seed must be a nonnegative integer, got -1"),
+        (dict(seed=1.5), "seed must be a nonnegative integer, got 1.5"),
+        (dict(seed="a"), "seed must be a nonnegative integer, got 'a'"),
+        (dict(seed=True), "seed must be a nonnegative integer, got True"),
+        (dict(seed=(3, -1)), "seed must be a nonnegative integer, got (3, -1)"),
+        (dict(seed=(3, 1.0)), "seed must be a nonnegative integer, got (3, 1.0)"),
         (dict(obs_policy=Periodic(1e308)), PERIOD_MESSAGE + "1e+308"),
         (dict(horizon=1e308), "horizon must be a whole number of steps of dt 0.001, got 1e+308"),
         (dict(dt=1e-300, horizon=10.0), "horizon / dt must be at most 10000000 steps, got 10.0 / 1e-300"),
@@ -402,16 +407,36 @@ PERIOD_MESSAGE = "observation period must be a positive whole number of steps of
     ],
     ids=[
         "period-one-and-a-half-steps", "period-half-a-step", "period-no-step", "negative-seed",
+        "fractional-seed", "string-seed", "bool-seed", "negative-seed-entry", "float-seed-entry",
         "period-overflows", "horizon-overflows", "steps-far-over-cap", "one-step-over-cap",
     ],
 )
 def test_unusable_config_rejected(settings, message):
-    # A period between whole steps ran as a neighbouring one, a negative
-    # seed failed inside numpy with a message that names no field, a step
-    # count that overflows raised OverflowError, and 1e301 finite steps
-    # were accepted.
+    # A period between whole steps ran as a neighbouring one, a negative,
+    # fractional or string seed failed inside numpy with a message that
+    # names no field, a step count that overflows raised OverflowError, and
+    # 1e301 finite steps were accepted.
     with pytest.raises(ValueError, match=re.escape(message)):
         SimConfig(**{"dt": 1e-3, "horizon": 1.0, **settings})
+
+
+def test_seed_tuples_and_numpy_integers_accepted():
+    # estimate_stability seeds run r with (seed, r).
+    for seed in ((3, 0), (), np.int64(3), 2**70):
+        assert SimConfig(dt=1e-3, horizon=1.0, seed=seed).seed == seed
+
+
+@pytest.mark.parametrize("n_runs", [0, -1, 1.5, True, "2", None],
+                         ids=["zero", "negative", "fraction", "bool", "string", "none"])
+def test_unusable_run_count_rejected(no_steps, n_runs):
+    # 1.5 raised a bare TypeError from range, and True returned a report
+    # with runs=True.
+    model = scalar_decay_model()
+    cfg = SimConfig(dt=1e-3, horizon=1.0)
+    with pytest.raises(KernelReached):
+        estimate_stability(model, zero_bank(model), cfg, np.int64(2), [1.0], [1.0])
+    with pytest.raises(ValueError, match=re.escape(f"n_runs must be an integer of at least 1, got {n_runs!r}")):
+        estimate_stability(model, zero_bank(model), cfg, n_runs, [1.0], [1.0])
 
 
 def test_step_cap_admits_its_bound():
@@ -529,10 +554,14 @@ def reference_simulate(model, bank, config, x1_0, x2_0):
             moved = (new_m1, new_m2) != (m1, m2)
             refresh1, refresh2 = new_th1 != th1 or moved, new_th2 != th2 or moved
         th1, th2, m1, m2 = new_th1, new_th2, new_m1, new_m2
+        # Both observations are drawn every step; a draw is kept only where
+        # its chain refreshes.
+        draw1 = sample_observation(rng, model.obs1.alpha(m1)[th1 - 1])
+        draw2 = sample_observation(rng, model.obs2.alpha(m2)[th2 - 1])
         if refresh1:
-            ob1 = sample_observation(rng, model.obs1.alpha(m1)[th1 - 1])
+            ob1 = draw1
         if refresh2:
-            ob2 = sample_observation(rng, model.obs2.alpha(m2)[th2 - 1])
+            ob2 = draw2
     return np.array(states), np.array(inputs), np.array(columns)
 
 
@@ -717,22 +746,15 @@ def test_horizon_shorter_than_first_chunk(demo, demo_bank):
     assert report.functional_per_run[0] == energy_functional(run0)
 
 
-def draw_starts(trace, period):
-    """The stream position of each step's first uniform, read off a trace of
-    the given ``Periodic`` period in steps, or of ``OnChange`` for 0: step 0
-    draws two observations; every later step two jumps and then one uniform
-    per observation it refreshes, both where its regions changed."""
-    moved = (np.diff(trace.region1) != 0) | (np.diff(trace.region2) != 0)
-    if period:
-        refreshes = 2 * (np.arange(1, len(trace)) % period == 0)
-    else:
-        refreshes = np.where(moved, 2, (np.diff(trace.mode1) != 0) * 1 + (np.diff(trace.mode2) != 0))
-    return np.concatenate([[0], 2 + np.cumsum(2 + refreshes) - (2 + refreshes)])
+def draw_starts(trace):
+    """The stream position of each step's first uniform: step 0 draws its two
+    observations, and every later step s four uniforms from 4s - 2."""
+    return np.concatenate([[0], 4 * np.arange(1, len(trace)) - 2])
 
 
-@pytest.mark.parametrize("policy, period", [(OnChange(), 0), (Periodic(1e-3), 1), (Periodic(3e-3), 3)],
+@pytest.mark.parametrize("policy", [OnChange(), Periodic(1e-3), Periodic(3e-3)],
                          ids=["onchange", "periodic", "periodic-3-steps"])
-def test_draw_window_does_not_change_the_trace(monkeypatch, demo, demo_bank, policy, period):
+def test_draw_window_does_not_change_the_trace(monkeypatch, demo, demo_bank, policy):
     # Uniforms are drawn and tabulated a window of steps at a time.  With
     # chunks of four steps, a window of one step puts a seam between two
     # ``random`` calls every four to eight steps, and one longer than the run
@@ -761,7 +783,7 @@ def test_draw_window_does_not_change_the_trace(monkeypatch, demo, demo_bank, pol
         monkeypatch.setattr(np.random, "Generator", Recording)
         traces.append(simulate(model, demo_bank, cfg, x1_0, x2_0))
         if window == 1:
-            seam_steps = np.searchsorted(draw_starts(traces[0], period), seams, side="right") - 1
+            seam_steps = np.searchsorted(draw_starts(traces[0]), seams, side="right") - 1
         reports.append(estimate_stability(model, demo_bank, cfg, 2, x1_0, x2_0))
         monkeypatch.undo()
     # A jump and a region cut each land within three steps after a seam.
@@ -774,6 +796,34 @@ def test_draw_window_does_not_change_the_trace(monkeypatch, demo, demo_bank, pol
         for name in TRACE_FIELDS:
             assert np.array_equal(getattr(trace, name), getattr(traces[0], name)), name
         assert report == reports[0]
+
+
+def test_mode_paths_do_not_depend_on_the_policy(demo, demo_bank):
+    # Each step draws both jumps and both observations whatever the policy
+    # uses, so in a single region, where no state feeds back into the jump
+    # tables, every policy sees the same jump draws and the same mode paths.
+    # OnChange drew only the observations it refreshed, so its jump draws
+    # drifted away from Periodic's after the first jump.  The model is the
+    # demo in region pair (1, 1), its rates scaled up by 100.
+    model = dataclasses.replace(
+        demo,
+        part1=RegionPartition(()),
+        part2=RegionPartition(()),
+        rates1=RateFamily((100.0 * demo.rates1.matrices[0],)),
+        rates2=RateFamily((100.0 * demo.rates2.matrices[0],)),
+        obs1=ObservationModel(demo.obs1.alphas[:1]),
+        obs2=ObservationModel(demo.obs2.alphas[:1]),
+    )
+    bank = ControllerBank(Scheme.DISTRIBUTED, {key: g for key, g in demo_bank.gains.items() if key[2] == (1, 1)}, {})
+    x1_0, x2_0 = np.array([1.0, -2.5]), np.array([0.5, 1.5, -2.0])
+    traces = [
+        simulate(model, bank, SimConfig(dt=1e-3, horizon=2.0, seed=5, obs_policy=policy), x1_0, x2_0)
+        for policy in (OnChange(), Periodic(1e-3), Periodic(3e-3))
+    ]
+    for name in ("mode1", "mode2"):
+        assert np.count_nonzero(np.diff(getattr(traces[0], name))) >= 2, f"{name} jumps less than twice"
+        for trace in traces[1:]:
+            assert np.array_equal(getattr(trace, name), getattr(traces[0], name)), name
 
 
 class TestDivergence:
