@@ -29,13 +29,7 @@ from .fileio import (
 from .lmi import LmiProblem, LmiSolution, SolveStatus
 from .model import compose_integrated
 from .sim import OnChange, Periodic, SimConfig, estimate_stability, simulate
-from .synthesis import (
-    PSI_MARGIN,
-    Scheme,
-    certify_gains,
-    check_bank,
-    synthesize,
-)
+from .synthesis import Scheme, certify_gains, check_bank, synthesize
 
 __all__ = ["main", "run"]
 
@@ -76,12 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="check a gain bank against a model")
     p_cert.add_argument("model")
     p_cert.add_argument("gains")
-    p_cert.add_argument(
-        "--delta",
-        type=float,
-        default=PSI_MARGIN,
-        help=f"margin the closed-loop forms must clear (default {PSI_MARGIN:g})",
-    )
 
     # The arguments simulate and montecarlo share.
     shared = argparse.ArgumentParser(add_help=False)
@@ -180,13 +168,11 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    if not 0.0 < args.delta < math.inf:
-        raise ParseError(f"--delta: must be positive and finite, got {args.delta}")
     model = load_model(args.model)
     bank = load_bank(args.gains)
 
     # compose_integrated validates the model before check_bank reads it.
-    cert = certify_gains(compose_integrated(model), check_bank(model, bank), delta=args.delta)
+    cert = certify_gains(compose_integrated(model), check_bank(model, bank))
 
     print("closed-loop form max eigenvalues (mode, regions):")
     for key in sorted(cert.psi_max):

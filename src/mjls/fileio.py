@@ -142,7 +142,7 @@ def model_from_dict(doc) -> InterdependentModel:
     )
 
 
-def model_to_dict(model: InterdependentModel, notes: str | None = None) -> dict:
+def model_to_dict(model: InterdependentModel) -> dict:
     def system(sys: JumpLinearSystem) -> dict:
         return {
             "modes": [
@@ -150,7 +150,7 @@ def model_to_dict(model: InterdependentModel, notes: str | None = None) -> dict:
             ]
         }
 
-    doc = {
+    return {
         "system1": system(model.sys1),
         "system2": system(model.sys2),
         "partition1": {"thresholds": list(model.part1.thresholds)},
@@ -160,9 +160,6 @@ def model_to_dict(model: InterdependentModel, notes: str | None = None) -> dict:
         "obs1": [a.tolist() for a in model.obs1.alphas],
         "obs2": [a.tolist() for a in model.obs2.alphas],
     }
-    if notes is not None:
-        doc["notes"] = notes
-    return doc
 
 
 def _load_json(path, from_dict):
@@ -187,8 +184,8 @@ def load_model(path) -> InterdependentModel:
     return _load_json(path, model_from_dict)
 
 
-def save_model(path, model: InterdependentModel, notes: str | None = None) -> None:
-    atomic_write_text(path, canonical_json(model_to_dict(model, notes)))
+def save_model(path, model: InterdependentModel) -> None:
+    atomic_write_text(path, canonical_json(model_to_dict(model)))
 
 
 def bank_to_dict(bank: ControllerBank) -> dict:

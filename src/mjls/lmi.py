@@ -68,6 +68,10 @@ _CERT_TRACE_TOL = 1e-12
 # Gram products, in batches of at most this many entries, which bounds its
 # temporaries.
 _SCHUR_BATCH = 1 << 14
+# The solver ends in ITERATION_LIMIT after this many iterations, a guard
+# against an iteration that never decides; the bundled problems decide in
+# at most 17.
+_MAX_ITERATIONS = 20000
 
 
 @dataclass(frozen=True)
@@ -733,12 +737,12 @@ def _newton_step(mm: _MaxMargin, y: np.ndarray, x: np.ndarray, s: np.ndarray):
     return y + step_s * dy, x + step_x * np.concatenate([v.ravel() for v in dx]), s + step_s * ds
 
 
-def solve_feasibility(problem: LmiProblem, max_iter: int = 20000) -> LmiSolution:
+def solve_feasibility(problem: LmiProblem) -> LmiSolution:
     """Decide the problem by a primal-dual interior-point method on its
     max-margin problem (see ``_MaxMargin`` and ``_iterates``).
 
     Every iterate is judged, from the starting point (iteration 0) to
-    iteration ``max_iter``:
+    iteration ``_MAX_ITERATIONS``:
 
     - FEASIBLE when tau > 0 and the point z / tau meets every margin, each
       constraint's smallest eigenvalue of H at least delta, judged by one
@@ -747,16 +751,15 @@ def solve_feasibility(problem: LmiProblem, max_iter: int = 20000) -> LmiSolution
       scaled to trace 1, passes :func:`check_infeasibility_certificate`
       (tried once the solver's own residual estimate is small enough); the
       certificate is returned with the iterate's z;
-    - ITERATION_LIMIT after ``max_iter`` iterations, or earlier when the
-      iteration ends (see ``_iterates``); the last iterate's z is returned.
+    - ITERATION_LIMIT after ``_MAX_ITERATIONS`` iterations, or earlier
+      when the iteration ends (see ``_iterates``); the last iterate's z is
+      returned.
 
     Every F0 of the synthesis problems is zero, so z / tau there is the
     iterate's z scaled to a binding margin of a few delta (1.6 to 2.4 delta
     on the bundled problems).  The margins returned are those of the
     returned z.  Deterministic for fixed inputs.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     n_neg = len(problem.neg)
     nv = problem.layout.size
     mm = _max_margin(problem)
@@ -792,7 +795,7 @@ def solve_feasibility(problem: LmiProblem, max_iter: int = 20000) -> LmiSolution
             certificate = _certificate(problem, mm, x, residual)
             if certificate is not None:
                 return result(SolveStatus.INFEASIBLE, z.copy(), lowest(z), certificate)
-            if iterations == max_iter:
+            if iterations == _MAX_ITERATIONS:
                 break
     return result(SolveStatus.ITERATION_LIMIT, z.copy(), lowest(z))
 

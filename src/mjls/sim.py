@@ -118,9 +118,11 @@ class SimConfig:
     init_modes: tuple[int, int] = (1, 1)
 
     def __post_init__(self):
-        entropy = self.seed if isinstance(self.seed, tuple) else (self.seed,)
-        if not all(_is_int_at_least(e, 0) for e in entropy):
+        if not all(_is_int_at_least(e, 0) for e in _entropy(self.seed)):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        modes = self.init_modes
+        if not (isinstance(modes, tuple) and len(modes) == 2 and all(_is_int_at_least(i, 1) for i in modes)):
+            raise ValueError(f"initial modes must be a pair of integers of at least 1, got {modes!r}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (math.isfinite(self.horizon) and self.horizon >= 0.0):
@@ -135,6 +137,11 @@ class SimConfig:
                 f"observation period must be a positive whole number of steps of dt {self.dt}, "
                 f"got {self.obs_policy.period}"
             )
+
+
+def _entropy(seed) -> tuple:
+    """A seed's entropy words: the tuple itself, or the one integer."""
+    return seed if isinstance(seed, tuple) else (seed,)
 
 
 def _is_int_at_least(value, least: int) -> bool:
@@ -322,6 +329,9 @@ def _prepare(model: InterdependentModel, bank: ControllerBank, config: SimConfig
     x2 = np.asarray(x2_0, dtype=float)
     if x1.shape != (s1.state_dim,) or x2.shape != (s2.state_dim,):
         raise DimensionMismatch(f"initial states must have dimensions {s1.state_dim} and {s2.state_dim}")
+    for name, x in (("x1_0", x1), ("x2_0", x2)):
+        if not np.all(np.isfinite(x)):
+            raise NonFinite(f"initial state {name}: entries must be finite, got {x.tolist()}")
     n1, n2 = s1.mode_count, s2.mode_count
     if not (1 <= config.init_modes[0] <= n1 and 1 <= config.init_modes[1] <= n2):
         raise ValueError(f"initial modes must lie in 1..{n1} and 1..{n2}, got {config.init_modes}")
@@ -687,14 +697,17 @@ def estimate_stability(
 ) -> MonteCarloReport:
     """Monte Carlo estimate of the truncated energy functional.
 
-    Each run gets its own generator seeded from (config.seed, run index),
-    so the report is reproducible and order-independent.  The bank is
-    checked and the closed loops tabulated once, before the first run.
-    Run r's values are those of ``simulate`` under seed (config.seed, r),
-    read from the kernel's states without building a ``Trace``.  A run
-    whose functional exceeds the float range raises NonFinite naming the
-    run; no report then holds inf.  An ``n_runs`` that is not an integer of
-    at least 1, a bool included, raises ValueError before any work.
+    Run r gets its own generator, seeded with the master seed's entropy
+    words with r appended: (seed, r) for an integer seed, (*seed, r) for a
+    tuple.  So the report is reproducible and order-independent.  numpy's
+    ``SeedSequence`` ignores trailing zero words, so run 0 draws as the
+    master seed itself: (3, 4, 0) draws as (3, 4).  The bank is checked and
+    the closed loops tabulated once, before the first run.  Run r's values
+    are those of ``simulate`` under that seed, read from the kernel's states
+    without building a ``Trace``.  A run whose functional exceeds the float
+    range raises NonFinite naming the run; no report then holds inf.  An
+    ``n_runs`` that is not an integer of at least 1, a bool included,
+    raises ValueError before any work.
     """
     if not _is_int_at_least(n_runs, 1):
         raise ValueError(f"n_runs must be an integer of at least 1, got {n_runs!r}")
@@ -706,9 +719,7 @@ def estimate_stability(
     halves = []
     terminals = []
     for run in range(n_runs):
-        # Composite entropy (master seed, run index) gives independent,
-        # reproducible streams; SeedSequence accepts the tuple directly.
-        x_arr, _ = _run(tables, replace(config, seed=(config.seed, run)))
+        x_arr, _ = _run(tables, replace(config, seed=(*_entropy(config.seed), run)))
         x1, x2 = x_arr[:, :nx1], x_arr[:, nx1:]
         full, at_half = _functionals(x1, x2, t, weights, f"run {run}")
         functionals.append(full)

@@ -126,12 +126,11 @@ class Certificate:
 
     ``psi_max`` maps (mode, region-key) to the largest eigenvalue of the
     evaluated quadratic form; ``certified`` means every one of those
-    eigenvalues is at most ``-delta`` and every P is positive definite.
+    eigenvalues is at most ``-PSI_MARGIN`` and every P is positive definite.
     """
 
     p_matrices: tuple[np.ndarray, ...]
     psi_max: dict
-    delta: float
     certified: bool
     s_values: tuple[float, ...]
 
@@ -341,7 +340,7 @@ def build_psi(
     return _form(model.system, _integrated_cell(model, m), gains, p_matrices, i, s)
 
 
-def _certificate(target: _Target, bank: ControllerBank, lyapunov: Lyapunov, delta: float) -> Certificate:
+def _certificate(target: _Target, bank: ControllerBank, lyapunov: Lyapunov) -> Certificate:
     """Evaluate every closed-loop form of a target's bank gains under P; a
     form that overflows has largest eigenvalue +inf, so it fails."""
     p_matrices, s_values = lyapunov.p_matrices, lyapunov.s_values
@@ -357,13 +356,12 @@ def _certificate(target: _Target, bank: ControllerBank, lyapunov: Lyapunov, delt
     tops = np.full(len(forms), np.inf)
     tops[finite] = np.linalg.eigh(forms[finite])[0][:, -1]
     psi_max = {key: float(top) for key, top in zip(keys, tops)}
-    certified = all(v <= -delta for v in psi_max.values()) and all(
+    certified = all(v <= -PSI_MARGIN for v in psi_max.values()) and all(
         np.linalg.eigh(p)[0][0] > 0.0 for p in p_matrices
     )
     return Certificate(
         p_matrices=p_matrices,
         psi_max=psi_max,
-        delta=delta,
         certified=certified,
         s_values=s_values,
     )
@@ -634,29 +632,25 @@ def _check_lyapunov(k: int, modes: int, n: int, p_matrices: Sequence[np.ndarray]
             raise NonSymmetric(f"{where} is not symmetric within {tol:g} (deviation {deviation:.3e})")
 
 
-def certify_gains(
-    model: IntegratedModel,
-    bank: ControllerBank,
-    delta: float = PSI_MARGIN,
-) -> Certificate:
+def certify_gains(model: IntegratedModel, bank: ControllerBank) -> Certificate:
     """Certify a joint gain bank on the integrated system: return the bank's
-    candidate (P, s) if it certifies the gains at ``delta``, else search for
-    Lyapunov matrices.  With the gains fixed the forms are affine in the
-    P_i, the disturbance term entering through a Schur companion block.
-    The direct evaluation of the forms decides the certified flag, whatever
-    the solver claimed; infeasibility is reported through
-    ``certified=False``, never raised.  Full-information banks are checked
-    against identity emissions, since that controller reads the true mode."""
+    candidate (P, s) if it certifies the gains at ``PSI_MARGIN``, else
+    search for Lyapunov matrices.  With the gains fixed the forms are affine
+    in the P_i, the disturbance term entering through a Schur companion
+    block; the search problem is homogeneous in (P, r), so its margin sets
+    only the scale of the P it finds.  The direct evaluation of the forms
+    decides the certified flag, whatever the solver claimed; infeasibility
+    is reported through ``certified=False``, never raised.  Full-information
+    banks are checked against identity emissions, since that controller
+    reads the true mode."""
     if bank.scheme is Scheme.FULL_INFORMATION:
         model = _with_identity_obs(model)
     _validate_integrated(model)
-    if not delta > 0.0:
-        raise ValueError("margin delta must be positive")
     target = _integrated_target(model)
     candidate = bank.lyapunov.get(0)
     if candidate is not None:
         _check_lyapunov(0, model.system.mode_count, model.system.state_dim, candidate.p_matrices)
-        cert = _certificate(target, bank, candidate, delta)
+        cert = _certificate(target, bank, candidate)
         if cert.certified:
             return cert
     sys = target.system
@@ -687,25 +681,21 @@ def certify_gains(
             neg.append(b.build())
             neg_labels.append(f"mode {i}, {cell.label}")
 
-    problem = _close_problem(target, layout, neg, neg_labels, delta, "P", "r")
+    problem = _close_problem(target, layout, neg, neg_labels, PSI_MARGIN, "P", "r")
     solution = solve_feasibility(problem)
 
     p_matrices = tuple(solution.variable(("P", i)) for i in target.modes)
     s_values = tuple(1.0 / solution.variable(("r", i)) if i in s_modes else 1.0 for i in target.modes)
-    return _certificate(target, bank, Lyapunov(p_matrices, s_values), delta)
+    return _certificate(target, bank, Lyapunov(p_matrices, s_values))
 
 
-def check_corollary(
-    model: InterdependentModel,
-    bank: ControllerBank,
-    delta: float = PSI_MARGIN,
-) -> Certificate:
+def check_corollary(model: InterdependentModel, bank: ControllerBank) -> Certificate:
     """Verify that a distributed bank stabilizes the integrated system:
     ``certify_gains`` of the joint bank ``check_bank`` returns, with the
     bank read as distributed whatever its scheme, so a joint bank is
     refused."""
     distributed = ControllerBank(Scheme.DISTRIBUTED, bank.gains, bank.lyapunov)
-    return certify_gains(compose_integrated(model), check_bank(model, distributed), delta)
+    return certify_gains(compose_integrated(model), check_bank(model, distributed))
 
 
 @dataclass(frozen=True)
@@ -717,10 +707,6 @@ class SynthesisOutcome:
     solutions: tuple[LmiSolution, ...]
     problems: tuple[LmiProblem, ...]
     certificate: Certificate | None
-
-    @property
-    def feasible(self) -> bool:
-        return all(s.status is SolveStatus.FEASIBLE for s in self.solutions)
 
     @property
     def worst_status(self) -> SolveStatus:
@@ -755,5 +741,5 @@ def synthesize(model: InterdependentModel, scheme: Scheme, *, decay: float = 0.0
         bank = recover_gains(solutions, model, scheme)
     else:
         bank = recover_gains(solutions[0], integ, scheme)
-    certificate = certify_gains(integ, check_bank(model, bank), PSI_MARGIN)
+    certificate = certify_gains(integ, check_bank(model, bank))
     return SynthesisOutcome(bank, solutions, problems, certificate)

@@ -95,7 +95,7 @@ class TestCriterion2:
             detail = "no feasible distributed bank exists for the repaired fixture"
             _report(2, False, detail)
             pytest.fail(detail)
-        cert = check_corollary(example_model(), bank, delta=1e-8)
+        cert = check_corollary(example_model(), bank)
         ok = cert.certified and len(cert.psi_max) == 36
         _report(2, ok, f"worst form eigenvalue {cert.worst:.3e}")
         assert ok

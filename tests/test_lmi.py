@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mjls import lmi
 from mjls.errors import DimensionMismatch, NonFinite, NonSymmetric
 from mjls.lmi import (
     AffineMatrixMap,
@@ -257,13 +258,13 @@ class TestSolveFeasibility:
             scalar_problem(delta)
 
     def test_one_dimensional(self):
-        sol = solve_feasibility(scalar_problem(0.5), 100)
+        sol = solve_feasibility(scalar_problem(0.5))
         assert sol.status is SolveStatus.FEASIBLE
         assert sol.z[0] <= -0.5 + 1e-9
         assert sol.neg_margins[0] <= -0.5 + 1e-9
 
     def test_contradictory_pair_never_feasible(self):
-        sol = solve_feasibility(contradictory_pair(), 5000)
+        sol = solve_feasibility(contradictory_pair())
         assert sol.status in (SolveStatus.INFEASIBLE, SolveStatus.ITERATION_LIMIT)
         assert sol.worst_violation > 0.0
 
@@ -276,7 +277,7 @@ class TestSolveFeasibility:
 
         def run():
             prob = LmiProblem(lay, [neg], [pos], delta=1e-3)
-            return solve_feasibility(prob, 2000)
+            return solve_feasibility(prob)
 
         s1, s2 = run(), run()
         assert s1.status is SolveStatus.FEASIBLE
@@ -298,7 +299,7 @@ class TestSolveFeasibility:
         )
         pos = MapBuilder(3, lay).linear("X").build()
         prob = LmiProblem(lay, [neg], [pos], delta=1e-4)
-        sol = solve_feasibility(prob, 5000)
+        sol = solve_feasibility(prob)
         assert sol.status is SolveStatus.FEASIBLE
         for amap, reported, kind in ((neg, sol.neg_margins[0], "neg"), (pos, sol.pos_margins[0], "pos")):
             eig = np.linalg.eigvalsh(evaluate(amap, sol.z))
@@ -323,21 +324,21 @@ class TestSolveFeasibility:
             neg = MapBuilder(n, lay).linear("X", left=a, mirror=True).build()
             pos = MapBuilder(n, lay).linear("X").build()
             prob = LmiProblem(lay, [neg], [pos], delta=1e-4)
-            sol = solve_feasibility(prob, 5000)
+            sol = solve_feasibility(prob)
             assert sol.status is SolveStatus.FEASIBLE
             x = sol.variable("X")
             assert np.linalg.eigvalsh(a @ x + x @ a.T).max() <= -prob.delta + 1e-9
             assert np.linalg.eigvalsh(x).min() >= prob.delta - 1e-9
 
     def test_infeasible_reports_best_point(self):
-        sol = solve_feasibility(contradictory_pair(), 5000)
+        sol = solve_feasibility(contradictory_pair())
         assert len(sol.margins) == 2
         assert sol.iterations <= 5000
 
     def test_mixed_blocks_margins_in_constraint_order(self):
         prob = mixed_problem()
         neg, pos = prob.neg, prob.pos
-        sol = solve_feasibility(prob, 5000)
+        sol = solve_feasibility(prob)
         assert sol.status is SolveStatus.FEASIBLE
         assert len(sol.neg_margins) == len(neg) and len(sol.pos_margins) == len(pos)
         for amap, reported in zip(neg, sol.neg_margins):
@@ -423,7 +424,7 @@ class TestPieces:
         # iteration as with the pieces entered as constraints.
         whole, separate = jump_problem(False), jump_problem(True)
         assert piece_sizes(whole) == piece_sizes(separate) == [(2, 5), (4, 2), (6, 1)]
-        a, b = solve_feasibility(whole, 5000), solve_feasibility(separate, 5000)
+        a, b = solve_feasibility(whole), solve_feasibility(separate)
         assert a.status is b.status is SolveStatus.FEASIBLE
         assert a.iterations == b.iterations == 6
         assert np.linalg.norm(a.z - b.z) <= 1e-12 * np.linalg.norm(b.z)
@@ -431,7 +432,7 @@ class TestPieces:
     def test_margins_are_extremes_over_pieces(self):
         prob = split_problem()
         assert piece_sizes(prob) == [(1, 2), (2, 4)]
-        sol = solve_feasibility(prob, 100)
+        sol = solve_feasibility(prob)
         assert sol.status is SolveStatus.FEASIBLE
         blocks = [evaluate(m, sol.z) for m in (*prob.neg, *prob.pos)]
         eigs = [np.linalg.eigvalsh(block) for block in blocks]
@@ -493,15 +494,16 @@ class TestInteriorPoint:
         assert abs(y[-1] - 0.5) <= 1e-9 and abs(y[0] + 1.0) <= 1e-8
 
     @pytest.mark.parametrize("make", [split_problem, lambda: jump_problem(False), mixed_problem], ids=["split", "jump", "mixed"])
-    def test_cap_returns_the_iterate_it_stops_at(self, make):
+    def test_cap_returns_the_iterate_it_stops_at(self, monkeypatch, make):
         # A cap below the verdict's iteration returns that iterate; any other
         # cap returns the verdict bit for bit.
         prob = make()
-        ref = solve_feasibility(prob, 5000)
+        ref = solve_feasibility(prob)
         assert ref.status is SolveStatus.FEASIBLE
         zs = [y[: prob.layout.size].copy() for y, _, _ in _iterates(_max_margin(prob))]
         for cap in range(1, ref.iterations + 2):
-            sol = solve_feasibility(prob, cap)
+            monkeypatch.setattr(lmi, "_MAX_ITERATIONS", cap)
+            sol = solve_feasibility(prob)
             if cap < ref.iterations:
                 assert (sol.status, sol.iterations) == (SolveStatus.ITERATION_LIMIT, cap)
                 assert sol.z.tobytes() == zs[cap].tobytes()
@@ -525,7 +527,7 @@ class TestInteriorPoint:
             return cholesky(a)
 
         monkeypatch.setattr(np.linalg, "cholesky", failing)
-        sol = solve_feasibility(prob, 5000)
+        sol = solve_feasibility(prob)
         assert (sol.status, sol.iterations) == (SolveStatus.ITERATION_LIMIT, 2)
         assert sol.z.tobytes() == zs[2].tobytes()
         assert sol.certificate is None
@@ -575,7 +577,7 @@ class TestInteriorPoint:
         neg = MapBuilder(1, lay).const([[1e308]]).scalar("s", [[1.0]]).build()
         pos = MapBuilder(1, lay).const([[-1e308]]).scalar("s", [[1.0]]).build()
         with pytest.raises(NonFinite):
-            solve_feasibility(LmiProblem(lay, [neg], [pos], delta=1.0), 10)
+            solve_feasibility(LmiProblem(lay, [neg], [pos], delta=1.0))
 
 
 class TestInfeasibilityCertificate:
@@ -620,7 +622,7 @@ class TestInfeasibilityCertificate:
     @pytest.mark.parametrize("make", [contradictory_pair, lambda: scalar_pair(0.1), lambda: contradictory_pair_2x2()], ids=["1x1", "scalar", "2x2"])
     def test_solver_certificate_checks_again(self, make):
         prob = make()
-        sol = solve_feasibility(prob, 100)
+        sol = solve_feasibility(prob)
         assert sol.status is SolveStatus.INFEASIBLE and sol.certificate is not None
         again = check_infeasibility_certificate(prob, sol.certificate.blocks)
         assert (again.rho, again.offset, again.bound) == (sol.certificate.rho, sol.certificate.offset, sol.certificate.bound)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mjls import cli
+from mjls import cli, lmi
 from mjls.cli import main
 from mjls.fileio import load_bank, load_model
 from mjls.lmi import solve_feasibility
@@ -39,7 +39,7 @@ def test_traced_name_is_a_function(module, name):
     assert inspect.isfunction(getattr(importlib.import_module(f"mjls.{module}"), name, None))
 
 
-def test_traced_call_attributes(demo, demo_bank):
+def test_traced_call_attributes(monkeypatch, demo, demo_bank):
     # What _attrs reads from lmi.solve_feasibility, sim.simulate and
     # sim.estimate_stability calls.
     problem, _ = build_distributed(demo)
@@ -51,7 +51,8 @@ def test_traced_call_attributes(demo, demo_bank):
         assert m.coeffs.ndim == m.var_idx.ndim == m.entries.ndim == 1
         assert len(m.coeffs) == len(m.var_idx) == len(m.entries)
         assert m.coeffs.dtype == np.float64
-    assert solve_feasibility(problem, 3).iterations == 3
+    monkeypatch.setattr(lmi, "_MAX_ITERATIONS", 3)
+    assert solve_feasibility(problem).iterations == 3
     config = SimConfig(dt=1e-3, horizon=0.01)
     x1, x2 = [1.0, 0.0], [0.0, 0.0, 1.0]
     assert len(simulate(demo, demo_bank, config, x1, x2)) - 1 == 10

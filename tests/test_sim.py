@@ -379,10 +379,18 @@ def test_non_finite_rate_rejected(demo, demo_bank, system, region, entry, value)
 )
 def test_unusable_start_or_partition_rejected(model, init_modes, message):
     # Modes and regions index the loop table, so one out of range would
-    # silently pick another loop.
-    cfg = SimConfig(dt=0.01, horizon=1.0, init_modes=init_modes)
+    # silently pick another loop.  Mode 0 is refused by the config itself.
     with pytest.raises(ValueError, match=message):
+        cfg = SimConfig(dt=0.01, horizon=1.0, init_modes=init_modes)
         simulate(model, zero_bank(model), cfg, [1.0], [1.0])
+
+
+@pytest.mark.parametrize("run", VERBS.values(), ids=VERBS.keys())
+@pytest.mark.parametrize("x1_0", [[math.nan, 0.0], [math.inf, 0.0]], ids=["nan", "inf"])
+def test_non_finite_initial_state_rejected(demo, demo_bank, no_steps, run, x1_0):
+    # Refused before any step, with a message naming the state.
+    with pytest.raises(NonFinite, match=re.escape(f"initial state x1_0: entries must be finite, got {x1_0}")):
+        run(demo, demo_bank, SimConfig(dt=1e-3, horizon=1.0), x1_0, [0.0, 0.0, 1.0])
 
 
 PERIOD_MESSAGE = "observation period must be a positive whole number of steps of dt 0.001, got "
@@ -400,6 +408,11 @@ PERIOD_MESSAGE = "observation period must be a positive whole number of steps of
         (dict(seed=True), "seed must be a nonnegative integer, got True"),
         (dict(seed=(3, -1)), "seed must be a nonnegative integer, got (3, -1)"),
         (dict(seed=(3, 1.0)), "seed must be a nonnegative integer, got (3, 1.0)"),
+        (dict(init_modes=(1.5, 1)), "initial modes must be a pair of integers of at least 1, got (1.5, 1)"),
+        (dict(init_modes=("1", 1)), "initial modes must be a pair of integers of at least 1, got ('1', 1)"),
+        (dict(init_modes=(True, 1)), "initial modes must be a pair of integers of at least 1, got (True, 1)"),
+        (dict(init_modes=(1, 1, 7)), "initial modes must be a pair of integers of at least 1, got (1, 1, 7)"),
+        (dict(init_modes=1), "initial modes must be a pair of integers of at least 1, got 1"),
         (dict(obs_policy=Periodic(1e308)), PERIOD_MESSAGE + "1e+308"),
         (dict(horizon=1e308), "horizon must be a whole number of steps of dt 0.001, got 1e+308"),
         (dict(dt=1e-300, horizon=10.0), "horizon / dt must be at most 10000000 steps, got 10.0 / 1e-300"),
@@ -408,6 +421,7 @@ PERIOD_MESSAGE = "observation period must be a positive whole number of steps of
     ids=[
         "period-one-and-a-half-steps", "period-half-a-step", "period-no-step", "negative-seed",
         "fractional-seed", "string-seed", "bool-seed", "negative-seed-entry", "float-seed-entry",
+        "fractional-mode", "string-mode", "bool-mode", "three-modes", "mode-not-a-pair",
         "period-overflows", "horizon-overflows", "steps-far-over-cap", "one-step-over-cap",
     ],
 )
@@ -889,6 +903,18 @@ class TestEstimateStability:
                 assert report.terminal_norms[run] == terminal
                 if isinstance(policy, OnChange):
                     assert np.any(np.diff(trace.region1) != 0) and np.any(np.diff(trace.region2) != 0)
+
+    def test_tuple_master_seed(self, demo, demo_bank):
+        # Run r appends r to the master seed's words, so a tuple seed runs
+        # as an integer one does.  SeedSequence ignores trailing zero words,
+        # so run 0 draws as the master seed itself.
+        x1_0, x2_0 = example_initial_state()
+        cfg = SimConfig(dt=1e-3, horizon=0.2, seed=(3, 4), obs_policy=Periodic(1e-3))
+        report = estimate_stability(demo, demo_bank, cfg, 2, x1_0, x2_0)
+        for run, seed in ((0, (3, 4, 0)), (0, (3, 4)), (1, (3, 4, 1))):
+            trace = simulate(demo, demo_bank, dataclasses.replace(cfg, seed=seed), x1_0, x2_0)
+            assert report.functional_per_run[run] == energy_functional(trace)
+        assert report.functional_per_run[0] != report.functional_per_run[1]
 
     def test_half_horizon_of_odd_step_count(self):
         # x' = -x from 1 over three steps: the half functional runs to
