@@ -429,6 +429,21 @@ class TestCheckCorollary:
         with pytest.raises(MissingGain, match="no gain for system 1"):
             check_corollary(demo, load_bank(CENTRALIZED_BANK))
 
+    @pytest.mark.parametrize("delta", [0.0, -1e6])
+    def test_non_positive_margin_rejected(self, demo, demo_bank, demo_integrated, delta):
+        # A candidate builds no LmiProblem, so a non-positive margin would let
+        # every form clear: the block-diagonal candidate of a zero-gain bank,
+        # and the certificate a joint bank carries.  No caller can pass one;
+        # the margin is the positive constant, and it refuses the zero gains.
+        zero = {key: np.zeros_like(g) for key, g in demo_bank.gains.items()}
+        bank = ControllerBank(Scheme.DISTRIBUTED, zero, demo_bank.lyapunov)
+        with pytest.raises(TypeError):
+            check_corollary(demo, bank, delta=delta)
+        with pytest.raises(TypeError):
+            certify_gains(demo_integrated, load_bank(CENTRALIZED_BANK), delta=delta)
+        assert PSI_MARGIN > 0.0
+        assert not check_corollary(demo, bank).certified
+
 
 def test_removed_settings_are_refused(tmp_path, demo, demo_integrated, demo_bank):
     # Certification's margin is PSI_MARGIN, the solver's cap is a module
