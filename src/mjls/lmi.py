@@ -64,9 +64,9 @@ _STEP_FRACTION = 0.95
 _CERT_RESIDUAL = 1e-9
 # How far a certificate's total trace may stray from 1 (rounding only).
 _CERT_TRACE_TOL = 1e-12
-# The Schur assembly builds each piece's dense coefficient stack, and their
-# Gram products, in batches of at most this many entries, which bounds its
-# temporaries.
+# The Schur assembly builds each piece's dense coefficient stack, and takes
+# their Gram products, in batches of at most this many entries, which bounds
+# its temporaries; the products are kept for the one sum into M.
 _SCHUR_BATCH = 1 << 14
 # The solver ends in ITERATION_LIMIT after this many iterations, a guard
 # against an iteration that never decides; the bundled problems decide in
@@ -438,6 +438,62 @@ def _group(rows, cols, vals, dim: int, span: slice, nvars: int) -> _Group:
     return _Group(dim, span, var, index[order], vals[sel][order], bounds)
 
 
+def _batches(g: _Group):
+    """The batches of a group's Schur assembly: pieces k0:k1 at a time, with
+    at most ``rows`` rows of their Gram products taken at once."""
+    d, (count, n) = g.dim, g.var.shape
+    step = max(1, _SCHUR_BATCH // (n * d * d))
+    for k0 in range(0, count, step):
+        k1 = min(count, k0 + step)
+        yield k0, k1, max(1, _SCHUR_BATCH // ((k1 - k0) * n))
+
+
+class _Scalars(NamedTuple):
+    """The 1x1 blocks of a flat vector, its entries ``span``, as one cone
+    whose blocks are handled elementwise.  Entry ``at[t]`` of the span has
+    coefficient ``value[t]``, sorted by entry, then variable.  Gram product
+    p pairs coefficients ``first[p]`` and ``second[p]`` of one entry, every
+    pair of each entry in row-major order."""
+
+    span: slice
+    at: np.ndarray
+    value: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+
+
+class _Cones(NamedTuple):
+    """The cones of a flat vector as the Schur assembly reads them: one
+    ``groups`` entry per piece dimension above 1, then the ``scalars``.
+    ``scatter[p]`` is the flat entry of M that Gram product p lands on, in
+    the order the assembly takes them."""
+
+    groups: list[_Group]
+    scalars: _Scalars
+    scatter: np.ndarray
+
+
+def _cones(rows, cols, vals, spans, scalars: slice, m: int) -> _Cones:
+    """The cones of the entries ``spans`` ((dim, span) per group) and
+    ``scalars`` of A', given as COO triples over m variables."""
+    groups = [_group(rows, cols, vals, dim, span, m) for dim, span in spans]
+    sel = np.flatnonzero((rows >= scalars.start) & (rows < scalars.stop))
+    at, var = rows[sel] - scalars.start, cols[sel]
+    order = np.lexsort((var, at))
+    at, var, value = at[order], var[order], vals[sel][order]
+    per_entry = np.bincount(at)
+    count, lead = per_entry[at], (np.cumsum(per_entry) - per_entry)[at]  # t's entry: coefficients, first one
+    first = np.repeat(np.arange(len(at)), count)
+    second = np.repeat(lead - (np.cumsum(count) - count), count) + np.arange(len(first))
+    scatter = []
+    for g in groups:
+        for k0, k1, rows in _batches(g):
+            v = g.var[k0:k1]
+            scatter += [(v[:, r0 : r0 + rows, None] * m + v[:, None, :]).ravel() for r0 in range(0, v.shape[1], rows)]
+    scatter.append(var[first] * m + var[second])
+    return _Cones(groups, _Scalars(scalars, at, value, first, second), np.concatenate(scatter))
+
+
 class _MaxMargin(NamedTuple):
     """The max-margin problem of an LmiProblem as a semidefinite program in
     dual form: maximize t over y = (z, tau, t) subject to
@@ -461,8 +517,9 @@ class _MaxMargin(NamedTuple):
     pieces are zero for every z.  Pieces are numbered in constraint order
     (neg maps, then pos maps); ``first[c]`` is the number of constraint c's
     first piece and ``first[-1]`` the piece count.  The flat vector holds
-    the pieces of each dimension next to each other, flattened row-major,
-    one group each (``groups``, whose last two are the 1x1 blocks);
+    the pieces of each dimension above 1 next to each other, flattened
+    row-major, one group each in order of first use, then the 1x1 pieces
+    and the two 1x1 blocks, which make up the scalar cone (``cones``);
     ``order`` holds the number of each piece in flat order, and flat entry
     k < len(h0) is entry ``source[k]`` of the constraint blocks stacked in
     constraint order, where H0 is ``h0[k]``.
@@ -480,7 +537,7 @@ class _MaxMargin(NamedTuple):
     vals: np.ndarray
     c: np.ndarray
     diag: np.ndarray
-    groups: list[_Group]
+    cones: _Cones
     null: np.ndarray
     null_rows: np.ndarray  # the variables the null directions involve
     h0: np.ndarray
@@ -501,17 +558,19 @@ class _MaxMargin(NamedTuple):
         return np.bincount(self.cols, self.vals * x[self.rows], minlength=self.size)
 
     def blocks(self, v: np.ndarray) -> list[np.ndarray]:
-        """The stacked blocks of each group, as views of a flat vector."""
-        return [v[g.span].reshape(-1, g.dim, g.dim) for g in self.groups]
+        """The stacked blocks of each group, then of the scalar cone, as
+        views of a flat vector; on a vector of the pieces alone, the scalar
+        cone holds the 1x1 pieces."""
+        return [v[g.span].reshape(-1, g.dim, g.dim) for g in self.cones.groups] + [
+            v[self.cones.scalars.span].reshape(-1, 1, 1)
+        ]
 
     def lowest(self, z: np.ndarray) -> np.ndarray:
         """The smallest eigenvalue of H(z) on each piece, in piece order:
         H0 - A'(z, 0, 0) on the pieces."""
         h = self.h0 - self.forward(np.concatenate([z, [0.0, 0.0]]))[: len(self.h0)]
         low = np.empty(len(self.order))
-        low[self.order] = np.concatenate(
-            [np.linalg.eigvalsh(h[g.span].reshape(-1, g.dim, g.dim))[:, 0] for g in self.groups[:-2]]
-        )
+        low[self.order] = np.concatenate([_lowest(v) for v in self.blocks(h)])
         return low
 
 
@@ -543,12 +602,12 @@ def _max_margin(problem: LmiProblem) -> _MaxMargin:
         for c, r in zip(members, root):
             parts[c] = [np.flatnonzero(r == i) for i in np.unique(r)]
     # Pieces are numbered in constraint order, each with its entries of the
-    # stacked blocks, and grouped by size in order of first use.
+    # stacked blocks, and grouped by size in order of first use, 1x1 last.
     first = np.cumsum([0] + [len(pieces) for pieces in parts])
     at = [base[c] + (r[:, None] * dim_of[c] + r).ravel() for c, pieces in enumerate(parts) for r in pieces]
     size = np.array([len(r) for pieces in parts for r in pieces])
     spans, order, start = [], [], 0
-    for dim in dict.fromkeys(size.tolist()):
+    for dim in sorted(dict.fromkeys(size.tolist()), key=lambda d: d == 1):
         order.append(np.flatnonzero(size == dim))
         spans.append((dim, slice(start, start + len(order[-1]) * dim * dim)))
         start = spans[-1][1].stop
@@ -575,18 +634,20 @@ def _max_margin(problem: LmiProblem) -> _MaxMargin:
     a_vals = np.concatenate([-lin, -h0_tau[at_tau], np.ones(len(at_diag)), [-delta, 1.0], norm_z[at_norm], [norm_tau]])
     c = np.zeros(nf + 2)
     c[-1] = 1.0
-    spans += [(1, slice(nf, nf + 1)), (1, slice(nf + 1, nf + 2))]
-    groups = [_group(a_rows, a_cols, a_vals, dim, span, nv + 2) for dim, span in spans]
-    null = np.pad(_null_space(rows, cols, -lin, groups[:-2], nv), ((0, 2), (0, 0)))  # tau and t take no part
+    matrices = [(dim, span) for dim, span in spans if dim > 1]
+    ones = slice(matrices[-1][1].stop if matrices else 0, nf)  # the 1x1 pieces
+    cones = _cones(a_rows, a_cols, a_vals, matrices, slice(ones.start, nf + 2), nv + 2)
+    null = np.pad(_null_space(rows, cols, -lin, matrices, ones, nv), ((0, 2), (0, 0)))  # tau and t take no part
     return _MaxMargin(
-        a_rows, a_cols, a_vals, c, diag, groups, null, np.flatnonzero(np.abs(null).sum(axis=1)),
+        a_rows, a_cols, a_vals, c, diag, cones, null, np.flatnonzero(np.abs(null).sum(axis=1)),
         h0, first, np.concatenate(order), source,
     )
 
 
-def _null_space(rows, cols, vals, pieces: list[_Group], m: int) -> np.ndarray:
+def _null_space(rows, cols, vals, spans, ones: slice, m: int) -> np.ndarray:
     """An orthonormal basis of the directions of z that no piece sees, given
-    the z triples of A' over the piece ``groups`` and m variables.
+    the z triples of A' over the pieces, the groups ``spans`` ((dim, span)
+    each) and the 1x1 pieces ``ones``, and m variables.
 
     These are the null directions of A' too (see _MaxMargin): a null
     direction (w_z, w_tau, w_t) has w_t = delta w_tau from the 1x1 block,
@@ -598,7 +659,7 @@ def _null_space(rows, cols, vals, pieces: list[_Group], m: int) -> np.ndarray:
     until none is left; the null space of L'L scaled to a unit diagonal is
     then found among the rest, usually none, and a variable no piece reads
     keeps scale 1."""
-    nf = pieces[-1].span.stop  # the flat entries of the pieces
+    nf = ones.stop  # the flat entries of the pieces
     alive = np.ones(m, dtype=bool)
     while len(rows):
         live = alive[cols]
@@ -611,9 +672,10 @@ def _null_space(rows, cols, vals, pieces: list[_Group], m: int) -> np.ndarray:
     if not len(rest):
         return np.zeros((m, 0))
     live, number = alive[cols], np.cumsum(alive) - 1
-    groups = [_group(rows[live], number[cols[live]], vals[live], g.dim, g.span, len(rest)) for g in pieces]
-    identity = [np.broadcast_to(np.eye(g.dim), (len(g.var), g.dim, g.dim)) for g in groups]
-    gram = _schur(groups, len(rest), identity, identity)
+    cones = _cones(rows[live], number[cols[live]], vals[live], spans, ones, len(rest))
+    identity = [np.broadcast_to(np.eye(g.dim), (len(g.var), g.dim, g.dim)) for g in cones.groups]
+    identity.append(np.ones((nf - ones.start, 1, 1)))
+    gram = _schur(cones, len(rest), identity, identity)
     norms = np.sqrt(gram.diagonal())
     scale = 1.0 / np.where(norms > 0.0, norms, 1.0)
     w, q = np.linalg.eigh(scale[:, None] * gram * scale)
@@ -622,43 +684,69 @@ def _null_space(rows, cols, vals, pieces: list[_Group], m: int) -> np.ndarray:
     return null
 
 
-def _schur(groups: list[_Group], m: int, lx: list[np.ndarray], us: list[np.ndarray]) -> np.ndarray:
+def _schur(cones: _Cones, m: int, lx: list[np.ndarray], us: list[np.ndarray]) -> np.ndarray:
     """M_ij = sum over blocks of tr(A_i X A_j S^-1) for m variables, given
-    each group's Cholesky factors X = lx lx' and inverse factors S^-1 =
-    us' us: the Gram matrix of the B_j = lx' A_j us', assembled piece by
-    piece in batches of at most _SCHUR_BATCH coefficient-stack entries and
-    Gram products."""
-    schur = np.zeros((m, m))
-    for g, lxg, usg in zip(groups, lx, us):
-        d, (count, n) = g.dim, g.var.shape
-        step = max(1, _SCHUR_BATCH // (n * d * d))
-        for k0 in range(0, count, step):
-            k1 = min(count, k0 + step)
+    the Cholesky factors X = lx lx' and inverse factors S^-1 = us' us of
+    each group, then of the scalar cone: the Gram matrix of the B_j = lx'
+    A_j us'.  Its products are taken piece by piece in the batches of
+    ``_batches`` (elementwise on the scalar cone) and summed into M by one
+    bincount over ``cones.scatter``, each entry in the order of the
+    products."""
+    gram = np.empty(len(cones.scatter))
+    done = 0
+    for g, lxg, usg in zip(cones.groups, lx, us):
+        d, n = g.dim, g.var.shape[1]
+        for k0, k1, rows in _batches(g):
             lo, hi = g.bounds[k0], g.bounds[k1]
             a = np.zeros((k1 - k0) * d * n * d)
             a[g.index[lo:hi] - k0 * d * n * d] = g.value[lo:hi]
             b = lxg[k0:k1].transpose(0, 2, 1) @ a.reshape(k1 - k0, d, n * d)
             b = b.reshape(k1 - k0, d * n, d) @ usg[k0:k1].transpose(0, 2, 1)
             b = b.reshape(k1 - k0, d, n, d).transpose(0, 2, 1, 3).reshape(k1 - k0, n, d * d)
-            v = g.var[k0:k1]
-            rows = max(1, _SCHUR_BATCH // ((k1 - k0) * n))  # of the Gram products at a time
             for r0 in range(0, n, rows):
-                part = b[:, r0 : r0 + rows] @ b.transpose(0, 2, 1)
-                np.add.at(schur, (v[:, r0 : r0 + rows, None], v[:, None, :]), part)
-    return schur
+                part = b[:, r0 : r0 + rows]
+                out = gram[done : done + len(part) * part.shape[1] * n].reshape(len(part), -1, n)
+                np.matmul(part, b.transpose(0, 2, 1), out=out)
+                done += out.size
+    s = cones.scalars
+    b = lx[-1].reshape(-1)[s.at] * s.value * us[-1].reshape(-1)[s.at]
+    np.multiply(b[s.first], b[s.second], out=gram[done:])
+    return np.bincount(cones.scatter, gram, minlength=m * m).reshape(m, m)
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.transpose(0, 2, 1))
 
 
-def _step_to_boundary(inv_factors: list[np.ndarray], blocks: list[np.ndarray]) -> float:
-    """The largest alpha with V + alpha dV >= 0 in every block, given the
-    inverse Cholesky factors of V (inf when dV never leaves the cone)."""
-    lowest = 0.0
-    for li, dv in zip(inv_factors, blocks):
-        lowest = min(lowest, float(np.linalg.eigvalsh(li @ dv @ li.transpose(0, 2, 1))[:, 0].min()))
-    return np.inf if lowest >= 0.0 else -1.0 / lowest
+def _cholesky(v: np.ndarray) -> np.ndarray:
+    """Cholesky factors of a stack of matrices; of 1x1 blocks, the square
+    root, which fails as LAPACK does on an entry that is not positive."""
+    if v.shape[-1] > 1:
+        return np.linalg.cholesky(v)
+    if not (v > 0.0).all():
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    return np.sqrt(v)
+
+
+def _inv(v: np.ndarray) -> np.ndarray:
+    return np.linalg.inv(v) if v.shape[-1] > 1 else 1.0 / v
+
+
+def _lowest(v: np.ndarray) -> np.ndarray:
+    """The smallest eigenvalue of each matrix of a stack."""
+    return np.linalg.eigvalsh(v)[:, 0] if v.shape[-1] > 1 else v[:, 0, 0]
+
+
+def _step_to_boundary(inverses: list[np.ndarray], dx: list[np.ndarray], ds: list[np.ndarray]) -> tuple[float, float]:
+    """The largest alphas with X + alpha dX >= 0 and S + alpha dS >= 0 in
+    every block, given each cone's inverse Cholesky factors of X stacked
+    over those of S (inf where a direction never leaves the cone): one
+    eigenvalue call per cone for both."""
+    low_x = low_s = 0.0
+    for li, u, v in zip(inverses, dx, ds):
+        low = _lowest(li @ np.concatenate([u, v]) @ li.transpose(0, 2, 1))
+        low_x, low_s = min(low_x, float(low[: len(u)].min())), min(low_s, float(low[len(u) :].min()))
+    return tuple(np.inf if low >= 0.0 else -1.0 / low for low in (low_x, low_s))
 
 
 def _iterates(mm: _MaxMargin):
@@ -667,9 +755,10 @@ def _iterates(mm: _MaxMargin):
     from y = (0, 0, -1), S = I and X = I / (N + 1), a primal and dual
     feasible point on the central path (see ``_newton_step``).  The
     iteration ends, after yielding the last good iterate, when a Cholesky
-    factorization or the Schur solve fails (LinAlgError), or a step leaves
-    finite numbers or does not reduce the duality gap x.s: past that point
-    rounding, not the method, moves the iterates.
+    factorization (on the scalar cone, an entry that is not positive) or
+    the Schur solve fails (LinAlgError), or a step leaves finite numbers or
+    does not reduce the duality gap x.s: past that point rounding, not the
+    method, moves the iterates.
     """
     x = mm.diag / (mm.diag.sum() - 1.0)
     s = mm.diag.astype(float)
@@ -705,10 +794,12 @@ def _newton_step(mm: _MaxMargin, y: np.ndarray, x: np.ndarray, s: np.ndarray):
     b = np.zeros(m)
     b[-1] = 1.0
     big_x, big_s = mm.blocks(x), mm.blocks(s)
-    lx = [np.linalg.cholesky(v) for v in big_x]
-    us = [np.linalg.inv(np.linalg.cholesky(v)) for v in big_s]
-    lx_inv = [np.linalg.inv(v) for v in lx]
-    schur = _schur(mm.groups, m, lx, us)
+    # One factorization and one inverse per cone, of X stacked over S.
+    factors = [_cholesky(np.concatenate([v, w])) for v, w in zip(big_x, big_s)]
+    inverses = [_inv(f) for f in factors]
+    lx = [f[: len(v)] for f, v in zip(factors, big_x)]
+    us = [f[len(v) :] for f, v in zip(inverses, big_x)]
+    schur = _schur(mm.cones, m, lx, us)
     if len(mm.null_rows):
         # M shares the null space of A', where the right-hand sides vanish:
         # give it unit-scale eigenvalues there, and dy no part in it.
@@ -726,14 +817,12 @@ def _newton_step(mm: _MaxMargin, y: np.ndarray, x: np.ndarray, s: np.ndarray):
         return dy, dx, ds
 
     dy, dx, ds = direction(0.0, [0.0] * len(big_x))
-    step_x = min(1.0, _step_to_boundary(lx_inv, dx))
-    step_s = min(1.0, _step_to_boundary(us, mm.blocks(ds)))
+    step_x, step_s = (min(1.0, step) for step in _step_to_boundary(inverses, dx, mm.blocks(ds)))
     dx_flat = np.concatenate([v.ravel() for v in dx])
     sigma = min(1.0, ((x + step_x * dx_flat) @ (s + step_s * ds) / (x @ s)) ** 3)
     second = [v @ e for v, e in zip(dx, mm.blocks(ds))]
     dy, dx, ds = direction(sigma * (x @ s) / mm.diag.sum(), second)
-    step_x = min(1.0, _STEP_FRACTION * _step_to_boundary(lx_inv, dx))
-    step_s = min(1.0, _STEP_FRACTION * _step_to_boundary(us, mm.blocks(ds)))
+    step_x, step_s = (min(1.0, _STEP_FRACTION * step) for step in _step_to_boundary(inverses, dx, mm.blocks(ds)))
     return y + step_s * dy, x + step_x * np.concatenate([v.ravel() for v in dx]), s + step_s * ds
 
 
@@ -746,7 +835,8 @@ def solve_feasibility(problem: LmiProblem) -> LmiSolution:
 
     - FEASIBLE when tau > 0 and the point z / tau meets every margin, each
       constraint's smallest eigenvalue of H at least delta, judged by one
-      batched ``eigvalsh`` per piece dimension; that point is returned;
+      batched ``eigvalsh`` per piece dimension above 1 (a 1x1 piece is its
+      own eigenvalue); that point is returned;
     - INFEASIBLE when the primal X, restricted to the constraint pieces and
       scaled to trace 1, passes :func:`check_infeasibility_certificate`
       (tried once the solver's own residual estimate is small enough); the

@@ -36,7 +36,7 @@ import itertools
 import math
 import numbers
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -420,7 +420,7 @@ def simulate(model: InterdependentModel, bank: ControllerBank, config: SimConfig
     non-finite row.
     """
     tables = _prepare(model, bank, config, x1_0, x2_0)
-    x_arr, ks = _run(tables, config)
+    x_arr, ks = _run(tables, config, config.seed)
     index = np.array(ks)
     nx1, nu1 = tables.split
     mode1, mode2, obs1, obs2, region1, region2 = (c + 1 for c in np.unravel_index(index, tables.shape))
@@ -468,10 +468,11 @@ def _check_finite(block: np.ndarray, first_step: int, dt: float) -> None:
         raise NonFinite(f"state diverged to non-finite values at t = {step * dt:g} (step {step})")
 
 
-def _run(tables: _Tables, config: SimConfig) -> tuple[np.ndarray, list[int]]:
-    """One trajectory of the closed loops ``_prepare`` tabulated: the joint
-    state and the loop index of every step, from which modes, observations,
-    regions and u = G x are read.
+def _run(tables: _Tables, config: SimConfig, seed) -> tuple[np.ndarray, list[int]]:
+    """One trajectory of the closed loops ``_prepare`` tabulated, drawn from
+    ``seed`` (the config's own seed is not read): the joint state and the
+    loop index of every step, from which modes, observations, regions and
+    u = G x are read.
 
     Within a step the loop is x' = A x + c with A = A_cl and c = D w frozen,
     and RK4's four stages on it collapse exactly to
@@ -511,7 +512,7 @@ def _run(tables: _Tables, config: SimConfig) -> tuple[np.ndarray, list[int]]:
     A chunk that holds a non-finite state raises NonFinite; numpy's overflow
     and invalid-value warnings are silenced, since that error reports them.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     dt = config.dt
     n_steps = _steps(config.horizon, dt)
     n1, n2, _, _, r1, r2 = tables.shape
@@ -719,7 +720,7 @@ def estimate_stability(
     halves = []
     terminals = []
     for run in range(n_runs):
-        x_arr, _ = _run(tables, replace(config, seed=(*_entropy(config.seed), run)))
+        x_arr, _ = _run(tables, config, (*_entropy(config.seed), run))
         x1, x2 = x_arr[:, :nx1], x_arr[:, nx1:]
         full, at_half = _functionals(x1, x2, t, weights, f"run {run}")
         functionals.append(full)

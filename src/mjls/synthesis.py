@@ -281,45 +281,58 @@ def _cell_gains(bank: ControllerBank, target: _Target, cell: _Cell) -> dict[int,
     return {i_hat: bank.gain(target.system_id, i_hat, cell.regions) for i_hat in target.modes}
 
 
-def _closed_loop(
-    sys: JumpLinearSystem, i: int, alpha: np.ndarray, gains: Mapping[int, np.ndarray]
+def _closed_loops(
+    sys: JumpLinearSystem, cells: Sequence[_Cell], cell_gains: Sequence[Mapping[int, np.ndarray]]
 ) -> np.ndarray:
-    """Observation-averaged closed loop sum_ihat alpha[i, ihat] (A_i + B_i G_ihat)."""
-    nx, nu = sys.state_dim, sys.input_dim
-    dyn = sys.dynamics(i)
-    a_bar = np.zeros((nx, nx))
-    for i_hat in range(1, sys.mode_count + 1):
-        if i_hat not in gains:
-            raise MissingGain(f"no gain for observation {i_hat}")
-        g = np.asarray(gains[i_hat], dtype=float)
-        if g.shape != (nu, nx):
-            raise DimensionMismatch(f"gain for observation {i_hat} must be {(nu, nx)}, got {g.shape}")
-        a_bar += alpha[i - 1, i_hat - 1] * (dyn.a + dyn.b @ g)
+    """Observation-averaged closed loops sum_ihat alpha[i, ihat] (A_i + B_i
+    G_ihat) of every mode i in every cell, stacked (mode, cell)."""
+    nx, nu, n = sys.state_dim, sys.input_dim, sys.mode_count
+    for gains in cell_gains:
+        for i_hat in range(1, n + 1):
+            if i_hat not in gains:
+                raise MissingGain(f"no gain for observation {i_hat}")
+            shape = np.shape(gains[i_hat])
+            if shape != (nu, nx):
+                raise DimensionMismatch(f"gain for observation {i_hat} must be {(nu, nx)}, got {shape}")
+    g = np.array([[gains[i_hat] for i_hat in range(1, n + 1)] for gains in cell_gains], dtype=float)
+    a = np.array([dyn.a for dyn in sys.modes])[:, None, None]
+    loops = a + np.array([dyn.b for dyn in sys.modes])[:, None, None] @ g  # (mode, cell, observation)
+    terms = np.array([cell.alpha for cell in cells]).transpose(1, 0, 2)[..., None, None] * loops
+    a_bar = np.zeros((n, len(cells), nx, nx))
+    for i_hat in range(n):
+        a_bar += terms[:, :, i_hat]
     return a_bar
 
 
-def _form(
+def _forms(
     sys: JumpLinearSystem,
-    cell: _Cell,
-    gains: Mapping[int, np.ndarray],
+    cells: Sequence[_Cell],
+    cell_gains: Sequence[Mapping[int, np.ndarray]],
     p_matrices: Sequence[np.ndarray],
-    i: int,
-    s: float,
+    modes: Sequence[int],
+    s_values: Sequence[float],
 ) -> np.ndarray:
-    """P_i Abar + Abar' P_i + sum_j rate_ij P_j + s P_i D D' P_i for mode i
-    in one cell, exactly symmetric; ``p_matrices`` passed ``_check_lyapunov``."""
-    p_i = p_matrices[i - 1]
-    a_bar = _closed_loop(sys, i, cell.alpha, gains)
-    psi = p_i @ a_bar + a_bar.T @ p_i
-    for j in range(1, sys.mode_count + 1):
-        psi += cell.rates[i - 1, j - 1] * p_matrices[j - 1]
-    dyn = sys.dynamics(i)
-    if np.any(dyn.d):
-        if s <= 0.0:
-            raise ValueError("disturbance scaling s must be positive when D is nonzero")
-        pd = p_i @ dyn.d
-        psi += s * (pd @ pd.T)
-    return 0.5 * (psi + psi.T)
+    """P_i Abar + Abar' P_i + sum_j rate_ij P_j + s P_i D D' P_i for each
+    mode i of ``modes`` (with s the matching entry of ``s_values``) in every
+    cell, stacked mode-major and exactly symmetric; ``p_matrices`` passed
+    ``_check_lyapunov``.  Each entry is computed in the order a single form
+    would be."""
+    at = np.asarray(modes) - 1
+    a_bar = _closed_loops(sys, cells, cell_gains)[at]
+    disturbed = [k for k, i in enumerate(modes) if np.any(sys.dynamics(i).d)]
+    if any(s_values[k] <= 0.0 for k in disturbed):
+        raise ValueError("disturbance scaling s must be positive when D is nonzero")
+    p = np.array(p_matrices)
+    p_i = p[at, None]
+    psi = p_i @ a_bar + a_bar.swapaxes(-1, -2) @ p_i
+    rates = np.array([cell.rates for cell in cells])[:, at].transpose(1, 0, 2)[..., None, None]
+    for j in range(sys.mode_count):
+        psi += rates[:, :, j] * p[j]
+    if disturbed:
+        pd = p[at[disturbed]] @ np.array([sys.dynamics(modes[k]).d for k in disturbed])
+        s = np.array([s_values[k] for k in disturbed], dtype=float)[:, None, None, None]
+        psi[disturbed] += s * (pd @ pd.transpose(0, 2, 1))[:, None]
+    return (0.5 * (psi + psi.swapaxes(-1, -2))).reshape(-1, sys.state_dim, sys.state_dim)
 
 
 def build_psi(
@@ -337,7 +350,7 @@ def build_psi(
     """
     p_matrices = tuple(np.asarray(p, dtype=float) for p in p_matrices)
     _check_lyapunov(0, model.system.mode_count, model.system.state_dim, p_matrices)
-    return _form(model.system, _integrated_cell(model, m), gains, p_matrices, i, s)
+    return _forms(model.system, [_integrated_cell(model, m)], [gains], p_matrices, [i], [s])[0]
 
 
 def _certificate(target: _Target, bank: ControllerBank, lyapunov: Lyapunov) -> Certificate:
@@ -347,17 +360,13 @@ def _certificate(target: _Target, bank: ControllerBank, lyapunov: Lyapunov) -> C
     cell_gains = [_cell_gains(bank, target, cell) for cell in target.cells]
     keys = [(i, cell.key) for i in target.modes for cell in target.cells]
     with np.errstate(all="ignore"):
-        forms = np.stack([
-            _form(target.system, cell, gains, p_matrices, i, s_values[i - 1])
-            for i in target.modes
-            for cell, gains in zip(target.cells, cell_gains)
-        ])
+        forms = _forms(target.system, target.cells, cell_gains, p_matrices, target.modes, s_values)
     finite = np.isfinite(forms).all(axis=(1, 2))
     tops = np.full(len(forms), np.inf)
     tops[finite] = np.linalg.eigh(forms[finite])[0][:, -1]
     psi_max = {key: float(top) for key, top in zip(keys, tops)}
-    certified = all(v <= -PSI_MARGIN for v in psi_max.values()) and all(
-        np.linalg.eigh(p)[0][0] > 0.0 for p in p_matrices
+    certified = all(v <= -PSI_MARGIN for v in psi_max.values()) and bool(
+        (np.linalg.eigh(np.array(p_matrices))[0][:, 0] > 0.0).all()
     )
     return Certificate(
         p_matrices=p_matrices,
@@ -665,12 +674,13 @@ def certify_gains(model: IntegratedModel, bank: ControllerBank) -> Certificate:
         layout.add_scalar(("r", i))  # r = 1/s, the disturbance Schur companion
 
     neg, neg_labels = [], []
+    a_bar = _closed_loops(sys, target.cells, cell_gains)
     for i in target.modes:
         dyn = sys.dynamics(i)
         nw = dyn.d.shape[1] if i in s_modes else 0
-        for cell, gains in zip(target.cells, cell_gains):
+        for cell, loop in zip(target.cells, a_bar[i - 1]):
             b = MapBuilder(nx + nw, layout)
-            b.linear(("P", i), right=_closed_loop(sys, i, cell.alpha, gains), mirror=True, at=(0, 0))
+            b.linear(("P", i), right=loop, mirror=True, at=(0, 0))
             for j in target.modes:
                 rate = float(cell.rates[i - 1, j - 1])
                 if rate != 0.0:

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from mjls.lmi import (
     evaluate,
     solve_feasibility,
 )
-from mjls.synthesis import build_distributed
+from mjls.fileio import load_model
+from mjls.model import compose_integrated
+from mjls.synthesis import build_centralized, build_distributed
 
 
 class TestLayoutPacking:
@@ -415,7 +419,10 @@ def edge_problem():
 
 
 def piece_sizes(prob):
-    return sorted((g.dim, len(g.var)) for g in _max_margin(prob).groups[:-2])
+    # The scalar cone holds the 1x1 pieces, then the max-margin problem's two 1x1 blocks.
+    cones = _max_margin(prob).cones
+    ones = cones.scalars.span.stop - cones.scalars.span.start - 2
+    return sorted([(g.dim, len(g.var)) for g in cones.groups] + [(1, ones)] * (ones > 0))
 
 
 class TestPieces:
@@ -517,12 +524,12 @@ class TestInteriorPoint:
         # the iterate before it, as ITERATION_LIMIT, without raising.
         prob = jump_problem(False)
         zs = [y[: prob.layout.size].copy() for y, _, _ in _iterates(_max_margin(prob))]
-        groups = len(_max_margin(prob).groups)
+        groups = len(_max_margin(prob).cones.groups)
         cholesky, calls = np.linalg.cholesky, []
 
         def failing(a):
             calls.append(1)
-            if len(calls) == 2 * 2 * groups + 1:  # X and S of every group, twice
+            if len(calls) == 2 * groups + 1:  # X stacked over S of every group, twice
                 raise np.linalg.LinAlgError("not positive definite")
             return cholesky(a)
 
@@ -533,6 +540,37 @@ class TestInteriorPoint:
         assert sol.certificate is None
         for amap, reported in zip(prob.neg, sol.neg_margins):
             assert abs(np.linalg.eigvalsh(evaluate(amap, sol.z)).max() - reported) <= 1e-9
+
+    @pytest.mark.parametrize("side", ["x", "s"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("entry", ["piece", "normalization"])
+    def test_scalar_cone_entry_not_positive_ends_in_iteration_limit(self, monkeypatch, side, value, entry):
+        # A 1x1 block of X or S that is not positive when the third step
+        # starts, a 1x1 piece or the normalization block, ends the run on the
+        # iterate before it as ITERATION_LIMIT, as a failed Cholesky
+        # factorization does.  The jump problem, with X_1's leading entry
+        # as a 1x1 constraint of its own, decides at iteration 6.
+        jump = jump_problem(False)
+        lead = np.array([[1.0, 0.0]])
+        alone = MapBuilder(1, jump.layout).linear(0, lead, lead.T).build()
+        prob = LmiProblem(jump.layout, jump.neg, [*jump.pos, alone], jump.delta)
+        mm = _max_margin(prob)
+        at = mm.cones.scalars.span.start if entry == "piece" else len(mm.c) - 1
+        zs = [y[: prob.layout.size].copy() for y, _, _ in _iterates(mm)]
+        newton, calls = lmi._newton_step, []
+
+        def corrupted(mm, y, x, s):
+            calls.append(1)
+            if len(calls) == 3:
+                x, s = x.copy(), s.copy()
+                (x if side == "x" else s)[at] = value
+            return newton(mm, y, x, s)
+
+        monkeypatch.setattr(lmi, "_newton_step", corrupted)
+        sol = solve_feasibility(prob)
+        assert (sol.status, sol.iterations) == (SolveStatus.ITERATION_LIMIT, 2)
+        assert sol.z.tobytes() == zs[2].tobytes()
+        assert sol.certificate is None
 
     def test_published_and_demo_systems_decide_in_tens_of_iterations(self, paper_model, demo):
         for decay in (0.0, 1.5):
@@ -668,3 +706,72 @@ def test_operator_forward_and_adjoint():
             y, x = rng.normal(size=mm.size), rng.normal(size=len(mm.c))
             lhs, rhs = mm.forward(y) @ x, y @ mm.adjoint(x)
             assert abs(lhs - rhs) <= 1e-12 * (np.abs(mm.vals * y[mm.cols]) @ np.abs(x[mm.rows]))
+
+
+PERF_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+FEASIBLE, INFEASIBLE = SolveStatus.FEASIBLE, SolveStatus.INFEASIBLE
+# The verdict and iteration count of every solve the benchmark's synthesize
+# calls make: the demo at five decays and the published example, two
+# systems each, distributed, and the demo centralized at decay 1.5.
+PERFBENCH_SOLVES = {
+    **{
+        f"demo-decay{decay}-system{k}": (FEASIBLE, n)
+        for decay, counts in ((0.0, (6, 5)), (0.5, (7, 5)), (1.0, (7, 5)), (1.5, (7, 6)), (2.0, (7, 7)))
+        for k, n in enumerate(counts, start=1)
+    },
+    "published-system1": (INFEASIBLE, 17),
+    "published-system2": (FEASIBLE, 8),
+    "demo-centralized-decay1.5": (FEASIBLE, 10),
+}
+
+
+@functools.cache
+def perfbench_problem(name):
+    demo, example = (load_model(PERF_DATA / f"{m}_model.json") for m in ("demo", "example"))
+    if name == "demo-centralized-decay1.5":
+        return build_centralized(compose_integrated(demo), decay=1.5)
+    system = int(name[-1]) - 1
+    if name.startswith("published"):
+        return build_distributed(example)[system]
+    return build_distributed(demo, decay=float(name.split("-")[1][len("decay") :]))[system]
+
+
+@pytest.mark.parametrize("name", list(PERFBENCH_SOLVES))
+def test_perfbench_solves_keep_verdict_and_iterations(name):
+    sol = solve_feasibility(perfbench_problem(name))
+    assert (sol.status, sol.iterations) == PERFBENCH_SOLVES[name]
+
+
+@pytest.mark.parametrize("name", [*PERFBENCH_SOLVES, "split", "edge"])
+def test_schur_matches_dense_reference(name):
+    # M_ij = sum over blocks of tr(A_i X A_j S^-1), from dense coefficient
+    # blocks built straight from A's triples, at random positive definite
+    # X and S on every block (the 1x1 ones included).
+    prob = {"split": split_problem, "edge": edge_problem}.get(name, lambda: perfbench_problem(name))()
+    mm = _max_margin(prob)
+    rng = np.random.default_rng(11)
+
+    def positive(like):
+        q = rng.normal(size=like.shape)
+        return q @ q.transpose(0, 2, 1) + like.shape[-1] * np.eye(like.shape[-1])
+
+    positions = mm.blocks(np.arange(len(mm.c)))  # the flat entry at each place of each block
+    x, s = [positive(b) for b in positions], [positive(b) for b in positions]
+    lx = [np.linalg.cholesky(v) for v in x]
+    us = [np.linalg.inv(np.linalg.cholesky(v)) for v in s]
+    got = lmi._schur(mm.cones, mm.size, lx, us)
+
+    ref = np.zeros((mm.size, mm.size))
+    place = np.empty(len(mm.c), dtype=int)
+    for blocks, xs, ss in zip(positions, x, s):
+        for at, xk, sk in zip(blocks, xs, np.linalg.inv(ss)):
+            d = len(at)
+            place[at.ravel()] = np.arange(d * d)
+            mine = np.isin(mm.rows, at)
+            var, slot = np.unique(mm.cols[mine], return_inverse=True)
+            coeff = np.zeros((len(var), d * d))
+            coeff[slot, place[mm.rows[mine]]] = mm.vals[mine]
+            coeff = coeff.reshape(-1, d, d)
+            left, right = (coeff @ xk).reshape(len(var), -1), (coeff @ sk).transpose(0, 2, 1).reshape(len(var), -1)
+            ref[np.ix_(var, var)] += left @ right.T
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -20,6 +20,7 @@ from mjls.model import (
     RateFamily,
     RegionPartition,
     block_diag,
+    compose_integrated,
     mode_pairs,
 )
 from mjls.synthesis import (
@@ -81,6 +82,39 @@ class TestBuildPsi:
         p = [np.eye(5)] * 6
         with pytest.raises(MissingGain):
             build_psi(p, {1: np.zeros((2, 5))}, demo_integrated, 1, 1)
+
+    @pytest.mark.parametrize("bank_file", ["bank_distributed.json", "bank_centralized.json"])
+    @pytest.mark.parametrize("disturbed", [False, True], ids=["undisturbed", "disturbed"])
+    def test_stacked_forms_match_the_form_loop(self, demo, bank_file, disturbed):
+        # Every form, stacked over (mode, cell) or one at a time through
+        # build_psi, equals bit for bit the form computed alone, each sum
+        # taken in index order from zero: the order of operations is kept.
+        if disturbed:
+            demo = dataclasses.replace(demo, sys1=dataclasses.replace(demo.sys1, modes=tuple(
+                dataclasses.replace(m, d=np.full_like(m.d, 0.5)) for m in demo.sys1.modes
+            )))
+        model = compose_integrated(demo)
+        joint = check_bank(demo, load_bank(CENTRALIZED_BANK.parent / bank_file))
+        sys, rng = model.system, np.random.default_rng(5)
+        p = [q @ q.T + np.eye(5) for q in rng.normal(size=(sys.mode_count, 5, 5))]
+        s = rng.uniform(0.5, 2.0, size=sys.mode_count)
+        target = synthesis_module._integrated_target(model)
+        cell_gains = [synthesis_module._cell_gains(joint, target, cell) for cell in target.cells]
+        stacked = synthesis_module._forms(sys, target.cells, cell_gains, p, target.modes, s)
+        for k, (i, (cell, gains)) in enumerate(itertools.product(target.modes, zip(target.cells, cell_gains))):
+            dyn = sys.dynamics(i)
+            a_bar = np.zeros((5, 5))
+            for i_hat in target.modes:
+                a_bar += cell.alpha[i - 1, i_hat - 1] * (dyn.a + dyn.b @ gains[i_hat])
+            psi = p[i - 1] @ a_bar + a_bar.T @ p[i - 1]
+            for j in target.modes:
+                psi += cell.rates[i - 1, j - 1] * p[j - 1]
+            if np.any(dyn.d):
+                pd = p[i - 1] @ dyn.d
+                psi += s[i - 1] * (pd @ pd.T)
+            want = 0.5 * (psi + psi.T)
+            assert stacked[k].tobytes() == want.tobytes()
+            assert build_psi(p, gains, model, i, cell.key, s[i - 1]).tobytes() == want.tobytes()
 
 
 class TestBuildCentralized:
