@@ -12,7 +12,10 @@ is built and kept as coordinate triples (entry, variable, coefficient) of
 its nonzeros; the solver concatenates them, negated for a neg map, into
 the one sparse operator of the max-margin problem, onto a flat vector
 holding every block.  It is deterministic: fixed starting point, no
-randomness, and a fixed order of operations.
+randomness, and a fixed order of operations, so its results reproduce bit
+for bit for a fixed BLAS thread count.  The thread count can change how
+BLAS and LAPACK sum: 1 and 2 threads give centralized demo banks that
+differ by up to 5.0e-9 relative.
 
 The solver works on each block's pieces, its irreducible diagonal blocks
 after a permutation of rows and columns: the connected components of the
@@ -186,22 +189,45 @@ class AffineMatrixMap:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.f0.shape != (self.dim, self.dim):
-            raise DimensionMismatch("constant block has wrong shape")
-        if np.max(np.abs(self.f0 - self.f0.T), initial=0.0) > _BLOCK_SYM_TOL:
-            raise NonSymmetric("constant block is not symmetric")
-        if not self.entries.shape == self.var_idx.shape == self.coeffs.shape == (self.coeffs.size,):
-            raise DimensionMismatch("coefficient triples have wrong shape")
-        key = self.var_idx * self.dim**2 + self.entries
-        if (key[1:] <= key[:-1]).any():
-            raise ValueError("coefficient triples must be sorted by variable, then entry, without repeats")
-        # Each coefficient against the one at the transposed entry (0 if absent).
-        row, col = np.divmod(self.entries, self.dim)
-        mirror = key + (col - row) * (self.dim - 1)
-        at = np.searchsorted(key, mirror).clip(max=len(key) - 1)
-        partner = np.where(key[at] == mirror, self.coeffs[at], 0.0)
-        if np.abs(self.coeffs - partner).max(initial=0.0) > _BLOCK_SYM_TOL:
-            raise NonSymmetric("a coefficient block is not symmetric")
+        _check_stack(self.dim, self.f0[None], self.entries, self.var_idx, self.coeffs)
+
+
+def _check_stack(dim: int, f0, entries, var_idx, coeffs, block=0) -> None:
+    """Every check of :class:`AffineMatrixMap` on a stack of maps at once:
+    constants ``f0`` stacked (block, dim, dim), and the triples of all maps
+    concatenated in block order, triple t in block ``block[t]``."""
+    if f0.shape[1:] != (dim, dim):
+        raise DimensionMismatch("constant block has wrong shape")
+    if np.max(np.abs(f0 - f0.transpose(0, 2, 1)), initial=0.0) > _BLOCK_SYM_TOL:
+        raise NonSymmetric("constant block is not symmetric")
+    if not entries.shape == var_idx.shape == coeffs.shape == (coeffs.size,):
+        raise DimensionMismatch("coefficient triples have wrong shape")
+    key = var_idx * dim**2 + entries
+    key = key + block * (key.max(initial=0) + dim * dim)  # each block's past the keys before and their transposes
+    if (key[1:] <= key[:-1]).any():
+        raise ValueError("coefficient triples must be sorted by variable, then entry, without repeats")
+    # Each coefficient against the one at the transposed entry (0 if absent).
+    row, col = np.divmod(entries, dim)
+    mirror = key + (col - row) * (dim - 1)
+    at = np.minimum(np.searchsorted(key, mirror), len(key) - 1)
+    partner = np.where(key[at] == mirror, coeffs[at], 0.0)
+    if np.abs(coeffs - partner).max(initial=0.0) > _BLOCK_SYM_TOL:
+        raise NonSymmetric("a coefficient block is not symmetric")
+
+
+def _stack_maps(dim: int, nvars: int, f0, entries, var_idx, coeffs, block) -> list[AffineMatrixMap]:
+    """The maps of a stack (see ``_check_stack``), each holding views of the
+    stacked arrays; the checks run once for the whole stack."""
+    _check_stack(dim, f0, entries, var_idx, coeffs, block)
+    bounds = np.searchsorted(block, np.arange(len(f0) + 1)).tolist()
+    maps = []
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        amap = object.__new__(AffineMatrixMap)  # checked above, with its stack
+        for name, value in (("dim", dim), ("nvars", nvars), ("f0", f0[k]), ("entries", entries[lo:hi]),
+                            ("var_idx", var_idx[lo:hi]), ("coeffs", coeffs[lo:hi])):
+            object.__setattr__(amap, name, value)
+        maps.append(amap)
+    return maps
 
 
 def evaluate(amap: AffineMatrixMap, z) -> np.ndarray:
@@ -214,67 +240,111 @@ def evaluate(amap: AffineMatrixMap, z) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-_NO_TRIPLES = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
-
-
 class MapBuilder:
-    """Accumulates placed affine terms and emits an AffineMatrixMap.
+    """Accumulates placed affine terms and emits AffineMatrixMaps.
+
+    A builder holds one block, or with ``count`` a stack of that many blocks
+    of one size, and each call places its term in every block of the stack.
+    In a stack a term may name one variable per block (a list of keys, all
+    of one kind and shape) and take one coefficient per block (a sequence
+    of ``count`` numbers); a zero coefficient leaves its block untouched.
 
     Placements are (row, col) entry offsets of the top-left corner of each
     term inside the full block.  ``mirror=True`` also places the transposed
     term at the swapped offsets, which keeps the overall map symmetric for
     off-diagonal placements and realises A V + (A V)' for diagonal ones.
-    Each term is kept as the triples of its nonzeros.
+    Each term is kept as the keys (block, variable, entry) of its nonzeros
+    and their coefficients.
     """
 
-    def __init__(self, dim: int, layout: VariableLayout):
+    def __init__(self, dim: int, layout: VariableLayout, count: int | None = None):
         self.dim = dim
         self.layout = layout
-        self._f0 = np.zeros((dim, dim))
-        self._triples = []
+        self.count = count
+        self._f0 = np.zeros((1 if count is None else count, dim, dim))
+        self._stride = max(1, layout.size) * dim * dim  # the keys of one block: variable * dim^2 + entry
+        self._keys, self._coeffs = [], []
 
     def _fit(self, shape, at):
         if at[0] + shape[0] > self.dim or at[1] + shape[1] > self.dim:
             raise DimensionMismatch(f"term of shape {shape} at {at} exceeds block dim {self.dim}")
 
+    def _variables(self, key) -> tuple[np.ndarray, VarSpec]:
+        """The z offset of each block's variable (one for all blocks when
+        ``key`` is one key) and the first variable's spec, whose kind and
+        shape every other shares."""
+        keys = key if isinstance(key, list) else [key]
+        specs = [self.layout.spec(k) for k in keys]
+        if len(specs) not in (1, len(self._f0)):
+            raise DimensionMismatch(f"expected one variable or {len(self._f0)}, got {len(specs)}")
+        if any((s.kind, s.shape) != (specs[0].kind, specs[0].shape) for s in specs):
+            raise DimensionMismatch("variables of one term must share kind and shape")
+        if max(s.offset + s.size for s in specs) * self.dim**2 > self._stride:
+            raise ValueError("a builder places only variables declared before it was made")
+        return np.array([s.offset for s in specs]), specs[0]
+
     def const(self, m):
-        """Adds the constant m at the top-left corner."""
+        """Adds the constant m at the top-left corner of every block."""
         m = np.asarray(m, dtype=float)
         self._fit(m.shape, (0, 0))
         rows, cols = m.shape
-        self._f0[:rows, :cols] += m
+        self._f0[:, :rows, :cols] += m
         return self
 
     def linear(self, key, left=None, right=None, coeff=1.0, at=(0, 0), mirror=False):
         """Adds coeff * L @ V @ R (optionally plus its mirrored transpose)."""
-        terms = self.layout.basis_matrices(key)
+        offsets, spec = self._variables(key)
+        terms = _basis(spec.kind, spec.shape)
         if left is not None:
             terms = np.asarray(left, dtype=float) @ terms
         if right is not None:
             terms = terms @ np.asarray(right, dtype=float)
-        terms = coeff * terms  # terms[s] is the coefficient of z slot s of the variable
-        self._fit(terms.shape[1:], at)
-        (r, c), (slot, i, j) = at, np.nonzero(terms)
-        var, vals = self.layout.spec(key).offset + slot, terms[slot, i, j]
-        self._triples.append(((r + i) * self.dim + c + j, var, vals))
-        if mirror:
-            self._triples.append(((c + j) * self.dim + r + i, var, vals))
-        return self
+        coeff = np.asarray(coeff, dtype=float)
+        if self.count is not None and coeff.ndim == 1:  # one coefficient per block
+            if len(coeff) != self.count:
+                raise DimensionMismatch(f"expected {self.count} coefficients, got {len(coeff)}")
+            return self._place(offsets, coeff[:, None, None, None] * terms, at, mirror)
+        return self._place(offsets, (coeff * terms)[None], at, mirror)  # terms[s] is z slot s's coefficient
 
     def scalar(self, key, m, at=(0, 0), mirror=False):
         """Adds z_key * m for a scalar variable."""
-        if self.layout.spec(key).kind != "scalar":
-            raise DimensionMismatch(f"variable {key!r} is not scalar")
-        return self.linear(key, coeff=np.asarray(m, dtype=float), at=at, mirror=mirror)
+        offsets, spec = self._variables(key)
+        if spec.kind != "scalar":
+            raise DimensionMismatch(f"variable {spec.key!r} is not scalar")
+        return self._place(offsets, (np.asarray(m, dtype=float) * _basis("scalar", (1, 1)))[None], at, mirror)
 
-    def build(self) -> AffineMatrixMap:
-        entries, var_idx, coeffs = map(np.concatenate, zip(_NO_TRIPLES, *self._triples))
-        if len(self._triples) > 1:  # a single term's nonzeros come sorted, without repeats
-            key, repeat = np.unique(var_idx * self.dim**2 + entries, return_inverse=True)
+    def _place(self, offsets, terms, at, mirror):
+        """Keeps the nonzeros of ``terms`` (block, slot, row, col), the same
+        in every block when they are given for one."""
+        self._fit(terms.shape[2:], at)
+        (r, c), (block, slot, i, j) = at, np.nonzero(terms)
+        vals = terms[block, slot, i, j]
+        start = np.arange(len(self._f0)) * self._stride + offsets * self.dim**2  # of each block's variable
+        first = slot * self.dim**2  # of each nonzero's slot
+        keys = [first + (r + i) * self.dim + c + j]
+        if mirror:
+            keys.append(first + (c + j) * self.dim + r + i)
+        if len(terms) == 1:
+            keys = [(start[:, None] + k).ravel() for k in keys]
+            vals = vals[None].repeat(len(start), axis=0).ravel()
+        else:
+            keys = [start[block] + k for k in keys]
+        self._keys += keys
+        self._coeffs += [vals] * len(keys)
+        return self
+
+    def build(self) -> AffineMatrixMap | list[AffineMatrixMap]:
+        """The map of the block, or the list of the stack's maps in block
+        order, all checked at once."""
+        key, coeffs = np.concatenate([np.zeros(0, dtype=int), *self._keys]), np.concatenate([[], *self._coeffs])
+        if len(self._keys) > 1:  # a single term's nonzeros come sorted, without repeats
+            key, repeat = np.unique(key, return_inverse=True)
             sums = np.bincount(repeat, coeffs)  # sequential, in the order the terms came
-            var_idx, entries = np.divmod(key[sums != 0.0], self.dim**2)
-            coeffs = sums[sums != 0.0]
-        return AffineMatrixMap(self.dim, self.layout.size, self._f0, entries, var_idx, coeffs)
+            key, coeffs = key[sums != 0.0], sums[sums != 0.0]
+        block, rest = np.divmod(key, self._stride)
+        var_idx, entries = np.divmod(rest, self.dim**2)
+        maps = _stack_maps(self.dim, self.layout.size, self._f0, entries, var_idx, coeffs, block)
+        return maps if self.count is not None else maps[0]
 
 
 class SolveStatus(enum.Enum):
@@ -580,45 +650,54 @@ def _max_margin(problem: LmiProblem) -> _MaxMargin:
     dim_of = np.array([amap.dim for amap in maps])
     base = np.cumsum(dim_of**2) - dim_of**2  # each block's start, stacked in constraint order
     sign = np.where(np.arange(len(maps)) < len(problem.neg), -1.0, 1.0)  # H_c = sign_c F_c
-    entries = np.concatenate([base[c] + amap.entries for c, amap in enumerate(maps)])
+    count = np.array([len(amap.coeffs) for amap in maps])
+    entries = np.concatenate([amap.entries for amap in maps]) + np.repeat(base, count)
     cols = np.concatenate([amap.var_idx for amap in maps])
-    lin = np.concatenate([sign[c] * amap.coeffs for c, amap in enumerate(maps)])  # the coefficients of H
-    h0 = np.concatenate([sign[c] * amap.f0.ravel() for c, amap in enumerate(maps)])
+    lin = np.repeat(sign, count) * np.concatenate([amap.coeffs for amap in maps])  # the coefficients of H
+    h0 = np.repeat(sign, dim_of**2) * np.concatenate([amap.f0.ravel() for amap in maps])
 
     # Each block's pieces, for all blocks of one dimension at once: the
-    # reachability closure of the block's graph, by repeated squaring.
+    # reachability closure of the block's graph, by repeated squaring.  A
+    # piece is named by its block and its lowest row, and listed with its
+    # rows in order; in constraint order, then by lowest row, pieces get
+    # their numbers.
     linked = h0 != 0.0
     linked[entries] = True
-    by_dim: dict[int, list[int]] = {}
-    for c, amap in enumerate(maps):
-        by_dim.setdefault(amap.dim, []).append(c)
-    parts = [None] * len(maps)  # the rows of each constraint's pieces
-    for dim, members in by_dim.items():
+    row, owner, name = [], [], []  # per dimension: each row, its constraint, its piece's name
+    for dim in dict.fromkeys(dim_of.tolist()):
+        members = np.flatnonzero(dim_of == dim)
         reach = linked[base[members][:, None] + np.arange(dim * dim)].reshape(-1, dim, dim)
         reach = (reach | reach.transpose(0, 2, 1) | np.eye(dim, dtype=bool)).astype(float)
         for _ in range((dim - 1).bit_length()):
             reach = np.minimum(reach @ reach, 1.0)
         root = reach.argmax(axis=2)  # the lowest row in each row's piece
-        for c, r in zip(members, root):
-            parts[c] = [np.flatnonzero(r == i) for i in np.unique(r)]
-    # Pieces are numbered in constraint order, each with its entries of the
-    # stacked blocks, and grouped by size in order of first use, 1x1 last.
-    first = np.cumsum([0] + [len(pieces) for pieces in parts])
-    at = [base[c] + (r[:, None] * dim_of[c] + r).ravel() for c, pieces in enumerate(parts) for r in pieces]
-    size = np.array([len(r) for pieces in parts for r in pieces])
-    spans, order, start = [], [], 0
+        row.append(np.arange(len(members) * dim) % dim)
+        owner.append(np.repeat(members, dim))
+        name.append(base[owner[-1]] + root.ravel())
+    row, owner, name = (np.concatenate(v) for v in (row, owner, name))
+    sort = np.lexsort((row, name))  # by piece name (constraint order, then lowest row), then row
+    row, owner, name = row[sort], owner[sort], name[sort]
+    start = np.flatnonzero(np.diff(name, prepend=-1))  # each piece's first row, in piece order
+    size = np.diff(np.append(start, len(name)))
+    first = np.concatenate([[0], np.cumsum(np.bincount(owner[start], minlength=len(maps)))])
+    # Pieces are grouped by size in order of first use, 1x1 last, and each
+    # holds its entries of the stacked blocks.
+    spans, order, source, at = [], [], [], 0
     for dim in sorted(dict.fromkeys(size.tolist()), key=lambda d: d == 1):
         order.append(np.flatnonzero(size == dim))
-        spans.append((dim, slice(start, start + len(order[-1]) * dim * dim)))
-        start = spans[-1][1].stop
-    source = np.concatenate([at[i] for pieces in order for i in pieces])
+        spans.append((dim, slice(at, at + len(order[-1]) * dim * dim)))
+        at = spans[-1][1].stop
+        r = row[start[order[-1], None] + np.arange(dim)]  # (piece, row)
+        of = owner[start[order[-1]], None, None]
+        source.append((base[of] + r[:, :, None] * dim_of[of] + r[:, None, :]).ravel())
+    source = np.concatenate(source)
     nf = len(source)
     flat = np.empty(len(h0), dtype=int)  # every linked entry lies in a piece
     flat[source] = np.arange(nf)
     rows, h0 = flat[entries], h0[source]
     diag = np.ones(nf + 2, dtype=bool)
     for (dim, span), pieces in zip(spans, order):
-        diag[span] = np.tile(np.eye(dim, dtype=bool).ravel(), len(pieces))
+        diag[span] = np.eye(dim, dtype=bool)[None].repeat(len(pieces), axis=0).ravel()
 
     tau, t = nv, nv + 1
     with np.errstate(over="ignore", invalid="ignore"):
@@ -637,7 +716,8 @@ def _max_margin(problem: LmiProblem) -> _MaxMargin:
     matrices = [(dim, span) for dim, span in spans if dim > 1]
     ones = slice(matrices[-1][1].stop if matrices else 0, nf)  # the 1x1 pieces
     cones = _cones(a_rows, a_cols, a_vals, matrices, slice(ones.start, nf + 2), nv + 2)
-    null = np.pad(_null_space(rows, cols, -lin, matrices, ones, nv), ((0, 2), (0, 0)))  # tau and t take no part
+    null = _null_space(rows, cols, -lin, matrices, ones, nv)
+    null = np.concatenate([null, np.zeros((2, null.shape[1]))])  # tau and t take no part
     return _MaxMargin(
         a_rows, a_cols, a_vals, c, diag, cones, null, np.flatnonzero(np.abs(null).sum(axis=1)),
         h0, first, np.concatenate(order), source,
@@ -848,7 +928,8 @@ def solve_feasibility(problem: LmiProblem) -> LmiSolution:
     Every F0 of the synthesis problems is zero, so z / tau there is the
     iterate's z scaled to a binding margin of a few delta (1.6 to 2.4 delta
     on the bundled problems).  The margins returned are those of the
-    returned z.  Deterministic for fixed inputs.
+    returned z.  Reproduces bit for bit for fixed inputs and a fixed BLAS
+    thread count (see the module docstring).
     """
     n_neg = len(problem.neg)
     nv = problem.layout.size

@@ -30,7 +30,6 @@ The forms are the coupled-Lyapunov forms of Costa, Fragoso and Todorov,
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -379,40 +378,38 @@ def _certificate(target: _Target, bank: ControllerBank, lyapunov: Lyapunov) -> C
 def _jump_system_blocks(
     layout: VariableLayout,
     sys: JumpLinearSystem,
-    rates: np.ndarray,
+    cells: Sequence[_Cell],
     i: int,
-    y_key,
     s_key,
     decay: float = 0.0,
-) -> AffineMatrixMap:
-    """One synthesis block for mode i under one rate matrix.
+) -> list[AffineMatrixMap]:
+    """The synthesis blocks of mode i, one per cell under its rate matrix,
+    placed as one stack.
 
     The leading nx x nx block carries A X_i + X_i A' + B Y + Y' B' +
-    rate_ii X_i (+ s D D' when disturbances exist).  Each other mode j adds
-    a row and column of blocks: sqrt(rate_ij) X_i beside the leading block
-    and -X_j on the diagonal.  With every X_j > 0 the block is negative
-    definite exactly when its Schur complement, the leading block plus
-    sum_j rate_ij X_i X_j^{-1} X_i, is; under a zero rate_ij, -X_j is a
-    piece of its own for the solver.  A positive ``decay`` shifts A by
-    decay*I, which forces the certified closed loop to contract at least
-    that fast.
+    rate_ii X_i (+ s D D' when disturbances exist), with the cell's Y.  Each
+    other mode j adds a row and column of blocks: sqrt(rate_ij) X_i beside
+    the leading block and -X_j on the diagonal.  With every X_j > 0 the
+    block is negative definite exactly when its Schur complement, the
+    leading block plus sum_j rate_ij X_i X_j^{-1} X_i, is; under a zero
+    rate_ij, -X_j is a piece of its own for the solver.  A positive
+    ``decay`` shifts A by decay*I, which forces the certified closed loop to
+    contract at least that fast.
     """
     nx = sys.state_dim
     dyn = sys.dynamics(i)
     a_shifted = dyn.a + decay * np.eye(nx) if decay else dyn.a
-    b = MapBuilder(nx * sys.mode_count, layout)
+    rates = np.array([cell.rates[i - 1] for cell in cells], dtype=float)  # (cell, j)
+    b = MapBuilder(nx * sys.mode_count, layout, len(cells))
     b.linear(("X", i), left=a_shifted, mirror=True)
-    b.linear(y_key, left=dyn.b, mirror=True)
-    diag_rate = float(rates[i - 1, i - 1])
-    if diag_rate != 0.0:
-        b.linear(("X", i), coeff=diag_rate)
+    b.linear([cell.y_key(i) for cell in cells], left=dyn.b, mirror=True)
+    b.linear(("X", i), coeff=rates[:, i - 1])
     if s_key is not None:
         b.scalar(s_key, dyn.d @ dyn.d.T)
     others = (j for j in range(1, sys.mode_count + 1) if j != i)
     for n, j in enumerate(others, start=1):
-        rate = float(rates[i - 1, j - 1])
-        if rate > 0.0:
-            b.linear(("X", i), coeff=math.sqrt(rate), at=(0, n * nx), mirror=True)
+        rate = rates[:, j - 1]
+        b.linear(("X", i), coeff=np.sqrt(np.where(rate > 0.0, rate, 0.0)), at=(0, n * nx), mirror=True)
         b.linear(("X", j), coeff=-1.0, at=(n * nx, n * nx))
     return b.build()
 
@@ -424,14 +421,11 @@ def _close_problem(
     scalars ``s_name``: all must be positive."""
     nx = target.system.state_dim
     s_modes = target.disturbed_modes
-    pos = []
-    pos_labels = []
-    for i in target.modes:
-        pos.append(MapBuilder(nx, layout).linear((name, i)).build())
-        pos_labels.append(f"{name}{i} > 0")
-    for i in s_modes:
-        pos.append(MapBuilder(1, layout).scalar((s_name, i), [[1.0]]).build())
-        pos_labels.append(f"{s_name}{i} > 0")
+    pos = MapBuilder(nx, layout, len(target.modes)).linear([(name, i) for i in target.modes]).build()
+    pos_labels = [f"{name}{i} > 0" for i in target.modes]
+    if s_modes:
+        pos += MapBuilder(1, layout, len(s_modes)).scalar([(s_name, i) for i in s_modes], [[1.0]]).build()
+        pos_labels += [f"{s_name}{i} > 0" for i in s_modes]
     return LmiProblem(layout, neg, pos, delta, neg_labels, pos_labels)
 
 
@@ -455,12 +449,9 @@ def _build_problem(target: _Target, decay: float) -> LmiProblem:
         layout.add_scalar(("s", i))
 
     neg = []
-    neg_labels = []
     for i in target.modes:
-        for cell in target.cells:
-            s_key = ("s", i) if i in s_modes else None
-            neg.append(_jump_system_blocks(layout, sys, cell.rates, i, cell.y_key(i), s_key, decay))
-            neg_labels.append(f"mode {i}, {cell.label}")
+        neg += _jump_system_blocks(layout, sys, target.cells, i, ("s", i) if i in s_modes else None, decay)
+    neg_labels = [f"mode {i}, {cell.label}" for i in target.modes for cell in target.cells]
 
     return _close_problem(target, layout, neg, neg_labels, SYNTHESIS_MARGIN, "X", "s")
 
@@ -494,11 +485,15 @@ def build_distributed(model: InterdependentModel, *, decay: float = 0.0) -> tupl
     return prob1, prob2
 
 
-def _invert_x(x: np.ndarray, label: str) -> np.ndarray:
+def _invert_x(x: np.ndarray, labels: Sequence[str]) -> np.ndarray:
+    """Inverses of a stack of symmetric matrices; the first one with an
+    eigenvalue below ``_SINGULAR_EIG`` is refused by its label."""
     w, v = np.linalg.eigh(x)
-    if w[0] < _SINGULAR_EIG:
-        raise SingularX(f"{label} has minimum eigenvalue {w[0]:.3e} < {_SINGULAR_EIG:g}")
-    return (v / w) @ v.T
+    singular = np.flatnonzero(w[:, 0] < _SINGULAR_EIG)
+    if len(singular):
+        k = singular[0]
+        raise SingularX(f"{labels[k]} has minimum eigenvalue {w[k, 0]:.3e} < {_SINGULAR_EIG:g}")
+    return (v / w[:, None, :]) @ v.transpose(0, 2, 1)
 
 
 def _require_feasible(solution: LmiSolution) -> None:
@@ -508,24 +503,36 @@ def _require_feasible(solution: LmiSolution) -> None:
 
 def _recover(target: _Target, solution: LmiSolution) -> tuple[dict, Lyapunov]:
     """Gains G_ihat = sum_i beta[ihat, i] Y_i X_i^{-1} per cell, plus the
-    Lyapunov matrices P_i = X_i^{-1} and the disturbance scalings."""
+    Lyapunov matrices P_i = X_i^{-1} and the disturbance scalings.  Every
+    cell's products are taken at once, and each gain sums its nonzero
+    weights' terms in mode order."""
     sys = target.system
+    nu, nx, n = sys.input_dim, sys.state_dim, sys.mode_count
     prefix = f"system {target.system_id} " if target.system_id else ""
-    x_inv = [_invert_x(solution.variable(("X", i)), f"{prefix}X{i}") for i in target.modes]
+    x = np.array([solution.variable(("X", i)) for i in target.modes])
+    x_inv = _invert_x(x, [f"{prefix}X{i}" for i in target.modes])
     s_values = tuple(
         solution.variable(("s", i)) if ("s", i) in solution.layout.keys else 1.0
         for i in target.modes
     )
-    gains = {}
-    for cell in target.cells:
-        beta = build_beta(cell.alpha)
-        for i_hat in target.modes:
-            g = np.zeros((sys.input_dim, sys.state_dim))
-            for i in target.modes:
-                weight = beta[i_hat - 1, i - 1]
-                if weight != 0.0:
-                    g = g + weight * (solution.variable(cell.y_key(i)) @ x_inv[i - 1])
-            gains[(target.system_id, i_hat, cell.regions)] = g
+    offsets = [[solution.layout.spec(cell.y_key(i)).offset for i in target.modes] for cell in target.cells]
+    y = solution.z[np.array(offsets)[..., None] + np.arange(nu * nx)].reshape(len(target.cells), n, nu, nx)
+    y_x = (y @ x_inv)[:, None]  # (cell, 1, mode i, nu, nx)
+    alphas = [np.asarray(cell.alpha, dtype=float) for cell in target.cells]
+    unmix = {}  # cells with equal emission matrices share one inverse
+    for a in alphas:
+        if (a.shape, a.tobytes()) not in unmix:
+            unmix[a.shape, a.tobytes()] = build_beta(a)
+    beta = np.array([unmix[a.shape, a.tobytes()] for a in alphas])[..., None, None]  # (cell, ihat, i, 1, 1)
+    g = np.zeros((len(target.cells), n, nu, nx))
+    for i in range(n):
+        weight = beta[:, :, i]
+        g = g + np.multiply(weight, y_x[:, :, i], out=np.zeros_like(g), where=weight != 0.0)
+    gains = {
+        (target.system_id, i_hat, cell.regions): g[c, i_hat - 1]
+        for c, cell in enumerate(target.cells)
+        for i_hat in target.modes
+    }
     return gains, Lyapunov(tuple(x_inv), s_values)
 
 

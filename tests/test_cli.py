@@ -713,16 +713,19 @@ class TestIllConditionedEmission(TestSingularEmission):
     ALPHA = [[0.5 + 1e-9, 0.5 - 1e-9], [0.5, 0.5]]
 
 
+def _python(*args):
+    """Run a fresh python process that imports this package's mjls."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestModuleEntryPoint:
     """``python -m mjls.cli`` runs ``main``, as the ``mjls`` script does."""
 
     @staticmethod
     def _run(*argv):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        return subprocess.run(
-            [sys.executable, "-m", "mjls.cli", *argv], capture_output=True, text=True, env=env, timeout=120
-        )
+        return _python("-m", "mjls.cli", *argv)
 
     def test_certify(self, capsys):
         argv = ["certify", str(PERF_DATA / "demo_model.json"), str(PERF_DATA / "bank_distributed.json")]
@@ -735,6 +738,23 @@ class TestModuleEntryPoint:
         assert done.returncode == 1
         assert done.stderr.startswith(f"error: {tmp_path / 'absent.json'}: ")
         assert done.stdout == ""
+
+
+@pytest.mark.parametrize("verb", ["synthesize", "certify", "simulate", "montecarlo"])
+def test_no_verb_imports_numpy_ma(tmp_path, verb):
+    # numpy.ma takes about 10 ms to import, a sizable share of a first call in
+    # a fresh process; in numpy 2.4 a bare np.unique imports it on first use.
+    model, bank = str(PERF_DATA / "demo_model.json"), str(PERF_DATA / "bank_distributed.json")
+    sim_flags = ["--x1=1,0", "--x2=0,1,0", "--horizon", "0.01", "--dt", "0.001"]
+    argv = {
+        "synthesize": ["synthesize", model, "--scheme", "distributed", "--out", str(tmp_path / "bank.json")],
+        "certify": ["certify", model, bank],
+        "simulate": ["simulate", model, bank, *sim_flags, "--out", str(tmp_path / "trace.csv")],
+        "montecarlo": ["montecarlo", model, bank, "--runs", "2", *sim_flags, "--out", str(tmp_path / "report.json")],
+    }[verb]
+    script = "import sys; from mjls import cli; code = cli.main(sys.argv[1:]); print(code, 'numpy.ma' in sys.modules)"
+    done = _python("-c", script, *argv)
+    assert done.stdout.splitlines()[-1] == "0 False", done.stderr
 
 
 def _count_calls(monkeypatch, original):

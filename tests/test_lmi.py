@@ -174,6 +174,29 @@ class TestMapBuilder:
             for _ in range(3):
                 z = rng.normal(size=lay.size)
                 assert np.max(np.abs(evaluate(amap, z) - ref.value(z))) <= 1e-12
+        # A stack of three blocks, with one key and one coefficient per block
+        # in some terms and shared ones in others.
+        lay = VariableLayout()
+        for k in range(3):
+            lay.add_sym(("X", k), 3)
+            lay.add_rect(("Y", k), 2, 3)
+        a, b, coeff = rng.normal(size=(3, 3)), rng.normal(size=(2, 2)), [0.5, 0.0, -2.0]
+        terms = [
+            ("linear", [("X", k) for k in range(3)], dict(left=a, mirror=True)),
+            ("linear", [("Y", k) for k in (2, 0, 1)], dict(left=b, at=(3, 0), mirror=True)),
+            ("linear", ("X", 0), dict(coeff=coeff, at=(0, 2), mirror=True)),
+            ("linear", ("Y", 1), dict(right=a, coeff=-0.7, at=(3, 0), mirror=True)),
+        ]
+        stack = MapBuilder(5, lay, 3)
+        for kind, key, kw in terms:
+            getattr(stack, kind)(key, **kw)
+        for k, amap in enumerate(stack.build()):
+            ref = DenseReference(5, lay)
+            for kind, key, kw in terms:
+                kw = {**kw, "coeff": kw["coeff"][k]} if isinstance(kw.get("coeff"), list) else kw
+                getattr(ref, kind)(key[k] if isinstance(key, list) else key, **kw)
+            z = rng.normal(size=lay.size)
+            assert np.max(np.abs(evaluate(amap, z) - ref.value(z))) <= 1e-12
 
     def test_cancelling_terms_leave_no_triples(self):
         lay = mixed_layout()
@@ -186,6 +209,14 @@ class TestMapBuilder:
         for entries in ([2, 1], [1, 1]):
             with pytest.raises(ValueError, match="sorted"):
                 AffineMatrixMap(2, 1, f0, np.array(entries), np.zeros(2, dtype=int), np.ones(2))
+        # A stack is checked block by block: the same triples in its second
+        # block fail, while a block may start below where the one before ended.
+        block, var = np.array([0, 0, 1, 1]), np.zeros(4, dtype=int)
+        for entries in ([2, 1], [1, 1]):
+            with pytest.raises(ValueError, match="sorted"):
+                lmi._stack_maps(2, 1, np.zeros((2, 2, 2)), np.array([0, 3, *entries]), var, np.ones(4), block)
+        maps = lmi._stack_maps(2, 1, np.zeros((2, 2, 2)), np.array([0, 3, 1, 2]), var, np.ones(4), block)
+        assert [m.entries.tolist() for m in maps] == [[0, 3], [1, 2]]
 
     def test_misshapen_triples_rejected(self):
         with pytest.raises(DimensionMismatch, match="triples"):
@@ -203,6 +234,13 @@ class TestMapBuilder:
         a = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(NonSymmetric):
             MapBuilder(2, lay).linear("X", left=a).build()
+        # In a stack, the term in one block alone fails the whole stack.
+        stack = MapBuilder(2, lay, 3).linear("X", left=a, mirror=True)
+        with pytest.raises(NonSymmetric):
+            stack.linear("X", left=a, coeff=[0.0, 1.0, 0.0]).build()
+        # Nor does a block's missing transpose turn up in the next block.
+        with pytest.raises(NonSymmetric):
+            lmi._stack_maps(2, 1, np.zeros((2, 2, 2)), np.array([1, 0]), np.zeros(2, dtype=int), np.ones(2), np.array([0, 1]))
 
 
 def scalar_problem(delta=0.5):

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import itertools
+import math
 import re
 from pathlib import Path
 
@@ -8,8 +10,8 @@ import pytest
 
 from mjls import synthesis as synthesis_module
 from mjls.errors import DimensionMismatch, InvalidModel, MissingGain, NotFeasible, SingularX
-from mjls.fileio import bank_from_dict, bank_to_dict, load_bank, save_model
-from mjls.lmi import LmiSolution, SolveStatus, solve_feasibility
+from mjls.fileio import bank_from_dict, bank_to_dict, load_bank, load_model, save_model
+from mjls.lmi import LmiSolution, MapBuilder, SolveStatus, solve_feasibility
 from mjls.model import (
     IntegratedModel,
     InterdependentModel,
@@ -40,7 +42,8 @@ from mjls.synthesis import (
     synthesize,
 )
 
-CENTRALIZED_BANK = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "bank_centralized.json"
+PERF_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+CENTRALIZED_BANK = PERF_DATA / "bank_centralized.json"
 
 
 def scalar_integrated(a=-1.0, b=1.0):
@@ -673,3 +676,165 @@ class TestFullInformationEquivalence:
         assert set(out_c.bank.gains) == set(out_f.bank.gains)
         for key, g in out_c.bank.gains.items():
             assert np.array_equal(g, out_f.bank.gains[key])
+
+
+# --- stacked assembly against a block-by-block reference ---------------------
+#
+# The builders place each mode's blocks over all cells as one MapBuilder
+# stack.  The references below build the same problems one block at a time,
+# each block with its own one-block builder, and must agree bit for bit.
+
+
+def _with_rates(model, k, index, edit):
+    """The model with rates{k}'s matrix ``index`` passed through ``edit``."""
+    family = getattr(model, f"rates{k}")
+    matrices = [np.array(m, dtype=float) for m in family.matrices]
+    matrices[index] = edit(matrices[index])
+    return dataclasses.replace(model, **{f"rates{k}": RateFamily(tuple(matrices))})
+
+
+def _drop_rate(g, i, j):
+    """Generator g with rate i -> j moved onto the diagonal (set to zero)."""
+    g = g.copy()
+    g[i, i] += g[i, j]
+    g[i, j] = 0.0
+    return g
+
+
+@functools.cache
+def _assembly_model(name):
+    """The perfbench models, one with D != 0 in system 1 (1x1 pieces from
+    its s variables), and one whose off-diagonal rates vanish in some cells
+    and not in others (so a stacked term drops out of some blocks only)."""
+    demo = load_model(PERF_DATA / "demo_model.json")
+    if name == "example":
+        return load_model(PERF_DATA / "example_model.json")
+    if name == "disturbed":
+        modes = tuple(dataclasses.replace(m, d=np.full_like(m.d, 0.5)) for m in demo.sys1.modes)
+        return dataclasses.replace(demo, sys1=dataclasses.replace(demo.sys1, modes=modes))
+    if name == "zero-rates":
+        model = _with_rates(demo, 1, 1, np.zeros_like)
+        return _with_rates(model, 2, 0, lambda g: _drop_rate(g, 0, 1))
+    return demo
+
+
+def _reference_synthesis(problem, target, decay):
+    """One target's synthesis problem, block by block, over ``problem``'s
+    layout: the builder as it was before blocks were stacked."""
+    sys, layout = target.system, problem.layout
+    nx = sys.state_dim
+    neg, neg_labels = [], []
+    for i in target.modes:
+        dyn = sys.dynamics(i)
+        a = dyn.a + decay * np.eye(nx) if decay else dyn.a
+        for cell in target.cells:
+            b = MapBuilder(nx * sys.mode_count, layout)
+            b.linear(("X", i), left=a, mirror=True)
+            b.linear(cell.y_key(i), left=dyn.b, mirror=True)
+            if cell.rates[i - 1, i - 1] != 0.0:
+                b.linear(("X", i), coeff=float(cell.rates[i - 1, i - 1]))
+            if i in target.disturbed_modes:
+                b.scalar(("s", i), dyn.d @ dyn.d.T)
+            for n, j in enumerate((j for j in target.modes if j != i), start=1):
+                rate = float(cell.rates[i - 1, j - 1])
+                if rate > 0.0:
+                    b.linear(("X", i), coeff=math.sqrt(rate), at=(0, n * nx), mirror=True)
+                b.linear(("X", j), coeff=-1.0, at=(n * nx, n * nx))
+            neg.append(b.build())
+            neg_labels.append(f"mode {i}, {cell.label}")
+    return neg, neg_labels, _reference_positivity(target, layout, "X", "s")
+
+
+def _reference_positivity(target, layout, name, s_name):
+    nx = target.system.state_dim
+    pos = [MapBuilder(nx, layout).linear((name, i)).build() for i in target.modes]
+    pos += [MapBuilder(1, layout).scalar((s_name, i), [[1.0]]).build() for i in target.disturbed_modes]
+    labels = [f"{name}{i} > 0" for i in target.modes] + [f"{s_name}{i} > 0" for i in target.disturbed_modes]
+    return pos, labels
+
+
+def _reference_search(problem, target, bank):
+    """certify_gains' search problem, block by block."""
+    sys, layout = target.system, problem.layout
+    nx = sys.state_dim
+    cell_gains = [synthesis_module._cell_gains(bank, target, cell) for cell in target.cells]
+    a_bar = synthesis_module._closed_loops(sys, target.cells, cell_gains)
+    neg, neg_labels = [], []
+    for i in target.modes:
+        d = sys.dynamics(i).d
+        nw = d.shape[1] if i in target.disturbed_modes else 0
+        for cell, loop in zip(target.cells, a_bar[i - 1]):
+            b = MapBuilder(nx + nw, layout)
+            b.linear(("P", i), right=loop, mirror=True)
+            for j in target.modes:
+                if cell.rates[i - 1, j - 1] != 0.0:
+                    b.linear(("P", j), coeff=float(cell.rates[i - 1, j - 1]))
+            if nw:
+                b.linear(("P", i), right=d, at=(0, nx), mirror=True)
+                b.scalar(("r", i), -np.eye(nw), at=(nx, nx))
+            neg.append(b.build())
+            neg_labels.append(f"mode {i}, {cell.label}")
+    return neg, neg_labels, _reference_positivity(target, layout, "P", "r")
+
+
+def _assert_same_problem(problem, reference):
+    neg, neg_labels, (pos, pos_labels) = reference
+    assert (problem.neg_labels, problem.pos_labels) == (neg_labels, pos_labels)
+    for got, want in zip([*problem.neg, *problem.pos], [*neg, *pos], strict=True):
+        assert (got.dim, got.nvars) == (want.dim, want.nvars)
+        assert got.f0.tobytes() == want.f0.tobytes()
+        assert np.array_equal(got.entries, want.entries) and np.array_equal(got.var_idx, want.var_idx)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+ASSEMBLY_CASES = [*(("demo", d) for d in (0.0, 0.5, 1.0, 1.5, 2.0)), ("example", 0.0), ("disturbed", 1.5), ("zero-rates", 0.5)]
+
+
+@pytest.mark.parametrize("name, decay", ASSEMBLY_CASES, ids=[f"{n}-{d}" for n, d in ASSEMBLY_CASES])
+def test_stacked_assembly_matches_block_by_block(name, decay):
+    model = _assembly_model(name)
+    for k, problem in enumerate(build_distributed(model, decay=decay), start=1):
+        target = synthesis_module._subsystem_target(model, k)
+        _assert_same_problem(problem, _reference_synthesis(problem, target, decay))
+    integrated = compose_integrated(model)
+    problem = build_centralized(integrated, decay=decay)
+    _assert_same_problem(problem, _reference_synthesis(problem, synthesis_module._integrated_target(integrated), decay))
+
+
+class _Searched(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", ["demo", "disturbed", "zero-rates"])
+@pytest.mark.parametrize("bank_file", ["bank_distributed.json", "bank_centralized.json"])
+def test_search_problem_matches_block_by_block(monkeypatch, name, bank_file):
+    # The perfbench banks without their certificate, so certify searches.
+    def searched(problem):
+        raise _Searched(problem)
+
+    model = _assembly_model(name)
+    bank = check_bank(model, load_bank(PERF_DATA / bank_file))
+    integrated = compose_integrated(model)
+    monkeypatch.setattr(synthesis_module, "solve_feasibility", searched)
+    with pytest.raises(_Searched) as caught:
+        certify_gains(integrated, ControllerBank(bank.scheme, bank.gains, {}))
+    (problem,) = caught.value.args
+    target = synthesis_module._integrated_target(integrated)
+    _assert_same_problem(problem, _reference_search(problem, target, bank))
+
+
+def test_one_build_per_mode_and_target(monkeypatch, demo):
+    # Each mode's blocks are one stack over the cells, and each target's
+    # positivity maps one more: 2 + 3 modes and 2 targets on the demo model,
+    # where a build per block made 30 + 5.
+    builds = []
+    build = MapBuilder.build
+
+    def counted(self):
+        builds.append(self.count)
+        return build(self)
+
+    monkeypatch.setattr(MapBuilder, "build", counted)
+    build_distributed(demo, decay=1.5)
+    assert builds == [6, 6, 2, 6, 6, 6, 3]
+
