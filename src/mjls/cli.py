@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from pathlib import Path
@@ -49,6 +50,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # parsing leaves the parser as it was, so every call of main shares one
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="mjls",

@@ -153,15 +153,11 @@ class VariableLayout:
         m[j, i] = packed
         return m
 
-    def basis_matrices(self, key) -> np.ndarray:
-        """Derivative of the unpacked variable w.r.t. each of its z slots,
-        stacked along the first axis (read-only, shared per kind and shape)."""
-        spec = self._specs[key]
-        return _basis(spec.kind, spec.shape)
-
 
 @functools.cache
 def _basis(kind: str, shape: tuple[int, int]) -> np.ndarray:
+    """Derivative of an unpacked variable w.r.t. each of its z slots,
+    stacked along the first axis (read-only, shared per kind and shape)."""
     if kind == "sym":
         i, j = np.triu_indices(shape[0])
         e = np.zeros((len(i), *shape))
@@ -177,7 +173,8 @@ class AffineMatrixMap:
     """Symmetric-matrix-valued affine function F(z) = F0 + sum z_k F_k.
 
     The linear part is held as triples: entry ``entries[t]`` of the block,
-    flattened row-major, gains ``coeffs[t] * z[var_idx[t]]``.  They are
+    flattened row-major, gains ``coeffs[t] * z[var_idx[t]]``, with every
+    entry in [0, dim**2) and every variable in [0, nvars).  They are
     sorted by variable, then entry, without repeats or zero coefficients.
     """
 
@@ -189,10 +186,10 @@ class AffineMatrixMap:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        _check_stack(self.dim, self.f0[None], self.entries, self.var_idx, self.coeffs)
+        _check_stack(self.dim, self.nvars, self.f0[None], self.entries, self.var_idx, self.coeffs)
 
 
-def _check_stack(dim: int, f0, entries, var_idx, coeffs, block=0) -> None:
+def _check_stack(dim: int, nvars: int, f0, entries, var_idx, coeffs, block=0) -> None:
     """Every check of :class:`AffineMatrixMap` on a stack of maps at once:
     constants ``f0`` stacked (block, dim, dim), and the triples of all maps
     concatenated in block order, triple t in block ``block[t]``."""
@@ -202,6 +199,12 @@ def _check_stack(dim: int, f0, entries, var_idx, coeffs, block=0) -> None:
         raise NonSymmetric("constant block is not symmetric")
     if not entries.shape == var_idx.shape == coeffs.shape == (coeffs.size,):
         raise DimensionMismatch("coefficient triples have wrong shape")
+    if var_idx.min(initial=0) < 0 or var_idx.max(initial=-1) >= nvars:
+        raise DimensionMismatch(f"a coefficient triple names a variable outside [0, {nvars})")
+    if entries.min(initial=0) < 0 or entries.max(initial=-1) >= dim * dim:
+        raise DimensionMismatch(f"a coefficient triple names an entry outside [0, {dim * dim})")
+    if not coeffs.all():
+        raise ValueError("coefficient triples must have nonzero coefficients")
     key = var_idx * dim**2 + entries
     key = key + block * (key.max(initial=0) + dim * dim)  # each block's past the keys before and their transposes
     if (key[1:] <= key[:-1]).any():
@@ -218,7 +221,7 @@ def _check_stack(dim: int, f0, entries, var_idx, coeffs, block=0) -> None:
 def _stack_maps(dim: int, nvars: int, f0, entries, var_idx, coeffs, block) -> list[AffineMatrixMap]:
     """The maps of a stack (see ``_check_stack``), each holding views of the
     stacked arrays; the checks run once for the whole stack."""
-    _check_stack(dim, f0, entries, var_idx, coeffs, block)
+    _check_stack(dim, nvars, f0, entries, var_idx, coeffs, block)
     bounds = np.searchsorted(block, np.arange(len(f0) + 1)).tolist()
     maps = []
     for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
@@ -245,9 +248,9 @@ class MapBuilder:
 
     A builder holds one block, or with ``count`` a stack of that many blocks
     of one size, and each call places its term in every block of the stack.
-    In a stack a term may name one variable per block (a list of keys, all
-    of one kind and shape) and take one coefficient per block (a sequence
-    of ``count`` numbers); a zero coefficient leaves its block untouched.
+    In a stack a term may take one variable (a list of keys, all of one kind
+    and shape), one coefficient and one right operand per block, each stacked
+    on a leading axis; a zero coefficient leaves its block untouched.
 
     Placements are (row, col) entry offsets of the top-left corner of each
     term inside the full block.  ``mirror=True`` also places the transposed
@@ -274,9 +277,7 @@ class MapBuilder:
         ``key`` is one key) and the first variable's spec, whose kind and
         shape every other shares."""
         keys = key if isinstance(key, list) else [key]
-        specs = [self.layout.spec(k) for k in keys]
-        if len(specs) not in (1, len(self._f0)):
-            raise DimensionMismatch(f"expected one variable or {len(self._f0)}, got {len(specs)}")
+        specs = self._one_or_each([self.layout.spec(k) for k in keys], "variable")
         if any((s.kind, s.shape) != (specs[0].kind, specs[0].shape) for s in specs):
             raise DimensionMismatch("variables of one term must share kind and shape")
         if max(s.offset + s.size for s in specs) * self.dim**2 > self._stride:
@@ -294,17 +295,21 @@ class MapBuilder:
     def linear(self, key, left=None, right=None, coeff=1.0, at=(0, 0), mirror=False):
         """Adds coeff * L @ V @ R (optionally plus its mirrored transpose)."""
         offsets, spec = self._variables(key)
-        terms = _basis(spec.kind, spec.shape)
+        terms = _basis(spec.kind, spec.shape)[None]  # terms[b, s]: slot s's coefficient in block b, one b for all blocks
         if left is not None:
             terms = np.asarray(left, dtype=float) @ terms
         if right is not None:
-            terms = terms @ np.asarray(right, dtype=float)
+            right = np.asarray(right, dtype=float)
+            terms = terms @ (self._one_or_each(right, "right operand")[:, None] if right.ndim == 3 else right)
         coeff = np.asarray(coeff, dtype=float)
-        if self.count is not None and coeff.ndim == 1:  # one coefficient per block
-            if len(coeff) != self.count:
-                raise DimensionMismatch(f"expected {self.count} coefficients, got {len(coeff)}")
-            return self._place(offsets, coeff[:, None, None, None] * terms, at, mirror)
-        return self._place(offsets, (coeff * terms)[None], at, mirror)  # terms[s] is z slot s's coefficient
+        if coeff.ndim == 1:
+            coeff = self._one_or_each(coeff, "coefficient")[:, None, None, None]
+        return self._place(offsets, coeff * terms, at, mirror)
+
+    def _one_or_each(self, operand, what):
+        if len(operand) not in (1, len(self._f0)):
+            raise DimensionMismatch(f"expected one {what} or {len(self._f0)}, got {len(operand)}")
+        return operand
 
     def scalar(self, key, m, at=(0, 0), mirror=False):
         """Adds z_key * m for a scalar variable."""

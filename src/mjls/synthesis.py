@@ -306,18 +306,18 @@ def _closed_loops(
 def _forms(
     sys: JumpLinearSystem,
     cells: Sequence[_Cell],
-    cell_gains: Sequence[Mapping[int, np.ndarray]],
+    loops: np.ndarray,
     p_matrices: Sequence[np.ndarray],
     modes: Sequence[int],
     s_values: Sequence[float],
 ) -> np.ndarray:
     """P_i Abar + Abar' P_i + sum_j rate_ij P_j + s P_i D D' P_i for each
     mode i of ``modes`` (with s the matching entry of ``s_values``) in every
-    cell, stacked mode-major and exactly symmetric; ``p_matrices`` passed
-    ``_check_lyapunov``.  Each entry is computed in the order a single form
-    would be."""
+    cell, stacked mode-major and exactly symmetric; ``loops`` are the closed
+    loops of ``_closed_loops`` and ``p_matrices`` passed ``_check_lyapunov``.
+    Each entry is computed in the order a single form would be."""
     at = np.asarray(modes) - 1
-    a_bar = _closed_loops(sys, cells, cell_gains)[at]
+    a_bar = loops[at]
     disturbed = [k for k, i in enumerate(modes) if np.any(sys.dynamics(i).d)]
     if any(s_values[k] <= 0.0 for k in disturbed):
         raise ValueError("disturbance scaling s must be positive when D is nonzero")
@@ -349,17 +349,17 @@ def build_psi(
     """
     p_matrices = tuple(np.asarray(p, dtype=float) for p in p_matrices)
     _check_lyapunov(0, model.system.mode_count, model.system.state_dim, p_matrices)
-    return _forms(model.system, [_integrated_cell(model, m)], [gains], p_matrices, [i], [s])[0]
+    cells = [_integrated_cell(model, m)]
+    return _forms(model.system, cells, _closed_loops(model.system, cells, [gains]), p_matrices, [i], [s])[0]
 
 
-def _certificate(target: _Target, bank: ControllerBank, lyapunov: Lyapunov) -> Certificate:
-    """Evaluate every closed-loop form of a target's bank gains under P; a
+def _certificate(target: _Target, loops: np.ndarray, lyapunov: Lyapunov) -> Certificate:
+    """Evaluate every form of a target's closed loops ``loops`` under P; a
     form that overflows has largest eigenvalue +inf, so it fails."""
     p_matrices, s_values = lyapunov.p_matrices, lyapunov.s_values
-    cell_gains = [_cell_gains(bank, target, cell) for cell in target.cells]
     keys = [(i, cell.key) for i in target.modes for cell in target.cells]
     with np.errstate(all="ignore"):
-        forms = _forms(target.system, target.cells, cell_gains, p_matrices, target.modes, s_values)
+        forms = _forms(target.system, target.cells, loops, p_matrices, target.modes, s_values)
     finite = np.isfinite(forms).all(axis=(1, 2))
     tops = np.full(len(forms), np.inf)
     tops[finite] = np.linalg.eigh(forms[finite])[0][:, -1]
@@ -663,15 +663,15 @@ def certify_gains(model: IntegratedModel, bank: ControllerBank) -> Certificate:
         model = _with_identity_obs(model)
     _validate_integrated(model)
     target = _integrated_target(model)
-    candidate = bank.lyapunov.get(0)
-    if candidate is not None:
-        _check_lyapunov(0, model.system.mode_count, model.system.state_dim, candidate.p_matrices)
-        cert = _certificate(target, bank, candidate)
-        if cert.certified:
-            return cert
     sys = target.system
     nx = sys.state_dim
-    cell_gains = [_cell_gains(bank, target, cell) for cell in target.cells]
+    a_bar = _closed_loops(sys, target.cells, [_cell_gains(bank, target, cell) for cell in target.cells])
+    candidate = bank.lyapunov.get(0)
+    if candidate is not None:
+        _check_lyapunov(0, sys.mode_count, nx, candidate.p_matrices)
+        cert = _certificate(target, a_bar, candidate)
+        if cert.certified:
+            return cert
     s_modes = target.disturbed_modes
 
     layout = VariableLayout()
@@ -680,30 +680,27 @@ def certify_gains(model: IntegratedModel, bank: ControllerBank) -> Certificate:
     for i in s_modes:
         layout.add_scalar(("r", i))  # r = 1/s, the disturbance Schur companion
 
-    neg, neg_labels = [], []
-    a_bar = _closed_loops(sys, target.cells, cell_gains)
+    neg = []
+    rates = np.array([cell.rates for cell in target.cells])  # (cell, i, j)
     for i in target.modes:
-        dyn = sys.dynamics(i)
-        nw = dyn.d.shape[1] if i in s_modes else 0
-        for cell, loop in zip(target.cells, a_bar[i - 1]):
-            b = MapBuilder(nx + nw, layout)
-            b.linear(("P", i), right=loop, mirror=True, at=(0, 0))
-            for j in target.modes:
-                rate = float(cell.rates[i - 1, j - 1])
-                if rate != 0.0:
-                    b.linear(("P", j), coeff=rate, at=(0, 0))
-            if nw:
-                b.linear(("P", i), right=dyn.d, at=(0, nx), mirror=True)
-                b.scalar(("r", i), -np.eye(nw), at=(nx, nx))
-            neg.append(b.build())
-            neg_labels.append(f"mode {i}, {cell.label}")
+        d = sys.dynamics(i).d
+        nw = d.shape[1] if i in s_modes else 0
+        b = MapBuilder(nx + nw, layout, len(target.cells))
+        b.linear(("P", i), right=a_bar[i - 1], mirror=True)
+        for j in target.modes:
+            b.linear(("P", j), coeff=rates[:, i - 1, j - 1])
+        if nw:
+            b.linear(("P", i), right=d, at=(0, nx), mirror=True)
+            b.scalar(("r", i), -np.eye(nw), at=(nx, nx))
+        neg += b.build()
+    neg_labels = [f"mode {i}, {cell.label}" for i in target.modes for cell in target.cells]
 
     problem = _close_problem(target, layout, neg, neg_labels, PSI_MARGIN, "P", "r")
     solution = solve_feasibility(problem)
 
     p_matrices = tuple(solution.variable(("P", i)) for i in target.modes)
     s_values = tuple(1.0 / solution.variable(("r", i)) if i in s_modes else 1.0 for i in target.modes)
-    return _certificate(target, bank, Lyapunov(p_matrices, s_values))
+    return _certificate(target, a_bar, Lyapunov(p_matrices, s_values))
 
 
 def check_corollary(model: InterdependentModel, bank: ControllerBank) -> Certificate:

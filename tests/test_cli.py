@@ -417,6 +417,22 @@ class TestFlags:
             "montecarlo": sorted([*shared, "--runs"]),
         }
 
+    def test_main_builds_its_parser_once(self, monkeypatch, capsys):
+        # Library callers and the benchmark call main many times in one
+        # process; every call parses with the same parser.
+        parsers = []
+        parse_args = cli._Parser.parse_args
+
+        def recorded(self, *args, **kwargs):
+            parsers.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "parse_args", recorded)
+        argv = ["certify", str(PERF_DATA / "demo_model.json"), str(PERF_DATA / "bank_distributed.json")]
+        assert [main(argv), main(argv)] == [0, 0]
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+        assert capsys.readouterr().out.count("certified: yes") == 2
+
 
 def _add_unused_entry(doc):
     doc["gains"].append({**doc["gains"][3], "region1": 9})

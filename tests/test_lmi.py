@@ -181,11 +181,15 @@ class TestMapBuilder:
             lay.add_sym(("X", k), 3)
             lay.add_rect(("Y", k), 2, 3)
         a, b, coeff = rng.normal(size=(3, 3)), rng.normal(size=(2, 2)), [0.5, 0.0, -2.0]
+        # A list of right operands is given to the builder as one stacked
+        # (3, n, c) array, and to each block's reference one at a time.
         terms = [
             ("linear", [("X", k) for k in range(3)], dict(left=a, mirror=True)),
             ("linear", [("Y", k) for k in (2, 0, 1)], dict(left=b, at=(3, 0), mirror=True)),
             ("linear", ("X", 0), dict(coeff=coeff, at=(0, 2), mirror=True)),
             ("linear", ("Y", 1), dict(right=a, coeff=-0.7, at=(3, 0), mirror=True)),
+            ("linear", ("X", 2), dict(right=list(rng.normal(size=(3, 3, 2))), at=(0, 3), mirror=True)),
+            ("linear", [("X", k) for k in range(3)], dict(right=list(rng.normal(size=(3, 3, 3))), coeff=coeff, mirror=True)),
         ]
         stack = MapBuilder(5, lay, 3)
         for kind, key, kw in terms:
@@ -193,10 +197,17 @@ class TestMapBuilder:
         for k, amap in enumerate(stack.build()):
             ref = DenseReference(5, lay)
             for kind, key, kw in terms:
-                kw = {**kw, "coeff": kw["coeff"][k]} if isinstance(kw.get("coeff"), list) else kw
+                kw = {name: v[k] if isinstance(v, list) else v for name, v in kw.items()}
                 getattr(ref, kind)(key[k] if isinstance(key, list) else key, **kw)
             z = rng.normal(size=lay.size)
             assert np.max(np.abs(evaluate(amap, z) - ref.value(z))) <= 1e-12
+        # A term's operand is given once for all blocks or once per block.
+        for kw in (dict(right=rng.normal(size=(2, 3, 3))), dict(coeff=[1.0, 2.0])):
+            with pytest.raises(DimensionMismatch, match="or 3, got 2"):
+                MapBuilder(5, lay, 3).linear(("X", 0), **kw)
+        for kw in (dict(right=rng.normal(size=(3, 3, 3))), dict(coeff=[1.0, 2.0, 3.0])):
+            with pytest.raises(DimensionMismatch, match="or 1, got 3"):
+                MapBuilder(5, lay).linear(("X", 0), **kw)
 
     def test_cancelling_terms_leave_no_triples(self):
         lay = mixed_layout()
@@ -221,6 +232,28 @@ class TestMapBuilder:
     def test_misshapen_triples_rejected(self):
         with pytest.raises(DimensionMismatch, match="triples"):
             AffineMatrixMap(2, 1, np.zeros((2, 2)), np.array([1, 2]), np.zeros(2, dtype=int), np.ones(3))
+
+    @pytest.mark.parametrize(
+        "field, value, error, message",
+        [
+            ("var_idx", [1, 1, 1], DimensionMismatch, r"variable outside \[0, 1\)"),
+            ("var_idx", [-1, -1, -1], DimensionMismatch, r"variable outside \[0, 1\)"),
+            ("entries", [1, 2, 4], DimensionMismatch, r"entry outside \[0, 4\)"),
+            ("entries", [-1, 1, 2], DimensionMismatch, r"entry outside \[0, 4\)"),
+            ("coeffs", [0.0, 1.0, 1.0], ValueError, "nonzero"),
+        ],
+        ids=["variable-past-nvars", "negative-variable", "entry-past-dim2", "negative-entry", "zero-coefficient"],
+    )
+    def test_out_of_range_or_zero_triples_rejected(self, field, value, error, message):
+        # Each bad field alone, sorted and mirrored so that only its range
+        # or its zero is wrong, fails a single map and one block of a stack.
+        good = {"entries": np.array([0, 1, 2]), "var_idx": np.zeros(3, dtype=int), "coeffs": np.ones(3)}
+        bad = {**good, field: np.array(value, dtype=good[field].dtype)}
+        with pytest.raises(error, match=message):
+            AffineMatrixMap(2, 1, np.zeros((2, 2)), bad["entries"], bad["var_idx"], bad["coeffs"])
+        stacked = [np.concatenate([good[name], bad[name]]) for name in ("entries", "var_idx", "coeffs")]
+        with pytest.raises(error, match=message):
+            lmi._stack_maps(2, 1, np.zeros((2, 2, 2)), *stacked, np.repeat([0, 1], 3))
 
     @pytest.mark.parametrize("at, mirror", [((0, 2), False), ((2, 0), False), ((0, 2), True), ((3, 3), False)])
     def test_term_past_the_block_edge_rejected(self, at, mirror):

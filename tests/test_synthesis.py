@@ -103,7 +103,8 @@ class TestBuildPsi:
         s = rng.uniform(0.5, 2.0, size=sys.mode_count)
         target = synthesis_module._integrated_target(model)
         cell_gains = [synthesis_module._cell_gains(joint, target, cell) for cell in target.cells]
-        stacked = synthesis_module._forms(sys, target.cells, cell_gains, p, target.modes, s)
+        loops = synthesis_module._closed_loops(sys, target.cells, cell_gains)
+        stacked = synthesis_module._forms(sys, target.cells, loops, p, target.modes, s)
         for k, (i, (cell, gains)) in enumerate(itertools.product(target.modes, zip(target.cells, cell_gains))):
             dyn = sys.dynamics(i)
             a_bar = np.zeros((5, 5))
@@ -826,15 +827,33 @@ def test_search_problem_matches_block_by_block(monkeypatch, name, bank_file):
 def test_one_build_per_mode_and_target(monkeypatch, demo):
     # Each mode's blocks are one stack over the cells, and each target's
     # positivity maps one more: 2 + 3 modes and 2 targets on the demo model,
-    # where a build per block made 30 + 5.
-    builds = []
-    build = MapBuilder.build
+    # where a build per block made 30 + 5.  certify's search stacks its
+    # blocks the same way over the 6 joint modes and 6 product cells, where
+    # a build per block made 36 + 1, and every certify_gains call evaluates
+    # the bank's closed loops once, for its candidate and its search alike.
+    builds, loops = [], []
+    build, closed_loops = MapBuilder.build, synthesis_module._closed_loops
 
     def counted(self):
         builds.append(self.count)
         return build(self)
 
+    def counted_loops(*args):
+        loops.append(len(args[1]))
+        return closed_loops(*args)
+
     monkeypatch.setattr(MapBuilder, "build", counted)
+    monkeypatch.setattr(synthesis_module, "_closed_loops", counted_loops)
     build_distributed(demo, decay=1.5)
     assert builds == [6, 6, 2, 6, 6, 6, 3]
+    integrated = compose_integrated(demo)
+    for bank_file in ("bank_distributed.json", "bank_centralized.json"):
+        bank = check_bank(demo, load_bank(PERF_DATA / bank_file))
+        own = bank.lyapunov[0]
+        missed = Lyapunov(tuple(-p for p in own.p_matrices), own.s_values)
+        for lyapunov, stacks in (({0: own}, []), ({}, [6] * 7), ({0: missed}, [6] * 7)):
+            builds.clear()
+            loops.clear()
+            assert certify_gains(integrated, ControllerBank(bank.scheme, bank.gains, lyapunov)).certified
+            assert (builds, loops) == (stacks, [6])
 
