@@ -196,7 +196,16 @@ def _sim_inputs(args):
     # dt is checked before it becomes the default observation period.
     config = SimConfig(dt=args.dt, horizon=args.horizon, seed=args.seed)
     policy = Periodic(config.dt) if args.obs_policy is None else _parse_policy(args.obs_policy)
-    return model, bank, dataclasses.replace(config, obs_policy=policy), x1, x2
+    config = dataclasses.replace(config, obs_policy=policy)
+    # A certificate bounds the loop that refreshes its observations every
+    # step; one that holds them is a loop no certificate covers.
+    if isinstance(policy, OnChange) or round(policy.period / config.dt) > 1:
+        print(
+            f"warning: --obs-policy {args.obs_policy} holds observations across steps; the bank's "
+            f"certificate covers only a refresh every step (periodic:{config.dt:g}), not this loop",
+            file=sys.stderr,
+        )
+    return model, bank, config, x1, x2
 
 
 def cmd_simulate(args) -> int:

@@ -16,13 +16,15 @@ The feedback and disturbance are frozen across a step, so the closed loop
 is linear there and its RK4 step is exact as one matrix: x <- T4(dt A_cl) x
 plus a disturbance term (see ``_run``).  ``_prepare`` tabulates that step
 matrix for every (modes, observations, regions) the loop can be in, and
-turns every rate and emission row into a cumulative draw table.  ``_run``
+turns every rate and emission row into a cumulative draw table; all that
+does not depend on the run is built there, once per call.  ``_run``
 holds the regions across a chunk of steps and finds them for the whole
 chunk at once.  Jumps are rare, so between the steps on which a chain may
 jump numpy finds the loop index of every step from the draw tables, and the
-Python loop is one matrix-vector product per step.  ``simulate`` builds a
-``Trace`` from its states and loop indices; ``estimate_stability`` reads
-the functional off the states alone.
+Python loop is one matrix-vector product per step, written in place into
+the run's one preallocated state array.  ``simulate`` builds a ``Trace``
+from its states and loop indices; ``estimate_stability`` reads the
+functional off the states alone.
 
 ``estimate_stability`` runs independent seeded simulations and reports the
 sample mean and standard error of the truncated energy functional
@@ -188,21 +190,33 @@ class MonteCarloReport:
     half_functional_per_run: tuple[float, ...]
     terminal_norms: tuple[float, ...]
 
+    # The statistics are finite whenever every value is.  Near the float
+    # range the values are scaled by a power of two, so that no sum or
+    # square overflows; one in the normal range scales by 1 and keeps its
+    # bits.  A value that is not finite raises NonFinite naming its field.
+
     @property
     def mean(self) -> float:
-        return math.fsum(self.functional_per_run) / self.runs
+        return self._mean(self.functional_per_run, "functional_per_run")
 
     @property
     def half_mean(self) -> float:
-        return math.fsum(self.half_functional_per_run) / self.runs
+        return self._mean(self.half_functional_per_run, "half_functional_per_run")
 
     @property
     def stderr(self) -> float:
         if self.runs < 2:
             return 0.0
         mu = self.mean
-        var = math.fsum((f - mu) ** 2 for f in self.functional_per_run) / (self.runs - 1)
-        return math.sqrt(var / self.runs)
+        # Every deviation lies below 2**e, so below 2**(e - j) once scaled.
+        e = _top_exponent(self.functional_per_run, "functional_per_run") + 1
+        j = max(0, -(-(2 * e + self.runs.bit_length() - 1023) // 2))
+        var = math.fsum((math.ldexp(f, -j) - math.ldexp(mu, -j)) ** 2 for f in self.functional_per_run) / (self.runs - 1)
+        return math.ldexp(math.sqrt(var / self.runs), j)
+
+    def _mean(self, values: tuple[float, ...], field: str) -> float:
+        k = max(0, _top_exponent(values, field) + self.runs.bit_length() - 1023)
+        return math.ldexp(math.fsum(math.ldexp(v, -k) for v in values) / self.runs, k)
 
     @property
     def saturation(self) -> float:
@@ -211,6 +225,15 @@ class MonteCarloReport:
         if mu == 0.0:
             return 0.0
         return abs(mu - self.half_mean) / mu
+
+
+def _top_exponent(values, field: str) -> int:
+    """The least e with every |value| below 2**e (0 for none or zeros).
+    A value that is not finite raises NonFinite naming ``field``."""
+    bad = [v for v in values if not math.isfinite(v)]
+    if bad:
+        raise NonFinite(f"{field}: every value must be finite, got {bad[0]}")
+    return math.frexp(max(map(abs, values), default=0.0))[1]
 
 
 def _jump_row(rate_row, i: int, dt: float) -> tuple[list[float], list[int]]:
@@ -288,7 +311,7 @@ def check_dt(model: InterdependentModel, dt: float) -> None:
 
 @dataclass(frozen=True)
 class _Tables:
-    """What ``_run`` reads, built once by ``_prepare``.
+    """What ``_run`` reads, built once per call by ``_prepare``.
 
     Closed loop k is the one in force at the 0-based (mode1, mode2, obs1,
     obs2, region1, region2) whose flat position in an array of ``shape`` is k.
@@ -298,11 +321,20 @@ class _Tables:
     gains: np.ndarray  # (loops, inputs, states): G of each loop
     steps: list[np.ndarray]  # T4(dt A_cl) of each loop
     pushes: list[np.ndarray] | None  # dt S3(dt A_cl) D amplitude of each loop; None without disturbance
+    envelope: list[float] | None  # the disturbance envelope at each step's start; None without disturbance
+    n_steps: int  # steps in the horizon
+    period: int  # steps between observation refreshes; 0 under OnChange
     jumps: tuple[list, list]  # system k's jump tables, [partner region][mode]
     leave: tuple[float, float]  # system k's largest leave probability over its jump tables
     emissions: tuple[list, list]  # system k's emission tables, [own region][mode]
+    # System k's emission tables as arrays, [own region][mode]: the
+    # cumulative probabilities, and the outcomes times their stride in a
+    # loop index.
+    observed: tuple[list, list]
     thresholds: tuple[np.ndarray, np.ndarray]
+    regioned: bool  # whether either partition has thresholds
     x0: np.ndarray  # joint initial state [x1; x2]
+    regions0: tuple[int, int]  # the 0-based regions of x0
     split: tuple[int, int]  # state and input dimensions of system 1
 
 
@@ -367,23 +399,38 @@ def _prepare(model: InterdependentModel, bank: ControllerBank, config: SimConfig
     s3 = eye + m @ (eye / 2.0 + m @ (eye / 6.0 + m / 24.0))  # I + M/2 + M^2/6 + M^3/24
     phi = eye + m @ s3  # I + M + M^2/2 + M^3/6 + M^4/24
 
-    pushes = None
+    n_steps = _steps(config.horizon, dt)
+    pushes = envelope = None
     if not isinstance(dist, Zero):
         amplitude = np.concatenate([dist.amplitude1, dist.amplitude2])
         dw = np.array([mode.d @ amplitude for mode in system.modes])[:, None, None]
         dw = np.broadcast_to(dw, (*loops, nx)).reshape(-1, nx, 1)
         pushes = list(dt * (s3 @ dw)[:, :, 0])
+        t = np.arange(n_steps) * dt
+        envelope = (np.exp(-dist.decay * t) * np.sin(dist.frequency * t)).tolist()
 
+    strides = (n2 * r1 * r2, r1 * r2)  # of obs1 and obs2 in a loop index
+    thresholds = (np.array(model.part1.thresholds, dtype=float), np.array(model.part2.thresholds, dtype=float))
+    x0 = np.concatenate([x1, x2])
     return _Tables(
         shape=(n1, n2, n1, n2, r1, r2),
         gains=np.broadcast_to(g, (*loops, nu, nx)).reshape(-1, nu, nx),
         steps=list(phi),
         pushes=pushes,
+        envelope=envelope,
+        n_steps=n_steps,
+        period=_steps(config.obs_policy.period, dt) if isinstance(config.obs_policy, Periodic) else 0,
         jumps=jumps,
         leave=tuple(max((cums[-1] for per_region in j for cums, _ in per_region if cums), default=0.0) for j in jumps),
         emissions=emissions,
-        thresholds=(np.array(model.part1.thresholds, dtype=float), np.array(model.part2.thresholds, dtype=float)),
-        x0=np.concatenate([x1, x2]),
+        observed=tuple(
+            [[(np.array(cums), stride * np.array(outcomes)) for cums, outcomes in per_region] for per_region in e]
+            for e, stride in zip(emissions, strides)
+        ),
+        thresholds=thresholds,
+        regioned=any(map(len, thresholds)),
+        x0=x0,
+        regions0=tuple(int(r[0]) for r in _regions(thresholds, x0[None], s1.state_dim)),
         split=(s1.state_dim, s1.input_dim),
     )
 
@@ -391,18 +438,19 @@ def _prepare(model: InterdependentModel, bank: ControllerBank, config: SimConfig
 # Chunk lengths of the region check, in steps (see ``_run``).  A chunk
 # starts at _CHUNK_FIRST steps, doubles after each chunk that kept its
 # regions, up to _CHUNK_MAX, and starts over at _CHUNK_FIRST after a cut.
-# One check costs about as much as eighteen steps, and a cut redoes the
-# steps past it.  Region changes come in bursts, so short chunks after a cut
-# and long ones between bursts keep both costs low.  On demo runs from the
-# outer shells, regions change every 40 steps or so in the first second:
-# there 45 % of steps are redone and a check falls every 20 steps (57 % and
-# 24 with a first chunk of 16).  Over 10 s, 7 % are redone and a check
-# falls every 120 steps.  At eighteen steps a check, first chunks of 8 and
-# 16 cost within 2 % of each other on both.
-_CHUNK_FIRST = 8
+# One check costs about as much as eighteen steps (7-8 us against 0.44 us
+# a step), and a cut redoes the steps past it.  Region changes come in
+# bursts, so short chunks after a cut and long ones between bursts keep
+# both costs low.  On demo runs from the outer shells, regions change
+# every 40 steps or so in the first second: there 48 % of steps are redone
+# and a check falls every 28 steps (38 % and 23 with a first chunk of 8).
+# Over 10 s, 7 % are redone and a check falls every 170 steps.  First
+# chunks of 16 cost 11 % less than 8 on 1 s runs and 2 % less on 10 s
+# runs, and 32 about 1 % less again.
+_CHUNK_FIRST = 16
 _CHUNK_MAX = 1024
 
-# Steps of uniforms drawn, and of draw tables made, at once (see ``_run``).
+# Steps of uniforms drawn at once, and of jump events found (see ``_run``).
 # From 256 to 16 384 steps, 10 s demo runs cost the same within noise.
 _WINDOW = 4096
 
@@ -415,13 +463,12 @@ def simulate(model: InterdependentModel, bank: ControllerBank, config: SimConfig
     mode jumps (using the regions the step started from) and refreshes the
     observations per policy.  Bit-identical for identical inputs.  The
     model is validated, and the bank checked against it, before the first
-    step.
+    step.  The trace owns its arrays: no later run writes to them.
     A state that overflows raises NonFinite naming the time of the first
     non-finite row.
     """
     tables = _prepare(model, bank, config, x1_0, x2_0)
-    x_arr, ks = _run(tables, config, config.seed)
-    index = np.array(ks)
+    x_arr, index = _run(tables, config, config.seed)
     nx1, nu1 = tables.split
     mode1, mode2, obs1, obs2, region1, region2 = (c + 1 for c in np.unravel_index(index, tables.shape))
     u_arr = np.matmul(tables.gains[index], x_arr[:, :, None])[:, :, 0]
@@ -440,24 +487,27 @@ def simulate(model: InterdependentModel, bank: ControllerBank, config: SimConfig
     )
 
 
-def _regions(tables: _Tables, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 0-based regions of each row of a (rows, n) block of joint states:
-    the count of thresholds at or below |x_k|^2, so 0 for a partition without
-    thresholds.  The squares are summed in index order, as a Python ``sum``
-    would, so a norm on a threshold lands where ``bisect_right`` puts it.  A
-    square that overflows is inf, in the outermost region."""
+def _squared_norms(squares: np.ndarray) -> np.ndarray:
+    """|x|^2 of each column of a (n, rows) array of squared state entries,
+    summed in index order, as a Python ``sum`` would, so a norm on a
+    threshold lands where ``bisect_right`` puts it.  A square that
+    overflows is inf."""
+    sq = squares[0]
+    for column in squares[1:]:
+        sq = sq + column
+    return sq
+
+
+def _regions(thresholds: tuple[np.ndarray, np.ndarray], block: np.ndarray, nx1: int) -> list[np.ndarray]:
+    """The 0-based regions of each row of a (rows, n) block of joint states,
+    whose first ``nx1`` columns are system 1's: the count of thresholds at
+    or below |x_k|^2, in the outermost region where a square overflows.  A
+    partition without thresholds has region 0, and no norm is taken."""
     squares = (block * block).T
-    nx1 = tables.split[0]
-    regions = []
-    for t, part in zip(tables.thresholds, (squares[:nx1], squares[nx1:])):
-        if len(t) == 0:
-            regions.append(np.zeros(len(block), dtype=int))
-            continue
-        sq = part[0]
-        for column in part[1:]:
-            sq = sq + column
-        regions.append(t.searchsorted(sq, side="right"))
-    return regions[0], regions[1]
+    return [
+        t.searchsorted(_squared_norms(part), side="right") if len(t) else np.zeros(len(block), dtype=int)
+        for t, part in zip(thresholds, (squares[:nx1], squares[nx1:]))
+    ]
 
 
 def _check_finite(block: np.ndarray, first_step: int, dt: float) -> None:
@@ -468,32 +518,41 @@ def _check_finite(block: np.ndarray, first_step: int, dt: float) -> None:
         raise NonFinite(f"state diverged to non-finite values at t = {step * dt:g} (step {step})")
 
 
-def _run(tables: _Tables, config: SimConfig, seed) -> tuple[np.ndarray, list[int]]:
+def _events(u: np.ndarray, w0: int, leave: tuple[float, float]) -> list[int]:
+    """The steps of a window of uniforms ``u``, whose row 0 holds step
+    ``w0``'s draws, on which a chain may jump: those whose jump draw lies
+    below its chain's largest leave probability."""
+    return (((u[:, 0] < leave[0]) | (u[:, 1] < leave[1])).nonzero()[0] + w0).tolist()
+
+
+def _run(tables: _Tables, config: SimConfig, seed) -> tuple[np.ndarray, np.ndarray]:
     """One trajectory of the closed loops ``_prepare`` tabulated, drawn from
     ``seed`` (the config's own seed is not read): the joint state and the
     loop index of every step, from which modes, observations, regions and
-    u = G x are read.
+    u = G x are read.  Both are arrays of one row per step, allocated once
+    and owned by the caller; each row is written in place.
 
     Within a step the loop is x' = A x + c with A = A_cl and c = D w frozen,
     and RK4's four stages on it collapse exactly to
     x <- T4(hA) x + h S3(hA) c, with T4(M) = I + M + M^2/2 + M^3/6 + M^4/24
     and S3(M) = I + M/2 + M^2/6 + M^3/24 (expand k1..k4 and collect powers
-    of hA).  So a step is one product with the loop's step matrix, plus the
-    disturbance envelope times the loop's push; only the rounding differs
-    from evaluating the stages.
+    of hA).  So a step is one product with the loop's step matrix, written
+    straight into the step's row, plus the disturbance envelope times the
+    loop's push; only the rounding differs from evaluating the stages.
 
     Every step owns a fixed slot of the uniform stream.  Row 0 draws its two
     observations; every later step s draws, from position 4s - 2, chain 1's
     jump, chain 2's jump, chain 1's observation and chain 2's observation.
     An observation draw is used only where its chain refreshes.  The
     uniforms come in windows of steps (``_WINDOW``), held as rows of four,
-    one row per step.  A chain jumps only when its draw lies below its
-    table's leave probability, so a step whose jump draws both lie at or
-    above the largest leave probability of their chain is no event: modes
-    hold, and so do the observations under ``OnChange``.  Between events,
-    numpy finds the loop indices of a run of steps from tables made once
-    per window, and the Python loop only takes the products.  An event step
-    keeps the scalar rules.
+    one row per step; row 0's two draws and the first window come from one
+    call.  A chain jumps only when its draw lies below its table's leave
+    probability, so a step whose jump draws both lie at or above the
+    largest leave probability of their chain is no event: modes hold, and
+    so do the observations under ``OnChange``.  Between events, numpy finds
+    the loop indices of a run of steps from the window's draws and the
+    emission tables of ``_prepare``, and the Python loop only takes the
+    products.  An event step keeps the scalar rules.
 
     Regions are found a chunk of steps at a time.  A chunk runs with both
     regions held at their values at its start, then finds the regions of
@@ -504,78 +563,42 @@ def _run(tables: _Tables, config: SimConfig, seed) -> tuple[np.ndarray, list[int
     which are the held ones too.  Only its observation refresh read the
     held regions, so it is redrawn from the row's own observation draws
     under the new regions; an ``OnChange`` policy now refreshes both
-    observations, since the regions changed.  The rows past the cut are
-    dropped, and the next chunk starts from the cut row.  Row 0 is the cut
-    row of a first chunk of one row, with no regions held, so its
-    observations are drawn there as the refresh of step 0.
+    observations, since the regions changed.  The next chunk starts from
+    the cut row and writes over the rows past it.  Row 0 is a cut row
+    whose regions ``_prepare`` found, so its observations are drawn there
+    as the refresh of step 0.  Without thresholds no region can change, so
+    no chunk finds regions.
 
     A chunk that holds a non-finite state raises NonFinite; numpy's overflow
     and invalid-value warnings are silenced, since that error reports them.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    dt = config.dt
-    n_steps = _steps(config.horizon, dt)
+    dt, n_steps, period = config.dt, tables.n_steps, tables.period
     n1, n2, _, _, r1, r2 = tables.shape
     strides = (n2 * r1 * r2, r1 * r2)  # of obs1 and obs2 in a loop index
-    steps, pushes = tables.steps, tables.pushes
+    steps, pushes, envelope = tables.steps, tables.pushes, tables.envelope
     jumps1, jumps2 = tables.jumps
     emit1, emit2 = tables.emissions
-    leave1, leave2 = tables.leave
-    if pushes is not None:
-        dist = config.disturbance
-        t = np.arange(n_steps) * dt
-        envelope = (np.exp(-dist.decay * t) * np.sin(dist.frequency * t)).tolist()
-    period = _steps(config.obs_policy.period, dt) if isinstance(config.obs_policy, Periodic) else 0
+    observed1, observed2 = tables.observed
+    nx1 = tables.split[0]
+    # Without thresholds no region changes, so no chunk is cut.
+    first = _CHUNK_FIRST if tables.regioned else _CHUNK_MAX
 
-    def observed(system, th, m):
-        """The observation in force at each step of the window, times its
-        stride, as drawn at the step's last refresh in mode ``th`` and
-        region ``m``; steps before the window's first refresh hold junk."""
-        key = (system, th, m)
-        if key not in cache:
-            cums, outcomes = tables.emissions[system][m][th]
-            picks = np.searchsorted(cums, seen[system], side="right")
-            cache[key] = strides[system] * np.array(outcomes)[picks]
-        return cache[key]
-
-    th1, th2 = config.init_modes[0] - 1, config.init_modes[1] - 1
-    k = (th1 * n2 + th2) * n1 * strides[0]
-    rows, chunk_ks = [tables.x0], [k]
+    xs = np.empty((n_steps + 1, len(tables.x0)))
+    ks = np.empty(n_steps + 1, dtype=np.intp)
     # The window of uniforms, row e - w0 holding step e's; row 0 has no
     # jump draws.
-    u, w0 = np.append([np.nan, np.nan], rng.random(2)).reshape(1, 4), 0
-    m1 = m2 = -1
-    blocks, ks = [], []
-    n, length = -1, 1
+    fresh = min(n_steps, max(first, _WINDOW))
+    u, w0 = np.concatenate([(np.nan, np.nan), rng.random(2 + 4 * fresh)]).reshape(-1, 4), 0
+    events = _events(u, w0, tables.leave)
+    xs[0] = tables.x0
+    m1, m2 = tables.regions0
+    th1, th2 = config.init_modes[0] - 1, config.init_modes[1] - 1
+    ob1, ob2 = _pick(emit1[m1][th1], u[0, 2]), _pick(emit2[m2][th2], u[0, 3])
+    ks[0] = k = ((((th1 * n2 + th2) * n1 + ob1) * n2 + ob2) * r1 + m1) * r2 + m2
+    n, next_length = 0, first
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            block = np.array(rows)
-            reg1, reg2 = _regions(tables, block)
-            moved = (reg1 != m1) | (reg2 != m2)
-            if moved.any():
-                cut = int(np.argmax(moved))
-                length = cut + 1
-                block, x, k = block[:length], rows[cut], chunk_ks[cut]
-                m1, m2 = int(reg1[cut]), int(reg2[cut])
-                c = n + length
-                th1, th2 = divmod(k // (n1 * strides[0]), n2)
-                ob1, ob2 = k // strides[0] % n1, k // strides[1] % n2
-                if not period or c % period == 0:
-                    ob1 = _pick(emit1[m1][th1], u[c - w0, 2])
-                    ob2 = _pick(emit2[m2][th2], u[c - w0, 3])
-                k = ((((th1 * n2 + th2) * n1 + ob1) * n2 + ob2) * r1 + m1) * r2 + m2
-                chunk_ks[cut] = k
-                del chunk_ks[length:]
-                # Without thresholds, row 0 makes the only cut.
-                next_length = _CHUNK_FIRST if any(map(len, tables.thresholds)) else _CHUNK_MAX
-            else:
-                next_length = min(2 * length, _CHUNK_MAX)
-            _check_finite(block, n + 1, dt)
-            blocks.append(block)
-            ks.extend(chunk_ks)
-            n += length
-            if n == n_steps:
-                break
+        while n < n_steps:
             length = min(next_length, n_steps - n)
             s, end = n + 1, n + length + 1
             if end > w0 + len(u):
@@ -584,40 +607,44 @@ def _run(tables: _Tables, config: SimConfig, seed) -> tuple[np.ndarray, list[int
                 fresh = min(n_steps + 1, s + max(length, _WINDOW)) - w0 - len(u)
                 u = np.concatenate([u[s - w0 :], rng.random(4 * fresh).reshape(fresh, 4)])
                 w0 = s
-                events = (w0 + np.flatnonzero((u[:, 0] < leave1) | (u[:, 1] < leave2))).tolist()
-                if period:
-                    # The observation draws of each step's last refresh.
-                    last = np.maximum(np.arange(w0, w0 + len(u)) // period * period - w0, 0)
-                    seen, cache = (u[last, 2], u[last, 3]), {}
+                events = _events(u, w0, tables.leave)
             # Regions held: each chain jumps by its partner's region, and
             # each observation is drawn in its own system's region.
             jump1, jump2, held1, held2 = jumps1[m2], jumps2[m1], emit1[m1], emit2[m2]
             cell = m1 * r2 + m2
-            rows, chunk_ks = [], []
             while s < end:
                 # e: the chunk's end, or the next step whose draws may jump.
                 i = bisect_left(events, s)
                 e = min(end, events[i]) if i < len(events) else end
                 # Observations hold until the run's first refresh step a.
                 a = min(s + -s % period, e) if period else e
-                seg = [k] * (a - s)
+                ks[s:a] = k
                 if a < e:
-                    seg += (
-                        observed(0, th1, m1)[a - w0 : e - w0]
-                        + observed(1, th2, m2)[a - w0 : e - w0]
-                        + (th1 * n2 + th2) * n1 * strides[0]
-                        + cell
-                    ).tolist()
-                # Each row's product is with the loop of the row before it.
-                loops = [k, *seg] if e < end else [k, *seg[:-1]]
-                for step, k in enumerate(loops, s):
-                    x = steps[k].dot(x)
-                    if pushes is not None:
-                        x += envelope[step - 1] * pushes[k]
-                    rows.append(x)
-                chunk_ks += seg
+                    # From a on, each step holds the observations drawn at
+                    # its last refresh, one every period steps.
+                    (cums1, outcomes1), (cums2, outcomes2) = observed1[m1][th1], observed2[m2][th2]
+                    draws = u[a - w0 : e - w0 : period]
+                    refreshed = (
+                        outcomes1[cums1.searchsorted(draws[:, 2], side="right")]
+                        + outcomes2[cums2.searchsorted(draws[:, 3], side="right")]
+                        + ((th1 * n2 + th2) * n1 * strides[0] + cell)
+                    )
+                    ks[a:e] = refreshed.repeat(period)[: e - a]
+                # Each row's product is with the loop of the row before it,
+                # up to the event row, or to the chunk's last row.
+                stop = min(e + 1, end)
+                x = xs[s - 1]
+                if pushes is None:
+                    for row, k in zip(xs[s:stop], ks[s - 1 : stop - 1].tolist()):
+                        steps[k].dot(x, row)
+                        x = row
+                else:
+                    for row, k, w in zip(xs[s:stop], ks[s - 1 : stop - 1].tolist(), envelope[s - 1 : stop - 1]):
+                        steps[k].dot(x, row)
+                        row += w * pushes[k]
+                        x = row
                 if e == end:
-                    k = seg[-1]
+                    k = int(ks[end - 1])
                     break
                 jump_draw1, jump_draw2, obs_draw1, obs_draw2 = u[e - w0].tolist()
                 new1, new2 = _pick(jump1[th1], jump_draw1), _pick(jump2[th2], jump_draw2)
@@ -631,11 +658,29 @@ def _run(tables: _Tables, config: SimConfig, seed) -> tuple[np.ndarray, list[int
                     ob1 = _pick(held1[th1], obs_draw1)
                 if refresh2:
                     ob2 = _pick(held2[th2], obs_draw2)
-                k = (((th1 * n2 + th2) * n1 + ob1) * n2 + ob2) * r1 * r2 + cell
-                chunk_ks.append(k)
+                ks[e] = k = (((th1 * n2 + th2) * n1 + ob1) * n2 + ob2) * r1 * r2 + cell
                 s = e + 1
 
-    return np.concatenate(blocks), ks
+            next_length = min(2 * length, _CHUNK_MAX)
+            if tables.regioned:
+                reg1, reg2 = _regions(tables.thresholds, xs[n + 1 : end], nx1)
+                moved = (reg1 != m1) | (reg2 != m2)
+                if moved.any():
+                    cut = int(np.argmax(moved))
+                    length, next_length = cut + 1, _CHUNK_FIRST
+                    m1, m2 = int(reg1[cut]), int(reg2[cut])
+                    c = n + length
+                    k = int(ks[c])
+                    th1, th2 = divmod(k // (n1 * strides[0]), n2)
+                    ob1, ob2 = k // strides[0] % n1, k // strides[1] % n2
+                    if not period or c % period == 0:
+                        ob1 = _pick(emit1[m1][th1], u[c - w0, 2])
+                        ob2 = _pick(emit2[m2][th2], u[c - w0, 3])
+                    ks[c] = k = ((((th1 * n2 + th2) * n1 + ob1) * n2 + ob2) * r1 + m1) * r2 + m2
+            _check_finite(xs[n + 1 : n + length + 1], n + 1, dt)
+            n += length
+
+    return xs, ks
 
 
 def _trapezoid_weights(t: np.ndarray, horizon: float | None = None) -> np.ndarray:
@@ -657,19 +702,21 @@ def _trapezoid_weights(t: np.ndarray, horizon: float | None = None) -> np.ndarra
     return w
 
 
-def _functionals(x1: np.ndarray, x2: np.ndarray, t: np.ndarray, weights, what: str) -> list[float]:
+def _functionals(x: np.ndarray, nx1: int, t: np.ndarray, weights, what: str) -> list[float]:
     """The integrals of |x1|^2 + |x2|^2 sampled at ``t`` under each of
-    ``weights``, from ``_trapezoid_weights``.
+    ``weights``, from ``_trapezoid_weights``, for joint states ``x`` whose
+    first ``nx1`` columns are x1.
 
     A finite state can still have a square or an integral beyond the float
     range (|x| above about 1e154); that raises NonFinite naming ``what`` and
     the largest state entry, without numpy's overflow warnings.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.sum(x1 * x1, axis=1) + np.sum(x2 * x2, axis=1)
+        squares = (x * x).T
+        sq = _squared_norms(squares[:nx1]) + _squared_norms(squares[nx1:])
         values = [float(w @ sq[: len(w)]) for w in weights]
     if not all(map(math.isfinite, values)):
-        peak = np.maximum(np.abs(x1).max(axis=1, initial=0.0), np.abs(x2).max(axis=1, initial=0.0))
+        peak = np.abs(x).max(axis=1, initial=0.0)
         row = int(np.argmax(peak))
         raise NonFinite(
             f"the energy functional of {what} exceeds the float range "
@@ -690,7 +737,8 @@ def energy_functional(trace: Trace, horizon: float | None = None) -> float:
     """
     if horizon is not None and not 0.0 <= horizon <= trace.t[-1] + 1e-12:
         raise ValueError(f"energy functional horizon must lie in [0, {trace.t[-1]:g}], got {horizon}")
-    return _functionals(trace.x1, trace.x2, trace.t, (_trapezoid_weights(trace.t, horizon),), "the trace")[0]
+    x = np.hstack([trace.x1, trace.x2])
+    return _functionals(x, trace.x1.shape[1], trace.t, (_trapezoid_weights(trace.t, horizon),), "the trace")[0]
 
 
 def estimate_stability(
@@ -714,18 +762,18 @@ def estimate_stability(
         raise ValueError(f"n_runs must be an integer of at least 1, got {n_runs!r}")
     tables = _prepare(model, bank, config, x1_0, x2_0)
     nx1 = tables.split[0]
-    t = np.arange(_steps(config.horizon, config.dt) + 1) * config.dt
+    t = np.arange(tables.n_steps + 1) * config.dt
     weights = (_trapezoid_weights(t), _trapezoid_weights(t, config.horizon / 2.0))
     functionals = []
     halves = []
     terminals = []
     for run in range(n_runs):
         x_arr, _ = _run(tables, config, (*_entropy(config.seed), run))
-        x1, x2 = x_arr[:, :nx1], x_arr[:, nx1:]
-        full, at_half = _functionals(x1, x2, t, weights, f"run {run}")
+        full, at_half = _functionals(x_arr, nx1, t, weights, f"run {run}")
+        x1, x2 = x_arr[-1, :nx1], x_arr[-1, nx1:]
         functionals.append(full)
         halves.append(at_half)
-        terminals.append(float(np.sqrt(x1[-1] @ x1[-1] + x2[-1] @ x2[-1])))
+        terminals.append(float(np.sqrt(x1 @ x1 + x2 @ x2)))
     return MonteCarloReport(
         runs=n_runs,
         horizon=config.horizon,

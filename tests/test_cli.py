@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -636,6 +637,21 @@ class TestMonteCarlo:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_functionals_near_the_float_range_reported(self, tmp_path, capsys):
+        # Under onchange the demo bank diverges: by 14 s the functionals
+        # reach 1e169, their deviations square past the float range, and
+        # the stderr raised OverflowError after every run (no report).
+        out = tmp_path / "r.json"
+        code = main(["montecarlo", str(PERF_DATA / "demo_model.json"), str(PERF_DATA / "bank_distributed.json"),
+                     "--runs", "8", "--x1=1.0,-2.5", "--x2=0.5,1.5,-2.0", "--horizon", "14",
+                     "--obs-policy", "onchange", "--seed", "0", "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert max(report["functional_per_run"]) > 1e160
+        assert report["mean"] == pytest.approx(math.fsum(report["functional_per_run"]) / 8, rel=1e-15)
+        assert 0.0 < report["stderr"] < math.inf
+        assert f"functional mean = {report['mean']:.6e} +/- {report['stderr']:.6e}" in capsys.readouterr().out
+
     def test_bad_runs(self, tmp_path, demo_gains_file):
         code = main(
             [
@@ -651,6 +667,30 @@ class TestMonteCarlo:
             ]
         )
         assert code == 1
+
+
+class TestUncertifiedPolicyWarning:
+    """A policy that holds observations across steps runs a loop that no
+    certificate covers, and says so in one stderr line; stdout and the exit
+    code are those of any run."""
+
+    @pytest.mark.parametrize("verb", ["simulate", "montecarlo"])
+    @pytest.mark.parametrize("policy, warned", [(None, False), ("periodic:0.002", False),
+                                                ("onchange", True), ("periodic:0.006", True)],
+                             ids=["default", "every-step", "onchange", "three-steps"])
+    def test_one_line_for_a_held_observation(self, tmp_path, capsys, demo_gains_file, verb, policy, warned):
+        argv = [verb, str(demo_path()), str(demo_gains_file), "--x1=-6,5", "--x2=2,-5.5,8",
+                "--horizon", "0.1", "--dt", "0.002", "--out", str(tmp_path / "out")]
+        argv += ["--runs", "2"] if verb == "montecarlo" else []
+        argv += ["--obs-policy", policy] if policy else []
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        expected = (
+            f"warning: --obs-policy {policy} holds observations across steps; the bank's certificate "
+            "covers only a refresh every step (periodic:0.002), not this loop\n"
+        )
+        assert captured.err == (expected if warned else "")
+        assert "warning" not in captured.out and captured.out.count("\n") == (2 if verb == "simulate" else 3)
 
 
 class TestInvalidModel:

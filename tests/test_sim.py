@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from mjls import sim
 from mjls.errors import DimensionMismatch, InvalidModel, MissingGain, NonFinite
+from mjls.fileio import load_bank, load_model
 from mjls.fixtures import demo_model, example_initial_state
 from mjls.model import (
     InterdependentModel,
@@ -961,6 +963,98 @@ class TestEstimateStability:
         b = estimate_stability(model, zero_bank(model), cfg, 5, [1.0], [0.0])
         assert a.functional_per_run == b.functional_per_run
         assert a.terminal_norms == b.terminal_norms
+
+
+PERF_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+OUTER = (np.array([4.0, -5.5]), np.array([3.0, 5.0, -4.5]))  # in the outer shells of both partitions
+
+
+class TestPinnedReports:
+    """Values of ``estimate_stability`` recorded before the kernel wrote
+    each row in place; a draw or row misalignment moves them far beyond
+    the 1e-12 relative slack left for another BLAS's rounding."""
+
+    def test_single_region_perfbench_call(self):
+        model, bank = load_model(PERF_DATA / "single_region_model.json"), load_bank(PERF_DATA / "bank_single_region.json")
+        cfg = SimConfig(dt=1e-3, horizon=0.1, seed=11, obs_policy=Periodic(1e-3))
+        report = estimate_stability(model, bank, cfg, 48, *OUTER)
+        got = (report.mean, report.half_mean, report.stderr, sum(report.terminal_norms))
+        expected = (43.81248180117799, 11.9012406378153, 1.0723532234351039, 1349.5946457867776)
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("policy, functionals, halves, terminals", [
+        (Periodic(1e-3),
+         (799.9018025657406, 8958.200229721402, 222.92391603317876),
+         (545.3864242091578, 8062.901106599604, 213.13507905540712),
+         (6.5986161320042696, 39.427402064561555, 3.7754613149710075)),
+        (OnChange(),
+         (15744038472190.338, 27415120102914.74, 9744983.703607505),
+         (30078733.543581944, 247768851.3911631, 13282.089510449516),
+         (12313133.066230504, 30555319.005145967, 15309.122984185624)),
+    ], ids=["periodic", "onchange"])
+    def test_demo_one_second_call(self, policy, functionals, halves, terminals):
+        model, bank = load_model(PERF_DATA / "demo_model.json"), load_bank(PERF_DATA / "bank_distributed.json")
+        cfg = SimConfig(dt=1e-3, horizon=1.0, seed=11, obs_policy=policy)
+        report = estimate_stability(model, bank, cfg, 3, *OUTER)
+        assert report.functional_per_run == pytest.approx(functionals, rel=1e-12)
+        assert report.half_functional_per_run == pytest.approx(halves, rel=1e-12)
+        assert report.terminal_norms == pytest.approx(terminals, rel=1e-12)
+
+
+def test_trace_shares_no_memory_with_a_later_run(demo, demo_bank):
+    cfg = SimConfig(dt=1e-3, horizon=0.5, seed=5, obs_policy=Periodic(1e-3))
+    first = simulate(demo, demo_bank, cfg, *OUTER)
+    kept = {name: getattr(first, name).copy() for name in TRACE_FIELDS}
+    later = simulate(demo, demo_bank, dataclasses.replace(cfg, seed=6), *OUTER)
+    estimate_stability(demo, demo_bank, cfg, 2, *OUTER)
+    for name in TRACE_FIELDS:
+        assert not np.shares_memory(getattr(first, name), getattr(later, name)), name
+        assert np.array_equal(getattr(first, name), kept[name]), name
+
+
+class TestMonteCarloReport:
+    @staticmethod
+    def report(values, halves=None):
+        halves = values if halves is None else halves
+        return sim.MonteCarloReport(len(values), 1.0, tuple(values), tuple(halves), (0.0,) * len(values))
+
+    def test_normal_range_keeps_its_bits(self):
+        values = [0.1, 2.5, 3.75e5, 1e-300, 7.0 / 3.0]
+        report = self.report(values)
+        mu = math.fsum(values) / 5
+        assert report.mean == mu
+        assert report.stderr == math.sqrt(math.fsum((f - mu) ** 2 for f in values) / 4 / 5)
+
+    def test_sum_near_the_float_range(self):
+        # The plain sum of these overflows: fsum raised "intermediate overflow".
+        values = [1.5e308, 1.7e308, 1.6e308, 1.2e308]
+        report = self.report(values)
+        scaled = self.report([v / 2.0**64 for v in values])
+        assert report.mean == 1.5e308
+        assert report.half_mean == 1.5e308
+        assert report.stderr == scaled.stderr * 2.0**64
+        assert math.isfinite(report.saturation)
+
+    def test_squares_beyond_the_float_range(self):
+        # Deviations of about 1e160 square past the float range: ** raised
+        # OverflowError.  Scaled by 2**-600 the same statistics are exact.
+        values = [7.7e160, 3.1e158, 2.2e159, 9.0e155]
+        report = self.report(values)
+        scaled = self.report([v * 2.0**-600 for v in values])
+        assert report.mean == scaled.mean * 2.0**600
+        assert report.stderr == scaled.stderr * 2.0**600
+        assert math.isfinite(report.stderr) and report.stderr > 1e160
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_named(self, bad):
+        report = self.report([1.0, bad, 2.0])
+        for stat in ("mean", "stderr"):
+            with pytest.raises(NonFinite, match="functional_per_run: every value must be finite"):
+                getattr(report, stat)
+        report = self.report([1.0, 3.0, 2.0], halves=[0.5, bad, 1.0])
+        assert report.mean == 2.0
+        with pytest.raises(NonFinite, match="half_functional_per_run: every value must be finite"):
+            report.half_mean
 
 
 @pytest.mark.parametrize("horizon", [5.0, 1.0 + 1e-9, -1.0, math.nan, math.inf],
