@@ -28,7 +28,7 @@ from .fileio import (
     write_trace_csv,
 )
 from .lmi import LmiProblem, LmiSolution, SolveStatus
-from .model import compose_integrated
+from .model import compose_integrated, region_pairs
 from .sim import OnChange, Periodic, SimConfig, estimate_stability, simulate
 from .synthesis import Scheme, certify_gains, check_bank, synthesize
 
@@ -176,9 +176,12 @@ def cmd_certify(args) -> int:
     # compose_integrated validates the model before check_bank reads it.
     cert = certify_gains(compose_integrated(model), check_bank(model, bank))
 
+    # psi_max is keyed by (mode, product cell m), and cell m is the m-th region pair.
+    pairs = region_pairs(model)
     print("closed-loop form max eigenvalues (mode, regions):")
-    for key in sorted(cert.psi_max):
-        print(f"  mode {key[0]}, cell {key[1]}: {cert.psi_max[key]:+.6e}")
+    for mode, cell in sorted(cert.psi_max):
+        m1, m2 = pairs[cell - 1]
+        print(f"  mode {mode}, regions ({m1},{m2}): {cert.psi_max[mode, cell]:+.6e}")
     print(f"worst: {cert.worst:+.6e}")
     print(f"certified: {'yes' if cert.certified else 'no'}")
     return EXIT_OK if cert.certified else EXIT_INFEASIBLE

@@ -10,7 +10,8 @@ Every step after step 0 owns a fixed slot of four uniforms in that stream,
 two jump draws and two observation draws, whether or not the policy
 refreshes, so a chain's jump draws do not depend on the observation policy.
 The joint dynamics and gains are the ones the certifier checks, from
-``model.joint_system`` and ``synthesis.check_bank``.
+``model.joint_system`` and ``synthesis.joint_bank``, the stack of the gains
+``synthesis.check_bank`` checks.
 
 The feedback and disturbance are frozen across a step, so the closed loop
 is linear there and its RK4 step is exact as one matrix: x <- T4(dt A_cl) x
@@ -44,7 +45,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidModel, NonFinite
 from .model import InterdependentModel, joint_system, region_pairs, validate
-from .synthesis import ControllerBank, Scheme, check_bank
+from .synthesis import ControllerBank, Scheme, joint_bank
 
 __all__ = [
     "OnChange",
@@ -342,8 +343,9 @@ def _prepare(model: InterdependentModel, bank: ControllerBank, config: SimConfig
     """Check every input before the first step and tabulate what ``_run`` reads.
 
     Each closed loop holds the joint gain G that ``check_bank`` returns, the
-    one the certifier checks, and the step of A_cl = A + B G, with (A, B, D)
-    the joint mode's dynamics from ``joint_system``.  A full-information
+    one the certifier checks, read from the stack ``joint_bank`` returns with
+    it, and the step of A_cl = A + B G, with (A, B, D) the joint mode's
+    dynamics from ``joint_system``.  A full-information
     controller reads the true modes, so its loops hold the gain of the joint
     mode in force whatever was observed.  The step matrices of all loops
     come from a few matrix products on the stacked (loops, n, n) array.
@@ -384,10 +386,9 @@ def _prepare(model: InterdependentModel, bank: ControllerBank, config: SimConfig
     )
 
     system = joint_system(model)
-    joint = check_bank(model, bank).gains
     cells = region_pairs(model)
     nj, nx, nu = n1 * n2, system.state_dim, system.input_dim
-    g = np.array([[joint[(0, j, cell)] for cell in cells] for j in range(1, nj + 1)])
+    g = joint_bank(model, bank)[1].swapaxes(0, 1)  # (observation, cell)
     # Axes (mode, observation, cell): a loop reads the gain of its
     # observation, or of its mode under full information.
     g = g[:, None] if bank.scheme is Scheme.FULL_INFORMATION else g[None]

@@ -59,13 +59,14 @@ from .model import (
     JumpLinearSystem,
     ObservationModel,
     Violation,
-    block_diag,
     build_beta,
-    check_generator,
-    check_stochastic,
+    check_generators,
+    check_stochastics,
     compose_integrated,
+    joint_blocks,
     mode_pairs,
     region_pairs,
+    stack_matrices,
     validate,
 )
 
@@ -183,10 +184,11 @@ def _validate_integrated(model: IntegratedModel) -> None:
             violations.append(
                 Violation(path, f"expected {model.cell_count} matrices (one per product cell), got {len(matrices)}")
             )
-    for m_idx, g in enumerate(model.rates.matrices, start=1):
-        check_generator(g, f"rates[{m_idx}]", violations, n)
-    for m_idx, a in enumerate(model.obs.alphas, start=1):
-        check_stochastic(a, f"obs[{m_idx}]", violations, n)
+    for check, path, matrices in (
+        (check_generators, "rates", model.rates.matrices),
+        (check_stochastics, "obs", model.obs.alphas),
+    ):
+        check(matrices, [f"{path}[{m}]" for m in range(1, len(matrices) + 1)], violations, n)
     if len(model.system.modes) != n:
         violations.append(Violation("system", f"expected {n} joint modes, got {len(model.system.modes)}"))
     if violations:
@@ -253,13 +255,14 @@ class _Target:
         return [i for i in self.modes if np.any(self.system.dynamics(i).d)]
 
 
-def _integrated_cell(model: IntegratedModel, m: int) -> _Cell:
-    return _Cell(m, f"cell {m}", model.partition.cell_pair(m), model.rates.matrix(m), model.obs.alpha(m))
+def _integrated_cells(model: IntegratedModel) -> list[_Cell]:
+    """The product cells, in ``region_pairs`` order."""
+    grid = zip(region_pairs(model.partition), model.rates.matrices, model.obs.alphas)
+    return [_Cell(m, f"cell {m}", pair, rates, alpha) for m, (pair, rates, alpha) in enumerate(grid, start=1)]
 
 
 def _integrated_target(model: IntegratedModel) -> _Target:
-    cells = tuple(_integrated_cell(model, m) for m in range(1, model.cell_count + 1))
-    return _Target(0, model.system, cells)
+    return _Target(0, model.system, tuple(_integrated_cells(model)))
 
 
 def _subsystem_target(model: InterdependentModel, k: int) -> _Target:
@@ -276,26 +279,32 @@ def _subsystem_target(model: InterdependentModel, k: int) -> _Target:
     return _Target(k, sys, tuple(cells))
 
 
-def _cell_gains(bank: ControllerBank, target: _Target, cell: _Cell) -> dict[int, np.ndarray]:
-    return {i_hat: bank.gain(target.system_id, i_hat, cell.regions) for i_hat in target.modes}
+def _cell_gains(bank: ControllerBank, target: _Target) -> np.ndarray:
+    """The target's gains in ``bank``, stacked (cell, observation).  The
+    first missing gain in that order is refused, then the first of the
+    wrong shape."""
+    sys = target.system
+    shape = (sys.input_dim, sys.state_dim)
+    keys = [(target.system_id, i_hat, cell.regions) for cell in target.cells for i_hat in target.modes]
+    found = [bank.gains.get(key) for key in keys]
+    g, shaped = stack_matrices(found, shape)
+    missing = [f for f, gain in enumerate(found) if gain is None]
+    if missing:
+        raise _gain_fault(keys[missing[0]], None, shape)
+    misshapen = np.flatnonzero(~shaped)
+    if len(misshapen):
+        f = misshapen[0]
+        raise DimensionMismatch(f"gain for observation {keys[f][1]} must be {shape}, got {found[f].shape}")
+    return g.reshape(len(target.cells), sys.mode_count, *shape)
 
 
-def _closed_loops(
-    sys: JumpLinearSystem, cells: Sequence[_Cell], cell_gains: Sequence[Mapping[int, np.ndarray]]
-) -> np.ndarray:
+def _closed_loops(sys: JumpLinearSystem, cells: Sequence[_Cell], gains: np.ndarray) -> np.ndarray:
     """Observation-averaged closed loops sum_ihat alpha[i, ihat] (A_i + B_i
-    G_ihat) of every mode i in every cell, stacked (mode, cell)."""
-    nx, nu, n = sys.state_dim, sys.input_dim, sys.mode_count
-    for gains in cell_gains:
-        for i_hat in range(1, n + 1):
-            if i_hat not in gains:
-                raise MissingGain(f"no gain for observation {i_hat}")
-            shape = np.shape(gains[i_hat])
-            if shape != (nu, nx):
-                raise DimensionMismatch(f"gain for observation {i_hat} must be {(nu, nx)}, got {shape}")
-    g = np.array([[gains[i_hat] for i_hat in range(1, n + 1)] for gains in cell_gains], dtype=float)
+    G_ihat) of every mode i in every cell, stacked (mode, cell), for the
+    gains of ``_cell_gains``."""
+    nx, n = sys.state_dim, sys.mode_count
     a = np.array([dyn.a for dyn in sys.modes])[:, None, None]
-    loops = a + np.array([dyn.b for dyn in sys.modes])[:, None, None] @ g  # (mode, cell, observation)
+    loops = a + np.array([dyn.b for dyn in sys.modes])[:, None, None] @ gains  # (mode, cell, observation)
     terms = np.array([cell.alpha for cell in cells]).transpose(1, 0, 2)[..., None, None] * loops
     a_bar = np.zeros((n, len(cells), nx, nx))
     for i_hat in range(n):
@@ -347,10 +356,20 @@ def build_psi(
     Returns P_i Abar + Abar' P_i + sum_j rate_ij P_j + s P_i D D' P_i with
     Abar the observation-averaged closed loop; exactly symmetric output.
     """
+    sys = model.system
+    n, shape = sys.mode_count, (sys.input_dim, sys.state_dim)
     p_matrices = tuple(np.asarray(p, dtype=float) for p in p_matrices)
-    _check_lyapunov(0, model.system.mode_count, model.system.state_dim, p_matrices)
-    cells = [_integrated_cell(model, m)]
-    return _forms(model.system, cells, _closed_loops(model.system, cells, [gains]), p_matrices, [i], [s])[0]
+    _check_lyapunov(0, n, sys.state_dim, p_matrices)
+    found = [np.asarray(gains[i_hat], dtype=float) if i_hat in gains else None for i_hat in range(1, n + 1)]
+    g, shaped = stack_matrices(found, shape)
+    bad = np.flatnonzero(~shaped)
+    if len(bad):
+        i_hat = bad[0] + 1
+        if found[bad[0]] is None:
+            raise MissingGain(f"no gain for observation {i_hat}")
+        raise DimensionMismatch(f"gain for observation {i_hat} must be {shape}, got {found[bad[0]].shape}")
+    cells = [_integrated_cells(model)[m - 1]]
+    return _forms(sys, cells, _closed_loops(sys, cells, g[None]), p_matrices, [i], [s])[0]
 
 
 def _certificate(target: _Target, loops: np.ndarray, lyapunov: Lyapunov) -> Certificate:
@@ -577,34 +596,60 @@ def check_bank(model: InterdependentModel, bank: ControllerBank) -> ControllerBa
     full-information bank is returned as is.
 
     Raises MissingGain, DimensionMismatch, NonFinite or NonSymmetric with a
-    message naming the system: 1 or 2, or 0 for a joint bank.
+    message naming the system: 1 or 2, or 0 for a joint bank.  Of several
+    bad gains, the one named is the first read when each cell's joint
+    observations are read in turn, system 1's gain before system 2's.
     """
+    return joint_bank(model, bank)[0]
+
+
+def _gain_fault(key: tuple, gain, shape: tuple[int, int]) -> Exception:
+    """The error for the bad gain ``gain`` (None when missing) at ``key``."""
+    k, i_hat, cell = key
+    if gain is None:
+        return MissingGain(f"no gain for system {k}, observation {i_hat}, regions {cell}")
+    if gain.shape != shape:
+        return DimensionMismatch(
+            f"gain for system {k}, observation {i_hat}, regions {cell} has shape {gain.shape}, expected {shape}"
+        )
+    return NonFinite(f"gain for system {k}, observation {i_hat}, regions {cell} has non-finite entries")
+
+
+def joint_bank(model: InterdependentModel, bank: ControllerBank) -> tuple[ControllerBank, np.ndarray]:
+    """``check_bank``'s joint bank, and its gains stacked (cell, joint
+    observation).  Each system's gains are checked as one stack, and a
+    distributed bank's joint gains and candidate are placed into one
+    array each."""
     s1, s2 = model.sys1, model.sys2
+    n1, n2 = s1.mode_count, s2.mode_count
+    nj = n1 * n2
+    cells = region_pairs(model)
     distributed = bank.scheme is Scheme.DISTRIBUTED
-    read = set()
-
-    def fetch(k: int, i_hat: int, cell: tuple[int, int], shape: tuple[int, int]) -> np.ndarray:
-        g = bank.gain(k, i_hat, cell)
-        if g.shape != shape:
-            raise DimensionMismatch(
-                f"gain for system {k}, observation {i_hat}, regions {cell} has shape {g.shape}, expected {shape}"
-            )
-        if not np.all(np.isfinite(g)):
-            raise NonFinite(f"gain for system {k}, observation {i_hat}, regions {cell} has non-finite entries")
-        read.add((k, i_hat, cell))
-        return g
-
-    joint = {}
-    pairs = mode_pairs(model)
-    for cell in region_pairs(model):
-        for i_hat, (o1, o2) in enumerate(pairs, start=1):
-            if distributed:
-                g1 = fetch(1, o1, cell, (s1.input_dim, s1.state_dim))
-                g2 = fetch(2, o2, cell, (s2.input_dim, s2.state_dim))
-                joint[(0, i_hat, cell)] = block_diag(g1, g2)
-            else:
-                fetch(0, i_hat, cell, (s1.input_dim + s2.input_dim, s1.state_dim + s2.state_dim))
-    extra = sorted(set(bank.gains) - read)
+    # Per system: its id, observation count, gain shape, and the joint
+    # observation at which each of its observations is first read.
+    if distributed:
+        systems = (
+            (1, n1, (s1.input_dim, s1.state_dim), np.arange(n1) * n2),
+            (2, n2, (s2.input_dim, s2.state_dim), np.arange(n2)),
+        )
+    else:
+        systems = ((0, nj, (s1.input_dim + s2.input_dim, s1.state_dim + s2.state_dim), np.arange(nj)),)
+    stacks, read, faults = [], [], []
+    for k, n_obs, shape, first_read in systems:
+        keys = [(k, i_hat, cell) for cell in cells for i_hat in range(1, n_obs + 1)]
+        found = [bank.gains.get(key) for key in keys]
+        g, shaped = stack_matrices(found, shape)
+        bad = np.flatnonzero(~shaped | ~np.isfinite(g).all(axis=(1, 2)))
+        if len(bad):
+            cell, obs = np.divmod(bad, n_obs)
+            rank = (cell * nj + first_read[obs]) * 3 + k  # position in the reading order
+            f = np.argmin(rank)
+            faults.append((rank[f], keys[bad[f]], found[bad[f]], shape))
+        stacks.append(g.reshape(len(cells), n_obs, *shape))
+        read += keys
+    if faults:
+        raise _gain_fault(*min(faults, key=lambda fault: fault[0])[1:])
+    extra = sorted(set(bank.gains) - set(read))
     if extra:
         k, i_hat, cell = extra[0]
         raise DimensionMismatch(
@@ -612,40 +657,47 @@ def check_bank(model: InterdependentModel, bank: ControllerBank) -> ControllerBa
             f"{bank.scheme.value} bank for this model"
         )
 
-    if distributed:
-        shapes = ((1, s1.mode_count, s1.state_dim), (2, s2.mode_count, s2.state_dim))
-    else:
-        shapes = ((0, s1.mode_count * s2.mode_count, s1.state_dim + s2.state_dim),)
-    for k, modes, n in shapes:
-        if k in bank.lyapunov:
-            _check_lyapunov(k, modes, n, bank.lyapunov[k].p_matrices)
+    p = {
+        k: _check_lyapunov(k, n_obs, shape[1], bank.lyapunov[k].p_matrices)
+        for k, n_obs, shape, _ in systems
+        if k in bank.lyapunov
+    }
     if not distributed:
-        return bank
+        return bank, stacks[0]
+    gains = joint_blocks(*stacks)
+    joint = {(0, i_hat, cell): gains[c, i_hat - 1] for c, cell in enumerate(cells) for i_hat in range(1, nj + 1)}
     lyapunov = {}
-    if 1 in bank.lyapunov and 2 in bank.lyapunov:
-        lyap1, lyap2 = bank.lyapunov[1], bank.lyapunov[2]
+    if 1 in p and 2 in p:
+        s_1, s_2 = bank.lyapunov[1].s_values, bank.lyapunov[2].s_values
         lyapunov[0] = Lyapunov(
-            tuple(block_diag(lyap1.p_matrices[i1 - 1], lyap2.p_matrices[i2 - 1]) for i1, i2 in pairs),
-            tuple(min(lyap1.s_values[i1 - 1], lyap2.s_values[i2 - 1]) for i1, i2 in pairs),
+            tuple(joint_blocks(p[1], p[2])),
+            tuple(min(s_1[i1 - 1], s_2[i2 - 1]) for i1, i2 in mode_pairs(model)),
         )
-    return ControllerBank(Scheme.CENTRALIZED, joint, lyapunov)
+    return ControllerBank(Scheme.CENTRALIZED, joint, lyapunov), gains
 
 
-def _check_lyapunov(k: int, modes: int, n: int, p_matrices: Sequence[np.ndarray]) -> None:
+def _check_lyapunov(k: int, modes: int, n: int, p_matrices: Sequence[np.ndarray]) -> np.ndarray:
     """Reject a certificate of system k that is not ``modes`` finite,
-    symmetric n x n matrices."""
+    symmetric n x n matrices, checked as one stack, and return the stack.
+    The first bad P is named, by its first fault."""
     if len(p_matrices) != modes:
         raise DimensionMismatch(f"certificate of system {k} has {len(p_matrices)} P matrices, expected {modes}")
     shape = (n, n)
-    for i, p in enumerate(p_matrices, start=1):
-        where = f"certificate of system {k}, P of mode {i}"
-        if p.shape != shape:
-            raise DimensionMismatch(f"{where} has shape {p.shape}, expected {shape}")
-        if not np.all(np.isfinite(p)):
+    p, shaped = stack_matrices(p_matrices, shape)
+    finite = np.isfinite(p).all(axis=(1, 2))
+    p[~finite] = 0.0
+    deviation = np.abs(p - p.swapaxes(1, 2)).max(axis=(1, 2))
+    tol = _SYM_TOL * np.maximum(1.0, np.abs(p).max(axis=(1, 2)))
+    bad = np.flatnonzero(~shaped | ~finite | (deviation > tol))
+    if len(bad):
+        i = bad[0]
+        where = f"certificate of system {k}, P of mode {i + 1}"
+        if not shaped[i]:
+            raise DimensionMismatch(f"{where} has shape {p_matrices[i].shape}, expected {shape}")
+        if not finite[i]:
             raise NonFinite(f"{where} has non-finite entries")
-        deviation, tol = np.abs(p - p.T).max(), _SYM_TOL * max(1.0, np.abs(p).max())
-        if deviation > tol:
-            raise NonSymmetric(f"{where} is not symmetric within {tol:g} (deviation {deviation:.3e})")
+        raise NonSymmetric(f"{where} is not symmetric within {tol[i]:g} (deviation {deviation[i]:.3e})")
+    return p
 
 
 def certify_gains(model: IntegratedModel, bank: ControllerBank) -> Certificate:
@@ -665,7 +717,7 @@ def certify_gains(model: IntegratedModel, bank: ControllerBank) -> Certificate:
     target = _integrated_target(model)
     sys = target.system
     nx = sys.state_dim
-    a_bar = _closed_loops(sys, target.cells, [_cell_gains(bank, target, cell) for cell in target.cells])
+    a_bar = _closed_loops(sys, target.cells, _cell_gains(bank, target))
     candidate = bank.lyapunov.get(0)
     if candidate is not None:
         _check_lyapunov(0, sys.mode_count, nx, candidate.p_matrices)

@@ -189,6 +189,18 @@ class TestCertify:
         # One line per (mode, cell) of the integrated system.
         assert sum(1 for line in captured.out.splitlines() if line.startswith("  mode")) == 36
 
+    def test_form_lines_name_region_pairs(self, capsys):
+        argv = ["certify", str(PERF_DATA / "demo_model.json"), str(PERF_DATA / "bank_distributed.json")]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "closed-loop form max eigenvalues (mode, regions):"
+        # Mode-major, each mode's lines in region_pairs order: (1,1) ... (2,3).
+        pairs = [(m1, m2) for m1 in (1, 2) for m2 in (1, 2, 3)]
+        assert [line.split(":")[0] for line in lines[1:37]] == [
+            f"  mode {i}, regions ({m1},{m2})" for i in range(1, 7) for m1, m2 in pairs
+        ]
+        assert lines[4] == "  mode 1, regions (2,1): -5.163054e+00"
+
     def test_zero_gains_not_certified(self, tmp_path, capsys):
         gains = zero_gain_file(tmp_path, demo_path())
         code = main(["certify", str(demo_path()), str(gains)])

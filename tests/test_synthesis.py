@@ -102,8 +102,9 @@ class TestBuildPsi:
         p = [q @ q.T + np.eye(5) for q in rng.normal(size=(sys.mode_count, 5, 5))]
         s = rng.uniform(0.5, 2.0, size=sys.mode_count)
         target = synthesis_module._integrated_target(model)
-        cell_gains = [synthesis_module._cell_gains(joint, target, cell) for cell in target.cells]
-        loops = synthesis_module._closed_loops(sys, target.cells, cell_gains)
+        gain_stack = synthesis_module._cell_gains(joint, target)
+        cell_gains = [dict(zip(target.modes, gains)) for gains in gain_stack]
+        loops = synthesis_module._closed_loops(sys, target.cells, gain_stack)
         stacked = synthesis_module._forms(sys, target.cells, loops, p, target.modes, s)
         for k, (i, (cell, gains)) in enumerate(itertools.product(target.modes, zip(target.cells, cell_gains))):
             dyn = sys.dynamics(i)
@@ -758,8 +759,7 @@ def _reference_search(problem, target, bank):
     """certify_gains' search problem, block by block."""
     sys, layout = target.system, problem.layout
     nx = sys.state_dim
-    cell_gains = [synthesis_module._cell_gains(bank, target, cell) for cell in target.cells]
-    a_bar = synthesis_module._closed_loops(sys, target.cells, cell_gains)
+    a_bar = synthesis_module._closed_loops(sys, target.cells, synthesis_module._cell_gains(bank, target))
     neg, neg_labels = [], []
     for i in target.modes:
         d = sys.dynamics(i).d
