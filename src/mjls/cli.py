@@ -177,13 +177,13 @@ def cmd_certify(args) -> int:
     cert = certify_gains(compose_integrated(model), check_bank(model, bank))
 
     # psi_max is keyed by (mode, product cell m), and cell m is the m-th region pair.
-    pairs = region_pairs(model)
-    print("closed-loop form max eigenvalues (mode, regions):")
-    for mode, cell in sorted(cert.psi_max):
-        m1, m2 = pairs[cell - 1]
-        print(f"  mode {mode}, regions ({m1},{m2}): {cert.psi_max[mode, cell]:+.6e}")
-    print(f"worst: {cert.worst:+.6e}")
-    print(f"certified: {'yes' if cert.certified else 'no'}")
+    regions = [f"({m1},{m2})" for m1, m2 in region_pairs(model)]
+    lines = ["closed-loop form max eigenvalues (mode, regions):"]
+    lines += [
+        f"  mode {mode}, regions {regions[cell - 1]}: {psi:+.6e}" for (mode, cell), psi in sorted(cert.psi_max.items())
+    ]
+    lines += [f"worst: {cert.worst:+.6e}", f"certified: {'yes' if cert.certified else 'no'}"]
+    print("\n".join(lines))
     return EXIT_OK if cert.certified else EXIT_INFEASIBLE
 
 

@@ -7,12 +7,19 @@ when available, the candidate certificate: the Lyapunov matrices and the
 disturbance scalings, never a verdict.  All JSON is written canonically:
 sorted keys, shortest round-trip float formatting, newline-terminated,
 atomic replace.
+
+A model's matrices, a bank's gains and its P matrices are each read as
+one stack: a few whole-stack type tests pass a clean stack, whose entries
+become one float array.  A document that fails them is read field by
+field, which names its first fault in document order.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 import os
 from pathlib import Path
 
@@ -50,6 +57,42 @@ class ParseError(MjlsError):
     """Input file rejected; the message carries a path-qualified diagnostic."""
 
 
+_flat = itertools.chain.from_iterable
+
+_GAIN_FIELDS = operator.itemgetter("system", "observation", "region1", "region2", "G")
+
+
+def _types(values) -> set:
+    return set(map(type, values))
+
+
+def _stacked(nodes: list) -> list[np.ndarray] | None:
+    """Each of ``nodes`` as a float matrix, all read by one ``np.fromiter``,
+    or None unless every node is a nonempty list of equal-length nonempty
+    lists of int and float entries."""
+    if _types(nodes) != {list}:
+        return None
+    rows = list(_flat(nodes))
+    if _types(rows) != {list}:
+        return None
+    values = list(_flat(rows))
+    try:
+        shapes = [(len(node), len(node[0])) for node in nodes]
+    except IndexError:  # a matrix without rows
+        return None
+    widths = [width for height, width in shapes for _ in range(height)]
+    if list(map(len, rows)) != widths or 0 in widths or not _types(values) <= {int, float}:
+        return None
+    try:
+        flat = np.fromiter(values, dtype=float, count=len(values))
+    except OverflowError:  # an integer too large for a float
+        return None
+    if len(set(shapes)) == 1:
+        return list(flat.reshape(len(nodes), *shapes[0]))
+    ends = itertools.accumulate(height * width for height, width in shapes)
+    return [flat[end - h * w : end].reshape(h, w) for end, (h, w) in zip(ends, shapes)]
+
+
 def _matrix(node, where: str) -> np.ndarray:
     if not (
         isinstance(node, list)
@@ -57,13 +100,9 @@ def _matrix(node, where: str) -> np.ndarray:
         and all(isinstance(row, list) and row and len(row) == len(node[0]) for row in node)
     ):
         raise ParseError(f"{where}: expected a nonempty rectangular matrix, given as a list of rows")
-    try:
-        if {type(v) for row in node for v in row} <= {int, float}:
-            return np.array(node, dtype=float)
-    except OverflowError:
-        pass
     # Entry by entry, so that the error names the entry.  Formatting every
-    # entry's name costs more than the load itself on a valid file.
+    # entry's name costs more than the load itself, so a valid document's
+    # matrices are read by ``_stacked``.
     return np.array([
         [_number(v, f"{where}[{i}][{j}]") for j, v in enumerate(row, start=1)]
         for i, row in enumerate(node, start=1)
@@ -93,6 +132,16 @@ def _number(value, where: str) -> float:
         raise ParseError(f"{where}: integer too large for a float") from None
 
 
+def _system(modes) -> JumpLinearSystem:
+    first = modes[0]
+    return JumpLinearSystem(
+        state_dim=first.a.shape[0],
+        input_dim=first.b.shape[1],
+        disturbance_dim=first.d.shape[1],
+        modes=tuple(modes),
+    )
+
+
 def _system_from_dict(node, where: str) -> JumpLinearSystem:
     modes_node = _require(node, "modes", where)
     if not isinstance(modes_node, list) or not modes_node:
@@ -103,13 +152,7 @@ def _system_from_dict(node, where: str) -> JumpLinearSystem:
         b = _matrix(_require(mode, "B", f"{where}.modes[{idx}]"), f"{where}.modes[{idx}].B")
         d = _matrix(_require(mode, "D", f"{where}.modes[{idx}]"), f"{where}.modes[{idx}].D")
         modes.append(ModeDynamics(a, b, d))
-    first = modes[0]
-    return JumpLinearSystem(
-        state_dim=first.a.shape[0],
-        input_dim=first.b.shape[1],
-        disturbance_dim=first.d.shape[1],
-        modes=tuple(modes),
-    )
+    return _system(modes)
 
 
 def _partition_from_dict(node, where: str) -> RegionPartition:
@@ -124,12 +167,56 @@ def _partition_from_dict(node, where: str) -> RegionPartition:
 def _matrix_list(node, where: str) -> tuple[np.ndarray, ...]:
     if not isinstance(node, list) or not node:
         raise ParseError(f"{where}: expected a nonempty list of matrices")
-    return tuple(_matrix(m, f"{where}[{i}]") for i, m in enumerate(node, start=1))
+    matrices = _stacked(node)
+    if matrices is None:
+        matrices = [_matrix(m, f"{where}[{i}]") for i, m in enumerate(node, start=1)]
+    return tuple(matrices)
+
+
+def _model_stacked(doc: dict) -> InterdependentModel | None:
+    """The model with all its matrices read as one stack, or None when a
+    whole-stack test fails."""
+    parts = [doc.get(key) for key in ("system1", "system2")]
+    if _types(parts) != {dict}:
+        return None
+    systems = [part.get("modes") for part in parts]
+    families = systems + [doc.get(key) for key in ("rates1", "rates2", "obs1", "obs2")]
+    if _types(families) != {list} or not all(families) or _types(_flat(systems)) != {dict}:
+        return None
+    try:
+        part1, part2 = (_partition_from_dict(doc.get(key), key) for key in ("partition1", "partition2"))
+    except ParseError:
+        return None
+    try:
+        nodes = [mode[key] for modes in systems for mode in modes for key in ("A", "B", "D")]
+    except KeyError:
+        return None
+    matrices = _stacked(nodes + list(_flat(families[2:])))
+    if matrices is None:
+        return None
+    read = iter(matrices)
+    sys1, sys2 = (_system([ModeDynamics(*itertools.islice(read, 3)) for _ in modes]) for modes in systems)
+    rates1, rates2, obs1, obs2 = (tuple(itertools.islice(read, len(family))) for family in families[2:])
+    return InterdependentModel(
+        sys1=sys1,
+        sys2=sys2,
+        part1=part1,
+        part2=part2,
+        rates1=RateFamily(rates1),
+        rates2=RateFamily(rates2),
+        obs1=ObservationModel(obs1),
+        obs2=ObservationModel(obs2),
+    )
 
 
 def model_from_dict(doc) -> InterdependentModel:
     if not isinstance(doc, dict):
         raise ParseError("top level: expected a JSON object")
+    model = _model_stacked(doc)
+    if model is not None:
+        return model
+    # Field by field, in document order, so that the error names the
+    # first fault.
     return InterdependentModel(
         sys1=_system_from_dict(_require(doc, "system1", "top level"), "system1"),
         sys2=_system_from_dict(_require(doc, "system2", "top level"), "system2"),
@@ -222,6 +309,26 @@ def _scalings(node, count: int) -> tuple[float, ...]:
     return tuple(map(float, node))
 
 
+def _gain_table(entries: list) -> dict | None:
+    """The gains keyed (system, observation, (region1, region2)), their
+    indices type-tested in one pass and their G matrices read as one
+    stack, or None when a whole-stack test fails or a key repeats."""
+    if _types(entries) != {dict}:
+        return None
+    try:
+        *index, nodes = zip(*map(_GAIN_FIELDS, entries))
+    except KeyError:
+        return None
+    if _types(_flat(index)) != {int}:
+        return None
+    matrices = _stacked(list(nodes))
+    if matrices is None:
+        return None
+    system, obs, m1, m2 = index
+    gains = dict(zip(zip(system, obs, zip(m1, m2)), matrices))
+    return gains if len(gains) == len(entries) else None
+
+
 def bank_from_dict(doc) -> ControllerBank:
     if not isinstance(doc, dict):
         raise ParseError("top level: expected a JSON object")
@@ -236,15 +343,17 @@ def bank_from_dict(doc) -> ControllerBank:
     entries = _require(doc, "gains", "top level")
     if not isinstance(entries, list) or not entries:
         raise ParseError("gains: expected a nonempty list")
-    gains = {}
-    for idx, entry in enumerate(entries, start=1):
-        where = f"gains[{idx}]"
-        system, obs, m1, m2 = (_integer(entry, k, where) for k in ("system", "observation", "region1", "region2"))
-        g = _matrix(_require(entry, "G", where), f"{where}.G")
-        key = (system, obs, (m1, m2))
-        if key in gains:
-            raise ParseError(f"{where}: duplicate gain for {key}")
-        gains[key] = g
+    gains = _gain_table(entries)
+    if gains is None:
+        gains = {}
+        for idx, entry in enumerate(entries, start=1):
+            where = f"gains[{idx}]"
+            system, obs, m1, m2 = (_integer(entry, k, where) for k in ("system", "observation", "region1", "region2"))
+            g = _matrix(_require(entry, "G", where), f"{where}.G")
+            key = (system, obs, (m1, m2))
+            if key in gains:
+                raise ParseError(f"{where}: duplicate gain for {key}")
+            gains[key] = g
 
     # Older files also carry a verdict, which is never read.  Without s,
     # every scaling is 1.

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -166,6 +166,10 @@ class IntegratedModel:
     rates: RateFamily  # one joint generator per product cell
     obs: ObservationModel  # one joint emission matrix per product cell
     mode_counts: tuple[int, int]
+    # True only when compose_integrated built the model and its read-only
+    # rate and emission stacks passed the clean-stack tests of
+    # check_generators and check_stochastics.
+    _clean: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def mode_count(self) -> int:
@@ -240,19 +244,33 @@ def _check_partition(part: RegionPartition, path: str, out: list[Violation]) -> 
         prev = t
 
 
+def _generators_clean(g: np.ndarray) -> bool:
+    """Every row of the stack ``g`` sums to 0 within the least tolerance and
+    no rate has the wrong sign.  A non-finite entry makes its row sum
+    non-finite."""
+    return bool(
+        np.abs(g.sum(axis=2)).max(initial=0.0) <= _GEN_TOL
+        and (g * _rate_signs(g.shape[-1])).min(initial=0.0) >= 0.0
+    )
+
+
+def _stochastics_clean(a: np.ndarray) -> bool:
+    """Every entry of the stack ``a`` lies in [0, 1] and every row sums to 1
+    within tolerance.  A NaN fails each comparison."""
+    return bool(
+        a.min(initial=0.0) >= 0.0
+        and a.max(initial=1.0) <= 1.0
+        and np.abs(a.sum(axis=2) - 1.0).max(initial=0.0) <= _STOCH_TOL
+    )
+
+
 def check_generators(matrices, paths: list[str], out: list[Violation], n_modes: int) -> None:
     """``check_generator`` of each matrix at its path, in order, all of them
     checked as one stack."""
     g, shaped = stack_matrices(matrices, (n_modes, n_modes))
-    row_sums = g.sum(axis=2)
-    # Clean: every row sums to 0 within the least tolerance and no rate has
-    # the wrong sign.  A non-finite entry makes its row sum non-finite.
-    if (
-        shaped.all()
-        and np.abs(row_sums).max(initial=0.0) <= _GEN_TOL
-        and (g * _rate_signs(n_modes)).min(initial=0.0) >= 0.0
-    ):
+    if shaped.all() and _generators_clean(g):
         return
+    row_sums = g.sum(axis=2)
     finite = np.isfinite(g).all(axis=(1, 2))
     g[~finite] = row_sums[~finite] = 0.0  # a zero matrix has no fault
     # Rounding in a row sum grows with the row's rates.
@@ -299,16 +317,9 @@ def check_stochastics(matrices, paths: list[str], out: list[Violation], n_modes:
     """``check_stochastic`` of each matrix at its path, in order, all of them
     checked as one stack."""
     a, shaped = stack_matrices(matrices, (n_modes, n_modes))
-    row_sums = a.sum(axis=2)
-    # Clean: every entry in [0, 1] and every row sum 1 within tolerance.  A
-    # NaN fails each comparison.
-    if (
-        shaped.all()
-        and a.min(initial=0.0) >= 0.0
-        and a.max(initial=1.0) <= 1.0
-        and np.abs(row_sums - 1.0).max(initial=0.0) <= _STOCH_TOL
-    ):
+    if shaped.all() and _stochastics_clean(a):
         return
+    row_sums = a.sum(axis=2)
     finite = np.isfinite(a).all(axis=(1, 2))
     read = shaped & finite
     a[~finite] = row_sums[~finite] = 0.0
@@ -402,6 +413,9 @@ def compose_integrated(model: InterdependentModel) -> IntegratedModel:
     Joint rates are Kronecker sums (the two chains jump independently given
     the region pair) and joint emissions are Kronecker products
     (conditionally independent observations), every cell's built at once.
+    Both stacks are read-only and get the integrated model's clean-stack
+    tests here, so that its check in ``certify_gains`` and
+    ``build_centralized`` has nothing left to do on a clean model.
     """
     violations = validate(model)
     if violations:
@@ -418,13 +432,17 @@ def compose_integrated(model: InterdependentModel) -> IntegratedModel:
         np.array(model.obs1.alphas)[:, None, :, None, :, None] * np.array(model.obs2.alphas)[None, :, None, :, None, :]
     )
     n = n1 * n2
-    return IntegratedModel(
+    rates, alphas = rates.reshape(r1 * r2, n, n), alphas.reshape(r1 * r2, n, n)
+    rates.flags.writeable = alphas.flags.writeable = False
+    integrated = IntegratedModel(
         system=joint_system(model),
         partition=ProductPartition(model.part1, model.part2),
-        rates=RateFamily(tuple(rates.reshape(r1 * r2, n, n))),
-        obs=ObservationModel(tuple(alphas.reshape(r1 * r2, n, n))),
+        rates=RateFamily(tuple(rates)),
+        obs=ObservationModel(tuple(alphas)),
         mode_counts=(n1, n2),
     )
+    object.__setattr__(integrated, "_clean", _generators_clean(rates) and _stochastics_clean(alphas))
+    return integrated
 
 
 def mode_pairs(model: InterdependentModel) -> list[tuple[int, int]]:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -150,8 +151,12 @@ class ControllerBank:
     """
 
     scheme: Scheme
-    gains: dict
+    gains: Mapping
     lyapunov: dict[int, Lyapunov] = field(default_factory=dict)
+    # Set by joint_bank on the joint bank it builds: its gains stacked
+    # (cell, observation), read-only, and ``gains`` a read-only mapping
+    # onto views of that stack.
+    _stack: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def gain(self, system: int, observation: int, cell: tuple[int, int]) -> np.ndarray:
         key = (system, observation, tuple(cell))
@@ -177,6 +182,8 @@ def _with_identity_obs(model: IntegratedModel) -> IntegratedModel:
 
 
 def _validate_integrated(model: IntegratedModel) -> None:
+    if model._clean:  # its counts hold by construction, its stacks passed
+        return
     violations: list[Violation] = []
     n = model.mode_count
     for path, matrices in (("rates", model.rates.matrices), ("obs", model.obs.alphas)):
@@ -282,10 +289,13 @@ def _subsystem_target(model: InterdependentModel, k: int) -> _Target:
 def _cell_gains(bank: ControllerBank, target: _Target) -> np.ndarray:
     """The target's gains in ``bank``, stacked (cell, observation).  The
     first missing gain in that order is refused, then the first of the
-    wrong shape."""
+    wrong shape.  A joint bank ``joint_bank`` built with these keys already
+    holds the stack."""
     sys = target.system
     shape = (sys.input_dim, sys.state_dim)
     keys = [(target.system_id, i_hat, cell.regions) for cell in target.cells for i_hat in target.modes]
+    if bank._stack is not None and bank._stack.shape[2:] == shape and list(bank.gains) == keys:
+        return bank._stack
     found = [bank.gains.get(key) for key in keys]
     g, shaped = stack_matrices(found, shape)
     missing = [f for f, gain in enumerate(found) if gain is None]
@@ -381,10 +391,10 @@ def _certificate(target: _Target, loops: np.ndarray, lyapunov: Lyapunov) -> Cert
         forms = _forms(target.system, target.cells, loops, p_matrices, target.modes, s_values)
     finite = np.isfinite(forms).all(axis=(1, 2))
     tops = np.full(len(forms), np.inf)
-    tops[finite] = np.linalg.eigh(forms[finite])[0][:, -1]
+    tops[finite] = np.linalg.eigvalsh(forms[finite])[:, -1]
     psi_max = {key: float(top) for key, top in zip(keys, tops)}
     certified = all(v <= -PSI_MARGIN for v in psi_max.values()) and bool(
-        (np.linalg.eigh(np.array(p_matrices))[0][:, 0] > 0.0).all()
+        (np.linalg.eigvalsh(np.array(p_matrices))[:, 0] > 0.0).all()
     )
     return Certificate(
         p_matrices=p_matrices,
@@ -592,8 +602,9 @@ def check_bank(model: InterdependentModel, bank: ControllerBank) -> ControllerBa
     pass ``_check_lyapunov``.  A distributed bank becomes joint gains
     blkdiag(G1, G2) and, when it carries both candidates, the joint
     candidate blkdiag(P1_i1, P2_i2) with s = min(s1_i1, s2_i2), both under
-    system id 0 and in ``mode_pairs`` order; a centralized or
-    full-information bank is returned as is.
+    system id 0 and in ``mode_pairs`` order, its ``gains`` a read-only
+    mapping onto one read-only stack; a centralized or full-information
+    bank is returned as is.
 
     Raises MissingGain, DimensionMismatch, NonFinite or NonSymmetric with a
     message naming the system: 1 or 2, or 0 for a joint bank.  Of several
@@ -665,6 +676,7 @@ def joint_bank(model: InterdependentModel, bank: ControllerBank) -> tuple[Contro
     if not distributed:
         return bank, stacks[0]
     gains = joint_blocks(*stacks)
+    gains.flags.writeable = False
     joint = {(0, i_hat, cell): gains[c, i_hat - 1] for c, cell in enumerate(cells) for i_hat in range(1, nj + 1)}
     lyapunov = {}
     if 1 in p and 2 in p:
@@ -673,7 +685,9 @@ def joint_bank(model: InterdependentModel, bank: ControllerBank) -> tuple[Contro
             tuple(joint_blocks(p[1], p[2])),
             tuple(min(s_1[i1 - 1], s_2[i2 - 1]) for i1, i2 in mode_pairs(model)),
         )
-    return ControllerBank(Scheme.CENTRALIZED, joint, lyapunov), gains
+    checked = ControllerBank(Scheme.CENTRALIZED, MappingProxyType(joint), lyapunov)
+    object.__setattr__(checked, "_stack", gains)
+    return checked, gains
 
 
 def _check_lyapunov(k: int, modes: int, n: int, p_matrices: Sequence[np.ndarray]) -> np.ndarray:
@@ -685,6 +699,9 @@ def _check_lyapunov(k: int, modes: int, n: int, p_matrices: Sequence[np.ndarray]
     shape = (n, n)
     p, shaped = stack_matrices(p_matrices, shape)
     finite = np.isfinite(p).all(axis=(1, 2))
+    # Clean: every P finite and symmetric within the least tolerance.
+    if shaped.all() and finite.all() and np.abs(p - p.swapaxes(1, 2)).max(initial=0.0) <= _SYM_TOL:
+        return p
     p[~finite] = 0.0
     deviation = np.abs(p - p.swapaxes(1, 2)).max(axis=(1, 2))
     tol = _SYM_TOL * np.maximum(1.0, np.abs(p).max(axis=(1, 2)))

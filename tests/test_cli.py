@@ -201,6 +201,14 @@ class TestCertify:
         ]
         assert lines[4] == "  mode 1, regions (2,1): -5.163054e+00"
 
+    @pytest.mark.parametrize("bank_file", ["bank_distributed.json", "bank_centralized.json"])
+    def test_complete_output_pinned(self, bank_file, capsys):
+        # All 36 form lines, worst and verdict, at printed precision, as
+        # certify printed them when the forms' eigenvalues came from eigh.
+        expected = (Path(__file__).resolve().parent / "data" / f"certify_demo_{bank_file[:-5]}.txt").read_text()
+        assert main(["certify", str(PERF_DATA / "demo_model.json"), str(PERF_DATA / bank_file)]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_zero_gains_not_certified(self, tmp_path, capsys):
         gains = zero_gain_file(tmp_path, demo_path())
         code = main(["certify", str(demo_path()), str(gains)])

@@ -1,14 +1,17 @@
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mjls.errors import DimensionMismatch
 from mjls.fileio import (
     ParseError,
     atomic_write_text,
     bank_from_dict,
+    bank_to_dict,
     canonical_json,
     load_bank,
     load_model,
@@ -22,7 +25,22 @@ from mjls.fileio import (
 from mjls.fixtures import demo_path, fixture_path
 from mjls.model import block_diag, mode_pairs, validate
 from mjls.sim import Periodic, SimConfig, simulate
-from mjls.synthesis import ControllerBank, Lyapunov, Scheme, check_corollary
+from mjls.synthesis import ControllerBank, Lyapunov, Scheme, check_bank, check_corollary
+
+PERF_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+
+
+def _perf_doc(name: str):
+    return json.loads((PERF_DATA / name).read_text())
+
+
+def _numpy_floats(node):
+    """``node`` with every float entry an ``np.float64``."""
+    if isinstance(node, dict):
+        return {key: _numpy_floats(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_numpy_floats(value) for value in node]
+    return np.float64(node) if type(node) is float else node
 
 
 class TestModelFiles:
@@ -116,6 +134,25 @@ class TestModelFiles:
         with pytest.raises(ParseError, match=re.escape(message)):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: (d["rates1"][1][0].__setitem__(1, "x"), d["obs1"].__setitem__(0, 0.9)),
+         "rates1[2][1][2]: expected a number, got 'x'"),
+        # A matrix of the wrong shape is the model check's to name, not the parser's.
+        (lambda d: (d["obs2"][0][0].__setitem__(0, "x"), d["system2"]["modes"][1].update(B=[[1.0], [0.0]])),
+         "obs2[1][1][1]: expected a number, got 'x'"),
+    ])
+    def test_first_fault_in_document_order_named(self, edit, message):
+        doc = _perf_doc("demo_model.json")
+        edit(doc)
+        with pytest.raises(ParseError) as exc:
+            model_from_dict(doc)
+        assert str(exc.value) == message
+
+    def test_numpy_scalar_entries_parse(self):
+        # Library callers may pass numpy floats; each parses as its float.
+        doc = _perf_doc("demo_model.json")
+        assert model_to_dict(model_from_dict(_numpy_floats(doc))) == model_to_dict(model_from_dict(doc))
+
 
 class TestGainFiles:
     def test_round_trip(self, tmp_path, demo_bank):
@@ -180,6 +217,33 @@ class TestGainFiles:
         }
         with pytest.raises(ParseError, match="duplicate"):
             bank_from_dict(doc)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda g: (g[1]["G"][0].__setitem__(1, "0.5"), g[4].update(region1=1.0)),
+         "gains[2].G[1][2]: expected a number, got '0.5'"),
+        (lambda g: (g[1].update(G=[[0.5], [1.0, 2.0]]), g[4].update(region1=1.0)),
+         "gains[2].G: expected a nonempty rectangular matrix, given as a list of rows"),
+        (lambda g: g.__setitem__(1, dict(g[0])), "gains[2]: duplicate gain for (1, 1, (1, 1))"),
+    ])
+    def test_first_fault_in_document_order_named(self, edit, message):
+        doc = _perf_doc("bank_distributed.json")
+        edit(doc["gains"])
+        with pytest.raises(ParseError) as exc:
+            bank_from_dict(doc)
+        assert str(exc.value) == message
+
+    def test_numpy_scalar_entries_parse(self):
+        doc = _perf_doc("bank_distributed.json")
+        assert bank_to_dict(bank_from_dict(_numpy_floats(doc))) == bank_to_dict(bank_from_dict(doc))
+
+    def test_misshapen_gain_left_to_check_bank(self):
+        # The parser reads any rectangular G; its shape is check_bank's to refuse.
+        doc = _perf_doc("bank_distributed.json")
+        doc["gains"][0]["G"] = [[1.0, 2.0, 3.0]]
+        bank = bank_from_dict(doc)
+        with pytest.raises(DimensionMismatch) as exc:
+            check_bank(load_model(PERF_DATA / "demo_model.json"), bank)
+        assert str(exc.value) == "gain for system 1, observation 1, regions (1, 1) has shape (1, 3), expected (1, 2)"
 
     @pytest.mark.parametrize("field, value", [("observation", 1.7), ("system", True), ("region1", 1.0), ("region2", "2")])
     def test_non_integer_index_rejected(self, field, value):

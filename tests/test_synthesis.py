@@ -163,6 +163,25 @@ class TestBuildCentralized:
         with pytest.raises(InvalidModel, match=message):
             certify_gains(model, load_bank(CENTRALIZED_BANK))
 
+    def test_checked_stacks_are_read_only_and_copies_checked_again(self, demo, demo_integrated):
+        # certify_gains trusts the stacks that compose_integrated and
+        # check_bank built; they cannot change, and a model or bank made
+        # from them is checked again.
+        joint = check_bank(demo, load_bank(PERF_DATA / "bank_distributed.json"))
+        key = next(iter(joint.gains))
+        for array in (demo_integrated.rates.matrices[0], demo_integrated.obs.alphas[0], joint.gains[key]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.5
+        with pytest.raises(TypeError):
+            joint.gains[key] = np.zeros((2, 5))
+        bad = [g.copy() for g in demo_integrated.rates.matrices]
+        bad[0][0, 1] = -0.5
+        with pytest.raises(InvalidModel, match=re.escape("rates[1][row 1]")):
+            certify_gains(dataclasses.replace(demo_integrated, rates=RateFamily(tuple(bad))), joint)
+        short = dataclasses.replace(joint, gains={k: g for k, g in joint.gains.items() if k != key})
+        with pytest.raises(MissingGain, match=re.escape(f"regions {key[2]}")):
+            certify_gains(demo_integrated, short)
+
 
 class TestBuildFullinfo:
     def test_identical_problems_bitwise(self, paper_integrated):
