@@ -8,10 +8,11 @@ disturbance scalings, never a verdict.  All JSON is written canonically:
 sorted keys, shortest round-trip float formatting, newline-terminated,
 atomic replace.
 
-A model's matrices, a bank's gains and its P matrices are each read as
-one stack: a few whole-stack type tests pass a clean stack, whose entries
-become one float array.  A document that fails them is read field by
-field, which names its first fault in document order.
+Each document is read by one walk in document order, which collects all
+its matrices (a bank's gains and P matrices together) and reads them as
+one stack.  Only when a whole-stack test fails, or before a structural
+fault is raised, are they checked one by one, to name the first fault.
+Entries may be any real number and indices any integer, bools aside.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import operator
 import os
 from pathlib import Path
@@ -59,54 +61,70 @@ class ParseError(MjlsError):
 
 _flat = itertools.chain.from_iterable
 
-_GAIN_FIELDS = operator.itemgetter("system", "observation", "region1", "region2", "G")
-
 
 def _types(values) -> set:
     return set(map(type, values))
 
 
-def _stacked(nodes: list) -> list[np.ndarray] | None:
-    """Each of ``nodes`` as a float matrix, all read by one ``np.fromiter``,
-    or None unless every node is a nonempty list of equal-length nonempty
-    lists of int and float entries."""
-    if _types(nodes) != {list}:
-        return None
-    rows = list(_flat(nodes))
-    if _types(rows) != {list}:
-        return None
-    values = list(_flat(rows))
-    try:
-        shapes = [(len(node), len(node[0])) for node in nodes]
-    except IndexError:  # a matrix without rows
-        return None
-    widths = [width for height, width in shapes for _ in range(height)]
-    if list(map(len, rows)) != widths or 0 in widths or not _types(values) <= {int, float}:
-        return None
-    try:
-        flat = np.fromiter(values, dtype=float, count=len(values))
-    except OverflowError:  # an integer too large for a float
-        return None
-    if len(set(shapes)) == 1:
-        return list(flat.reshape(len(nodes), *shapes[0]))
-    ends = itertools.accumulate(height * width for height, width in shapes)
-    return [flat[end - h * w : end].reshape(h, w) for end, (h, w) in zip(ends, shapes)]
+def _all(types: set, kind: type, usual: set) -> bool:
+    """Whether every one of ``types``, tried first against the ``usual``
+    ones, is a ``kind``.  Neither JSON's bools nor numpy's are numbers."""
+    return types <= usual or all(issubclass(t, kind) and not issubclass(t, bool) for t in types)
 
 
-def _matrix(node, where: str) -> np.ndarray:
+def _matrix(node, where: str) -> None:
+    """Name the first fault of one matrix node, entry by entry."""
     if not (
         isinstance(node, list)
         and node
         and all(isinstance(row, list) and row and len(row) == len(node[0]) for row in node)
     ):
         raise ParseError(f"{where}: expected a nonempty rectangular matrix, given as a list of rows")
-    # Entry by entry, so that the error names the entry.  Formatting every
-    # entry's name costs more than the load itself, so a valid document's
-    # matrices are read by ``_stacked``.
-    return np.array([
-        [_number(v, f"{where}[{i}][{j}]") for j, v in enumerate(row, start=1)]
-        for i, row in enumerate(node, start=1)
-    ])
+    for i, row in enumerate(node, start=1):
+        for j, v in enumerate(row, start=1):
+            _number(v, f"{where}[{i}][{j}]")
+
+
+class _Matrices:
+    """A document's matrix nodes by family: a family (where, count, keys)
+    holds the node at ``{where}[i]{key}`` for i up to count, key by key so
+    that matrices of one shape lie together.  ``check`` formats the paths."""
+
+    def __init__(self) -> None:
+        self.nodes: list = []
+        self.families: list[tuple[str, int, tuple[str, ...]]] = []
+
+    def check(self) -> None:
+        """Name the first fault among the nodes, in document order."""
+        start = 0
+        for where, count, keys in self.families:
+            for i, k in itertools.product(range(count), range(len(keys))):
+                _matrix(self.nodes[start + k * count + i], f"{where}[{i + 1}]{keys[k]}")
+            start += count * len(keys)
+
+    def read(self) -> list[np.ndarray]:
+        """Each node as a float matrix, all views of one array read by one
+        ``np.fromiter``, a run of one shape by one reshape.  The whole-stack
+        tests pass exactly the stacks whose nodes all pass ``_matrix``."""
+        nodes, flat = self.nodes, None
+        rows = list(_flat(nodes)) if _all(_types(nodes), list, {list}) else [None]  # [None] fails the next test
+        if _all(_types(rows), list, {list}) and all(nodes):
+            shapes = [(len(node), len(node[0])) for node in nodes]
+            widths = [width for height, width in shapes for _ in range(height)]
+            values = list(_flat(rows))
+            if list(map(len, rows)) == widths and 0 not in widths and _all(_types(values), numbers.Real, {int, float}):
+                try:
+                    flat = np.fromiter(values, dtype=float, count=len(values))
+                except OverflowError:  # an integer too large for a float
+                    pass
+        if flat is None:
+            self.check()
+        matrices, start = [], 0
+        for (height, width), run in itertools.groupby(shapes):
+            count = len(list(run))
+            matrices.extend(flat[start : start + count * height * width].reshape(count, height, width))
+            start += count * height * width
+        return matrices
 
 
 def _require(node, key: str, where: str):
@@ -117,14 +135,13 @@ def _require(node, key: str, where: str):
 
 def _integer(node, key: str, where: str) -> int:
     value = _require(node, key, where)
-    # JSON true/false load as bool, a subclass of int.
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not isinstance(value, (int, numbers.Integral)) or isinstance(value, bool):
         raise ParseError(f"{where}.{key}: expected an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def _number(value, where: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not isinstance(value, (int, float, numbers.Real)) or isinstance(value, bool):
         raise ParseError(f"{where}: expected a number, got {value!r}")
     try:
         return float(value)
@@ -132,100 +149,76 @@ def _number(value, where: str) -> float:
         raise ParseError(f"{where}: integer too large for a float") from None
 
 
-def _system(modes) -> JumpLinearSystem:
-    first = modes[0]
-    return JumpLinearSystem(
-        state_dim=first.a.shape[0],
-        input_dim=first.b.shape[1],
-        disturbance_dim=first.d.shape[1],
-        modes=tuple(modes),
-    )
-
-
-def _system_from_dict(node, where: str) -> JumpLinearSystem:
-    modes_node = _require(node, "modes", where)
-    if not isinstance(modes_node, list) or not modes_node:
+def _modes(node, where: str, matrices: _Matrices) -> int:
+    """The number of a system's modes, whose A, B and D nodes join ``matrices``."""
+    modes = _require(node, "modes", where)
+    if not isinstance(modes, list) or not modes:
         raise ParseError(f"{where}.modes: expected a nonempty list")
-    modes = []
-    for idx, mode in enumerate(modes_node, start=1):
-        a = _matrix(_require(mode, "A", f"{where}.modes[{idx}]"), f"{where}.modes[{idx}].A")
-        b = _matrix(_require(mode, "B", f"{where}.modes[{idx}]"), f"{where}.modes[{idx}].B")
-        d = _matrix(_require(mode, "D", f"{where}.modes[{idx}]"), f"{where}.modes[{idx}].D")
-        modes.append(ModeDynamics(a, b, d))
-    return _system(modes)
+    try:
+        nodes = [mode[key] for key in "ABD" for mode in modes] if _types(modes) == {dict} else None
+    except KeyError:  # a mode without one of its matrices
+        nodes = None
+    if nodes is None:  # mode by mode, after the matrices before them, to name the first fault
+        matrices.check()
+        for (idx, mode), key in itertools.product(enumerate(modes, start=1), "ABD"):
+            _matrix(_require(mode, key, f"{where}.modes[{idx}]"), f"{where}.modes[{idx}].{key}")
+        nodes = [mode[key] for key in "ABD" for mode in modes]
+    matrices.nodes += nodes
+    matrices.families.append((f"{where}.modes", len(modes), (".A", ".B", ".D")))
+    return len(modes)
 
 
 def _partition_from_dict(node, where: str) -> RegionPartition:
     thresholds = _require(node, "thresholds", where)
     if not isinstance(thresholds, list):
         raise ParseError(f"{where}.thresholds: expected a list of numbers")
-    return RegionPartition(
+    if _all(_types(thresholds), numbers.Real, {int, float}):
+        try:
+            return RegionPartition(tuple(thresholds))
+        except OverflowError:  # an integer too large for a float
+            pass
+    return RegionPartition(  # one by one, to name the first fault
         tuple(_number(t, f"{where}.thresholds[{i}]") for i, t in enumerate(thresholds, start=1))
     )
 
 
-def _matrix_list(node, where: str) -> tuple[np.ndarray, ...]:
+def _matrix_list(node, where: str, matrices: _Matrices) -> int:
+    """The number of matrices in the family ``node``, which join ``matrices``."""
     if not isinstance(node, list) or not node:
         raise ParseError(f"{where}: expected a nonempty list of matrices")
-    matrices = _stacked(node)
-    if matrices is None:
-        matrices = [_matrix(m, f"{where}[{i}]") for i, m in enumerate(node, start=1)]
-    return tuple(matrices)
+    matrices.nodes += node
+    matrices.families.append((where, len(node), ("",)))
+    return len(node)
 
 
-def _model_stacked(doc: dict) -> InterdependentModel | None:
-    """The model with all its matrices read as one stack, or None when a
-    whole-stack test fails."""
-    parts = [doc.get(key) for key in ("system1", "system2")]
-    if _types(parts) != {dict}:
-        return None
-    systems = [part.get("modes") for part in parts]
-    families = systems + [doc.get(key) for key in ("rates1", "rates2", "obs1", "obs2")]
-    if _types(families) != {list} or not all(families) or _types(_flat(systems)) != {dict}:
-        return None
+def model_from_dict(doc) -> InterdependentModel:
+    if not isinstance(doc, dict):
+        raise ParseError("top level: expected a JSON object")
+    matrices = _Matrices()
     try:
-        part1, part2 = (_partition_from_dict(doc.get(key), key) for key in ("partition1", "partition2"))
+        modes = [_modes(_require(doc, key, "top level"), key, matrices) for key in ("system1", "system2")]
+        part1, part2 = (
+            _partition_from_dict(_require(doc, key, "top level"), key) for key in ("partition1", "partition2")
+        )
+        families = ("rates1", "rates2", "obs1", "obs2")
+        sizes = [_matrix_list(_require(doc, key, "top level"), key, matrices) for key in families]
     except ParseError:
-        return None
-    try:
-        nodes = [mode[key] for modes in systems for mode in modes for key in ("A", "B", "D")]
-    except KeyError:
-        return None
-    matrices = _stacked(nodes + list(_flat(families[2:])))
-    if matrices is None:
-        return None
-    read = iter(matrices)
-    sys1, sys2 = (_system([ModeDynamics(*itertools.islice(read, 3)) for _ in modes]) for modes in systems)
-    rates1, rates2, obs1, obs2 = (tuple(itertools.islice(read, len(family))) for family in families[2:])
+        matrices.check()
+        raise
+    read, systems = iter(matrices.read()), []
+    for n in modes:
+        a, b, d = (tuple(itertools.islice(read, n)) for _ in "ABD")
+        systems.append(JumpLinearSystem(a[0].shape[0], b[0].shape[1], d[0].shape[1], tuple(map(ModeDynamics, a, b, d))))
+    rates1, rates2, obs1, obs2 = (tuple(itertools.islice(read, n)) for n in sizes)
     return InterdependentModel(
-        sys1=sys1,
-        sys2=sys2,
+        sys1=systems[0],
+        sys2=systems[1],
         part1=part1,
         part2=part2,
         rates1=RateFamily(rates1),
         rates2=RateFamily(rates2),
         obs1=ObservationModel(obs1),
         obs2=ObservationModel(obs2),
-    )
-
-
-def model_from_dict(doc) -> InterdependentModel:
-    if not isinstance(doc, dict):
-        raise ParseError("top level: expected a JSON object")
-    model = _model_stacked(doc)
-    if model is not None:
-        return model
-    # Field by field, in document order, so that the error names the
-    # first fault.
-    return InterdependentModel(
-        sys1=_system_from_dict(_require(doc, "system1", "top level"), "system1"),
-        sys2=_system_from_dict(_require(doc, "system2", "top level"), "system2"),
-        part1=_partition_from_dict(_require(doc, "partition1", "top level"), "partition1"),
-        part2=_partition_from_dict(_require(doc, "partition2", "top level"), "partition2"),
-        rates1=RateFamily(_matrix_list(_require(doc, "rates1", "top level"), "rates1")),
-        rates2=RateFamily(_matrix_list(_require(doc, "rates2", "top level"), "rates2")),
-        obs1=ObservationModel(_matrix_list(_require(doc, "obs1", "top level"), "obs1")),
-        obs2=ObservationModel(_matrix_list(_require(doc, "obs2", "top level"), "obs2")),
     )
 
 
@@ -309,24 +302,35 @@ def _scalings(node, count: int) -> tuple[float, ...]:
     return tuple(map(float, node))
 
 
-def _gain_table(entries: list) -> dict | None:
-    """The gains keyed (system, observation, (region1, region2)), their
-    indices type-tested in one pass and their G matrices read as one
-    stack, or None when a whole-stack test fails or a key repeats."""
-    if _types(entries) != {dict}:
-        return None
+def _gain_keys(entries: list, matrices: _Matrices) -> list[tuple]:
+    """Each gain's key (system, observation, (region1, region2)) in order,
+    of Python ints; the G nodes, a bank's first matrices, join ``matrices``.
+    The indices are type-tested as one stack; when that fails, or a key
+    repeats, the entries are read one by one to name the first fault."""
+    keys = None
     try:
-        *index, nodes = zip(*map(_GAIN_FIELDS, entries))
-    except KeyError:
-        return None
-    if _types(_flat(index)) != {int}:
-        return None
-    matrices = _stacked(list(nodes))
-    if matrices is None:
-        return None
-    system, obs, m1, m2 = index
-    gains = dict(zip(zip(system, obs, zip(m1, m2)), matrices))
-    return gains if len(gains) == len(entries) else None
+        if _types(entries) == {dict}:
+            *index, nodes = zip(*map(operator.itemgetter("system", "observation", "region1", "region2", "G"), entries))
+            types = _types(_flat(index))
+            if _all(types, numbers.Integral, {int}):
+                system, obs, m1, m2 = index if types == {int} else ([*map(int, column)] for column in index)
+                keys = list(zip(system, obs, zip(m1, m2)))
+    except KeyError:  # an entry without one of the fields
+        pass
+    if keys is None or len(set(keys)) != len(keys):
+        seen = {}
+        for idx, entry in enumerate(entries, start=1):
+            where = f"gains[{idx}]"
+            system, obs, m1, m2 = (_integer(entry, k, where) for k in ("system", "observation", "region1", "region2"))
+            _matrix(_require(entry, "G", where), f"{where}.G")
+            key = (system, obs, (m1, m2))
+            if key in seen:
+                raise ParseError(f"{where}: duplicate gain for {key}")
+            seen[key] = None
+        keys, nodes = list(seen), [entry["G"] for entry in entries]
+    matrices.nodes += nodes
+    matrices.families.append(("gains", len(entries), (".G",)))
+    return keys
 
 
 def bank_from_dict(doc) -> ControllerBank:
@@ -343,42 +347,37 @@ def bank_from_dict(doc) -> ControllerBank:
     entries = _require(doc, "gains", "top level")
     if not isinstance(entries, list) or not entries:
         raise ParseError("gains: expected a nonempty list")
-    gains = _gain_table(entries)
-    if gains is None:
-        gains = {}
-        for idx, entry in enumerate(entries, start=1):
-            where = f"gains[{idx}]"
-            system, obs, m1, m2 = (_integer(entry, k, where) for k in ("system", "observation", "region1", "region2"))
-            g = _matrix(_require(entry, "G", where), f"{where}.G")
-            key = (system, obs, (m1, m2))
-            if key in gains:
-                raise ParseError(f"{where}: duplicate gain for {key}")
-            gains[key] = g
-
-    # Older files also carry a verdict, which is never read.  Without s,
-    # every scaling is 1.
-    lyapunov = {}
-    cert_node = doc.get("certificate")
-    if cert_node is not None:
-        if not isinstance(cert_node, dict):
-            raise ParseError(f"certificate: expected an object, got {cert_node!r}")
-        p_all = _matrix_list(_require(cert_node, "P", "certificate"), "certificate.P")
-        s_all = _scalings(cert_node.get("s", [1.0] * len(p_all)), len(p_all))
-        # One P per observation the gains name, system by system.
-        counts = {
-            k: len({obs for (sys_id, obs, _c) in gains if sys_id == k})
-            for k in ((1, 2) if scheme is Scheme.DISTRIBUTED else (0,))
-        }
-        if sum(counts.values()) != len(p_all):
-            named = " and ".join(f"{n} for system {k}" for k, n in counts.items())
-            raise ParseError(
-                f"certificate.P: wrong number of matrices: {len(p_all)} given, "
-                f"one per observation the gains name: {named}"
-            )
-        cursor = 0
-        for k, n in counts.items():
-            lyapunov[k] = Lyapunov(p_all[cursor : cursor + n], s_all[cursor : cursor + n])
-            cursor += n
+    matrices = _Matrices()
+    counts, scalings = {}, None
+    try:
+        keys = _gain_keys(entries, matrices)
+        # Older files also carry a verdict, which is never read.  Without
+        # s, every scaling is 1.
+        cert_node = doc.get("certificate")
+        if cert_node is not None:
+            if not isinstance(cert_node, dict):
+                raise ParseError(f"certificate: expected an object, got {cert_node!r}")
+            p_count = _matrix_list(_require(cert_node, "P", "certificate"), "certificate.P", matrices)
+            scalings = iter(_scalings(cert_node.get("s", [1.0] * p_count), p_count))
+            # One P per observation the gains name, system by system.
+            counts = {
+                k: len({obs for (sys_id, obs, _c) in keys if sys_id == k})
+                for k in ((1, 2) if scheme is Scheme.DISTRIBUTED else (0,))
+            }
+            if sum(counts.values()) != p_count:
+                named = " and ".join(f"{n} for system {k}" for k, n in counts.items())
+                raise ParseError(
+                    f"certificate.P: wrong number of matrices: {p_count} given, "
+                    f"one per observation the gains name: {named}"
+                )
+    except ParseError:
+        matrices.check()
+        raise
+    read = iter(matrices.read())
+    gains = dict(zip(keys, read))
+    lyapunov = {
+        k: Lyapunov(tuple(itertools.islice(read, n)), tuple(itertools.islice(scalings, n))) for k, n in counts.items()
+    }
     return ControllerBank(scheme, gains, lyapunov)
 
 

@@ -303,8 +303,7 @@ def _cell_gains(bank: ControllerBank, target: _Target) -> np.ndarray:
         raise _gain_fault(keys[missing[0]], None, shape)
     misshapen = np.flatnonzero(~shaped)
     if len(misshapen):
-        f = misshapen[0]
-        raise DimensionMismatch(f"gain for observation {keys[f][1]} must be {shape}, got {found[f].shape}")
+        raise _gain_fault(keys[misshapen[0]], found[misshapen[0]], shape)
     return g.reshape(len(target.cells), sys.mode_count, *shape)
 
 
@@ -373,12 +372,9 @@ def build_psi(
     found = [np.asarray(gains[i_hat], dtype=float) if i_hat in gains else None for i_hat in range(1, n + 1)]
     g, shaped = stack_matrices(found, shape)
     bad = np.flatnonzero(~shaped)
-    if len(bad):
-        i_hat = bad[0] + 1
-        if found[bad[0]] is None:
-            raise MissingGain(f"no gain for observation {i_hat}")
-        raise DimensionMismatch(f"gain for observation {i_hat} must be {shape}, got {found[bad[0]].shape}")
     cells = [_integrated_cells(model)[m - 1]]
+    if len(bad):
+        raise _gain_fault((0, bad[0] + 1, cells[0].regions), found[bad[0]], shape)
     return _forms(sys, cells, _closed_loops(sys, cells, g[None]), p_matrices, [i], [s])[0]
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mjls import fileio
 from mjls.errors import DimensionMismatch
 from mjls.fileio import (
     ParseError,
@@ -140,6 +141,13 @@ class TestModelFiles:
         # A matrix of the wrong shape is the model check's to name, not the parser's.
         (lambda d: (d["obs2"][0][0].__setitem__(0, "x"), d["system2"]["modes"][1].update(B=[[1.0], [0.0]])),
          "obs2[1][1][1]: expected a number, got 'x'"),
+        # A matrix fault is named before a structural fault after it.
+        (lambda d: (d["system1"]["modes"][0]["A"][0].__setitem__(0, "x"), d["system2"]["modes"][1].pop("B")),
+         "system1.modes[1].A[1][1]: expected a number, got 'x'"),
+        (lambda d: (d["system2"]["modes"][0]["D"][0].__setitem__(0, None), d.update(rates2={})),
+         "system2.modes[1].D[1][1]: expected a number, got None"),
+        (lambda d: (d["system1"]["modes"][1]["B"][0].__setitem__(0, "1"), d["partition1"].update(thresholds=["5"])),
+         "system1.modes[2].B[1][1]: expected a number, got '1'"),
     ])
     def test_first_fault_in_document_order_named(self, edit, message):
         doc = _perf_doc("demo_model.json")
@@ -152,6 +160,23 @@ class TestModelFiles:
         # Library callers may pass numpy floats; each parses as its float.
         doc = _perf_doc("demo_model.json")
         assert model_to_dict(model_from_dict(_numpy_floats(doc))) == model_to_dict(model_from_dict(doc))
+
+    def test_numpy_integer_and_float32_entries_parse(self, tmp_path):
+        # Any real number but a bool parses as its float, so re-saving gives
+        # the bytes of the same document written with Python numbers.
+        plain = _perf_doc("demo_model.json")
+        plain["rates1"][0][0] = [-0.0625, 0.0625]  # exact in float32
+        doc = json.loads(json.dumps(plain))
+        doc["system1"]["modes"][0]["A"][0][0] = np.int64(5)
+        doc["rates1"][0][0][1] = np.float32(0.0625)
+        doc["partition2"]["thresholds"][0] = np.int64(5)
+        for name, source in (("numpy", doc), ("plain", plain)):
+            save_model(tmp_path / f"{name}.json", model_from_dict(source))
+        assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+        doc["system1"]["modes"][0]["A"][0][0] = np.bool_(True)
+        with pytest.raises(ParseError) as exc:
+            model_from_dict(doc)
+        assert str(exc.value) == "system1.modes[1].A[1][1]: expected a number, got np.True_"
 
 
 class TestGainFiles:
@@ -224,6 +249,9 @@ class TestGainFiles:
         (lambda g: (g[1].update(G=[[0.5], [1.0, 2.0]]), g[4].update(region1=1.0)),
          "gains[2].G: expected a nonempty rectangular matrix, given as a list of rows"),
         (lambda g: g.__setitem__(1, dict(g[0])), "gains[2]: duplicate gain for (1, 1, (1, 1))"),
+        (lambda g: (g[1]["G"][0].__setitem__(0, "x"), g[4].pop("G")), "gains[2].G[1][1]: expected a number, got 'x'"),
+        (lambda g: (g.__setitem__(1, dict(g[0])), g[4]["G"][0].__setitem__(0, "x")),
+         "gains[2]: duplicate gain for (1, 1, (1, 1))"),
     ])
     def test_first_fault_in_document_order_named(self, edit, message):
         doc = _perf_doc("bank_distributed.json")
@@ -232,9 +260,39 @@ class TestGainFiles:
             bank_from_dict(doc)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: (d["gains"][3]["G"][0].__setitem__(0, "x"), d["certificate"]["P"][0][0].__setitem__(0, "y")),
+         "gains[4].G[1][1]: expected a number, got 'x'"),
+        (lambda d: (d["certificate"]["P"][0][0].__setitem__(0, "y"), d["certificate"]["P"].pop()),
+         "certificate.P[1][1][1]: expected a number, got 'y'"),
+    ])
+    def test_first_fault_across_gains_and_certificate_named(self, edit, message):
+        doc = _perf_doc("bank_distributed.json")
+        edit(doc)
+        with pytest.raises(ParseError) as exc:
+            bank_from_dict(doc)
+        assert str(exc.value) == message
+
     def test_numpy_scalar_entries_parse(self):
         doc = _perf_doc("bank_distributed.json")
         assert bank_to_dict(bank_from_dict(_numpy_floats(doc))) == bank_to_dict(bank_from_dict(doc))
+
+    def test_numpy_integer_indices_and_float32_scalings_parse(self, tmp_path):
+        # An index may be any integer but a bool; it is kept as a Python
+        # int, so the bank saves with the bytes of the plain document.
+        plain = _perf_doc("bank_distributed.json")
+        plain["certificate"]["s"] = [0.5] * len(plain["certificate"]["P"])
+        doc = json.loads(json.dumps(plain))
+        doc["gains"][0]["system"] = np.int64(1)
+        doc["gains"][1]["region2"] = np.int32(plain["gains"][1]["region2"])
+        doc["certificate"]["s"][0] = np.float32(0.5)
+        for name, source in (("numpy", doc), ("plain", plain)):
+            save_bank(tmp_path / f"{name}.json", bank_from_dict(source))
+        assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+        doc["gains"][0]["system"] = np.bool_(True)
+        with pytest.raises(ParseError) as exc:
+            bank_from_dict(doc)
+        assert str(exc.value) == "gains[1].system: expected an integer, got np.True_"
 
     def test_misshapen_gain_left_to_check_bank(self):
         # The parser reads any rectangular G; its shape is check_bank's to refuse.
@@ -326,6 +384,22 @@ class TestGainFiles:
 def test_document_shape_checked(from_dict, doc, message):
     with pytest.raises(ParseError, match=re.escape(message)):
         from_dict(doc)
+
+
+def test_clean_files_never_read_entry_by_entry(monkeypatch):
+    # Every bundled file, and its copy with numpy floats, passes the
+    # whole-stack tests: the per-entry reader runs only to name a fault.
+    def refuse(node, where):
+        raise AssertionError(f"{where} read entry by entry")
+
+    monkeypatch.setattr(fileio, "_matrix", refuse)
+    paths = sorted(fixture_path().parent.glob("*.json")) + sorted(PERF_DATA.glob("*.json"))
+    assert len(paths) == 8
+    for path in paths:
+        doc = json.loads(path.read_text())
+        from_dict = bank_from_dict if "scheme" in doc else model_from_dict
+        from_dict(doc)
+        from_dict(_numpy_floats(doc))
 
 
 def test_failed_write_leaves_no_temp_file(tmp_path):

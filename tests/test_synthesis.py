@@ -86,6 +86,28 @@ class TestBuildPsi:
         with pytest.raises(MissingGain):
             build_psi(p, {1: np.zeros((2, 5))}, demo_integrated, 1, 1)
 
+    def test_bad_gain_named_by_its_key(self, demo, demo_integrated):
+        # build_psi and the certifier name a missing or misshapen gain as
+        # check_bank does, by system id, observation and region pair; a
+        # non-finite gain is not refused there, so it comes out uncertified.
+        p = [np.eye(5)] * 6
+        with pytest.raises(MissingGain) as exc:
+            build_psi(p, {1: np.zeros((2, 5))}, demo_integrated, 1, 2)
+        assert str(exc.value) == "no gain for system 0, observation 2, regions (1, 2)"
+        with pytest.raises(DimensionMismatch) as exc:
+            build_psi(p, {i: np.zeros((2, 4)) for i in range(1, 7)}, demo_integrated, 1, 4)
+        assert str(exc.value) == "gain for system 0, observation 1, regions (2, 1) has shape (2, 4), expected (2, 5)"
+        joint = check_bank(demo, load_bank(CENTRALIZED_BANK))
+        target = synthesis_module._integrated_target(demo_integrated)
+        key = (0, 3, (2, 2))
+        misshapen = dataclasses.replace(joint, gains={**joint.gains, key: np.zeros((1, 5))})
+        with pytest.raises(DimensionMismatch) as exc:
+            synthesis_module._cell_gains(misshapen, target)
+        assert str(exc.value) == "gain for system 0, observation 3, regions (2, 2) has shape (1, 5), expected (2, 5)"
+        non_finite = dataclasses.replace(joint, gains={**joint.gains, key: np.full((2, 5), np.nan)})
+        gains = synthesis_module._cell_gains(non_finite, target)
+        assert np.isnan(gains[4, 2]).all() and np.isfinite(np.delete(gains, 4, axis=0)).all()
+
     @pytest.mark.parametrize("bank_file", ["bank_distributed.json", "bank_centralized.json"])
     @pytest.mark.parametrize("disturbed", [False, True], ids=["undisturbed", "disturbed"])
     def test_stacked_forms_match_the_form_loop(self, demo, bank_file, disturbed):
