@@ -155,14 +155,12 @@ def _modes(node, where: str, matrices: _Matrices) -> int:
     if not isinstance(modes, list) or not modes:
         raise ParseError(f"{where}.modes: expected a nonempty list")
     try:
-        nodes = [mode[key] for key in "ABD" for mode in modes] if _types(modes) == {dict} else None
+        nodes = [mode[key] for key in "ABD" for mode in modes] if _all(_types(modes), dict, {dict}) else None
     except KeyError:  # a mode without one of its matrices
         nodes = None
-    if nodes is None:  # mode by mode, after the matrices before them, to name the first fault
-        matrices.check()
+    if nodes is None:  # mode by mode, to name the first fault; the caller names earlier ones first
         for (idx, mode), key in itertools.product(enumerate(modes, start=1), "ABD"):
             _matrix(_require(mode, key, f"{where}.modes[{idx}]"), f"{where}.modes[{idx}].{key}")
-        nodes = [mode[key] for key in "ABD" for mode in modes]
     matrices.nodes += nodes
     matrices.families.append((f"{where}.modes", len(modes), (".A", ".B", ".D")))
     return len(modes)
@@ -172,14 +170,13 @@ def _partition_from_dict(node, where: str) -> RegionPartition:
     thresholds = _require(node, "thresholds", where)
     if not isinstance(thresholds, list):
         raise ParseError(f"{where}.thresholds: expected a list of numbers")
-    if _all(_types(thresholds), numbers.Real, {int, float}):
-        try:
+    try:
+        if _all(_types(thresholds), numbers.Real, {int, float}):
             return RegionPartition(tuple(thresholds))
-        except OverflowError:  # an integer too large for a float
-            pass
-    return RegionPartition(  # one by one, to name the first fault
-        tuple(_number(t, f"{where}.thresholds[{i}]") for i, t in enumerate(thresholds, start=1))
-    )
+    except OverflowError:  # an integer too large for a float
+        pass
+    for i, t in enumerate(thresholds, start=1):  # one by one, to name the first fault
+        _number(t, f"{where}.thresholds[{i}]")
 
 
 def _matrix_list(node, where: str, matrices: _Matrices) -> int:
@@ -309,7 +306,7 @@ def _gain_keys(entries: list, matrices: _Matrices) -> list[tuple]:
     repeats, the entries are read one by one to name the first fault."""
     keys = None
     try:
-        if _types(entries) == {dict}:
+        if _all(_types(entries), dict, {dict}):
             *index, nodes = zip(*map(operator.itemgetter("system", "observation", "region1", "region2", "G"), entries))
             types = _types(_flat(index))
             if _all(types, numbers.Integral, {int}):
@@ -317,8 +314,8 @@ def _gain_keys(entries: list, matrices: _Matrices) -> list[tuple]:
                 keys = list(zip(system, obs, zip(m1, m2)))
     except KeyError:  # an entry without one of the fields
         pass
-    if keys is None or len(set(keys)) != len(keys):
-        seen = {}
+    if keys is None or len(set(keys)) != len(keys):  # one by one, to name the first fault
+        seen = set()
         for idx, entry in enumerate(entries, start=1):
             where = f"gains[{idx}]"
             system, obs, m1, m2 = (_integer(entry, k, where) for k in ("system", "observation", "region1", "region2"))
@@ -326,8 +323,7 @@ def _gain_keys(entries: list, matrices: _Matrices) -> list[tuple]:
             key = (system, obs, (m1, m2))
             if key in seen:
                 raise ParseError(f"{where}: duplicate gain for {key}")
-            seen[key] = None
-        keys, nodes = list(seen), [entry["G"] for entry in entries]
+            seen.add(key)
     matrices.nodes += nodes
     matrices.families.append(("gains", len(entries), (".G",)))
     return keys

@@ -367,12 +367,15 @@ def build_psi(
     """
     sys = model.system
     n, shape = sys.mode_count, (sys.input_dim, sys.state_dim)
+    cells = _integrated_cells(model)
+    if not (1 <= i <= n and 1 <= m <= len(cells)):
+        raise ValueError(f"mode i and cell m must lie in 1..{n} and 1..{len(cells)}, got {i} and {m}")
+    cells = [cells[m - 1]]
     p_matrices = tuple(np.asarray(p, dtype=float) for p in p_matrices)
     _check_lyapunov(0, n, sys.state_dim, p_matrices)
     found = [np.asarray(gains[i_hat], dtype=float) if i_hat in gains else None for i_hat in range(1, n + 1)]
     g, shaped = stack_matrices(found, shape)
     bad = np.flatnonzero(~shaped)
-    cells = [_integrated_cells(model)[m - 1]]
     if len(bad):
         raise _gain_fault((0, bad[0] + 1, cells[0].regions), found[bad[0]], shape)
     return _forms(sys, cells, _closed_loops(sys, cells, g[None]), p_matrices, [i], [s])[0]

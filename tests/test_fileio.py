@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import re
@@ -387,8 +388,9 @@ def test_document_shape_checked(from_dict, doc, message):
 
 
 def test_clean_files_never_read_entry_by_entry(monkeypatch):
-    # Every bundled file, and its copy with numpy floats, passes the
-    # whole-stack tests: the per-entry reader runs only to name a fault.
+    # Every bundled file, its copy with numpy floats and its copy read into
+    # OrderedDicts pass the whole-stack tests: the per-entry reader runs
+    # only to name a fault.
     def refuse(node, where):
         raise AssertionError(f"{where} read entry by entry")
 
@@ -400,6 +402,7 @@ def test_clean_files_never_read_entry_by_entry(monkeypatch):
         from_dict = bank_from_dict if "scheme" in doc else model_from_dict
         from_dict(doc)
         from_dict(_numpy_floats(doc))
+        from_dict(json.loads(path.read_text(), object_pairs_hook=collections.OrderedDict))
 
 
 def test_failed_write_leaves_no_temp_file(tmp_path):

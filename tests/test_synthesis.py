@@ -86,6 +86,16 @@ class TestBuildPsi:
         with pytest.raises(MissingGain):
             build_psi(p, {1: np.zeros((2, 5))}, demo_integrated, 1, 1)
 
+    @pytest.mark.parametrize("i, m", [(1, 0), (1, 7), (0, 1), (7, 1)])
+    def test_mode_or_cell_out_of_range_refused_first(self, demo_integrated, i, m):
+        # Refused before the gains are looked at, so a bad gain does not
+        # hide it, and index 0 does not wrap to the last mode or cell.
+        p = [np.eye(5)] * 6
+        for gains in ({}, {i_hat: np.zeros((2, 5)) for i_hat in range(1, 7)}):
+            with pytest.raises(ValueError) as exc:
+                build_psi(p, gains, demo_integrated, i, m)
+            assert str(exc.value) == f"mode i and cell m must lie in 1..6 and 1..6, got {i} and {m}"
+
     def test_bad_gain_named_by_its_key(self, demo, demo_integrated):
         # build_psi and the certifier name a missing or misshapen gain as
         # check_bank does, by system id, observation and region pair; a
